@@ -61,11 +61,6 @@ def _triple_point() -> Deformation:
     return Deformation(f, [])
 
 
-def _fail(number, name, details, t0, payload=None):
-    return CriterionResult(number, name, False, details,
-                           time.perf_counter() - t0, payload or {})
-
-
 # --- 1: Kloosterman purity -------------------------------------------------
 
 def _values_kloosterman_purity(partitions: int):

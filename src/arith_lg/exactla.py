@@ -16,7 +16,7 @@ Mat = tuple[Vec, ...]
 
 __all__ = [
     "to_fractions", "rref", "rank", "nullspace", "solve",
-    "identity", "transpose", "mat_add", "mat_scale", "mat_mul", "mat_vec", "mat_pow",
+    "identity", "transpose", "mat_mul", "mat_vec", "mat_pow",
     "subspace_basis", "subspace_sum", "subspace_intersect",
     "subspace_contains", "subspace_equal", "subspace_dim",
 ]
@@ -99,15 +99,6 @@ def identity(n: int) -> Mat:
 
 def transpose(mat: Mat) -> Mat:
     return tuple(zip(*mat)) if mat else ()
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    c = Fraction(c)
-    return tuple(tuple(x * c for x in row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:

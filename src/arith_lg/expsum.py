@@ -1,12 +1,12 @@
 """Exponential sums over torus points of finite field extensions.
 
-The engine walks (F_{q^k}^*)^n as exponent vectors of the canonical
-generator and works entirely in discrete logs: each term of the summand
-keeps a running log that one addition per step updates, and Zech
+Sums run on ffield.torus_log_values, which evaluates the summand in
+discrete logs of the canonical generator on numpy chunks of the
+enumeration order: each term's log is lg + <w, e> mod q^k - 1, and Zech
 logarithms fold the terms into the log of the point value.  Character
-values are then bucketed by trace, so a whole sum is a vector of p
-integer counts until the very end, when it becomes one exact element of
-Q(zeta_p).
+values are then bucketed by trace with one bincount per chunk, so a
+whole sum is a vector of p integer counts until the very end, when it
+becomes one exact element of Q(zeta_p).
 
 Sums are plain reductions over disjoint windows of the enumeration
 order, so any partition count gives identical results, exactly.
@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy
+
 from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
 from .ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
-                     make_field, multiplicative_generator)
+                     make_field, multiplicative_generator, torus_log_values)
 from .laurent import Deformation, LaurentPoly, MonomialTable
 
 __all__ = [
@@ -51,72 +53,18 @@ def lift_into(value, ext: FieldSpec) -> FqElem:
     raise InputError(f"cannot interpret {value!r} in {ext!r}")
 
 
-def _window_counts(p: int, n: int, Q: int, logs: list[int],
+def _window_counts(p: int, n: int, logs: list[int],
                    weights: list[tuple[int, ...]], start: int, stop: int,
                    table: DiscreteTable) -> tuple[list[int], int]:
     """Trace-value counts plus the zero-value count over one window of
-    the torus enumeration, all in machine integers."""
-    counts = [0] * p
+    the torus enumeration."""
+    counts = numpy.zeros(p, dtype=numpy.int64)
     zeros = 0
-    zech = table.zech
-    trace_by_exp = table.trace_by_exp
-    nterms = len(logs)
-    if nterms == 0:
-        return [stop - start] + [0] * (p - 1), stop - start
-    # weights reduced mod Q once; digits decode the window start
-    wmod = [tuple(w % Q for w in ws) for ws in weights]
-    digits = [0] * n
-    idx = start
-    for i in range(n - 1, -1, -1):
-        digits[i] = idx % Q
-        idx //= Q
-    accs = [(lg + sum(w * d for w, d in zip(ws, digits))) % Q
-            for lg, ws in zip(logs, wmod)]
-    last_w = [ws[n - 1] for ws in wmod]
-    pos = start
-    while pos < stop:
-        s = accs[0]
-        for j in range(1, nterms):
-            a = accs[j]
-            if s is None:
-                s = a
-                continue
-            d = a - s
-            if d < 0:
-                d += Q
-            z = zech[d]
-            if z < 0:
-                s = None
-            else:
-                s += z
-                if s >= Q:
-                    s -= Q
-        if s is None:
-            zeros += 1
-            counts[0] += 1
-        else:
-            counts[trace_by_exp[s]] += 1
-        pos += 1
-        if pos == stop:
-            break
-        # odometer step: bump the last digit, rare carries recompute
-        d_last = digits[n - 1] + 1
-        if d_last < Q:
-            digits[n - 1] = d_last
-            for j in range(nterms):
-                a = accs[j] + last_w[j]
-                accs[j] = a - Q if a >= Q else a
-        else:
-            digits[n - 1] = 0
-            i = n - 2
-            while i >= 0 and digits[i] == Q - 1:
-                digits[i] = 0
-                i -= 1
-            if i >= 0:
-                digits[i] += 1
-            accs = [(lg + sum(w * dd for w, dd in zip(ws, digits))) % Q
-                    for lg, ws in zip(logs, wmod)]
-    return counts, zeros
+    for vals in torus_log_values(table, n, logs, weights, start, stop):
+        # a zero value indexes the table's last entry, the trace of zero
+        counts += numpy.bincount(table.trace_by_exp[vals], minlength=p)
+        zeros += int(numpy.count_nonzero(vals < 0))
+    return counts.tolist(), zeros
 
 
 def _torus_reduce(poly: LaurentPoly, k: int, partitions: int,
@@ -145,7 +93,7 @@ def _torus_reduce(poly: LaurentPoly, k: int, partitions: int,
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        counts, z = _window_counts(p, n, Q, logs, weights, lo, hi, table)
+        counts, z = _window_counts(p, n, logs, weights, lo, hi, table)
         total = [a + b for a, b in zip(total, counts)]
         zeros += z
     return total, zeros, ext

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+import numpy
+
 from .budget import charge, resolve_budget
 from .errors import (
     BadIndex,
@@ -48,6 +50,7 @@ __all__ = [
     "enumerate_torus",
     "torus_size",
     "discrete_table",
+    "torus_log_values",
 ]
 
 
@@ -711,14 +714,19 @@ def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
 
 
 # --------------------------------------------------------------------------
-# discrete log / Zech tables for fast integer-only enumeration
+# discrete log / Zech tables and the log-domain torus kernel
 
 class DiscreteTable:
     """Log-domain tables for one field: exp, log, Zech addition, traces.
 
     Elements are referenced by their discrete log e (g^e); zero is
-    represented by None at API boundaries and -1 inside arrays.  These
-    tables exist so enumeration-heavy sums can run on machine integers.
+    represented by None at API boundaries and -1 inside arrays.  The
+    tables are int64 arrays so that torus_log_values can evaluate sums
+    on whole chunks of the torus at once:
+
+    * zech[e] = log(1 + g^e), or -1 when 1 + g^e = 0;
+    * trace_by_exp[e] = Tr(g^e) for e < q - 1, plus one last entry 0,
+      the trace of zero, so that trace_by_exp[-1] covers the -1 marker.
     """
 
     __slots__ = ("field", "q", "g", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
@@ -732,7 +740,6 @@ class DiscreteTable:
         g = multiplicative_generator(field)
         self.g = g
         exp_enc = [0] * (q - 1)
-        log_by_enc = [-1] * q
         cur = field.one()
         weights = [p ** i for i in range(m)]
         for e in range(q - 1):
@@ -740,31 +747,22 @@ class DiscreteTable:
             for c, w in zip(cur.coords, weights):
                 enc += c * w
             exp_enc[e] = enc
-            log_by_enc[enc] = e
             cur = cur * g
+        exp_enc = numpy.array(exp_enc, dtype=numpy.int64)
+        log_by_enc = numpy.full(q, -1, dtype=numpy.int64)
+        log_by_enc[exp_enc] = numpy.arange(q - 1, dtype=numpy.int64)
         self.exp_enc = exp_enc
         self.log_by_enc = log_by_enc
-        # Zech logarithms: zech[e] = log(1 + g^e), -1 when 1 + g^e = 0
-        zech = [0] * (q - 1)
-        for e in range(q - 1):
-            enc = exp_enc[e]
-            c0 = enc % p
-            enc1 = enc - c0 + (c0 + 1) % p
-            zech[e] = log_by_enc[enc1]
-        self.zech = zech
-        # traces by exponent
+        # adding 1 bumps the constant coordinate, the lowest base-p digit
+        c0 = exp_enc % p
+        self.zech = log_by_enc[exp_enc - c0 + (c0 + 1) % p]
         basis = _basis_traces(field) if m > 1 else (1,)
-        trace_by_exp = [0] * (q - 1)
-        for e in range(q - 1):
-            rem = exp_enc[e]
-            tr = 0
-            for j in range(m):
-                c = rem % p
-                rem //= p
-                if c:
-                    tr += c * basis[j]
-            trace_by_exp[e] = tr % p
-        self.trace_by_exp = trace_by_exp
+        trace = numpy.zeros(q, dtype=numpy.int64)
+        rem = exp_enc
+        for t in basis:
+            trace[:-1] += rem % p * t
+            rem = rem // p
+        self.trace_by_exp = trace % p
 
     def log(self, a: FqElem) -> int | None:
         """Discrete log of a field element, None for zero."""
@@ -776,13 +774,13 @@ class DiscreteTable:
         for c in a.coords:
             enc += c * w
             w *= p
-        e = self.log_by_enc[enc]
+        e = int(self.log_by_enc[enc])
         return None if e == -1 else e
 
     def elem(self, e: int | None) -> FqElem:
         if e is None:
             return self.field.zero()
-        enc = self.exp_enc[e % (self.q - 1)]
+        enc = int(self.exp_enc[e % (self.q - 1)])
         coords = []
         p = self.field.p
         for _ in range(self.field.m):
@@ -790,31 +788,53 @@ class DiscreteTable:
             enc //= p
         return self.field.element(coords)
 
-    def add_logs(self, e1: int | None, e2: int | None) -> int | None:
-        """log(g^e1 + g^e2) with None meaning the zero element."""
-        if e1 is None:
-            return e2
-        if e2 is None:
-            return e1
-        z = self.zech[(e2 - e1) % (self.q - 1)]
-        if z == -1:
-            return None
-        return (e1 + z) % (self.q - 1)
-
-    def sum_terms(self, logs: list[int], weights: list[tuple[int, ...]],
-                  exps: list[int]) -> int | None:
-        """log of sum_j g^(logs[j] + <weights[j], exps>), None if zero."""
-        q1 = self.q - 1
-        acc: int | None = None
-        for lj, wj in zip(logs, weights):
-            e = lj
-            for w, x in zip(wj, exps):
-                if w:
-                    e += w * x
-            acc = self.add_logs(acc, e % q1)
-        return acc
-
 
 @lru_cache(maxsize=None)
 def discrete_table(field: FieldSpec) -> DiscreteTable:
     return DiscreteTable(field)
+
+
+# points per kernel chunk; the scratch arrays hold (#terms + 4) x 4096 int64
+TORUS_CHUNK = 4096
+
+
+def torus_log_values(table: DiscreteTable, n: int, logs: Sequence[int],
+                     weights: Sequence[Sequence[int]], start: int,
+                     stop: int) -> Iterator[numpy.ndarray]:
+    """Values of sum_j g^logs[j] * t^weights[j] over a window of (F_q^*)^n.
+
+    The window [start, stop) is in the canonical order of enumerate_torus
+    (last axis fastest).  Yields int64 arrays of at most TORUS_CHUNK
+    entries, in order: the discrete log of the value at each point, -1
+    where it is zero.  Terms fold left to right through the Zech table;
+    a zero partial sum followed by the term a gives a.
+    """
+    Q = table.q - 1
+    zech = table.zech
+    base = numpy.array(logs, dtype=numpy.int64).reshape(-1, 1)
+    wmod = numpy.array([[w % Q for w in ws] for ws in weights],
+                       dtype=numpy.int64).reshape(len(logs), n)
+    # x - x // Q * Q is x % Q: numpy divides by a scalar several times
+    # faster than it takes a remainder
+    for lo in range(start, stop, TORUS_CHUNK):
+        idx = numpy.arange(lo, min(lo + TORUS_CHUNK, stop), dtype=numpy.int64)
+        if not logs:
+            yield numpy.full(idx.size, -1, dtype=numpy.int64)
+            continue
+        # acc[j] = logs[j] + <weights[j], e> mod Q, one axis at a time; no
+        # entry exceeds Q + Q^2, so int64 is safe for any table that exists
+        acc = numpy.repeat(base, idx.size, axis=1)
+        for axis in range(n - 1, -1, -1):
+            quot = idx // Q
+            acc += wmod[:, axis:axis + 1] * (idx - quot * Q)
+            acc -= acc // Q * Q
+            idx = quot
+        # g^s + g^a = g^a (1 + g^(s - a)); a negative index s - a wraps
+        # to (s - a) mod Q, and s = -1 gives a valid (discarded) index
+        s = acc[0]
+        for a in acc[1:]:
+            z = zech[s - a]
+            folded = a + z
+            folded -= folded // Q * Q
+            s = numpy.where(s < 0, a, numpy.where(z < 0, -1, folded))
+        yield s

@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy
+
 from .budget import charge
 from .errors import (BudgetExceeded, FaceMismatch, InputError, TableMismatch,
                      ZeroCoordinate)
-from .ffield import FieldSpec, FqElem, discrete_table, embed, make_field
+from .ffield import (FieldSpec, FqElem, discrete_table, embed, make_field,
+                     torus_log_values)
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
 
@@ -382,16 +385,24 @@ def _search_common_zero(f: LaurentPoly, k: int, budget, *, count_all: bool):
     live = [s for s in systems if s is not None]
     count = 0
     first = None
-    for e in itertools.product(range(Q), repeat=f.n):
-        for logs, weights in live:
-            if table.sum_terms(logs, weights, e) is not None:
-                break
-        else:
-            count += 1
-            if first is None:
-                first = tuple(table.elem(ei) for ei in e)
+    lo = 0
+    for chunks in zip(*(torus_log_values(table, f.n, logs, weights, 0, npoints)
+                        for logs, weights in live)):
+        hits = chunks[0] < 0
+        for vals in chunks[1:]:
+            hits &= vals < 0
+        found = int(numpy.count_nonzero(hits))
+        if found and first is None:
+            index = lo + int(hits.argmax())
+            exps = []
+            for _ in range(f.n):
+                index, e = divmod(index, Q)
+                exps.append(e)
+            first = tuple(table.elem(e) for e in reversed(exps))
             if not count_all:
-                return count, first
+                return 1, first
+        count += found
+        lo += hits.size
     return count, first
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,8 @@ from arith_lg.errors import (BadIndex, BudgetExceeded, DegreeZero,
                              IncompatibleCharacteristic, NotAnExtension, NotPrime)
 from arith_lg.ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
                              enumerate_torus, field_from_modulus, make_field,
-                             multiplicative_generator, torus_size, trace_to_prime)
+                             multiplicative_generator, torus_log_values, torus_size,
+                             trace_to_prime)
 
 
 def poly_eval_mod(coeffs, x, p):
@@ -331,17 +333,18 @@ class TestDiscreteTable:
         assert tab.log(F.zero()) is None
 
     def test_zech_addition_oracle(self):
+        # g^e1 + g^e2 is the two-term polynomial t1 + t2 at (g^e1, g^e2)
         F = make_field(3, 2)
         tab = discrete_table(F)
         g = multiplicative_generator(F)
-        for e1 in range(8):
-            for e2 in range(8):
-                s = g ** e1 + g ** e2
-                got = tab.add_logs(e1, e2)
-                if s:
-                    assert tab.elem(got) == s
-                else:
-                    assert got is None
+        got = np.concatenate(list(torus_log_values(tab, 2, [0, 0], [(1, 0), (0, 1)], 0, 64)))
+        assert got.size == 64
+        for (e1, e2), v in zip(itertools.product(range(8), repeat=2), got):
+            s = g ** e1 + g ** e2
+            if s:
+                assert tab.elem(int(v)) == s
+            else:
+                assert v == -1
 
     def test_trace_by_exp(self):
         F = make_field(5, 2)
@@ -349,6 +352,7 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         for e in range(F.q - 1):
             assert tab.trace_by_exp[e] == trace_to_prime(g ** e)
+        assert tab.trace_by_exp[-1] == 0  # the -1 marker: trace of zero
 
     def test_sum_terms_matches_elementwise(self):
         F = make_field(3, 2)
@@ -356,11 +360,12 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         logs = [0, 3, 5]
         weights = [(1, 2), (2, 1), (1, 1)]
-        for e in itertools.product(range(8), repeat=2):
+        got = np.concatenate(list(torus_log_values(tab, 2, logs, weights, 0, 64)))
+        assert got.size == 64
+        for e, v in zip(itertools.product(range(8), repeat=2), got):
             want = sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
                         for lg, ws in zip(logs, weights)), F.zero())
-            got = tab.sum_terms(logs, weights, e)
             if want:
-                assert tab.elem(got) == want
+                assert tab.elem(int(v)) == want
             else:
-                assert got is None
+                assert v == -1

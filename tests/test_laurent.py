@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
                              TableMismatch, ZeroCoordinate)
-from arith_lg.ffield import enumerate_torus, make_field
+from arith_lg.ffield import enumerate_torus, make_field, multiplicative_generator
 from arith_lg.laurent import (Deformation, LaurentPoly, check_nondegenerate,
                               critical_count, default_search_depth, evaluate,
                               face_restrict, log_derivative, monomial_table,
@@ -349,6 +350,49 @@ def face_contains_ok(face, w):
 def set_on_face(f, face):
     from arith_lg.polytope import face_contains
     return {w for w in f.support if face_contains(face, w)}
+
+
+def brute_common_zeros(f, k):
+    """Points of (F_{q^k}^*)^n where every log derivative of f vanishes,
+    in itertools.product order of the generator exponents."""
+    base = f.field
+    ext = base if k == 1 else make_field(base.p, base.m * k)
+    g = multiplicative_generator(ext)
+    derivs = [LaurentPoly(f.n, [(w, embed_coeff(c, ext))
+                                for w, c in log_derivative(f, i).terms.items()], ext)
+              for i in range(1, f.n + 1)]
+    out = []
+    for e in itertools.product(range(ext.q - 1), repeat=f.n):
+        pt = tuple(g ** ei for ei in e)
+        if all(evaluate(d, pt) == ext.zero() for d in derivs):
+            out.append(pt)
+    return out
+
+
+# the degenerate examples of TestNondegeneracy (a vertex with every
+# exponent divisible by p, the F_3 edge t1^2 + t1t2 + t2^2, a vertex over
+# F_2), plus the F_5 edge (t1 + t2)^2, whose first common zero (1, -1)
+# is not at exponent 0
+DEGENERATE = [
+    (3, [((3,), 1), ((-3,), 1)]),
+    (3, [((2, 0), 1), ((1, 1), 1), ((0, 2), 1)]),
+    (2, [((2, 0), 1), ((0, 1), 1)]),
+    (5, [((2, 0), 1), ((1, 1), 2), ((0, 2), 1)]),
+]
+
+
+@pytest.mark.parametrize("p,terms", DEGENERATE)
+def test_witness_is_first_common_zero(p, terms):
+    f = LaurentPoly(len(terms[0][0]), terms, make_field(p, 1))
+    v = check_nondegenerate(f)
+    assert v.degenerate
+    fs = face_restrict(f, v.face)
+    for k in range(1, v.witness_degree):
+        assert brute_common_zeros(fs, k) == []
+    assert v.witness == brute_common_zeros(fs, v.witness_degree)[0]
+    for g in (f, fs):
+        for k in (1, 2):
+            assert critical_count(g, k) == len(brute_common_zeros(g, k))
 
 
 class TestCriticalCount:
