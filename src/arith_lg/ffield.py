@@ -10,9 +10,10 @@ Conventions
   equivalently coefficient vectors are compared highest degree first.
   For m = 1 the modulus is X (reduction sends X to 0) and arithmetic is
   plain modular arithmetic.
-* Embeddings between extensions are chosen by explicit root-finding and
-  kept coherent process-wide through a shared closure field, so
-  composing embeddings along any tower agrees with the direct embedding.
+* Embeddings between extensions are chosen by explicit root-finding (a
+  vectorised search over the subfield) and kept coherent process-wide
+  through a shared closure field, so composing embeddings along any
+  tower agrees with the direct embedding.
 * The multiplicative group is enumerated in generator-power order: the
   canonical generator g is the first element in coefficient-lex order
   whose multiplicative order is q - 1, and (F_q^*)^n is walked as an
@@ -455,6 +456,41 @@ def trace_to_prime(a: FqElem) -> int:
 
 
 # --------------------------------------------------------------------------
+# batched arithmetic on coordinate rows (int64 numpy arrays, entries < p)
+
+def _require_exact_int64(p: int, m: int) -> None:
+    """Refuse fields whose coordinate products could overflow int64.
+
+    A product of two rows sums at most 2m - 1 terms below p^2 per entry.
+    """
+    if (2 * m - 1) * (p - 1) ** 2 >= 2 ** 63:
+        raise InputError(f"GF({p}^{m}) is too large for exact int64 coordinate arithmetic")
+
+
+def _reduction_rows(field: FieldSpec) -> numpy.ndarray:
+    """Row d holds the coordinates of X^d mod the modulus, for d < 2m - 1."""
+    p, m = field.p, field.m
+    rows = numpy.zeros((2 * m - 1, m), dtype=numpy.int64)
+    cur = [1] + [0] * (m - 1)
+    for d in range(2 * m - 1):
+        rows[d] = cur
+        # times X: shift up and replace X^m by -(modulus - X^m)
+        top = cur[-1]
+        cur = [(c - top * f) % p for c, f in zip([0] + cur[:-1], field.modulus)]
+    return rows
+
+
+def _mul_rows(a: numpy.ndarray, b: numpy.ndarray, reduce_rows: numpy.ndarray,
+              p: int) -> numpy.ndarray:
+    """Row-wise field products of two (N, m) coordinate arrays."""
+    n, m = a.shape
+    prod = numpy.zeros((n, 2 * m - 1), dtype=numpy.int64)
+    for i in range(m):
+        prod[:, i:i + m] += a[:, i:i + 1] * b
+    return prod % p @ reduce_rows % p
+
+
+# --------------------------------------------------------------------------
 # embeddings, kept coherent via a per-characteristic closure field
 
 def _lcm(a: int, b: int) -> int:
@@ -462,14 +498,12 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
-def _subfield_elements(target: FieldSpec, a: int, budget: int | None) -> list[FqElem]:
-    """All elements of the subfield of order p^a inside the target.
+def _subfield_basis(target: FieldSpec, a: int) -> numpy.ndarray:
+    """An F_p-basis (rows of coordinates) of the subfield of order p^a.
 
-    Computed as the kernel of Frobenius^a - id, an F_p-linear map, then
-    enumerated as all F_p-combinations of the kernel basis.
+    Computed as the kernel of Frobenius^a - id, an F_p-linear map.
     """
     p, m = target.p, target.m
-    charge("subfield enumeration for embedding", p ** a, budget)
     # columns: (X^j)^(p^a) - X^j for each basis monomial
     cols = []
     for j in range(m):
@@ -498,38 +532,48 @@ def _subfield_elements(target: FieldSpec, a: int, budget: int | None) -> list[Fq
         pivots.append(col)
         row += 1
     free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * m
-        vec[fc] = 1
+    basis = numpy.zeros((len(free), m), dtype=numpy.int64)
+    for k, fc in enumerate(free):
+        basis[k, fc] = 1
         for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc] % p
-        basis.append(vec)
-    elems = []
-    for combo in itertools.product(range(p), repeat=len(basis)):
-        acc = [0] * m
-        for c, vec in zip(combo, basis):
-            if c:
-                for i in range(m):
-                    acc[i] = (acc[i] + c * vec[i]) % p
-        elems.append(target.element(acc))
-    return elems
+            basis[k, pc] = -mat[r][fc] % p
+    return basis
+
+
+# subfield elements per root-search chunk; smaller than TORUS_CHUNK because
+# a product holds (2m - 1) int64 per element, and m reaches 24 here
+ROOT_CHUNK = 1024
 
 
 def _roots_in(modulus: tuple[int, ...], source_degree: int, target: FieldSpec,
               budget: int | None) -> list[FqElem]:
     """All roots of the (degree source_degree, F_p-coefficient) modulus
-    inside the target field."""
+    inside the target field, in the order of the subfield enumeration.
+
+    The subfield of order p^source_degree is enumerated in chunks of
+    ROOT_CHUNK elements: element number i is the base-p digits of i (first
+    basis row most significant) times the kernel basis.  The modulus is
+    evaluated on a whole chunk by Horner's rule in coordinates.
+    """
+    p, m = target.p, target.m
+    charge("subfield enumeration for embedding", p ** source_degree, budget)
+    _require_exact_int64(p, m)
+    basis = _subfield_basis(target, source_degree)
+    reduce_rows = _reduction_rows(target)
+    count = p ** len(basis)
+    place = p ** numpy.arange(len(basis) - 1, -1, -1, dtype=numpy.int64)
     roots = []
-    for z in _subfield_elements(target, source_degree, budget):
-        acc = target.zero()
-        power = target.one()
-        for c in modulus:
-            if c:
-                acc = acc + power * c
-            power = power * z
-        if not acc:
-            roots.append(z)
+    for lo in range(0, count, ROOT_CHUNK):
+        idx = numpy.arange(lo, min(lo + ROOT_CHUNK, count), dtype=numpy.int64)
+        z = (idx[:, None] // place % p) @ basis % p
+        # the modulus is monic: start Horner's rule at z + c_(a-1)
+        val = z.copy()
+        val[:, 0] = (val[:, 0] + modulus[-2]) % p
+        for c in reversed(modulus[:-2]):
+            val = _mul_rows(val, z, reduce_rows, p)
+            val[:, 0] = (val[:, 0] + c) % p
+        for coords in z[~val.any(axis=1)].tolist():
+            roots.append(FqElem(target, tuple(coords)))
     return roots
 
 
@@ -724,9 +768,16 @@ class DiscreteTable:
     tables are int64 arrays so that torus_log_values can evaluate sums
     on whole chunks of the torus at once:
 
+    * exp_enc[e] = the base-p encoding sum(c_i p^i) of g^e;
     * zech[e] = log(1 + g^e), or -1 when 1 + g^e = 0;
     * trace_by_exp[e] = Tr(g^e) for e < q - 1, plus one last entry 0,
       the trace of zero, so that trace_by_exp[-1] covers the -1 marker.
+
+    exp_enc is built in F_p-linear algebra on coordinate rows:
+    multiplication by g^k is an m x m matrix, the rows of g^0 .. g^(B-1)
+    come by doubling (B = min(TORUS_CHUNK, q - 1)), and each next block
+    of B powers is the previous block times the matrix of g^B.
+    Fields whose coordinate products could overflow int64 raise InputError.
     """
 
     __slots__ = ("field", "q", "g", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
@@ -737,18 +788,31 @@ class DiscreteTable:
         q = field.q
         self.q = q
         p, m = field.p, field.m
+        _require_exact_int64(p, m)
         g = multiplicative_generator(field)
         self.g = g
-        exp_enc = [0] * (q - 1)
-        cur = field.one()
-        weights = [p ** i for i in range(m)]
-        for e in range(q - 1):
-            enc = 0
-            for c, w in zip(cur.coords, weights):
-                enc += c * w
-            exp_enc[e] = enc
-            cur = cur * g
-        exp_enc = numpy.array(exp_enc, dtype=numpy.int64)
+        # multiplication by h is the F_p-linear map v -> v @ M_h on rows
+        reduce_rows = _reduction_rows(field)
+        eye = numpy.eye(m, dtype=numpy.int64)
+
+        def mul_matrix(h: numpy.ndarray) -> numpy.ndarray:
+            return _mul_rows(eye, numpy.tile(h, (m, 1)), reduce_rows, p)
+
+        # rows g^0 .. g^(B-1) by doubling, then one block of B at a time
+        size = min(TORUS_CHUNK, q - 1)
+        mul_g = mul_matrix(numpy.array(g.coords, dtype=numpy.int64))
+        block, step = eye[:1], mul_g
+        while len(block) < size:
+            block = numpy.concatenate([block, block @ step % p])
+            step = step @ step % p
+        block = block[:size]
+        step = mul_matrix(block[-1] @ mul_g % p)
+        weights = p ** numpy.arange(m, dtype=numpy.int64)
+        exp_enc = numpy.empty(q - 1, dtype=numpy.int64)
+        for lo in range(0, q - 1, size):
+            hi = min(lo + size, q - 1)
+            exp_enc[lo:hi] = block[:hi - lo] @ weights
+            block = block @ step % p
         log_by_enc = numpy.full(q, -1, dtype=numpy.int64)
         log_by_enc[exp_enc] = numpy.arange(q - 1, dtype=numpy.int64)
         self.exp_enc = exp_enc
