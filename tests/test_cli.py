@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arith_lg import acceptance
+from arith_lg import acceptance, ffield
 from arith_lg.cli import main
 
 KLOOSTERMAN5 = {
@@ -155,6 +155,41 @@ class TestExpsum:
             docs.append("\n".join(line for line in out.splitlines()
                                   if "generated_at" not in line))
         assert docs[0] == docs[1]
+
+
+class TestCommandBudget:
+    """The budget caps the work of a whole command, not of each charge."""
+
+    def problem(self, tmp_path, field, budget):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(KLOOSTERMAN5, field=field,
+                                        budget=budget)))
+        return str(path)
+
+    def test_l_function_charges_add_up(self, files, capsys):
+        # every single charge is below 7000, the command visits ~5.4M points
+        code, out = run(capsys, "l-function", files["k3"], "--budget", "7000")
+        assert code == 3
+        assert "budget 7000" in out
+
+    def test_table_build_counts_against_file_budget(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
+        # a fresh process builds the table; drop tables built by other tests
+        ffield.discrete_table.cache_clear()
+        # 511 torus points plus 512 table elements exceed 600
+        path = self.problem(tmp_path, {"p": "2", "m": 9}, "600")
+        code, out = run(capsys, "expsum", path, "--tau", "1")
+        assert code == 3
+        assert "required 1023, budget 600" in out
+
+    def test_table_build_sees_file_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
+        # within a 10^12 budget the table is refused for int64, not budget
+        path = self.problem(tmp_path, {"p": "4294967311"}, "1000000000000")
+        code, out = run(capsys, "expsum", path, "--tau", "1")
+        assert code == 2
+        assert "int64" in out
 
 
 class TestFrobenius:
