@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import problemio as pio
+from .budget import partitions, scope
 from .connalg import FTSTuple, assemble_nabla, curvature, verify_fts
 from .cyclotomic import CycloNum, CycloPoly, conj_sigma, embed_complex, psi
 from .exactla import (identity, mat_mul, mat_vec, nullspace, subspace_basis,
@@ -63,22 +64,21 @@ def _triple_point() -> Deformation:
 
 # --- 1: Kloosterman purity -------------------------------------------------
 
-def _values_kloosterman_purity(partitions: int):
-    D = _kloosterman(5)
-    tau = D.base.field.from_int(1)
-    report = frobenius_report(D, (), tau, partitions=partitions)
+def _report_payload(report) -> dict:
     return {
         "char_poly": pio.jsonable(report.char_poly),
         "power_sums": pio.jsonable(list(report.power_sums)),
         "report_flags": [report.consistency_ok, report.purity_ok,
                          report.determinant_ok, report.duality_ok],
-    }, report
+    }
 
 
-def criterion_1(partitions: int = 1) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     name = "kloosterman-purity"
     t0 = time.perf_counter()
-    payload, report = _values_kloosterman_purity(partitions)
+    D = _kloosterman(5)
+    report = frobenius_report(D, (), D.base.field.from_int(1))
+    payload = _report_payload(report)
     P = report.char_poly
     # frozen first power sum: four-term enumeration by hand gives
     # S_1(1) = 2 + zeta^2 + zeta^3, and p_1 = -S_1
@@ -105,24 +105,13 @@ def criterion_1(partitions: int = 1) -> CriterionResult:
 
 # --- 2: rank equals normalized volume ---------------------------------------
 
-def _values_polytope_rank(partitions: int):
-    D = _triple_point()
-    tau = D.base.field.from_int(1)
-    report = frobenius_report(D, (), tau, partitions=partitions)
-    return {
-        "char_poly": pio.jsonable(report.char_poly),
-        "power_sums": pio.jsonable(list(report.power_sums)),
-        "report_flags": [report.consistency_ok, report.purity_ok,
-                         report.determinant_ok, report.duality_ok],
-    }, report
-
-
-def criterion_2(partitions: int = 1) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     name = "rank-equals-normalized-volume"
     t0 = time.perf_counter()
     D = _triple_point()
     vol = normalized_volume(D.base.newton())
-    payload, report = _values_polytope_rank(partitions)
+    report = frobenius_report(D, (), D.base.field.from_int(1))
+    payload = _report_payload(report)
     checks = {
         "normalized volume 3": vol == 3,
         "rank 3": report.rank == 3,
@@ -169,29 +158,24 @@ def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
     return ratio is not None
 
 
-def _values_duality(partitions: int) -> dict:
-    out = {}
+def criterion_3() -> CriterionResult:
+    name = "duality-pairing"
+    t0 = time.perf_counter()
+    payload = {}
     for label, D in (("kloosterman_f5", _kloosterman(5)),
                      ("triple_point_f3", _triple_point())):
         tau = D.base.field.from_int(1)
-        report = frobenius_report(D, (), tau, partitions=partitions)
+        report = frobenius_report(D, (), tau)
         q, n = report.q, report.n
         transformed = _dual_transform(report.char_poly, q ** n)
         inverse_char = report.char_poly.conj_coeffs(D.base.field.p - 1)
-        out[label] = {
+        payload[label] = {
             "char_poly": pio.jsonable(report.char_poly),
             "transformed": pio.jsonable(transformed),
             "inverse_character": pio.jsonable(inverse_char),
             "proportional": _proportional(transformed, inverse_char),
             "report_duality_ok": report.duality_ok,
         }
-    return out
-
-
-def criterion_3(partitions: int = 1) -> CriterionResult:
-    name = "duality-pairing"
-    t0 = time.perf_counter()
-    payload = _values_duality(partitions)
     ok = all(v["proportional"] and v["report_duality_ok"]
              for v in payload.values())
     details = ("T^r P(q^n/T) proportional to the psi-inverse polynomial, "
@@ -202,18 +186,6 @@ def criterion_3(partitions: int = 1) -> CriterionResult:
 
 
 # --- 4: ramification shadow (L-function over the torus) ---------------------
-
-def _values_l_function(partitions: int):
-    D = _kloosterman(3)
-    report = family_l_function(D, (), 8, partitions=partitions)
-    return {
-        "numerator": pio.jsonable(report.numerator),
-        "denominator": pio.jsonable(report.denominator),
-        "minus_chi_c": pio.jsonable(report.minus_chi_c),
-        "trace_sums": pio.jsonable(list(report.trace_sums)),
-        "flags": [report.swan_bound_ok, report.stable],
-    }, report
-
 
 def _direct_trace_sums() -> list:
     # independent oracle: brute double enumeration over tau and t
@@ -231,10 +203,17 @@ def _direct_trace_sums() -> list:
     return out
 
 
-def criterion_4(partitions: int = 1) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     name = "l-function-euler-characteristic"
     t0 = time.perf_counter()
-    payload, report = _values_l_function(partitions)
+    report = family_l_function(_kloosterman(3), (), 8)
+    payload = {
+        "numerator": pio.jsonable(report.numerator),
+        "denominator": pio.jsonable(report.denominator),
+        "minus_chi_c": pio.jsonable(report.minus_chi_c),
+        "trace_sums": pio.jsonable(list(report.trace_sums)),
+        "flags": [report.swan_bound_ok, report.stable],
+    }
     num = report.numerator
     expected_num = CycloPoly(3, [CycloNum.from_rational(3, c)
                                  for c in (1, 2, -3)])
@@ -267,7 +246,9 @@ def _constant_deformed_family(field) -> Deformation:
     return Deformation(f, [g1], kind="subdiagram")
 
 
-def _values_factorization(partitions: int) -> dict:
+def criterion_5() -> CriterionResult:
+    name = "coefficient-map-factorization"
+    t0 = time.perf_counter()
     F5 = make_field(5, 1)
     F25 = extension_field(F5, 2)
     rng = random.Random(52025)
@@ -284,23 +265,17 @@ def _values_factorization(partitions: int) -> dict:
             x = (K.element([rng.randrange(K.p) for _ in range(K.m)]),)
             trials.append((K, D, table, k, tau, x))
     for K, D, table, k, tau, x in trials:
-        S = family_sum(D, k, tau, x, partitions=partitions)
+        S = family_sum(D, k, tau, x)
         y = phi_map(D, table, tau, x)
-        if gkz_sum(table, K, k, y, partitions=partitions) == S:
+        if gkz_sum(table, K, k, y) == S:
             agree += 1
-        S_inv = family_sum(D, k, tau, x, psi_power=-1, partitions=partitions)
-        S_neg = family_sum(D, k, -tau, x, partitions=partitions)
+        S_inv = family_sum(D, k, tau, x, psi_power=-1)
+        S_neg = family_sum(D, k, -tau, x)
         if S_inv == conj_sigma(S, -1) == S_neg:
             pullback_agree += 1
         sums.append(pio.jsonable(S))
-    return {"sums": sums, "agree": agree, "pullback_agree": pullback_agree,
-            "trials": len(trials)}
-
-
-def criterion_5(partitions: int = 1) -> CriterionResult:
-    name = "coefficient-map-factorization"
-    t0 = time.perf_counter()
-    payload = _values_factorization(partitions)
+    payload = {"sums": sums, "agree": agree, "pullback_agree": pullback_agree,
+               "trials": len(trials)}
     ok = (payload["trials"] == 100 and payload["agree"] == 100
           and payload["pullback_agree"] == 100)
     details = (f"{payload['agree']}/100 factorizations and "
@@ -314,24 +289,20 @@ def criterion_5(partitions: int = 1) -> CriterionResult:
 
 # --- 6: purity bound sweep ---------------------------------------------------
 
-def _values_bound_sweep(partitions: int) -> dict:
+def criterion_6() -> CriterionResult:
+    name = "purity-bound-sweep"
+    t0 = time.perf_counter()
     F5 = make_field(5, 1)
     F25 = extension_field(F5, 2)
     D = _kloosterman(5)
     sums = []
     max_abs = 0.0
     for (tau,) in enumerate_torus(F25, 1):
-        S = family_sum(D, 2, tau, (), partitions=partitions)
+        S = family_sum(D, 2, tau, ())
         sums.append(pio.jsonable(S))
         for a in range(1, 5):
             max_abs = max(max_abs, abs(embed_complex(S, a)))
-    return {"sums": sums, "max_abs": max_abs}
-
-
-def criterion_6(partitions: int = 1) -> CriterionResult:
-    name = "purity-bound-sweep"
-    t0 = time.perf_counter()
-    payload = _values_bound_sweep(partitions)
+    payload = {"sums": sums, "max_abs": max_abs}
     bound = 2 * 5 + 1e-6
     checks = {
         "24 twists": len(payload["sums"]) == 24,
@@ -411,7 +382,7 @@ def _explicit_instances():
     return good, bad
 
 
-def criterion_7(partitions: int = 1) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     name = "six-condition-equivalence"
     t0 = time.perf_counter()
     rng = random.Random(20260816)
@@ -577,7 +548,7 @@ def _graded_symmetry(N, chain, e):
     return True
 
 
-def criterion_8(partitions: int = 1) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     name = "weight-filtration-oracle"
     t0 = time.perf_counter()
     tested = mismatches = 0
@@ -606,31 +577,26 @@ def criterion_8(partitions: int = 1) -> CriterionResult:
 
 # --- 9: determinism under partitioned enumeration ----------------------------
 
-def criterion_9(partitions: int = 1) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     name = "determinism-under-partitioning"
     t0 = time.perf_counter()
-    producers = (
-        ("kloosterman_purity", lambda p: _values_kloosterman_purity(p)[0]),
-        ("polytope_rank", lambda p: _values_polytope_rank(p)[0]),
-        ("duality", _values_duality),
-        ("l_function", lambda p: _values_l_function(p)[0]),
-        ("factorization", _values_factorization),
-        ("bound_sweep", _values_bound_sweep),
-    )
+    # the payloads of criteria 1-6 carry every exact value they computed
+    labels = ("kloosterman_purity", "polytope_rank", "duality", "l_function",
+              "factorization", "bound_sweep")
     stable = []
     digests = {}
-    for label, produce in producers:
-        blobs = {P: json.dumps(produce(P), sort_keys=True).encode()
-                 for P in (1, 2, 8)}
+    for label, crit in zip(labels, CRITERIA):
+        blobs = {}
+        for P in (1, 2, 8):
+            with scope(partitions=P):
+                blobs[P] = json.dumps(crit().payload, sort_keys=True).encode()
         digests[label] = {str(P): len(blob) for P, blob in blobs.items()}
         stable.append(blobs[1] == blobs[2] == blobs[8])
-    payload = {"stable": dict(zip((lbl for lbl, _ in producers), stable)),
-               "byte_lengths": digests}
+    payload = {"stable": dict(zip(labels, stable)), "byte_lengths": digests}
     ok = all(stable)
     details = ("criteria 1-6 values byte-identical with 1, 2, and 8 "
                "partitions" if ok else "partition count changed some output: "
-               + ", ".join(lbl for (lbl, _), s in zip(producers, stable)
-                           if not s))
+               + ", ".join(lbl for lbl, s in zip(labels, stable) if not s))
     return CriterionResult(9, name, ok, details,
                            time.perf_counter() - t0, payload)
 
@@ -639,5 +605,10 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9)
 
 
-def run_all(partitions: int = 1) -> list[CriterionResult]:
-    return [crit(partitions) for crit in CRITERIA]
+def run_all() -> list[CriterionResult]:
+    """Each criterion in its own budget scope, same partition count."""
+    results = []
+    for crit in CRITERIA:
+        with scope(partitions=partitions()):
+            results.append(crit())
+    return results

@@ -1,13 +1,19 @@
-"""Enumeration budget plumbing.
+"""Per-command work scope: one enumeration budget, one partition count.
 
-Point enumerations check their total work against a budget before
-starting.  Resolution order: explicit argument, then the ARITH_LG_BUDGET
-environment variable, then the default of 10**9 points.
+Inside scope(budget, partitions) every charge adds to one running total
+(torus points, search points, table and embedding elements) and raises
+BudgetExceeded once it passes the limit; a nested scope is its own
+ledger, and outside any scope each charge is checked alone.  The limit
+resolves as: explicit argument, ARITH_LG_BUDGET, then 10**9 points.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceeded, InputError
 
@@ -33,9 +39,38 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def charge(description: str, required: int, budget: int | None = None) -> int:
-    """Check `required` units of work against the budget; return the budget."""
-    limit = resolve_budget(budget)
-    if required > limit:
-        raise BudgetExceeded(description, required=required, budget=limit)
-    return limit
+@dataclass
+class _Ledger:
+    limit: int
+    partitions: int
+    spent: int = 0
+
+
+_SCOPE: ContextVar[_Ledger | None] = ContextVar("arith_lg_scope", default=None)
+
+
+@contextmanager
+def scope(budget: int | None = None, partitions: int = 1) -> Iterator[None]:
+    """Run the body as one command: one budget, one partition count."""
+    if partitions < 1:
+        raise InputError("partition count must be at least 1")
+    token = _SCOPE.set(_Ledger(resolve_budget(budget), partitions))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def partitions() -> int:
+    """The partition count of the current scope; 1 outside any scope."""
+    ledger = _SCOPE.get()
+    return 1 if ledger is None else ledger.partitions
+
+
+def charge(description: str, required: int) -> None:
+    """Add `required` units of work to the current scope's running total."""
+    ledger = _SCOPE.get() or _Ledger(resolve_budget(), 1)
+    ledger.spent += required
+    if ledger.spent > ledger.limit:
+        raise BudgetExceeded(description, required=ledger.spent,
+                             budget=ledger.limit)

@@ -18,6 +18,7 @@ import json
 import sys
 
 from . import problemio as pio
+from .budget import scope
 from .connalg import (curvature, log_restriction, poincare_rank,
                       rank1_restriction, residue_at_infinity, verify_fts,
                       verify_metric)
@@ -42,12 +43,10 @@ def _load_problem(args) -> pio.ProblemFile:
     return pio.parse_problem(pio.load_json_file(args.problem), args.problem)
 
 
-def _budget(args, pf: pio.ProblemFile | None = None) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    if pf is not None:
-        return pf.budget
-    return None
+def _scope(args, pf: pio.ProblemFile):
+    """One budget scope for the command: flag, then file, then env/default."""
+    budget = args.budget if args.budget is not None else pf.budget
+    return scope(budget, args.threads)
 
 
 def _point(args, pf: pio.ProblemFile):
@@ -83,7 +82,8 @@ def _cmd_check_nondegenerate(args):
     pf = _load_problem(args)
     x = _point(args, pf)
     Fx = specialize(pf.deformation, x)
-    verdict = check_nondegenerate(Fx, K=args.depth, budget=_budget(args, pf))
+    with _scope(args, pf):
+        verdict = check_nondegenerate(Fx, K=args.depth)
     payload = {
         "command": "check-nondegenerate",
         "x": pio.jsonable(list(x)),
@@ -105,8 +105,8 @@ def _cmd_expsum(args):
     E = extension_field(pf.field, args.k)
     tau = pio.parse_element_arg(args.tau, E, "tau")
     x = _point(args, pf)
-    S = family_sum(pf.deformation, args.k, tau, x, psi_power=args.psi_power,
-                   partitions=args.threads, budget=_budget(args, pf))
+    with _scope(args, pf):
+        S = family_sum(pf.deformation, args.k, tau, x, psi_power=args.psi_power)
     base = pf.deformation.base
     r = normalized_volume(base.newton())
     q = pf.field.q
@@ -133,8 +133,8 @@ def _cmd_frobenius(args):
     tau = pio.parse_element_arg(args.tau, pf.field, "tau")
     x = _point(args, pf)
     tol = pf.tolerance if pf.tolerance is not None else PURITY_TOL
-    report = frobenius_report(pf.deformation, x, tau, partitions=args.threads,
-                              budget=_budget(args, pf), strict=False, tol=tol)
+    with _scope(args, pf):
+        report = frobenius_report(pf.deformation, x, tau, strict=False, tol=tol)
     ok = (report.consistency_ok and report.purity_ok
           and report.determinant_ok and report.duality_ok)
     payload = {
@@ -163,9 +163,8 @@ def _cmd_frobenius(args):
 def _cmd_l_function(args):
     pf = _load_problem(args)
     x = _point(args, pf)
-    report = family_l_function(pf.deformation, x, args.kmax,
-                               partitions=args.threads,
-                               budget=_budget(args, pf))
+    with _scope(args, pf):
+        report = family_l_function(pf.deformation, x, args.kmax)
     ok = report.swan_bound_ok and report.stable
     payload = {
         "command": "l-function",
@@ -254,7 +253,8 @@ def _cmd_monodromy(args):
 
 def _cmd_acceptance(args):
     from .acceptance import run_all
-    results = run_all(partitions=args.threads)
+    with scope(partitions=args.threads):
+        results = run_all()
     payload = {
         "command": "acceptance",
         "criteria": [{

@@ -8,8 +8,10 @@ values are then bucketed by trace with one bincount per chunk, so a
 whole sum is a vector of p integer counts until the very end, when it
 becomes one exact element of Q(zeta_p).
 
-Sums are plain reductions over disjoint windows of the enumeration
-order, so any partition count gives identical results, exactly.
+Each sum charges its torus points to the current budget scope and
+splits the enumeration into the scope's partition count of disjoint
+windows (budget.scope).  Sums are plain reductions over those windows,
+so any partition count gives identical results, exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Sequence
 
 import numpy
 
+from . import budget
 from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
@@ -67,36 +70,29 @@ def _window_counts(p: int, n: int, logs: list[int],
     return counts.tolist(), zeros
 
 
-def _torus_reduce(poly: LaurentPoly, k: int, partitions: int,
-                  budget: int | None) -> tuple[list[int], int, FieldSpec]:
-    """Counts of psi-trace values of poly over (F_{q^k}^*)^n, plus the
-    number of torus zeros of poly, via disjoint enumeration windows."""
-    base = poly.field
-    if base is None:
+def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
+    """Counts of psi-trace values of poly over (F_q^*)^n, plus the number
+    of torus zeros of poly, via the scope's disjoint enumeration windows."""
+    field = poly.field
+    if field is None:
         raise InputError("exponential sums need finite-field coefficients")
-    if partitions < 1:
-        raise InputError("partition count must be at least 1")
-    ext = extension_field(base, k)
-    Q = ext.q - 1
-    n = poly.n
-    npoints = Q ** n
-    charge("torus sum", npoints, budget)
-    table = discrete_table(ext)
-    logs, weights = [], []
-    for w, c in poly.terms.items():
-        logs.append(table.log(lift_into(c, ext)))
-        weights.append(w)
-    p = base.p
+    npoints = (field.q - 1) ** poly.n
+    charge("torus sum", npoints)
+    table = discrete_table(field)
+    logs = [table.log(c) for c in poly.terms.values()]
+    weights = list(poly.terms)
+    p = field.p
+    partitions = budget.partitions()
     total = [0] * p
     zeros = 0
     bounds = [npoints * i // partitions for i in range(partitions + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        counts, z = _window_counts(p, n, logs, weights, lo, hi, table)
+        counts, z = _window_counts(p, poly.n, logs, weights, lo, hi, table)
         total = [a + b for a, b in zip(total, counts)]
         zeros += z
-    return total, zeros, ext
+    return total, zeros
 
 
 def _counts_to_cyclo(counts: list[int], p: int, psi_power: int) -> CycloNum:
@@ -127,8 +123,8 @@ def _specialized(D: Deformation, ext: FieldSpec, tau, x: Sequence) -> LaurentPol
     return LaurentPoly(D.base.n, terms, ext)
 
 
-def family_sum(D: Deformation, k: int, tau, x: Sequence, *, psi_power: int = 1,
-               partitions: int = 1, budget: int | None = None) -> CycloNum:
+def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
+               psi_power: int = 1) -> CycloNum:
     """S = sum over (F_{q^k}^*)^n of psi(tau * F_x(t)), exactly.
 
     tau and the x entries may be given in the base field (embedded), in
@@ -137,13 +133,12 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *, psi_power: int = 1,
     """
     ext = extension_field(D.base.field, k)
     poly = _specialized(D, ext, tau, x)
-    counts, _, _ = _torus_reduce(poly, 1, partitions, budget)
+    counts, _ = _torus_reduce(poly)
     return _counts_to_cyclo(counts, D.base.field.p, psi_power)
 
 
 def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
-            psi_power: int = 1, partitions: int = 1,
-            budget: int | None = None) -> CycloNum:
+            psi_power: int = 1) -> CycloNum:
     """Sum over the torus of psi(sum_j y_j t^{w_j}) for the table's
     monomial list; zero entries of y drop out."""
     if len(y) != len(table.points):
@@ -156,22 +151,20 @@ def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
         if ce:
             terms.append((w, ce))
     poly = LaurentPoly(n, terms, ext)
-    counts, _, _ = _torus_reduce(poly, 1, partitions, budget)
+    counts, _ = _torus_reduce(poly)
     return _counts_to_cyclo(counts, field.p, psi_power)
 
 
-def zero_count(D: Deformation, k: int, x: Sequence, *, partitions: int = 1,
-               budget: int | None = None) -> int:
+def zero_count(D: Deformation, k: int, x: Sequence) -> int:
     """Z_k: number of torus points of the degree-k extension where F_x
     vanishes."""
     ext = extension_field(D.base.field, k)
     poly = _specialized(D, ext, 1, x)  # tau=1: zero set unaffected
-    _, zeros, _ = _torus_reduce(poly, 1, partitions, budget)
+    _, zeros = _torus_reduce(poly)
     return zeros
 
 
-def tau_summed_trace(D: Deformation, k: int, x: Sequence, *, partitions: int = 1,
-                     budget: int | None = None,
+def tau_summed_trace(D: Deformation, k: int, x: Sequence, *,
                      double_enum_cap: int = DOUBLE_ENUM_CAP) -> CycloNum:
     """c_k = (-1)^n * (q^k * Z_k - (q^k - 1)^n), the trace sum of the
     tau-family over F_{q^k}.
@@ -184,7 +177,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence, *, partitions: int = 1
     base = D.base.field
     n = D.base.n
     qk = base.q ** k
-    zk = zero_count(D, k, x, partitions=partitions, budget=budget)
+    zk = zero_count(D, k, x)
     inner = qk * zk - (qk - 1) ** n
     value = inner if n % 2 == 0 else -inner
     if (qk - 1) ** (n + 1) <= double_enum_cap:
@@ -193,7 +186,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence, *, partitions: int = 1
         total = CycloNum.zero(base.p)
         t = ext.one()
         for _ in range(qk - 1):
-            total = total + family_sum(D, k, t, x, partitions=partitions, budget=budget)
+            total = total + family_sum(D, k, t, x)
             t = t * g
         if total != inner:
             raise InputError(

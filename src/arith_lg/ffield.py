@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 
 import numpy
 
-from .budget import charge, resolve_budget
+from .budget import charge
 from .errors import (
     BadIndex,
     DegreeZero,
@@ -545,8 +545,8 @@ def _subfield_basis(target: FieldSpec, a: int) -> numpy.ndarray:
 ROOT_CHUNK = 1024
 
 
-def _roots_in(modulus: tuple[int, ...], source_degree: int, target: FieldSpec,
-              budget: int | None) -> list[FqElem]:
+def _roots_in(modulus: tuple[int, ...], source_degree: int,
+              target: FieldSpec) -> list[FqElem]:
     """All roots of the (degree source_degree, F_p-coefficient) modulus
     inside the target field, in the order of the subfield enumeration.
 
@@ -556,7 +556,7 @@ def _roots_in(modulus: tuple[int, ...], source_degree: int, target: FieldSpec,
     evaluated on a whole chunk by Horner's rule in coordinates.
     """
     p, m = target.p, target.m
-    charge("subfield enumeration for embedding", p ** source_degree, budget)
+    charge("subfield enumeration for embedding", p ** source_degree)
     _require_exact_int64(p, m)
     basis = _subfield_basis(target, source_degree)
     reduce_rows = _reduction_rows(target)
@@ -613,7 +613,7 @@ class _EmbeddingRegistry:
         # (source spec, target spec) -> powers of the embedding image
         self.embeddings: dict[tuple[FieldSpec, FieldSpec], list[FqElem]] = {}
 
-    def _grow_closure(self, degree: int, budget: int | None) -> None:
+    def _grow_closure(self, degree: int) -> None:
         new_l = _lcm(self.closure.m, degree)
         if new_l == self.closure.m:
             return
@@ -621,7 +621,7 @@ class _EmbeddingRegistry:
         transported: dict[tuple[int, tuple[int, ...]], list[FqElem]] = {}
         if self.images:
             old = self.closure
-            roots = _roots_in(old.modulus, old.m, new_closure, budget)
+            roots = _roots_in(old.modulus, old.m, new_closure)
             lift = _gen_powers(old.m, min(roots, key=lambda r: r.coords))
             for key, powers in self.images.items():
                 img = _apply_hom(powers[1] if len(powers) > 1 else powers[0], lift)
@@ -629,30 +629,29 @@ class _EmbeddingRegistry:
         self.closure = new_closure
         self.images = transported
 
-    def _touch(self, spec: FieldSpec, budget: int | None) -> list[FqElem]:
+    def _touch(self, spec: FieldSpec) -> list[FqElem]:
         key = (spec.m, spec.modulus)
-        self._grow_closure(spec.m, budget)
+        self._grow_closure(spec.m)
         if key not in self.images:
             if spec.m == 1:
                 self.images[key] = [self.closure.one()]
             else:
-                roots = _roots_in(spec.modulus, spec.m, self.closure, budget)
+                roots = _roots_in(spec.modulus, spec.m, self.closure)
                 root = min(roots, key=lambda r: r.coords)
                 self.images[key] = _gen_powers(spec.m, root)
         return self.images[key]
 
-    def embedding_powers(self, source: FieldSpec, target: FieldSpec,
-                         budget: int | None) -> list[FqElem]:
+    def embedding_powers(self, source: FieldSpec, target: FieldSpec) -> list[FqElem]:
         key = (source, target)
         cached = self.embeddings.get(key)
         if cached is not None:
             return cached
         # grow once up front: touching the target after the source would
         # otherwise invalidate the source's image powers mid-lookup
-        self._grow_closure(_lcm(source.m, target.m), budget)
-        src_img = self._touch(source, budget)
-        tgt_img = self._touch(target, budget)
-        candidates = _roots_in(source.modulus, source.m, target, budget)
+        self._grow_closure(_lcm(source.m, target.m))
+        src_img = self._touch(source)
+        tgt_img = self._touch(target)
+        candidates = _roots_in(source.modulus, source.m, target)
         chosen = None
         for root in candidates:
             if _apply_hom(root, tgt_img) == src_img[1]:
@@ -668,7 +667,7 @@ class _EmbeddingRegistry:
 _REGISTRIES: dict[int, _EmbeddingRegistry] = {}
 
 
-def embed(a: FqElem, target: FieldSpec, budget: int | None = None) -> FqElem:
+def embed(a: FqElem, target: FieldSpec) -> FqElem:
     """Embed a into the target field (source degree must divide target's).
 
     Embeddings are ring homomorphisms, deterministic within a process,
@@ -688,7 +687,7 @@ def embed(a: FqElem, target: FieldSpec, budget: int | None = None) -> FqElem:
         coords[0] = a.coords[0]
         return target.element(coords)
     registry = _REGISTRIES.setdefault(source.p, _EmbeddingRegistry(source.p))
-    powers = registry.embedding_powers(source, target, budget)
+    powers = registry.embedding_powers(source, target)
     return _apply_hom(a, powers)
 
 
@@ -718,8 +717,7 @@ def torus_size(field: FieldSpec, n: int) -> int:
 
 
 def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
-                    stop: int | None = None,
-                    budget: int | None = None) -> Iterator[tuple[FqElem, ...]]:
+                    stop: int | None = None) -> Iterator[tuple[FqElem, ...]]:
     """Yield points of (F_q^*)^n in the canonical order.
 
     Point number L (0-based) is (g^{e_1}, ..., g^{e_n}) where
@@ -732,7 +730,7 @@ def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
         stop = total
     if not (0 <= start <= stop <= total):
         raise BadIndex(f"window [{start}, {stop}) out of range for {total} points")
-    charge("torus enumeration", stop - start, budget)
+    charge("torus enumeration", stop - start)
     q1 = field.q - 1
     g = multiplicative_generator(field)
     # decode the starting exponent vector
@@ -782,8 +780,8 @@ class DiscreteTable:
 
     __slots__ = ("field", "q", "g", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
 
-    def __init__(self, field: FieldSpec, budget: int | None = None):
-        charge("discrete log table construction", field.q, budget)
+    def __init__(self, field: FieldSpec):
+        charge("discrete log table construction", field.q)
         self.field = field
         q = field.q
         self.q = q

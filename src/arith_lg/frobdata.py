@@ -11,7 +11,7 @@ pairs the eigenvalues of the character psi with those of its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,8 +45,7 @@ DEFAULT_MAX_RANK = 12
 
 
 def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
-                     psi_power: int = 1, partitions: int = 1,
-                     budget: int | None = None) -> list[CycloNum]:
+                     psi_power: int = 1) -> list[CycloNum]:
     """Power sums p_1..p_{2r} of the Frobenius eigenvalues at (tau, x).
 
     p_k = (-1)^n S_k with S_k the family sum over the degree-k extension;
@@ -58,8 +57,7 @@ def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
     sign = 1 if n % 2 == 0 else -1
     out = []
     for k in range(1, 2 * r + 1):
-        S = family_sum(D, k, tau, x, psi_power=psi_power,
-                       partitions=partitions, budget=budget)
+        S = family_sum(D, k, tau, x, psi_power=psi_power)
         out.append(S * sign)
     return out
 
@@ -124,8 +122,8 @@ def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
     return c is not None and bool(c)
 
 
-def frobenius_report(D: Deformation, x: Sequence, tau, *, partitions: int = 1,
-                     budget: int | None = None, max_rank: int = DEFAULT_MAX_RANK,
+def frobenius_report(D: Deformation, x: Sequence, tau, *,
+                     max_rank: int = DEFAULT_MAX_RANK,
                      nondegeneracy_depth: int = 1, strict: bool = True,
                      tol: float = PURITY_TOL) -> FrobeniusReport:
     """Characteristic polynomial of Frobenius at (tau, x) with purity,
@@ -159,12 +157,12 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *, partitions: int = 1,
             warnings.append("Newton polytope collapsed at this parameter: "
                             "non-generic parameter")
         else:
-            verdict = check_nondegenerate(Fx, K=nondegeneracy_depth, budget=budget)
+            verdict = check_nondegenerate(Fx, K=nondegeneracy_depth)
             if verdict.degenerate:
                 warnings.append(
                     f"degenerate face found at search depth {verdict.witness_degree}")
 
-    ps = stalk_power_sums(D, x, tau, r, partitions=partitions, budget=budget)
+    ps = stalk_power_sums(D, x, tau, r)
     P = char_poly_from_power_sums(ps[:r], r)
     consistency_ok = validate_power_sums(P, ps)
 
@@ -222,8 +220,8 @@ class LFunctionReport:
     warnings: tuple[str, ...] = ()
 
 
-def family_l_function(D: Deformation, x: Sequence, Kmax: int | None = None, *,
-                      partitions: int = 1, budget: int | None = None) -> LFunctionReport:
+def family_l_function(D: Deformation, x: Sequence,
+                      Kmax: int | None = None) -> LFunctionReport:
     """L-function of the tau-line from trace sums c_1..c_Kmax.
 
     c_k comes from the zero-count closed form (cross-checked by double
@@ -245,8 +243,7 @@ def family_l_function(D: Deformation, x: Sequence, Kmax: int | None = None, *,
     if not Fx or set(Fx.support) <= {(0,) * D.base.n}:
         warnings.append("specialized polynomial is constant or zero: "
                         "the tau-family is not lisse at this parameter")
-    c = [tau_summed_trace(D, k, x, partitions=partitions, budget=budget)
-         for k in range(1, Kmax + 1)]
+    c = [tau_summed_trace(D, k, x) for k in range(1, Kmax + 1)]
     fit = linear_recurrence_reconstruct(c)
     minus_chi = fit.numerator.degree - fit.denominator.degree
     return LFunctionReport(

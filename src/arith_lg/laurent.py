@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 import numpy
 
 from .budget import charge
-from .errors import (BudgetExceeded, FaceMismatch, InputError, TableMismatch,
-                     ZeroCoordinate)
+from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate
 from .ffield import (FieldSpec, FqElem, discrete_table, embed, make_field,
                      torus_log_values)
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
@@ -365,7 +364,7 @@ def _axis_systems(f: LaurentPoly, ext: FieldSpec, table):
     return systems
 
 
-def _search_common_zero(f: LaurentPoly, k: int, budget, *, count_all: bool):
+def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
     """Common zeros of all logarithmic derivatives of f on (F_{q^k}^*)^n.
 
     Returns (count, first_witness) where the witness is a tuple of
@@ -375,7 +374,7 @@ def _search_common_zero(f: LaurentPoly, k: int, budget, *, count_all: bool):
     ext = base if k == 1 else make_field(base.p, base.m * k)
     Q = ext.q - 1
     npoints = Q ** f.n
-    charge("torus search", npoints, budget)
+    charge("torus search", npoints)
     table = discrete_table(ext)
     systems = _axis_systems(f, ext, table)
     if all(s is None for s in systems):
@@ -407,7 +406,7 @@ def _search_common_zero(f: LaurentPoly, k: int, budget, *, count_all: bool):
 
 
 def check_nondegenerate(f: LaurentPoly, P: Polytope | None = None,
-                        K: int | None = None, budget: int | None = None) -> NondegeneracyVerdict:
+                        K: int | None = None) -> NondegeneracyVerdict:
     """Search every face off the origin for degenerate critical points.
 
     Vertex faces are settled exactly: a monomial a*t^w has all its
@@ -439,7 +438,7 @@ def check_nondegenerate(f: LaurentPoly, P: Polytope | None = None,
             continue  # some exponent survives: monomial derivative never 0
         found = None
         for k in range(1, K + 1):
-            _, witness = _search_common_zero(f_sigma, k, budget, count_all=False)
+            _, witness = _search_common_zero(f_sigma, k, count_all=False)
             if witness is not None:
                 found = (witness, k)
                 break
@@ -450,11 +449,11 @@ def check_nondegenerate(f: LaurentPoly, P: Polytope | None = None,
     return NondegeneracyVerdict("verified_up_to", all_conclusive, K)
 
 
-def critical_count(f: LaurentPoly, k: int = 1, budget: int | None = None) -> int:
+def critical_count(f: LaurentPoly, k: int = 1) -> int:
     """Distinct points of (F_{q^k}^*)^n where every logarithmic
     derivative of f vanishes.  Counts points only; multiplicity is
     invisible here."""
     if k < 1:
         raise InputError("extension degree must be at least 1")
-    count, _ = _search_common_zero(f, k, budget, count_all=True)
+    count, _ = _search_common_zero(f, k, count_all=True)
     return count

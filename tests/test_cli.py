@@ -191,6 +191,16 @@ class TestCommandBudget:
         assert code == 2
         assert "int64" in out
 
+    @pytest.mark.parametrize("argv", [["check-nondegenerate"],
+                                      ["expsum", "--tau", "1"],
+                                      ["frobenius", "--tau", "1"],
+                                      ["l-function"]], ids=lambda a: a[0])
+    def test_zero_threads_is_input_error(self, files, capsys, argv):
+        code, out = run(capsys, argv[0], files["k5"], *argv[1:],
+                        "--threads", "0")
+        assert code == 2
+        assert "partition count" in out
+
 
 class TestFrobenius:
     def test_kloosterman(self, files, capsys):
@@ -306,7 +316,7 @@ class TestAcceptanceCommand:
 
     def test_renders_pass_fail_lines(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "run_all",
-                            lambda partitions=1: self.fake_results(False))
+                            lambda: self.fake_results(False))
         code, out = run(capsys, "acceptance")
         assert code == 1
         lines = out.splitlines()
@@ -316,7 +326,7 @@ class TestAcceptanceCommand:
 
     def test_all_ok_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "run_all",
-                            lambda partitions=1: self.fake_results(True))
+                            lambda: self.fake_results(True))
         code, doc = run_json(capsys, "acceptance")
         assert code == 0
         assert doc["all_ok"] is True

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
 from arith_lg.errors import BadIndex, BudgetExceeded, InputError, ZeroTau
 from arith_lg.expsum import (DOUBLE_ENUM_CAP, extension_field, family_sum,
@@ -113,9 +114,11 @@ class TestFamilySum:
     def test_partitions_identical(self):
         D = kloosterman(F5)
         x = (F5.from_int(3),)
-        base = family_sum(D, 2, F5.from_int(2), x, partitions=1)
+        with scope(partitions=1):
+            base = family_sum(D, 2, F5.from_int(2), x)
         for parts in (2, 3, 8):
-            assert family_sum(D, 2, F5.from_int(2), x, partitions=parts) == base
+            with scope(partitions=parts):
+                assert family_sum(D, 2, F5.from_int(2), x) == base
 
     def test_zero_tau_rejected(self):
         D = kloosterman(F5)
@@ -129,8 +132,8 @@ class TestFamilySum:
 
     def test_budget_enforced(self):
         D = kloosterman(F5)
-        with pytest.raises(BudgetExceeded):
-            family_sum(D, 3, F5.from_int(1), (F5.from_int(0),), budget=10)
+        with pytest.raises(BudgetExceeded), scope(budget=10):
+            family_sum(D, 3, F5.from_int(1), (F5.from_int(0),))
 
     def test_wrong_parameter_count(self):
         D = kloosterman(F5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arith_lg.budget import scope
 from arith_lg.errors import (BadIndex, BudgetExceeded, DegreeZero,
                              IncompatibleCharacteristic, NotAnExtension, NotPrime)
 from arith_lg.ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
@@ -310,8 +311,8 @@ class TestTorusEnumeration:
 
     def test_budget_enforced(self):
         F5 = make_field(5, 1)
-        with pytest.raises(BudgetExceeded) as exc:
-            list(enumerate_torus(F5, 8, budget=1000))
+        with pytest.raises(BudgetExceeded) as exc, scope(budget=1000):
+            list(enumerate_torus(F5, 8))
         assert exc.value.required > exc.value.budget
 
     def test_deterministic_order(self):

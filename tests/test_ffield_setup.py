@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from arith_lg import ffield
+from arith_lg.budget import scope
 from arith_lg.errors import InputError
 from arith_lg.ffield import DiscreteTable, make_field, multiplicative_generator
 
@@ -69,7 +70,7 @@ def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
         monkeypatch.setattr(ffield, "ROOT_CHUNK", chunk)
     modulus = make_field(p, a).modulus
     target = make_field(p, L)
-    roots = ffield._roots_in(modulus, a, target, None)
+    roots = ffield._roots_in(modulus, a, target)
     assert sorted(r.coords for r in roots) == sorted(r.coords for r in brute_roots(modulus, target))
     assert len(roots) == a
     assert set(roots) == {roots[0] ** (p ** i) for i in range(a)}
@@ -77,8 +78,8 @@ def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
 
 def test_int64_bound_is_checked_before_allocating():
     # (2m - 1)(p - 1)^2 >= 2^63 for p > 2^32: refused, not built in 34 GB
-    with pytest.raises(InputError, match="int64"):
-        DiscreteTable(make_field(4294967311, 1), budget=10 ** 12)
+    with pytest.raises(InputError, match="int64"), scope(budget=10 ** 12):
+        DiscreteTable(make_field(4294967311, 1))
 
 
 # generator X of F_{p^a} embedded into F_{p^b}, step by step in one process;

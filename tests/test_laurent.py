@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arith_lg.budget import scope
 from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
                              TableMismatch, ZeroCoordinate)
 from arith_lg.ffield import enumerate_torus, make_field, multiplicative_generator
@@ -292,8 +293,8 @@ class TestNondegeneracy:
             check_nondegenerate(kloosterman(F5), other)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            check_nondegenerate(triple_point(F3), K=7, budget=100)
+        with pytest.raises(BudgetExceeded), scope(budget=100):
+            check_nondegenerate(triple_point(F3), K=7)
 
     def test_default_depth(self):
         assert default_search_depth(3, 2) == 7
@@ -427,8 +428,8 @@ class TestCriticalCount:
         assert critical_count(f, 1) == normalized_volume(f.newton()) == 2
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            critical_count(triple_point(F5), 4, budget=10)
+        with pytest.raises(BudgetExceeded), scope(budget=10):
+            critical_count(triple_point(F5), 4)
 
     def test_rational_coefficients_rejected(self):
         with pytest.raises(InputError):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from arith_lg import ffield
+from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum
 from arith_lg.expsum import _window_counts, extension_field, family_sum
 from arith_lg.ffield import (discrete_table, embed, enumerate_torus, make_field,
@@ -155,4 +156,5 @@ def test_family_sum_partitions(small_chunks, p, m, k):
     x = (F.from_int(2 % p),)
     want = brute_family_sum(D, k, tau, x)
     for parts in range(1, 8):
-        assert family_sum(D, k, tau, x, partitions=parts) == want
+        with scope(partitions=parts):
+            assert family_sum(D, k, tau, x) == want
