@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExceeded, InputError
@@ -39,11 +38,11 @@ def resolve_budget(budget: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-@dataclass
 class _Ledger:
-    limit: int
-    partitions: int
-    spent: int = 0
+    __slots__ = ("limit", "partitions", "spent")
+
+    def __init__(self, limit: int, partitions: int):
+        self.limit, self.partitions, self.spent = limit, partitions, 0
 
 
 _SCOPE: ContextVar[_Ledger | None] = ContextVar("arith_lg_scope", default=None)
