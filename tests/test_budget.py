@@ -19,7 +19,7 @@ def _callables(module):
                 if inspect.isfunction(member):
                     yield f"{name}.{attr}", member
         elif callable(obj):
-            yield name, getattr(obj, "__wrapped__", obj)
+            yield name, obj
 
 
 @pytest.mark.parametrize("module", [expsum, frobdata, laurent, ffield, acceptance],
