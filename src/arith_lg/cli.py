@@ -299,11 +299,15 @@ def _render(payload, args, out):
 
 # --- argument parsing -------------------------------------------------------
 
-def _add_common(sp, problem=True):
-    if problem:
-        sp.add_argument("problem", help="problem JSON file")
+def _add_common(sp):
+    sp.add_argument("problem", help="problem JSON file")
     sp.add_argument("--json", action="store_true",
                     help="emit a machine-readable JSON report")
+
+
+def _add_torus(sp):
+    """A problem-file command that enumerates tori under one work scope."""
+    _add_common(sp)
     sp.add_argument("--threads", type=int, default=1, metavar="N",
                     help="partition count for enumerations (output-invariant)")
     sp.add_argument("--budget", type=int, default=None, metavar="POINTS",
@@ -324,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-nondegenerate",
                         help="face-by-face nondegeneracy of a specialization")
-    _add_common(sp)
+    _add_torus(sp)
     sp.add_argument("--x", default=None, help="specialization point, e.g. 0,2")
     sp.add_argument("--depth", type=int, default=None, metavar="K",
                     help="search extensions up to degree K")
     sp.set_defaults(handler=_cmd_check_nondegenerate)
 
     sp = sub.add_parser("expsum", help="one exponential sum S_k(tau, x)")
-    _add_common(sp)
+    _add_torus(sp)
     sp.add_argument("--k", type=int, default=1, help="extension degree")
     sp.add_argument("--tau", required=True, help="twist, e.g. 3 or 1:2")
     sp.add_argument("--x", default=None, help="specialization point")
@@ -342,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("frobenius",
                         help="characteristic polynomial of Frobenius with "
                              "purity, determinant, and duality checks")
-    _add_common(sp)
+    _add_torus(sp)
     sp.add_argument("--tau", required=True)
     sp.add_argument("--x", default=None)
     sp.set_defaults(handler=_cmd_frobenius)
 
     sp = sub.add_parser("l-function",
                         help="L-function of the tau-summed family over the torus")
-    _add_common(sp)
+    _add_torus(sp)
     sp.add_argument("--x", default=None)
     sp.add_argument("--kmax", type=int, default=None,
                     help="number of trace sums to reconstruct from")

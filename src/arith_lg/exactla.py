@@ -4,11 +4,21 @@ Matrices are tuples of row tuples of Fraction.  Subspaces of Q^n are
 represented by their reduced-row-echelon basis, which is canonical, so
 two subspaces are equal iff their representations are.  Everything here
 is small and dense; callers stay at desk scale.
+
+Fraction is the boundary type only.  Inside, `rref` eliminates
+fraction-free: each row is scaled to a primitive integer row (integers
+with gcd 1), row operations are integer cross-multiplications with the
+new row's gcd content divided out, and each pivot row is divided by its
+pivot once, at the end.  `mat_mul` and `mat_vec` lift each operand to an
+integer matrix over one common denominator.  The results are the same
+Fractions as elimination over Q, since the RREF is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -23,12 +33,37 @@ __all__ = [
 
 
 def to_fractions(rows: Iterable[Sequence]) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+                 for row in rows)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _frac(n: int, den: int) -> Fraction:
+    """n / den; the common values 0 and 1 are shared (Fraction is immutable)."""
+    if not n:
+        return _ZERO
+    if n == den:
+        return _ONE
+    return Fraction(n) if den == 1 else Fraction(n, den)
+
+
+def _lift(mat: Mat) -> tuple[list[list[int]], int]:
+    """Integer rows over one common denominator: mat = rows / den."""
+    den = lcm(*[x.denominator for row in mat for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row with its gcd content divided out (a zero row stays)."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
 
 
 def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows = [list(r) for r in mat]
+    rows = [_primitive(row) for row in _lift(mat)[0]]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -38,17 +73,21 @@ def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * v - b * w for v, w in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+    red = tuple(tuple(_frac(v, rows[i][c]) for v in rows[i])
+                for i, c in enumerate(pivots))
+    return red, tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
@@ -102,13 +141,19 @@ def transpose(mat: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    ia, da = _lift(a)
+    ib, db = _lift(b)
+    den = da * db
+    cols = list(zip(*ib))
+    return tuple(tuple(_frac(sum(map(mul, row, col)), den) for col in cols)
+                 for row in ia)
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    vv = [Fraction(x) for x in v]
-    return tuple(sum(x * y for x, y in zip(row, vv)) for row in a)
+    ia, da = _lift(a)
+    (iv,), dv = _lift(to_fractions((v,)))
+    den = da * dv
+    return tuple(_frac(sum(map(mul, row, iv)), den) for row in ia)
 
 
 def mat_pow(a: Mat, k: int) -> Mat:

@@ -8,11 +8,22 @@ produces that shape or checks it, and sums and products preserve it, so
 pole orders along t = 0 are plain valuation arithmetic and no
 polynomial gcd is ever required.  Reduction is normalization of sign,
 content, and the shared monomial factor.
+
+Stored coefficients are always Fractions.  The public `MPoly(...)`
+validates every term; arithmetic results, whose term dicts are already
+canonical (exponent tuples of the right arity, no zero coefficients),
+go through the private `_poly` constructor instead.  Products lift both
+operands to integer coefficients over one common denominator and
+multiply in Python integers.  A product with the constant 1 is the other
+operand itself (polynomials are immutable), and a rational function
+whose denominator is the constant 1 is already normalized.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InputError, NotMeromorphicAlongT
@@ -28,6 +39,29 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, str):
         return Fraction(c)
     raise InputError(f"cannot use {type(c).__name__} as a coefficient")
+
+
+def _poly(nvars: int, terms: dict) -> "MPoly":
+    """An MPoly on a term dict that is already canonical; not validated."""
+    p = object.__new__(MPoly)
+    object.__setattr__(p, "nvars", nvars)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _is_one(terms: dict) -> bool:
+    """True iff the term dict is the constant polynomial 1."""
+    if len(terms) != 1:
+        return False
+    (e, c), = terms.items()
+    return c == 1 and not any(e)
+
+
+def _lift(terms: dict) -> tuple[list, int]:
+    """(exponent, integer) pairs over one common denominator."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(e, c.numerator * (den // c.denominator))
+            for e, c in terms.items()], den
 
 
 class MPoly:
@@ -66,7 +100,10 @@ class MPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
-        return cls(nvars, [((0,) * nvars, c)])
+        if nvars < 1:
+            raise InputError("need at least one variable")
+        c = _as_fraction(c)
+        return _poly(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MPoly":
@@ -94,12 +131,12 @@ class MPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.nvars, other)
         if isinstance(other, MPoly):
             if other.nvars != self.nvars:
                 raise InputError("mixed variable counts")
             return other
+        if isinstance(other, (int, Fraction)):
+            return MPoly.const(self.nvars, other)
         return None
 
     def __add__(self, other):
@@ -108,17 +145,21 @@ class MPoly:
             return NotImplemented
         acc = dict(self.terms)
         for e, c in o.terms.items():
-            s = acc.get(e, Fraction(0)) + c
-            if s:
-                acc[e] = s
+            prev = acc.get(e)
+            if prev is None:
+                acc[e] = c
             else:
-                acc.pop(e, None)
-        return MPoly(self.nvars, acc)
+                s = prev + c
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+        return _poly(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -136,16 +177,24 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
-        return MPoly(self.nvars, acc)
+        if _is_one(o.terms):
+            return self
+        if _is_one(self.terms):
+            return o
+        left, d1 = _lift(self.terms)
+        right, d2 = _lift(o.terms)
+        acc: dict[tuple[int, ...], int] = {}
+        get = acc.get
+        for e1, c1 in left:
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                acc[e] = c1 * c2 if s is None else s + c1 * c2
+        den = d1 * d2
+        if den == 1:
+            return _poly(self.nvars, {e: Fraction(c) for e, c in acc.items() if c})
+        return _poly(self.nvars,
+                     {e: Fraction(c, den) for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -172,7 +221,7 @@ class MPoly:
             e2 = list(e)
             e2[i] -= 1
             acc[tuple(e2)] = c * e[i]
-        return MPoly(self.nvars, acc)
+        return _poly(self.nvars, acc)
 
     def min_deg(self, i: int) -> int:
         """Valuation in variable i; 0 for the zero polynomial."""
@@ -199,16 +248,16 @@ class MPoly:
             e2 = list(e)
             e2[i] -= k
             acc[tuple(e2)] = c
-        return MPoly(self.nvars, acc)
+        return _poly(self.nvars, acc)
 
     def subs_zero(self, i: int) -> "MPoly":
         """Set variable i to zero."""
-        return MPoly(self.nvars,
+        return _poly(self.nvars,
                      {e: c for e, c in self.terms.items() if e[i] == 0})
 
     def flip_sign(self, i: int) -> "MPoly":
         """Substitute -v for variable i."""
-        return MPoly(self.nvars,
+        return _poly(self.nvars,
                      {e: (c if e[i] % 2 == 0 else -c)
                       for e, c in self.terms.items()})
 
@@ -221,7 +270,7 @@ class MPoly:
             e2 = list(e)
             e2[i] = depth - e[i]
             acc[tuple(e2)] = c
-        return MPoly(self.nvars, acc)
+        return _poly(self.nvars, acc)
 
     def eval(self, values: Iterable) -> Fraction:
         vals = [_as_fraction(v) for v in values]
@@ -278,19 +327,19 @@ class RatFunc:
             raise InputError("zero denominator")
         if num.is_zero:
             den = MPoly.const(num.nvars, 1)
-        else:
+        elif not _is_one(den.terms):  # over the constant 1 it is normalized
             # cancel the shared monomial factor
             for i in range(num.nvars):
                 k = min(num.min_deg(i), den.min_deg(i))
                 if k:
                     num = num.shift_out(i, k)
                     den = den.shift_out(i, k)
-        # make the denominator's leading coefficient 1
-        _, lc = den.leading()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num = num * inv
-            den = den * inv
+            # make the denominator's leading coefficient 1
+            _, lc = den.leading()
+            if lc != 1:
+                inv = Fraction(1) / lc
+                num = num * inv
+                den = den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -313,14 +362,14 @@ class RatFunc:
         return not self.num.is_zero
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.nvars, other)
-        if isinstance(other, MPoly):
-            return RatFunc(other)
         if isinstance(other, RatFunc):
             if other.nvars != self.nvars:
                 raise InputError("mixed variable counts")
             return other
+        if isinstance(other, MPoly):
+            return RatFunc(other)
+        if isinstance(other, (int, Fraction)):
+            return RatFunc.const(self.nvars, other)
         return None
 
     def __eq__(self, other) -> bool:

@@ -93,6 +93,14 @@ class TestAnalyzePolytope:
         assert doc["face_count"] == "2"
         assert "generated_at" in doc
 
+    @pytest.mark.parametrize("flag", ["--threads", "--budget"])
+    def test_rejects_work_flags(self, files, capsys, flag):
+        # the report enumerates nothing, so it takes no work-scope flags
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-polytope", files["k5"], flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
 
 class TestCheckNondegenerate:
     def test_nondegenerate(self, files, capsys):

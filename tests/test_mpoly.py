@@ -215,3 +215,116 @@ class TestRatFunc:
         lhs = (RatFunc(a) + RatFunc(b)) * RatFunc(d)
         rhs = RatFunc(a) * RatFunc(d) + RatFunc(b) * RatFunc(d)
         assert lhs == rhs
+
+
+# --- trusted result path ------------------------------------------------------
+
+def rational_polys():
+    terms = st.lists(
+        st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+                  st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))),
+        max_size=5)
+    return terms.map(lambda ts: MPoly(NV, ts))
+
+
+def assert_canonical(p):
+    """p is exactly what the validating constructor makes of its terms."""
+    again = MPoly(p.nvars, list(p.terms.items()))
+    assert p == again and p.terms == again.terms
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(e) is tuple and len(e) == NV for e in p.terms)
+
+
+def normalized(num, den):
+    """The full RatFunc normalization, run whatever the denominator."""
+    if num.is_zero:
+        den = MPoly.const(num.nvars, 1)
+    else:
+        for i in range(num.nvars):
+            k = min(num.min_deg(i), den.min_deg(i))
+            if k:
+                num, den = num.shift_out(i, k), den.shift_out(i, k)
+    _, lc = den.leading()
+    return num * (1 / lc), den * (1 / lc)
+
+
+class TestTrustedResults:
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, p, q):
+        pairs = [(e1, c1, e2, c2) for e1, c1 in p.terms.items()
+                 for e2, c2 in q.terms.items()]
+        product = MPoly(NV, [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                             for e1, c1, e2, c2 in pairs])
+        both = list(p.terms.items())
+        for r, expected in [
+                (p + q, MPoly(NV, both + list(q.terms.items()))),
+                (p - q, MPoly(NV, both + [(e, -c) for e, c in q.terms.items()])),
+                (-p, MPoly(NV, [(e, -c) for e, c in p.terms.items()])),
+                (p * q, product)]:
+            assert_canonical(r)
+            assert r == expected
+
+    @given(rational_polys(), st.integers(0, NV - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_unary_operations(self, p, i):
+        def moved(e, v):
+            return e[:i] + (v,) + e[i + 1:]
+
+        depth = p.max_deg(i) + 1
+        low = p.min_deg(i)
+        for r, expected in [
+                (p.partial(i), MPoly(NV, [(moved(e, e[i] - 1), c * e[i])
+                                          for e, c in p.terms.items() if e[i]])),
+                (p.shift_out(i, low), MPoly(NV, [(moved(e, e[i] - low), c)
+                                                 for e, c in p.terms.items()])),
+                (p.subs_zero(i), MPoly(NV, [(e, c) for e, c in p.terms.items()
+                                            if not e[i]])),
+                (p.flip_sign(i), MPoly(NV, [(e, -c if e[i] % 2 else c)
+                                            for e, c in p.terms.items()])),
+                (p.reverse_in(i, depth), MPoly(NV, [(moved(e, depth - e[i]), c)
+                                                    for e, c in p.terms.items()]))]:
+            assert_canonical(r)
+            assert r == expected
+
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_product_with_one_shares_nothing_mutable(self, p, q):
+        snapshot = dict(p.terms)
+        for r in (p * MPoly.const(NV, 1), MPoly.const(NV, 1) * p, p * 1):
+            assert r == p
+            _ = (r + q, r - q, r * q, -r, r.partial(1), r.flip_sign(0),
+                 r.reverse_in(0, r.max_deg(0)), r.shift_out(2, r.min_deg(2)),
+                 RatFunc(r) + RatFunc(q), RatFunc(q) * RatFunc(r))
+        assert p.terms == snapshot
+
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_ratfunc_normalization(self, num, den):
+        one = MPoly.const(NV, 1)
+        for f in (RatFunc(num), RatFunc(num, one)):
+            assert (f.num, f.den) == normalized(num, one)
+            assert f.num.terms == num.terms and f.den.terms == one.terms
+        if den:
+            f = RatFunc(num, den)
+            assert (f.num.terms, f.den.terms) == tuple(
+                g.terms for g in normalized(num, den))
+
+
+class TestPublicConstructorValidates:
+    @pytest.mark.parametrize("terms", [
+        [((1, 0), 1)],                       # wrong arity
+        [((1, 0, 0, 0), 1)],
+        {(0, -1, 0): 2},                     # negative exponent
+        [((0, 0, 0), 1.5)],                  # float coefficient
+        {(1, 1, 1): 0.25},
+    ])
+    def test_rejects(self, terms):
+        with pytest.raises(InputError):
+            MPoly(NV, terms)
+
+    def test_const_rejects(self):
+        with pytest.raises(InputError):
+            MPoly.const(NV, 0.5)
+        with pytest.raises(InputError):
+            MPoly.const(0, 1)

@@ -1,0 +1,84 @@
+"""The call paths that per-layer call counts rely on.
+
+A traced run counts eliminations by rebinding `exactla.rref` in every
+module that bound it, and counts polynomial products by wrapping
+`MPoly.__mul__`.  Those counts only mean something if the layers built
+on them still reach them: the subspace functions through the module
+global `rref`, and rational-function arithmetic through `MPoly.__mul__`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from arith_lg import exactla
+from arith_lg.mpoly import MPoly, RatFunc
+
+M = exactla.to_fractions([[1, 2, 0], [0, 1, 1]])
+N = exactla.to_fractions([[1, 0, 0], [0, 0, 1]])
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+    real = exactla.rref
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(exactla, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name, args, expected", [
+    ("rank", (M,), 1),
+    ("nullspace", (M,), 1),
+    ("solve", (M, [1, 1]), 1),
+    ("subspace_basis", (M,), 1),
+    ("subspace_sum", (M, N), 1),
+    ("subspace_intersect", (M, N), 2),
+    ("subspace_contains", (M, [1, 3, 1]), 1),
+    ("subspace_equal", (M, N), 2),
+    ("subspace_dim", (M,), 1),
+])
+def test_rref_reached_through_module_global(rref_calls, name, args, expected):
+    getattr(exactla, name)(*args)
+    assert len(rref_calls) == expected
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    calls = []
+    real = MPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    monkeypatch.setattr(MPoly, "__rmul__", counting)
+    return calls
+
+
+X = MPoly.variable(3, 1)
+T = MPoly.variable(3, 0)
+
+
+@pytest.mark.parametrize("op, expected", [
+    # num * num and den * den
+    (lambda f, g: f * g, 2),
+    # num * den twice for the new numerator, den * den
+    (lambda f, g: f + g, 3),
+    (lambda f, g: f - g, 3),
+    (lambda f, g: f == g, 2),
+])
+@pytest.mark.parametrize("den", [None, T], ids=["den-one", "den-t"])
+def test_ratfunc_arithmetic_goes_through_mpoly_mul(mul_calls, op, expected, den):
+    f = RatFunc(X + 1, den)
+    g = RatFunc(X * Fraction(1, 2), den)
+    mul_calls.clear()
+    op(f, g)
+    assert len(mul_calls) == expected
