@@ -25,7 +25,7 @@ from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
 from .ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
-                     make_field, multiplicative_generator, torus_log_values)
+                     extension_field, multiplicative_generator, torus_log_values)
 from .laurent import Deformation, LaurentPoly, MonomialTable
 
 __all__ = [
@@ -39,13 +39,6 @@ __all__ = [
 ]
 
 DOUBLE_ENUM_CAP = 10 ** 7
-
-
-def extension_field(base: FieldSpec, k: int) -> FieldSpec:
-    """The degree-k extension F_{q^k} of F_q, canonically presented."""
-    if k < 1:
-        raise InputError("extension degree must be at least 1")
-    return base if k == 1 else make_field(base.p, base.m * k)
 
 
 def lift_into(value, ext: FieldSpec) -> FqElem:

@@ -10,10 +10,11 @@ Conventions
   equivalently coefficient vectors are compared highest degree first.
   For m = 1 the modulus is X (reduction sends X to 0) and arithmetic is
   plain modular arithmetic.
-* Embeddings between extensions are chosen by explicit root-finding (a
-  vectorised search over the subfield) and kept coherent process-wide
-  through a shared closure field, so composing embeddings along any
-  tower agrees with the direct embedding.
+* Embeddings are deterministic and history-free: the image depends only
+  on the two fields.  Canonical fields embed by one compatible-root rule
+  on the maximal subfields of the target (a vectorised root search in
+  each), so composing embeddings along any tower agrees with the direct
+  embedding; other moduli pass through a fixed isomorphism.
 * The multiplicative group is enumerated in generator-power order: the
   canonical generator g is the first element in coefficient-lex order
   whose multiplicative order is q - 1, and (F_q^*)^n is walked as an
@@ -24,6 +25,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -44,6 +46,7 @@ __all__ = [
     "FieldSpec",
     "FqElem",
     "make_field",
+    "extension_field",
     "field_from_modulus",
     "trace_to_prime",
     "embed",
@@ -298,6 +301,13 @@ def make_field(p: int, m: int) -> FieldSpec:
     raise InputError("no irreducible polynomial found")  # pragma: no cover
 
 
+def extension_field(base: FieldSpec, k: int) -> FieldSpec:
+    """The degree-k extension F_{q^k} of F_q, canonically presented."""
+    if k < 1:
+        raise InputError("extension degree must be at least 1")
+    return base if k == 1 else make_field(base.p, base.m * k)
+
+
 def field_from_modulus(p: int, modulus: Sequence[int]) -> FieldSpec:
     """A field with an explicitly supplied monic irreducible modulus."""
     if not _is_prime(p):
@@ -491,12 +501,7 @@ def _mul_rows(a: numpy.ndarray, b: numpy.ndarray, reduce_rows: numpy.ndarray,
 
 
 # --------------------------------------------------------------------------
-# embeddings, kept coherent via a per-characteristic closure field
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
-
+# embeddings between standard models, coherent along every tower
 
 def _subfield_basis(target: FieldSpec, a: int) -> numpy.ndarray:
     """An F_p-basis (rows of coordinates) of the subfield of order p^a.
@@ -577,7 +582,7 @@ def _roots_in(modulus: tuple[int, ...], source_degree: int,
     return roots
 
 
-def _apply_hom(a: FqElem, image_powers: list[FqElem]) -> FqElem:
+def _apply_hom(a: FqElem, image_powers: Sequence[FqElem]) -> FqElem:
     """Apply the ring hom sending the source generator to image_powers[1]."""
     target_field = image_powers[0].field
     acc = target_field.zero()
@@ -587,92 +592,81 @@ def _apply_hom(a: FqElem, image_powers: list[FqElem]) -> FqElem:
     return acc
 
 
-def _gen_powers(field_m: int, image: FqElem) -> list[FqElem]:
+def _gen_powers(field_m: int, image: FqElem) -> tuple[FqElem, ...]:
     out = [image.field.one()]
     for _ in range(field_m - 1):
         out.append(out[-1] * image)
-    return out
+    return tuple(out)
 
 
-class _EmbeddingRegistry:
-    """Coherent embeddings for one characteristic.
+@lru_cache(maxsize=None)
+def _image_powers(source: FieldSpec, target: FieldSpec) -> tuple[FqElem, ...]:
+    """Powers X^0 .. X^(a-1) of the image of the source's X in the target,
+    for distinct fields of degrees 1 < a | b.
 
-    Every touched field gets a distinguished image of its generator in a
-    shared closure field F_{p^L} (L = lcm of touched degrees).  The
-    embedding source -> target picks the unique root of the source
-    modulus whose closure image matches the source's distinguished
-    image; composites along towers therefore agree with direct
-    embeddings for the lifetime of the process.
+    Standard models C_d = make_field(p, d) embed by one rule.  The maximal
+    proper subfields C_c of C_b (c = b / ell, ell prime) are taken in
+    descending order of c.  Each sends X_c to the lex-first root of its
+    modulus in C_b that agrees with the roots already chosen on their
+    common subfield C_gcd; one exists by the Chinese remainder theorem on
+    the Galois groups.  C_a maps through the first of them it lies in.
+    The rule depends only on (p, a, b) and, by induction on b, is coherent
+    along every tower.
+
+    A field built by field_from_modulus goes through one fixed isomorphism
+    with its standard model, in both directions: X goes to the lex-first
+    root of its modulus in C_a, and the way back is the inverse map.
     """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.closure: FieldSpec = make_field(p, 1)
-        # (m, modulus) -> list of powers of the distinguished closure image
-        self.images: dict[tuple[int, tuple[int, ...]], list[FqElem]] = {}
-        # (source spec, target spec) -> powers of the embedding image
-        self.embeddings: dict[tuple[FieldSpec, FieldSpec], list[FqElem]] = {}
-
-    def _grow_closure(self, degree: int) -> None:
-        new_l = _lcm(self.closure.m, degree)
-        if new_l == self.closure.m:
-            return
-        new_closure = make_field(self.p, new_l)
-        transported: dict[tuple[int, tuple[int, ...]], list[FqElem]] = {}
-        if self.images:
-            old = self.closure
-            roots = _roots_in(old.modulus, old.m, new_closure)
-            lift = _gen_powers(old.m, min(roots, key=lambda r: r.coords))
-            for key, powers in self.images.items():
-                img = _apply_hom(powers[1] if len(powers) > 1 else powers[0], lift)
-                transported[key] = _gen_powers(key[0], img) if key[0] > 1 else [new_closure.one()]
-        self.closure = new_closure
-        self.images = transported
-
-    def _touch(self, spec: FieldSpec) -> list[FqElem]:
-        key = (spec.m, spec.modulus)
-        self._grow_closure(spec.m)
-        if key not in self.images:
-            if spec.m == 1:
-                self.images[key] = [self.closure.one()]
-            else:
-                roots = _roots_in(spec.modulus, spec.m, self.closure)
-                root = min(roots, key=lambda r: r.coords)
-                self.images[key] = _gen_powers(spec.m, root)
-        return self.images[key]
-
-    def embedding_powers(self, source: FieldSpec, target: FieldSpec) -> list[FqElem]:
-        key = (source, target)
-        cached = self.embeddings.get(key)
-        if cached is not None:
-            return cached
-        # grow once up front: touching the target after the source would
-        # otherwise invalidate the source's image powers mid-lookup
-        self._grow_closure(_lcm(source.m, target.m))
-        src_img = self._touch(source)
-        tgt_img = self._touch(target)
-        candidates = _roots_in(source.modulus, source.m, target)
-        chosen = None
-        for root in candidates:
-            if _apply_hom(root, tgt_img) == src_img[1]:
-                chosen = root
+    p, a, b = source.p, source.m, target.m
+    standard_a, standard_b = make_field(p, a), make_field(p, b)
+    if source != standard_a:
+        if target == standard_a:
+            return _gen_powers(a, min(_roots_in(source.modulus, a, target),
+                                      key=lambda r: r.coords))
+        return _gen_powers(a, _apply_hom(_image_powers(source, standard_a)[1],
+                                         _image_powers(standard_a, target)))
+    if target != standard_b:
+        if a < b:
+            return _gen_powers(a, _apply_hom(_image_powers(source, standard_b)[1],
+                                             _image_powers(standard_b, target)))
+        forward, x = _image_powers(target, source), source.element((0, 1) + (0,) * (a - 2))
+        return _gen_powers(a, next(r for r in _roots_in(source.modulus, a, target)
+                                   if _apply_hom(r, forward) == x))
+    chosen: list[tuple[int, tuple[FqElem, ...]]] = []
+    for c in sorted((b // ell for ell in _prime_factors(b)), reverse=True):
+        subfield = make_field(p, c)
+        for root in sorted(_roots_in(subfield.modulus, c, target), key=lambda r: r.coords):
+            powers = _gen_powers(c, root)
+            if all(_agree_on_common_subfield(p, c, powers, d, other) for d, other in chosen):
                 break
-        if chosen is None:  # pragma: no cover - theory guarantees a match
+        else:  # pragma: no cover - the Galois groups guarantee a match
             raise InputError("no coherent embedding root found")
-        powers = _gen_powers(source.m, chosen)
-        self.embeddings[key] = powers
-        return powers
+        if c == a:
+            return powers
+        if c % a == 0:
+            return _gen_powers(a, _apply_hom(_image_powers(source, subfield)[1], powers))
+        chosen.append((c, powers))
 
 
-_REGISTRIES: dict[int, _EmbeddingRegistry] = {}
+def _agree_on_common_subfield(p: int, c: int, powers_c: Sequence[FqElem],
+                              d: int, powers_d: Sequence[FqElem]) -> bool:
+    """Whether embeddings C_c, C_d -> C_b, given by the images of X_c and
+    X_d, agree on C_gcd(c, d)."""
+    g = math.gcd(c, d)
+    if g == 1:
+        return True
+    common = make_field(p, g)
+    return (_apply_hom(_image_powers(common, make_field(p, c))[1], powers_c)
+            == _apply_hom(_image_powers(common, make_field(p, d))[1], powers_d))
 
 
 def embed(a: FqElem, target: FieldSpec) -> FqElem:
     """Embed a into the target field (source degree must divide target's).
 
-    Embeddings are ring homomorphisms, deterministic within a process,
-    and coherent: for a tower F_{p^a} < F_{p^b} < F_{p^c}, embedding in
-    two steps equals embedding directly.
+    Embeddings are ring homomorphisms, deterministic and history-free: the
+    image depends only on the two fields.  They are coherent: for a tower
+    F_{p^a} < F_{p^b} < F_{p^c}, embedding in two steps equals embedding
+    directly, and fields built by field_from_modulus take part too.
     """
     source = a.field
     if source == target:
@@ -686,9 +680,7 @@ def embed(a: FqElem, target: FieldSpec) -> FqElem:
         coords = [0] * target.m
         coords[0] = a.coords[0]
         return target.element(coords)
-    registry = _REGISTRIES.setdefault(source.p, _EmbeddingRegistry(source.p))
-    powers = registry.embedding_powers(source, target)
-    return _apply_hom(a, powers)
+    return _apply_hom(a, _image_powers(source, target))
 
 
 # --------------------------------------------------------------------------

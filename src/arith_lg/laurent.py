@@ -21,7 +21,7 @@ import numpy
 
 from .budget import charge
 from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate
-from .ffield import (FieldSpec, FqElem, discrete_table, embed, make_field,
+from .ffield import (FieldSpec, FqElem, discrete_table, embed, extension_field,
                      torus_log_values)
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
@@ -371,7 +371,7 @@ def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
     FqElem in the degree-k extension.
     """
     base = _require_field(f)
-    ext = base if k == 1 else make_field(base.p, base.m * k)
+    ext = extension_field(base, k)
     Q = ext.q - 1
     npoints = Q ** f.n
     charge("torus search", npoints)

@@ -1,6 +1,7 @@
 """Exponential sums over torus windows: frozen values, identities, and
 the composition with the coefficient map."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
 from arith_lg.errors import BadIndex, BudgetExceeded, InputError, ZeroTau
 from arith_lg.expsum import (DOUBLE_ENUM_CAP, extension_field, family_sum,
                              gkz_sum, lift_into, tau_summed_trace, zero_count)
-from arith_lg.ffield import embed, make_field, multiplicative_generator
+from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
 from arith_lg.laurent import (Deformation, LaurentPoly, evaluate,
                               monomial_table, phi_map, specialize)
 
@@ -270,6 +271,28 @@ class TestExtensionPlumbing:
     def test_bad_degree(self):
         with pytest.raises(InputError):
             extension_field(F5, 0)
+
+
+class TestCustomBase:
+    def test_family_sum_matches_the_standard_model(self):
+        # tau in F_3 over a custom F_9: the same sums as over make_field(3, 2)
+        # with every coefficient mapped by an isomorphism found by brute force
+        K9, C9 = field_from_modulus(3, (2, 1, 1)), make_field(3, 2)
+        r = next(z for z in (C9.element(t) for t in itertools.product(range(3), repeat=2))
+                 if z * z + z + 2 == 0)
+
+        def family(field, iso):
+            x = iso(K9.element((0, 1)))
+            f = LaurentPoly(2, [((1, 0), x), ((0, 1), x + 1), ((-1, -1), iso(K9.one()))], field)
+            g = LaurentPoly(2, [((1, 0), x * 2), ((0, 0), x)], field)
+            return Deformation(f, (g,), "newton_preserving"), (x,)
+
+        custom = family(K9, lambda c: c)
+        standard = family(C9, lambda c: r * c.coords[1] + c.coords[0])
+        for k in (1, 2):
+            for tau in (1, 2):
+                assert (family_sum(custom[0], k, K9.from_int(tau), custom[1])
+                        == family_sum(standard[0], k, C9.from_int(tau), standard[1]))
 
 
 class TestPurityEnvelope:

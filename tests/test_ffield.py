@@ -240,6 +240,43 @@ class TestEmbeddings:
         assert x * x + F81.one() == F81.zero()
 
 
+class TestCustomModuli:
+    """Fields from field_from_modulus as embedding sources and targets."""
+
+    K9 = field_from_modulus(3, (2, 1, 1))         # X^2 + X + 2
+    K81 = field_from_modulus(3, (1, 0, 1, 1, 1))  # X^4 + X^3 + X^2 + 1
+    C9, C81 = make_field(3, 2), make_field(3, 4)
+
+    def elements(self, field):
+        return [field.element(t) for t in itertools.product(range(3), repeat=field.m)]
+
+    @pytest.mark.parametrize("target", ["C81", "K81"])
+    def test_ring_hom(self, target):
+        T = getattr(self, target)
+        els = self.elements(self.K9)
+        assert len({embed(x, T) for x in els}) == 9
+        for x in els:
+            for y in els:
+                assert embed(x + y, T) == embed(x, T) + embed(y, T)
+                assert embed(x * y, T) == embed(x, T) * embed(y, T)
+
+    @pytest.mark.parametrize("custom,standard", [("K9", "C9"), ("K81", "C81")])
+    def test_round_trip(self, custom, standard):
+        K, C = getattr(self, custom), getattr(self, standard)
+        for x in self.elements(K):
+            assert embed(embed(x, C), K) == x
+        for y in self.elements(C):
+            assert embed(embed(y, K), C) == y
+
+    def test_coherent_with_the_standard_tower(self):
+        for x in self.elements(self.K9):
+            via_c9 = embed(x, self.C9)
+            assert embed(x, self.C81) == embed(via_c9, self.C81) == embed(embed(x, self.K81), self.C81)
+            assert embed(x, self.K81) == embed(via_c9, self.K81) == embed(embed(x, self.C81), self.K81)
+        for y in self.elements(self.C9):
+            assert embed(y, self.K81) == embed(embed(y, self.C81), self.K81)
+
+
 class TestGenerator:
     def test_prime_field_generators(self):
         assert multiplicative_generator(make_field(5, 1)).coords == (2,)

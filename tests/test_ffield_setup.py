@@ -4,9 +4,9 @@ embedding coordinates they lead to.
 DiscreteTable and ffield._roots_in work on numpy coordinate rows; here
 they are checked against plain FqElem arithmetic, with the block and
 chunk constants shrunk so that boundaries fall mid-range.  The embedding
-pins hold the coordinates embed gives on fixed tower sequences, each in a
-fresh process because embeddings depend on what the process touched
-before.
+pins hold the coordinates embed gives in a fresh process, and the same
+coordinates come out step by step along fixed tower sequences in one
+process.
 """
 
 import json
@@ -20,7 +20,7 @@ import pytest
 from arith_lg import ffield
 from arith_lg.budget import scope
 from arith_lg.errors import InputError
-from arith_lg.ffield import DiscreteTable, make_field, multiplicative_generator
+from arith_lg.ffield import DiscreteTable, embed, make_field, multiplicative_generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -82,31 +82,37 @@ def test_int64_bound_is_checked_before_allocating():
         DiscreteTable(make_field(4294967311, 1))
 
 
-# generator X of F_{p^a} embedded into F_{p^b}, step by step in one process;
-# recorded before the root search and the table build moved to numpy
+# generator X of F_{p^a} embedded into F_{p^b}, each recorded in a fresh
+# process
 EMBED_PINS = {
-    "f9_into_f729_fresh": (
-        [(3, 2, 6)],
-        [[0, 2, 1, 2, 2, 0]]),
-    "f9_into_f729_after_f81": (
-        [(3, 2, 4), (3, 2, 6)],
-        [[0, 2, 1, 1], [0, 1, 2, 1, 1, 0]]),
-    "f2_tower_up": (
-        [(2, 2, 4), (2, 4, 8), (2, 2, 6), (2, 6, 12), (2, 4, 12), (2, 3, 12), (2, 2, 8)],
-        [[1, 1, 1, 0], [0, 0, 1, 1, 1, 0, 1, 0], [1, 1, 0, 1, 1, 1],
-         [1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1], [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0],
-         [0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 1], [1, 0, 1, 1, 1, 1, 0, 1]]),
-    "f2_tower_down": (
-        [(2, 6, 12), (2, 4, 12), (2, 3, 6), (2, 4, 8), (2, 2, 8), (2, 2, 4)],
-        [[1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1], [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-         [1, 1, 1, 0, 1, 0], [0, 0, 1, 1, 1, 0, 1, 0], [1, 0, 1, 1, 1, 1, 0, 1],
-         [1, 1, 1, 0]]),
-    "f5_tower": (
-        [(5, 2, 4), (5, 3, 6), (5, 2, 6)],
-        [[0, 0, 1, 0], [0, 4, 4, 4, 4, 3], [0, 2, 2, 0, 1, 3]]),
-    "f3_tower": (
-        [(3, 3, 6), (3, 4, 8), (3, 2, 8)],
-        [[1, 0, 1, 2, 1, 0], [0, 0, 1, 0, 1, 0, 1, 0], [0, 0, 2, 0, 1, 0, 1, 0]]),
+    (2, 2, 4): [0, 1, 1, 0],
+    (2, 2, 6): [0, 1, 0, 1, 1, 1],
+    (2, 2, 8): [1, 0, 1, 1, 1, 1, 0, 1],
+    (2, 3, 6): [0, 1, 1, 1, 0, 0],
+    (2, 3, 12): [0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0],
+    (2, 4, 8): [0, 0, 0, 0, 0, 1, 1, 1],
+    (2, 4, 12): [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+    (2, 6, 12): [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1],
+    (3, 2, 4): [0, 1, 2, 2],
+    (3, 2, 6): [0, 1, 2, 1, 1, 0],
+    (3, 2, 8): [0, 0, 2, 0, 1, 0, 1, 0],
+    (3, 3, 6): [0, 0, 1, 2, 1, 0],
+    (3, 4, 8): [0, 0, 0, 0, 0, 0, 1, 0],
+    (5, 2, 4): [0, 0, 1, 0],
+    (5, 2, 6): [0, 2, 2, 0, 1, 3],
+    (5, 3, 6): [0, 3, 2, 1, 3, 4],
+}
+
+# step sequences run in one process: embeddings are history-free, so
+# every step gives its fresh-process pin whatever came before it
+EMBED_SEQUENCES = {
+    "f9_into_f729_fresh": [(3, 2, 6)],
+    "f9_into_f729_after_f81": [(3, 2, 4), (3, 2, 6)],
+    "f2_tower_up": [(2, 2, 4), (2, 4, 8), (2, 2, 6), (2, 6, 12), (2, 4, 12), (2, 3, 12),
+                    (2, 2, 8)],
+    "f2_tower_down": [(2, 6, 12), (2, 4, 12), (2, 3, 6), (2, 4, 8), (2, 2, 8), (2, 2, 4)],
+    "f5_tower": [(5, 2, 4), (5, 3, 6), (5, 2, 6)],
+    "f3_tower": [(3, 3, 6), (3, 4, 8), (3, 2, 8)],
 }
 
 EMBED_SCRIPT = """
@@ -120,11 +126,96 @@ print(json.dumps(out))
 """
 
 
-@pytest.mark.parametrize("name", sorted(EMBED_PINS))
-def test_embedding_coordinates_pinned(name):
-    steps, want = EMBED_PINS[name]
+def run_fresh(script, arg):
+    """Run a script in a fresh interpreter on the package sources; its
+    stdout parsed as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    run = subprocess.run([sys.executable, "-c", EMBED_SCRIPT, json.dumps(steps)],
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(arg)],
                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    assert json.loads(run.stdout) == want
+    return json.loads(run.stdout)
+
+
+@pytest.mark.parametrize("step", sorted(EMBED_PINS), ids=lambda s: "%d-%d-%d" % s)
+def test_embedding_pin_is_the_fresh_process_image(step):
+    assert run_fresh(EMBED_SCRIPT, [step]) == [EMBED_PINS[step]]
+
+
+@pytest.mark.parametrize("name", sorted(EMBED_SEQUENCES))
+def test_embedding_coordinates_pinned(name):
+    steps = EMBED_SEQUENCES[name]
+    assert run_fresh(EMBED_SCRIPT, steps) == [EMBED_PINS[s] for s in steps]
+
+
+def evaluate_at(coords, r):
+    """sum c_i r^i: the image of c_0 + c_1 X + ... under X -> r."""
+    acc = r.field.zero()
+    for c in reversed(coords):
+        acc = acc * r + c
+    return acc
+
+
+def test_standard_rule_by_brute_force():
+    # C_12 over F_2 has the maximal subfields C_6 and C_4, meeting in C_2:
+    # X_6 goes to the lex-first root of its modulus, X_4 to the lex-first
+    # root that agrees with it on C_2, and C_2, C_3 map through C_6
+    p = 2
+    C = {d: make_field(p, d) for d in (2, 3, 4, 6, 12)}
+    X = {d: C[d].element([0, 1] + [0] * (d - 2)) for d in (2, 3, 4, 6)}
+    x6 = min(brute_roots(C[6].modulus, C[12]), key=lambda r: r.coords)
+    x2 = evaluate_at(embed(X[2], C[6]).coords, x6)
+    x4 = min((r for r in brute_roots(C[4].modulus, C[12])
+              if evaluate_at(embed(X[2], C[4]).coords, r) == x2),
+             key=lambda r: r.coords)
+    assert embed(X[6], C[12]) == x6
+    assert embed(X[4], C[12]) == x4
+    assert embed(X[2], C[12]) == x2
+    assert embed(X[3], C[12]) == evaluate_at(embed(X[3], C[6]).coords, x6)
+
+
+COHERENCE_SCRIPT = """
+import json, sys
+from arith_lg.ffield import embed, make_field
+p, top = json.loads(sys.argv[1])
+C = {d: make_field(p, d) for d in range(1, top + 1)}
+bad = []
+for c in range(2, top + 1):
+    for b in [d for d in range(2, c + 1) if c % d == 0]:
+        for a in [d for d in range(2, b + 1) if b % d == 0]:
+            x = C[a].element([0, 1] + [0] * (a - 2))
+            y = embed(x, C[b])
+            root = C[b].zero()
+            for coeff in reversed(C[a].modulus):
+                root = root * y + coeff
+            if root or embed(x ** (a + 1), C[b]) != y ** (a + 1):
+                bad.append(["hom", a, b])
+            if embed(y, C[c]) != embed(x, C[c]):
+                bad.append(["tower", a, b, c])
+print(json.dumps(bad))
+"""
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 8), (5, 4)])
+def test_tower_coherence_over_every_divisor_chain(p, top):
+    # every chain a | b | c with c <= top, in one fresh process: the
+    # generator's image is a root of its modulus with the powers of a
+    # ring hom, and two steps agree with one
+    assert run_fresh(COHERENCE_SCRIPT, [p, top]) == []
+
+
+BUDGET_SCRIPT = """
+import json, sys
+from arith_lg.budget import scope
+from arith_lg.ffield import embed, make_field
+x = make_field(2, 2).element([0, 1])
+with scope(budget=json.loads(sys.argv[1])):
+    print(json.dumps([list(embed(x, make_field(2, b)).coords) for b in (4, 6, 8, 10)]))
+"""
+
+
+def test_embedding_searches_only_subfields_of_the_target():
+    # in a fresh process the F_4 generator goes into F_{2^4}, F_{2^6},
+    # F_{2^8} and F_{2^10} for a few hundred subfield elements in all; a
+    # closure over every degree touched would search inside F_{2^24}
+    images = run_fresh(BUDGET_SCRIPT, 1000)
+    assert images[:3] == [EMBED_PINS[(2, 2, b)] for b in (4, 6, 8)]
