@@ -1,8 +1,9 @@
 """Exponential sums over torus points of finite field extensions.
 
-Sums run on ffield.torus_log_values, which evaluates the summand in
-discrete logs of the canonical generator on numpy chunks of the
-enumeration order: each term's log is lg + <w, e> mod q^k - 1, and Zech
+Sums run on the torus kernel of the field's discrete-log table
+(ffield.discrete_table, an ffarray.DiscreteTable), which evaluates the
+summand in discrete logs of the canonical generator on numpy chunks of
+the enumeration order: each term's log is lg + <w, e> mod q^k - 1, and Zech
 logarithms fold the terms into the log of the point value.  Character
 values are then bucketed by trace with one bincount per chunk, so a
 whole sum is a vector of p integer counts until the very end, when it
@@ -18,14 +19,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy
-
 from . import budget
 from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
-from .ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
-                     extension_field, multiplicative_generator, torus_log_values)
+from .ffield import (FieldSpec, FqElem, discrete_table, embed, extension_field,
+                     multiplicative_generator)
 from .laurent import Deformation, LaurentPoly, MonomialTable
 
 __all__ = [
@@ -49,20 +48,6 @@ def lift_into(value, ext: FieldSpec) -> FqElem:
     raise InputError(f"cannot interpret {value!r} in {ext!r}")
 
 
-def _window_counts(p: int, n: int, logs: list[int],
-                   weights: list[tuple[int, ...]], start: int, stop: int,
-                   table: DiscreteTable) -> tuple[list[int], int]:
-    """Trace-value counts plus the zero-value count over one window of
-    the torus enumeration."""
-    counts = numpy.zeros(p, dtype=numpy.int64)
-    zeros = 0
-    for vals in torus_log_values(table, n, logs, weights, start, stop):
-        # a zero value indexes the table's last entry, the trace of zero
-        counts += numpy.bincount(table.trace_by_exp[vals], minlength=p)
-        zeros += int(numpy.count_nonzero(vals < 0))
-    return counts.tolist(), zeros
-
-
 def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
     """Counts of psi-trace values of poly over (F_q^*)^n, plus the number
     of torus zeros of poly, via the scope's disjoint enumeration windows."""
@@ -82,7 +67,7 @@ def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
     for lo, hi in zip(bounds, bounds[1:]):
         if lo == hi:
             continue
-        counts, z = _window_counts(p, poly.n, logs, weights, lo, hi, table)
+        counts, z = table.window_counts(poly.n, logs, weights, lo, hi)
         total = [a + b for a, b in zip(total, counts)]
         zeros += z
     return total, zeros

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy
-
 from .cyclotomic import (CycloNum, CycloPoly, char_poly_from_power_sums,
                          embed_complex, linear_recurrence_reconstruct,
                          validate_power_sums)
@@ -86,6 +84,8 @@ class FrobeniusReport:
 
 def _all_root_moduli(P: CycloPoly) -> list[float]:
     """|root| over every complex embedding of the coefficient field."""
+    import numpy  # at call time: only the torus commands load numpy
+
     out = []
     embeddings = range(1, P.p) if P.p > 2 else (1,)
     for a in embeddings:

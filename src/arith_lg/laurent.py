@@ -17,12 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy
-
 from .budget import charge
 from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate
-from .ffield import (FieldSpec, FqElem, discrete_table, embed, extension_field,
-                     torus_log_values)
+from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
 
@@ -385,12 +382,12 @@ def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
     count = 0
     first = None
     lo = 0
-    for chunks in zip(*(torus_log_values(table, f.n, logs, weights, 0, npoints)
+    for chunks in zip(*(table.log_values(f.n, logs, weights, 0, npoints)
                         for logs, weights in live)):
         hits = chunks[0] < 0
         for vals in chunks[1:]:
             hits &= vals < 0
-        found = int(numpy.count_nonzero(hits))
+        found = int(hits.sum())
         if found and first is None:
             index = lo + int(hits.argmax())
             exps = []

@@ -325,6 +325,10 @@ def load_json_file(filename: str):
         raise ParseError(filename, exc.strerror or str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{filename}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(filename, f"not {exc.encoding} text: {exc.reason} at byte {exc.start}") from None
+    except RecursionError:
+        raise ParseError(filename, "JSON nested too deeply") from None
 
 
 # --- command-line element syntax -----------------------------------------

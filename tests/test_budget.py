@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from arith_lg import acceptance, budget, expsum, ffield, frobdata, laurent
+from arith_lg import acceptance, budget, expsum, ffarray, ffield, frobdata, laurent
 from arith_lg.budget import charge, scope
 from arith_lg.errors import BudgetExceeded, InputError
 
@@ -22,7 +22,7 @@ def _callables(module):
             yield name, obj
 
 
-@pytest.mark.parametrize("module", [expsum, frobdata, laurent, ffield, acceptance],
+@pytest.mark.parametrize("module", [expsum, frobdata, laurent, ffield, ffarray, acceptance],
                          ids=lambda m: m.__name__)
 def test_no_threaded_budget_or_partitions(module):
     threaded = [f"{name}({param})" for name, fn in _callables(module)

@@ -310,6 +310,16 @@ class TestInputErrors:
         assert code == 2
         assert "extra" in out and "unknown key" in out
 
+    @pytest.mark.parametrize("content", [b"\xc3\x28{}", b"[" * 100000],
+                             ids=["undecodable", "too-deep"])
+    @pytest.mark.parametrize("command", ["monodromy", "analyze-polytope"])
+    def test_unreadable_json_is_input_error(self, tmp_path, capsys, command, content):
+        p = tmp_path / "m.json"
+        p.write_bytes(content)
+        code, out = run(capsys, command, str(p))
+        assert code == 2
+        assert str(p) in out
+
     def test_json_error_rendering(self, files, capsys):
         code, doc = run_json(capsys, "expsum", files["k5"], "--tau", "0")
         assert code == 2

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 from arith_lg.budget import scope
 from arith_lg.errors import (BadIndex, BudgetExceeded, DegreeZero,
                              IncompatibleCharacteristic, NotAnExtension, NotPrime)
-from arith_lg.ffield import (DiscreteTable, FieldSpec, FqElem, discrete_table, embed,
-                             enumerate_torus, field_from_modulus, make_field,
-                             multiplicative_generator, torus_log_values, torus_size,
-                             trace_to_prime)
+from arith_lg.ffield import (FieldSpec, FqElem, discrete_table, embed, enumerate_torus,
+                             field_from_modulus, make_field, multiplicative_generator,
+                             torus_size, trace_to_prime)
 
 
 def poly_eval_mod(coeffs, x, p):
@@ -375,7 +374,7 @@ class TestDiscreteTable:
         F = make_field(3, 2)
         tab = discrete_table(F)
         g = multiplicative_generator(F)
-        got = np.concatenate(list(torus_log_values(tab, 2, [0, 0], [(1, 0), (0, 1)], 0, 64)))
+        got = np.concatenate(list(tab.log_values(2, [0, 0], [(1, 0), (0, 1)], 0, 64)))
         assert got.size == 64
         for (e1, e2), v in zip(itertools.product(range(8), repeat=2), got):
             s = g ** e1 + g ** e2
@@ -398,7 +397,7 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         logs = [0, 3, 5]
         weights = [(1, 2), (2, 1), (1, 1)]
-        got = np.concatenate(list(torus_log_values(tab, 2, logs, weights, 0, 64)))
+        got = np.concatenate(list(tab.log_values(2, logs, weights, 0, 64)))
         assert got.size == 64
         for e, v in zip(itertools.product(range(8), repeat=2), got):
             want = sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)

@@ -1,7 +1,7 @@
 """Field set-up: discrete-log tables, embedding root searches, and the
 embedding coordinates they lead to.
 
-DiscreteTable and ffield._roots_in work on numpy coordinate rows; here
+DiscreteTable and _roots_in in ffarray work on numpy coordinate rows; here
 they are checked against plain FqElem arithmetic, with the block and
 chunk constants shrunk so that boundaries fall mid-range.  The embedding
 pins hold the coordinates embed gives in a fresh process, and the same
@@ -17,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from arith_lg import ffield
+from arith_lg import ffarray
 from arith_lg.budget import scope
 from arith_lg.errors import InputError
-from arith_lg.ffield import DiscreteTable, embed, make_field, multiplicative_generator
+from arith_lg.ffarray import DiscreteTable
+from arith_lg.ffield import embed, make_field, multiplicative_generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -45,7 +46,7 @@ TABLE_FIELDS = [(2, 13), (3, 7), (5, 5), (7919, 1), (2, 2), (12289, 1), (29, 1),
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
 def test_table_build_matches_walk(monkeypatch, p, m, block):
     if block is not None:
-        monkeypatch.setattr(ffield, "TORUS_CHUNK", block)
+        monkeypatch.setattr(ffarray, "TORUS_CHUNK", block)
     field = make_field(p, m)
     assert DiscreteTable(field).exp_enc.tolist() == walk_encodings(field)
 
@@ -67,10 +68,10 @@ def brute_roots(modulus, target):
 @pytest.mark.parametrize("p,a,L", [(2, 4, 8), (2, 6, 12), (3, 2, 6), (3, 4, 8), (5, 2, 4)])
 def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
     if chunk is not None:
-        monkeypatch.setattr(ffield, "ROOT_CHUNK", chunk)
+        monkeypatch.setattr(ffarray, "ROOT_CHUNK", chunk)
     modulus = make_field(p, a).modulus
     target = make_field(p, L)
-    roots = ffield._roots_in(modulus, a, target)
+    roots = ffarray._roots_in(modulus, a, target)
     assert sorted(r.coords for r in roots) == sorted(r.coords for r in brute_roots(modulus, target))
     assert len(roots) == a
     assert set(roots) == {roots[0] ** (p ** i) for i in range(a)}

@@ -290,6 +290,20 @@ class TestLoadJsonFile:
             load_json_file(str(bad))
         assert path_of(e).endswith(":2:1")
 
+    def test_undecodable_bytes(self, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xc3\x28{}")
+        with pytest.raises(ParseError) as e:
+            load_json_file(str(bad))
+        assert path_of(e) == str(bad)
+
+    def test_nesting_too_deep(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        with pytest.raises(ParseError) as e:
+            load_json_file(str(deep))
+        assert path_of(e) == str(deep)
+
     def test_round_trip(self, tmp_path):
         f = tmp_path / "ok.json"
         f.write_text(json.dumps(KLOOSTERMAN))

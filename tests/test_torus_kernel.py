@@ -1,7 +1,7 @@
 """The log-domain torus kernel against brute-force evaluation.
 
-ffield.torus_log_values is checked point by point, and through the
-trace-bucket counts expsum builds from it, against enumerate_torus +
+DiscreteTable.log_values is checked point by point, and through the
+trace-bucket counts of DiscreteTable.window_counts, against enumerate_torus +
 laurent.evaluate + trace_to_prime, on windows whose ends fall inside
 chunks and that cross odometer carries.
 """
@@ -11,18 +11,20 @@ import random
 import numpy as np
 import pytest
 
-from arith_lg import ffield
+from arith_lg import ffarray
 from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum
-from arith_lg.expsum import _window_counts, extension_field, family_sum
-from arith_lg.ffield import (discrete_table, embed, enumerate_torus, make_field,
-                             torus_log_values, trace_to_prime)
+from arith_lg.expsum import extension_field, family_sum
+from arith_lg.ffield import discrete_table, embed, enumerate_torus, make_field, trace_to_prime
 from arith_lg.laurent import Deformation, LaurentPoly, evaluate, specialize
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(ffield, "TORUS_CHUNK", 7)
+    monkeypatch.setattr(ffarray, "TORUS_CHUNK", 7)
+    # the kernel reads the patched constant: a window of 10 comes as 7 + 3
+    table = discrete_table(make_field(5, 1))
+    assert [c.size for c in table.log_values(2, [0], [(1, 0)], 0, 10)] == [7, 3]
 
 
 def random_poly(field, n, nterms, seed):
@@ -65,13 +67,14 @@ def check(f, start, stop):
     table = discrete_table(f.field)
     logs = [table.log(c) for c in f.terms.values()]
     weights = list(f.terms)
-    chunks = list(torus_log_values(table, f.n, logs, weights, start, stop))
+    chunks = list(table.log_values(f.n, logs, weights, start, stop))
     assert all(c.dtype == np.int64 for c in chunks)
-    assert all(c.size <= ffield.TORUS_CHUNK for c in chunks)
+    assert all(c.size == ffarray.TORUS_CHUNK for c in chunks[:-1])
+    assert all(0 < c.size <= ffarray.TORUS_CHUNK for c in chunks[-1:])
     got = np.concatenate(chunks).tolist() if chunks else []
     want_logs, want_traces = brute(f, table, start, stop)
     assert got == want_logs
-    counts, zeros = _window_counts(f.field.p, f.n, logs, weights, start, stop, table)
+    counts, zeros = table.window_counts(f.n, logs, weights, start, stop)
     assert counts == [want_traces.count(v) for v in range(f.field.p)]
     assert zeros == want_logs.count(-1)
     return zeros
@@ -124,14 +127,14 @@ def test_cancelling_sums(small_chunks, p, m, n, terms, want_zeros):
 
 def test_no_terms_is_zero_everywhere(small_chunks):
     table = discrete_table(make_field(5, 1))
-    vals = np.concatenate(list(torus_log_values(table, 2, [], [], 3, 14)))
+    vals = np.concatenate(list(table.log_values(2, [], [], 3, 14)))
     assert vals.tolist() == [-1] * 11
-    assert _window_counts(5, 2, [], [], 3, 14, table) == ([11, 0, 0, 0, 0], 11)
+    assert table.window_counts(2, [], [], 3, 14) == ([11, 0, 0, 0, 0], 11)
 
 
 def test_empty_window_yields_nothing():
     table = discrete_table(make_field(5, 1))
-    assert list(torus_log_values(table, 1, [0], [(1,)], 2, 2)) == []
+    assert list(table.log_values(1, [0], [(1,)], 2, 2)) == []
 
 
 def brute_family_sum(D, k, tau, x):
