@@ -7,7 +7,8 @@ the enumeration order: each term's log is lg + <w, e> mod q^k - 1, and Zech
 logarithms fold the terms into the log of the point value.  Character
 values are then bucketed by trace with one bincount per chunk, so a
 whole sum is a vector of p integer counts until the very end, when it
-becomes one exact element of Q(zeta_p).
+becomes one exact element of Q(zeta_p).  The tau-sum cross-check of
+tau_summed_trace is one such sum, with tau as an extra first coordinate.
 
 Each sum charges its torus points to the current budget scope and
 splits the enumeration into the scope's partition count of disjoint
@@ -23,8 +24,7 @@ from . import budget
 from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
-from .ffield import (FieldSpec, FqElem, discrete_table, embed, extension_field,
-                     multiplicative_generator)
+from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .laurent import Deformation, LaurentPoly, MonomialTable
 
 __all__ = [
@@ -148,9 +148,10 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence, *,
     tau-family over F_{q^k}.
 
     Character orthogonality turns the tau-sum of family sums into a
-    point count, which is the closed form used here; when the doubled
-    enumeration fits under the cap the sum over tau is also evaluated
-    directly and the two must agree exactly.
+    point count, which is the closed form used here.  When the doubled
+    enumeration fits under the cap, the tau-sum is also evaluated directly,
+    as the torus sum of s * F_x(t) over (F_{q^k}^*)^{n+1} with tau = s on
+    the first axis, and the two must agree exactly.
     """
     base = D.base.field
     n = D.base.n
@@ -159,14 +160,9 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence, *,
     inner = qk * zk - (qk - 1) ** n
     value = inner if n % 2 == 0 else -inner
     if (qk - 1) ** (n + 1) <= double_enum_cap:
-        ext = extension_field(base, k)
-        g = multiplicative_generator(ext)
-        total = CycloNum.zero(base.p)
-        t = ext.one()
-        for _ in range(qk - 1):
-            total = total + family_sum(D, k, t, x)
-            t = t * g
-        if total != inner:
+        fx = _specialized(D, extension_field(base, k), 1, x)
+        tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
+        if _counts_to_cyclo(_torus_reduce(tau_fx)[0], base.p, 1) != inner:
             raise InputError(
                 "orthogonality cross-check failed: direct tau-sum disagrees "
                 "with the zero-count closed form")

@@ -224,10 +224,11 @@ def family_l_function(D: Deformation, x: Sequence,
                       Kmax: int | None = None) -> LFunctionReport:
     """L-function of the tau-line from trace sums c_1..c_Kmax.
 
-    c_k comes from the zero-count closed form (cross-checked by double
-    enumeration when small); the rational function is reconstructed and
-    the Euler-characteristic bound -chi_c = deg N - deg D <= r is the
-    verdict.  The bound is asserted, not derived from local invariants:
+    c_k comes from the zero-count closed form, cross-checked when small by
+    a direct enumeration of every pair (tau, t) as one torus sum in n + 1
+    variables; the rational function is reconstructed and the
+    Euler-characteristic bound -chi_c = deg N - deg D <= r is the verdict.
+    The bound is asserted, not derived from local invariants:
     ramification data itself is out of reach here.
     """
     r = normalized_volume(D.base.newton())

@@ -150,6 +150,16 @@ class TestExpsum:
         assert code == 3
         assert "budget" in out
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, code", [(["--tau", "0"], 2),
+                                            (["--tau", "1", "--budget", "2"], 3)],
+                             ids=["exit-2", "exit-3"])
+    def test_errors_go_to_stdout(self, files, capsys, fmt, argv, code):
+        assert main(["expsum", files["k5"], *argv, *fmt]) == code
+        captured = capsys.readouterr()
+        assert "error" in captured.out
+        assert captured.err == ""
+
     def test_budget_env(self, files, capsys, monkeypatch):
         monkeypatch.setenv("ARITH_LG_BUDGET", "3")
         code, _ = run(capsys, "expsum", files["k5"], "--tau", "1")
@@ -174,11 +184,15 @@ class TestCommandBudget:
                                         budget=budget)))
         return str(path)
 
-    def test_l_function_charges_add_up(self, files, capsys):
-        # every single charge is below 7000, the command visits ~5.4M points
+    def test_l_function_charges_add_up(self, files, capsys, monkeypatch):
+        # every single charge is below 7000, the command visits ~5.4M points;
+        # it stops at k = 4: 980 for k <= 3, the k = 4 zero count and the
+        # tables, then the 80^2 = 6400 points of the tau-sum cross-check
+        monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
+        ffield.discrete_table.cache_clear()
         code, out = run(capsys, "l-function", files["k3"], "--budget", "7000")
         assert code == 3
-        assert "budget 7000" in out
+        assert "torus sum (required 7380, budget 7000)" in out
 
     def test_table_build_counts_against_file_budget(self, tmp_path, capsys,
                                                     monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from arith_lg import expsum, ffarray
 from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
 from arith_lg.errors import BadIndex, BudgetExceeded, InputError, ZeroTau
@@ -29,6 +30,38 @@ def kloosterman(field):
 
 def zeta(p, e):
     return CycloNum.zeta(p, e)
+
+
+def per_tau_loop(D, k, x):
+    """Sum over tau in the extension torus of the family sums S_k(tau, x),
+    one family_sum per tau: the independent oracle for the cross-check."""
+    ext = extension_field(D.base.field, k)
+    g = multiplicative_generator(ext)
+    total = CycloNum.zero(D.base.field.p)
+    tau = ext.one()
+    for _ in range(ext.q - 1):
+        total = total + family_sum(D, k, tau, x)
+        tau = tau * g
+    return total
+
+
+def triple_point(field):
+    one = field.from_int(1)
+    f = LaurentPoly(2, [((1, 0), one), ((0, 1), one), ((-1, -1), one)], field)
+    g = LaurentPoly(2, [((1, 0), one)], field)
+    return Deformation(f, (g,), "newton_preserving")
+
+
+K9 = field_from_modulus(3, (2, 1, 1))
+
+
+def custom_f9_family(field, iso):
+    """The two-variable F_9 family of TestCustomBase, coefficients mapped
+    through iso from the custom model K9."""
+    x = iso(K9.element((0, 1)))
+    f = LaurentPoly(2, [((1, 0), x), ((0, 1), x + 1), ((-1, -1), iso(K9.one()))], field)
+    g = LaurentPoly(2, [((1, 0), x * 2), ((0, 0), x)], field)
+    return Deformation(f, (g,), "newton_preserving"), (x,)
 
 
 class TestFamilySum:
@@ -227,21 +260,11 @@ class TestZeroCountAndTraceSum:
         D = kloosterman(F3)
         x = (F3.from_int(1),)
         for k in (1, 2):
-            ext = extension_field(F3, k)
-            g = multiplicative_generator(ext)
-            total = CycloNum.zero(3)
-            elt = ext.from_int(1)
-            for _ in range(ext.q - 1):
-                total = total + family_sum(D, k, elt, x)
-                elt = elt * g
-            assert tau_summed_trace(D, k, x) == -total
+            assert tau_summed_trace(D, k, x) == -per_tau_loop(D, k, x)
 
     def test_triple_point_trace_sums(self):
         # frozen: the two-torus family with a triple point has c_k = -1
-        one = F3.from_int(1)
-        f = LaurentPoly(2, [((1, 0), one), ((0, 1), one), ((-1, -1), one)], F3)
-        g = LaurentPoly(2, [((1, 0), one)], F3)
-        D = Deformation(f, (g,), "newton_preserving")
+        D = triple_point(F3)
         x = (F3.from_int(0),)
         assert tau_summed_trace(D, 1, x) == -1
         assert tau_summed_trace(D, 2, x) == -1
@@ -277,22 +300,96 @@ class TestCustomBase:
     def test_family_sum_matches_the_standard_model(self):
         # tau in F_3 over a custom F_9: the same sums as over make_field(3, 2)
         # with every coefficient mapped by an isomorphism found by brute force
-        K9, C9 = field_from_modulus(3, (2, 1, 1)), make_field(3, 2)
+        C9 = make_field(3, 2)
         r = next(z for z in (C9.element(t) for t in itertools.product(range(3), repeat=2))
                  if z * z + z + 2 == 0)
-
-        def family(field, iso):
-            x = iso(K9.element((0, 1)))
-            f = LaurentPoly(2, [((1, 0), x), ((0, 1), x + 1), ((-1, -1), iso(K9.one()))], field)
-            g = LaurentPoly(2, [((1, 0), x * 2), ((0, 0), x)], field)
-            return Deformation(f, (g,), "newton_preserving"), (x,)
-
-        custom = family(K9, lambda c: c)
-        standard = family(C9, lambda c: r * c.coords[1] + c.coords[0])
+        custom = custom_f9_family(K9, lambda c: c)
+        standard = custom_f9_family(C9, lambda c: r * c.coords[1] + c.coords[0])
         for k in (1, 2):
             for tau in (1, 2):
                 assert (family_sum(custom[0], k, K9.from_int(tau), custom[1])
                         == family_sum(standard[0], k, C9.from_int(tau), standard[1]))
+
+
+F4 = make_field(2, 2)
+
+CROSS_CHECK_CASES = {
+    "kloosterman-f3": (kloosterman(F3), (F3.from_int(2),)),
+    "kloosterman-f5": (kloosterman(F5), (F5.from_int(3),)),
+    "triple-point-f3": (triple_point(F3), (F3.from_int(1),)),
+    "kloosterman-f4": (kloosterman(F4), (multiplicative_generator(F4),)),
+    "custom-f9": custom_f9_family(K9, lambda c: c),
+}
+
+
+class TestTauSumCrossCheck:
+    """The cross-check is one torus sum of s * F_x(t) in n + 1 variables;
+    it must equal the sum of the per-tau family sums it replaced."""
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        seen = []
+        real = expsum._torus_reduce
+
+        def recording(poly):
+            out = real(poly)
+            seen.append((poly.n, out[0]))
+            return out
+
+        monkeypatch.setattr(expsum, "_torus_reduce", recording)
+        return seen
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", list(CROSS_CHECK_CASES))
+    def test_direct_sum_equals_per_tau_loop(self, reductions, case, k):
+        D, x = CROSS_CHECK_CASES[case]
+        n, p = D.base.n, D.base.field.p
+        value = tau_summed_trace(D, k, x)
+        (zero_n, _), (cross_n, counts) = reductions
+        assert (zero_n, cross_n) == (n, n + 1)
+        direct = expsum._counts_to_cyclo(counts, p, 1)
+        assert direct == per_tau_loop(D, k, x)
+        assert value == (direct if n % 2 == 0 else -direct)
+
+    def test_wrong_zero_count_fails_the_cross_check(self, monkeypatch):
+        D, x = CROSS_CHECK_CASES["kloosterman-f5"]
+        real = expsum.zero_count
+        monkeypatch.setattr(expsum, "zero_count", lambda *args: real(*args) + 1)
+        with pytest.raises(InputError, match="orthogonality cross-check failed"):
+            tau_summed_trace(D, 1, x)
+        tau_summed_trace(D, 1, x, double_enum_cap=0)
+
+    @pytest.mark.parametrize("case", ["kloosterman-f5", "triple-point-f3"])
+    def test_charges_exactly_both_tori(self, monkeypatch, case):
+        D, x = CROSS_CHECK_CASES[case]
+        k = 2
+        q1 = D.base.field.q ** k - 1
+        n = D.base.n
+        need = q1 ** n + q1 ** (n + 1)
+        # tables and embeddings charge too: a first call builds them
+        expected = tau_summed_trace(D, k, x)
+        charged = []
+        real_charge = expsum.charge
+
+        def recording(description, required):
+            charged.append((description, required))
+            real_charge(description, required)
+
+        monkeypatch.setattr(expsum, "charge", recording)
+        with scope(budget=need):
+            assert tau_summed_trace(D, k, x) == expected
+        assert charged == [("torus sum", q1 ** n), ("torus sum", q1 ** (n + 1))]
+
+        real_counts = ffarray.DiscreteTable.window_counts
+
+        def zero_count_only(self, nvars, *args):
+            assert nvars == n, "cross-check kernel ran past the budget"
+            return real_counts(self, nvars, *args)
+
+        monkeypatch.setattr(ffarray.DiscreteTable, "window_counts", zero_count_only)
+        with pytest.raises(BudgetExceeded) as exc, scope(budget=need - 1):
+            tau_summed_trace(D, k, x)
+        assert (exc.value.required, exc.value.budget) == (need, need - 1)
 
 
 class TestPurityEnvelope:

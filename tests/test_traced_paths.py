@@ -5,6 +5,8 @@ module that bound it, and counts polynomial products by wrapping
 `MPoly.__mul__`.  Those counts only mean something if the layers built
 on them still reach them: the subspace functions through the module
 global `rref`, and rational-function arithmetic through `MPoly.__mul__`.
+The tau-sum cross-check is pinned to one torus sum: one kernel call per
+window, and no `family_sum` per tau.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from fractions import Fraction
 
 import pytest
 
-from arith_lg import exactla
+from arith_lg import exactla, expsum, ffarray
+from arith_lg.budget import scope
+from arith_lg.ffield import make_field
+from arith_lg.laurent import Deformation, LaurentPoly
 from arith_lg.mpoly import MPoly, RatFunc
 
 M = exactla.to_fractions([[1, 2, 0], [0, 1, 1]])
@@ -82,3 +87,33 @@ def test_ratfunc_arithmetic_goes_through_mpoly_mul(mul_calls, op, expected, den)
     mul_calls.clear()
     op(f, g)
     assert len(mul_calls) == expected
+
+
+@pytest.fixture
+def kernel_windows(monkeypatch):
+    calls = []
+    real = ffarray.DiscreteTable.window_counts
+
+    def counting(self, n, *args):
+        calls.append(n)
+        return real(self, n, *args)
+
+    def no_family_sum(*args, **kwargs):
+        raise AssertionError("family_sum called from tau_summed_trace")
+
+    monkeypatch.setattr(ffarray.DiscreteTable, "window_counts", counting)
+    monkeypatch.setattr(expsum, "family_sum", no_family_sum)
+    return calls
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_tau_sum_cross_check_is_one_torus_sum(kernel_windows, partitions):
+    # Kloosterman over F_5, k = 2: 24 zero-count points and 576 pairs
+    # (tau, t), both at least `partitions`, so no window is empty
+    F5 = make_field(5, 1)
+    one = F5.from_int(1)
+    f = LaurentPoly(1, [((1,), one), ((-1,), one)], F5)
+    D = Deformation(f, (LaurentPoly(1, [((1,), one)], F5),), "newton_preserving")
+    with scope(partitions=partitions):
+        expsum.tau_summed_trace(D, 2, (F5.from_int(3),))
+    assert kernel_windows == [1] * partitions + [2] * partitions
