@@ -27,8 +27,8 @@ from .budget import partitions, scope
 from .connalg import FTSTuple, assemble_nabla, curvature, verify_fts
 from .cyclotomic import CycloNum, CycloPoly, conj_sigma, embed_complex, psi
 from .exactla import (identity, mat_mul, mat_vec, nullspace, subspace_basis,
-                      subspace_contains, subspace_dim, subspace_sum,
-                      subspace_intersect, transpose)
+                      subspace_contains, subspace_sum, subspace_intersect,
+                      transpose)
 from .errors import VerificationError
 from .expsum import extension_field, family_sum, gkz_sum
 from .ffield import enumerate_torus, make_field
@@ -494,7 +494,7 @@ def _filtration_oracle(N):
         if new <= lattice:
             break
         lattice |= new
-    ordered = sorted(lattice, key=lambda b: (subspace_dim(b), b))
+    ordered = sorted(lattice, key=lambda b: (len(b), b))
 
     # chain positions are k = -e .. e-1; ends pinned to 0 and V
     hits = []
@@ -541,8 +541,8 @@ def _graded_symmetry(N, chain, e):
         target = subspace_sum(image, level(-k - 1))
         if target != level(-k):
             return False
-        gr_up = subspace_dim(level(k)) - subspace_dim(level(k - 1))
-        gr_dn = subspace_dim(level(-k)) - subspace_dim(level(-k - 1))
+        gr_up = len(level(k)) - len(level(k - 1))
+        gr_dn = len(level(-k)) - len(level(-k - 1))
         if gr_up != gr_dn:
             return False
     return True

@@ -5,6 +5,7 @@ Inside scope(budget, partitions) every charge adds to one running total
 BudgetExceeded once it passes the limit; a nested scope is its own
 ledger, and outside any scope each charge is checked alone.  The limit
 resolves as: explicit argument, ARITH_LG_BUDGET, then 10**9 points.
+Every enumeration takes its windows from windows(npoints).
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def partitions() -> int:
     """The partition count of the current scope; 1 outside any scope."""
     ledger = _SCOPE.get()
     return 1 if ledger is None else ledger.partitions
+
+
+def windows(npoints: int) -> list[tuple[int, int]]:
+    """The nonempty [lo, hi) windows that split range(npoints) into the
+    current scope's partition count of near-equal parts, in order."""
+    n = partitions()
+    bounds = [npoints * i // n for i in range(n + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def charge(description: str, required: int) -> None:

@@ -22,7 +22,7 @@ from .budget import scope
 from .connalg import (curvature, log_restriction, poincare_rank,
                       rank1_restriction, residue_at_infinity, verify_fts,
                       verify_metric)
-from .cyclotomic import embed_complex
+from .cyclotomic import all_embeddings
 from .errors import (ArithLGError, BudgetExceeded, InputError,
                      VerificationError, WrongRank)
 from .expsum import extension_field, family_sum
@@ -55,8 +55,7 @@ def _point(args, pf: pio.ProblemFile):
 
 
 def _embeddings(z):
-    upper = z.p if z.p > 2 else 2
-    return [pio.jsonable(embed_complex(z, a)) for a in range(1, upper)]
+    return [pio.jsonable(v) for v in all_embeddings(z)]
 
 
 # --- subcommand handlers: return (payload, ok) ----------------------------

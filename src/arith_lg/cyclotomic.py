@@ -579,7 +579,7 @@ def _berlekamp_massey(seq: list[CycloNum], p: int) -> CycloPoly:
     return CycloPoly(p, list(reversed(conn)))
 
 
-def linear_recurrence_reconstruct(c: Sequence, Kmax: int | None = None) -> RationalFunctionFit:
+def linear_recurrence_reconstruct(c: Sequence) -> RationalFunctionFit:
     """Reconstruct L(T) = exp(sum_k c_k T^k / k) as a rational function.
 
     Finds the unique reduced N(T)/D(T) with N(0) = D(0) = 1 matching the
@@ -593,8 +593,6 @@ def linear_recurrence_reconstruct(c: Sequence, Kmax: int | None = None) -> Ratio
     answer.
     """
     values = list(c)
-    if Kmax is not None:
-        values = values[:Kmax]
     if len(values) < 2:
         raise LengthTooShort("need at least two trace sums")
     p = None

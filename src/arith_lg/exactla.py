@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are tuples of row tuples of Fraction.  Subspaces of Q^n are
-represented by their reduced-row-echelon basis, which is canonical, so
-two subspaces are equal iff their representations are.  Everything here
+Matrices are tuples of row tuples of Fraction.  A subspace of Q^n is
+its reduced-row-echelon basis, which is canonical: two subspaces are
+equal iff their bases are (==), the dimension is len, and the basis is
+hashable.  That form is built once, by `subspace_basis`, `subspace_sum`
+and `subspace_intersect`; every subspace argument must be a value one
+of them returned, and nothing here reduces it again.  Everything here
 is small and dense; callers stay at desk scale.
 
 Fraction is the boundary type only.  Inside, `rref` eliminates
@@ -26,9 +29,8 @@ Mat = tuple[Vec, ...]
 
 __all__ = [
     "to_fractions", "rref", "rank", "nullspace", "solve",
-    "identity", "transpose", "mat_mul", "mat_vec", "mat_pow",
-    "subspace_basis", "subspace_sum", "subspace_intersect",
-    "subspace_contains", "subspace_equal", "subspace_dim",
+    "identity", "transpose", "mat_mul", "mat_vec",
+    "subspace_basis", "subspace_sum", "subspace_intersect", "subspace_contains",
 ]
 
 
@@ -156,18 +158,6 @@ def mat_vec(a: Mat, v: Sequence) -> Vec:
     return tuple(_frac(sum(map(mul, row, iv)), den) for row in ia)
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    out = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def subspace_basis(vectors: Iterable[Sequence]) -> Mat:
     """Canonical (RREF) basis of the span of the given row vectors."""
     m = to_fractions(vectors)
@@ -177,33 +167,29 @@ def subspace_basis(vectors: Iterable[Sequence]) -> Mat:
 
 
 def subspace_sum(b1: Mat, b2: Mat) -> Mat:
-    return subspace_basis(tuple(b1) + tuple(b2))
+    if not b1 or not b2:
+        return b1 or b2
+    return subspace_basis(b1 + b2)
 
 
 def subspace_intersect(b1: Mat, b2: Mat) -> Mat:
-    """Zassenhaus: reduce [[u|u]; [w|0]]; rows with zero left half carry
-    a basis of the intersection in their right half."""
+    """Zassenhaus: reduce [[u|u]; [w|0]]; the rows with zero left half
+    come last, and their right halves are the RREF basis of the
+    intersection."""
     if not b1 or not b2:
         return ()
     n = len(b1[0])
-    stacked = [tuple(u) + tuple(u) for u in b1] + [tuple(w) + (Fraction(0),) * n for w in b2]
-    red, _ = rref(to_fractions(stacked))
-    out = [row[n:] for row in red if not any(row[:n])]
-    return subspace_basis(out)
+    stacked = [u + u for u in b1] + [w + (_ZERO,) * n for w in b2]
+    red, _ = rref(stacked)
+    return tuple(row[n:] for row in red if not any(row[:n]))
 
 
 def subspace_contains(basis: Mat, v: Sequence) -> bool:
-    vv = tuple(Fraction(x) for x in v)
-    if not any(vv):
-        return True
-    if not basis:
-        return False
-    return len(rref(to_fractions(tuple(basis) + (vv,)))[0]) == len(basis)
-
-
-def subspace_equal(b1: Mat, b2: Mat) -> bool:
-    return subspace_basis(b1) == subspace_basis(b2)
-
-
-def subspace_dim(basis: Mat) -> int:
-    return len(subspace_basis(basis))
+    """v reduced at the pivot (first nonzero entry, a 1) of each basis
+    row is zero."""
+    rest = to_fractions((v,))[0]
+    for row in basis:
+        f = rest[next(i for i, x in enumerate(row) if x)]
+        if f:
+            rest = tuple(a - f * b for a, b in zip(rest, row))
+    return not any(rest)

@@ -12,7 +12,7 @@ tau_summed_trace is one such sum, with tau as an extra first coordinate.
 
 Each sum charges its torus points to the current budget scope and
 splits the enumeration into the scope's partition count of disjoint
-windows (budget.scope).  Sums are plain reductions over those windows,
+windows (budget.windows).  Sums are plain reductions over those windows,
 so any partition count gives identical results, exactly.
 """
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from . import budget
-from .budget import charge
+from .budget import charge, windows
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, ZeroTau
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
@@ -59,14 +58,9 @@ def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
     table = discrete_table(field)
     logs = [table.log(c) for c in poly.terms.values()]
     weights = list(poly.terms)
-    p = field.p
-    partitions = budget.partitions()
-    total = [0] * p
+    total = [0] * field.p
     zeros = 0
-    bounds = [npoints * i // partitions for i in range(partitions + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == hi:
-            continue
+    for lo, hi in windows(npoints):
         counts, z = table.window_counts(poly.n, logs, weights, lo, hi)
         total = [a + b for a, b in zip(total, counts)]
         zeros += z

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclotomic import (CycloNum, CycloPoly, char_poly_from_power_sums,
-                         embed_complex, linear_recurrence_reconstruct,
-                         validate_power_sums)
+from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
+                         char_poly_from_power_sums, embed_complex,
+                         linear_recurrence_reconstruct, validate_power_sums)
 from .errors import (InputError, NotNilpotent, RankMismatch, ToleranceExceeded,
                      VerificationError)
 from .exactla import (Mat, identity, mat_mul, mat_vec, nullspace,
-                      subspace_basis, subspace_contains, subspace_dim,
-                      subspace_intersect, subspace_sum, to_fractions, transpose)
+                      subspace_basis, subspace_contains, subspace_intersect,
+                      subspace_sum, to_fractions, transpose)
 from .expsum import family_sum, tau_summed_trace
 from .laurent import Deformation, check_nondegenerate, specialize
 from .polytope import normalized_volume
@@ -40,6 +40,7 @@ __all__ = [
 
 PURITY_TOL = 1e-6
 DEFAULT_MAX_RANK = 12
+NONDEGENERACY_DEPTH = 1  # extension degrees searched for degenerate faces
 
 
 def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
@@ -87,8 +88,7 @@ def _all_root_moduli(P: CycloPoly) -> list[float]:
     import numpy  # at call time: only the torus commands load numpy
 
     out = []
-    embeddings = range(1, P.p) if P.p > 2 else (1,)
-    for a in embeddings:
+    for a in range(1, P.p):
         coeffs = [embed_complex(c, a) for c in reversed(P.coeffs)]
         for root in numpy.roots(coeffs):
             out.append(abs(root))
@@ -123,8 +123,7 @@ def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
 
 
 def frobenius_report(D: Deformation, x: Sequence, tau, *,
-                     max_rank: int = DEFAULT_MAX_RANK,
-                     nondegeneracy_depth: int = 1, strict: bool = True,
+                     max_rank: int = DEFAULT_MAX_RANK, strict: bool = True,
                      tol: float = PURITY_TOL) -> FrobeniusReport:
     """Characteristic polynomial of Frobenius at (tau, x) with purity,
     determinant-norm, and duality verification.
@@ -157,7 +156,7 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
             warnings.append("Newton polytope collapsed at this parameter: "
                             "non-generic parameter")
         else:
-            verdict = check_nondegenerate(Fx, K=nondegeneracy_depth)
+            verdict = check_nondegenerate(Fx, K=NONDEGENERACY_DEPTH)
             if verdict.degenerate:
                 warnings.append(
                     f"degenerate face found at search depth {verdict.witness_degree}")
@@ -173,11 +172,8 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
     purity_ok = purity_dev < tol
 
     det_target = float(q) ** (n * r / 2)
-    det_vals = []
-    embeddings = range(1, base.p) if base.p > 2 else (1,)
-    for a in embeddings:
-        det_vals.append(abs(embed_complex(P.coefficient(0), a)))
-    det_dev = max(abs(v - det_target) / det_target for v in det_vals)
+    det_dev = max(abs(abs(v) - det_target) / det_target
+                  for v in all_embeddings(P.coefficient(0)))
     det_ok = det_dev < tol
 
     duality_ok = _proportional(_duality_transform(P, q ** n), P_inv)
@@ -277,14 +273,14 @@ class Filtration:
         out = {}
         prev = 0
         for kk, b in self.levels:
-            d = subspace_dim(b)
+            d = len(b)
             if d != prev:
                 out[kk] = d - prev
             prev = d
         return out
 
     def gr_dimension(self, k: int) -> int:
-        return subspace_dim(self.level(k)) - subspace_dim(self.level(k - 1))
+        return len(self.level(k)) - len(self.level(k - 1))
 
 
 def monodromy_filtration(Nmat) -> Filtration:
@@ -332,9 +328,9 @@ def monodromy_filtration(Nmat) -> Filtration:
             if not subspace_contains(basis, v):  # pragma: no cover
                 raise VerificationError("filtration is not increasing")
         prev = basis
-    if subspace_dim(levels[0][1]) != 0:  # pragma: no cover
+    if levels[0][1]:  # pragma: no cover
         raise VerificationError("filtration does not start at zero")
-    if subspace_dim(levels[-1][1]) != d:  # pragma: no cover
+    if len(levels[-1][1]) != d:  # pragma: no cover
         raise VerificationError("filtration does not exhaust the space")
     # re-verify: N lowers by two
     for k, basis in levels:
@@ -351,7 +347,7 @@ def monodromy_filtration(Nmat) -> Filtration:
         mk = filtration.level(k)
         mapped = subspace_basis([mat_vec(powers[k], v) for v in mk])
         below = filtration.level(-k - 1)
-        induced = subspace_dim(subspace_sum(mapped, below)) - subspace_dim(below)
+        induced = len(subspace_sum(mapped, below)) - len(below)
         if induced != gk:  # pragma: no cover
             raise VerificationError("N^k does not induce an isomorphism of gradeds")
     return filtration

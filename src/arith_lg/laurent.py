@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .budget import charge
+from .budget import charge, windows
 from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
@@ -381,24 +381,25 @@ def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
     live = [s for s in systems if s is not None]
     count = 0
     first = None
-    lo = 0
-    for chunks in zip(*(table.log_values(f.n, logs, weights, 0, npoints)
-                        for logs, weights in live)):
-        hits = chunks[0] < 0
-        for vals in chunks[1:]:
-            hits &= vals < 0
-        found = int(hits.sum())
-        if found and first is None:
-            index = lo + int(hits.argmax())
-            exps = []
-            for _ in range(f.n):
-                index, e = divmod(index, Q)
-                exps.append(e)
-            first = tuple(table.elem(e) for e in reversed(exps))
-            if not count_all:
-                return 1, first
-        count += found
-        lo += hits.size
+    for start, stop in windows(npoints):
+        lo = start
+        for chunks in zip(*(table.log_values(f.n, logs, weights, start, stop)
+                            for logs, weights in live)):
+            hits = chunks[0] < 0
+            for vals in chunks[1:]:
+                hits &= vals < 0
+            found = int(hits.sum())
+            if found and first is None:
+                index = lo + int(hits.argmax())
+                exps = []
+                for _ in range(f.n):
+                    index, e = divmod(index, Q)
+                    exps.append(e)
+                first = tuple(table.elem(e) for e in reversed(exps))
+                if not count_all:
+                    return 1, first
+            count += found
+            lo += hits.size
     return count, first
 
 

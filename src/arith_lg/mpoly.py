@@ -449,10 +449,6 @@ class RatFunc:
         o = self.t_order()
         return 0 if o is None else max(0, -o)
 
-    def regular_at_t0(self) -> bool:
-        o = self.t_order()
-        return o is None or o >= 0
-
     def eval_t0(self) -> "RatFunc":
         """Restriction to t = 0, as a t-free rational function."""
         o = self.t_order()

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from arith_lg.exactla import (identity, mat_mul, mat_pow, mat_vec, nullspace, rank,
-                              rref, solve, subspace_basis, subspace_contains,
-                              subspace_dim, subspace_equal, subspace_intersect,
-                              subspace_sum, to_fractions, transpose)
+from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rank, rref,
+                              solve, subspace_basis, subspace_contains,
+                              subspace_intersect, subspace_sum, to_fractions,
+                              transpose)
 
 
 def M(rows):
@@ -61,7 +61,10 @@ class TestSolveNullspace:
 class TestMatrixOps:
     def test_mul_and_pow(self):
         a = M([[1, 1], [0, 1]])
-        assert mat_pow(a, 5) == M([[1, 5], [0, 1]])
+        power = identity(2)
+        for _ in range(5):
+            power = mat_mul(power, a)
+        assert power == M([[1, 5], [0, 1]])
         assert mat_mul(a, identity(2)) == a
 
     def test_mat_vec(self):
@@ -75,14 +78,14 @@ class TestSubspaces:
     def test_canonical_basis_equality(self):
         b1 = subspace_basis([(1, 1, 0), (0, 0, 1)])
         b2 = subspace_basis([(1, 1, 1), (2, 2, 1)])
-        assert subspace_equal(b1, b2)
+        assert b1 == b2
 
     def test_sum_and_intersection_dims(self):
         u = subspace_basis([(1, 0, 0), (0, 1, 0)])
         w = subspace_basis([(0, 1, 0), (0, 0, 1)])
-        assert subspace_dim(subspace_sum(u, w)) == 3
+        assert len(subspace_sum(u, w)) == 3
         meet = subspace_intersect(u, w)
-        assert subspace_dim(meet) == 1
+        assert len(meet) == 1
         assert subspace_contains(meet, (0, 5, 0))
 
     def test_intersection_of_disjoint_lines(self):
@@ -105,8 +108,7 @@ class TestSubspaces:
     def test_modular_law_of_dimensions(self, rows_u, rows_w):
         u = subspace_basis(rows_u)
         w = subspace_basis(rows_w)
-        assert (subspace_dim(subspace_sum(u, w)) + subspace_dim(subspace_intersect(u, w))
-                == subspace_dim(u) + subspace_dim(w))
+        assert len(subspace_sum(u, w)) + len(subspace_intersect(u, w)) == len(u) + len(w)
 
     @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
                     min_size=1, max_size=3))

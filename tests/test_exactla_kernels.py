@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from arith_lg import exactla
 from arith_lg.exactla import (mat_mul, mat_vec, nullspace, rref, solve,
                               subspace_basis, subspace_contains,
-                              subspace_intersect)
+                              subspace_intersect, subspace_sum)
 
 
 # --- oracles: elimination and products over Q ---------------------------------
@@ -181,7 +181,25 @@ def test_subspace_contains_matches_oracle(mv, inside):
     basis = subspace_basis(m)
     if inside:  # a combination of the rows, so the answer is not always no
         v = [sum(row[j] for row in m) for j in range(len(v))]
-    got = subspace_contains(basis, v)
-    assert got == with_oracle(subspace_contains, basis, v)
+    # the rank test: v is in the span iff adding it keeps the rank
+    vv = tuple(Fraction(x) for x in v)
+    assert subspace_contains(basis, v) == (
+        len(oracle_rref(m + (vv,))[0]) == len(oracle_rref(m)[0]))
     if inside:
-        assert got
+        assert subspace_contains(basis, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(matrices(cols=n), matrices(cols=n),
+                        st.lists(ENTRY, min_size=n, max_size=n))))
+def test_subspace_results_are_canonical(mmv):
+    m1, m2, v = mmv
+    u, w = subspace_basis(m1), subspace_basis(m2)
+    meet, total = subspace_intersect(u, w), subspace_sum(u, w)
+    for b in (u, w, meet, total):
+        assert subspace_basis(b) == b
+        assert all_fractions(b)
+    vv = tuple(v)
+    assert subspace_contains(u, vv) == (len(rref(m1 + (vv,))[0]) == len(rref(m1)[0]))
+    assert len(meet) + len(total) == len(u) + len(w)

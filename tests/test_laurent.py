@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arith_lg import ffarray
 from arith_lg.budget import scope
 from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
                              TableMismatch, ZeroCoordinate)
@@ -394,6 +396,43 @@ def test_witness_is_first_common_zero(p, terms):
     for g in (f, fs):
         for k in (1, 2):
             assert critical_count(g, k) == len(brute_common_zeros(g, k))
+
+
+@pytest.fixture
+def search_windows(monkeypatch):
+    """The [start, stop) window of every kernel call, one per live derivative."""
+    calls = []
+    real = ffarray.DiscreteTable.log_values
+
+    def counting(self, n, logs, weights, start, stop):
+        calls.append((start, stop))
+        return real(self, n, logs, weights, start, stop)
+
+    monkeypatch.setattr(ffarray.DiscreteTable, "log_values", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p,terms", DEGENERATE)
+def test_search_splits_into_scope_windows(search_windows, p, terms):
+    # --threads N promises N disjoint windows for every enumeration, and
+    # the same witness and count whatever N is
+    f = LaurentPoly(len(terms[0][0]), terms, make_field(p, 1))
+    live = sum(1 for i in range(1, f.n + 1) if log_derivative(f, i))
+    npoints = (p * p - 1) ** f.n
+    results = set()
+    for partitions in (1, 2, 3):
+        search_windows.clear()
+        with scope(partitions=partitions):
+            count = critical_count(f, 2)
+            windows = Counter(search_windows)
+            verdict = check_nondegenerate(f)
+        assert set(windows.values()) <= {live}
+        assert len(windows) == (partitions if live else 0)
+        edges = sorted(windows)
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert not edges or (edges[0][0], edges[-1][1]) == (0, npoints)
+        results.add((count, verdict.witness, verdict.witness_degree))
+    assert len(results) == 1
 
 
 class TestCriticalCount:

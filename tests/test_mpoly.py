@@ -159,8 +159,13 @@ class TestRatFunc:
         assert RatFunc(MPoly(NV)).t_pole_order() == 0
 
     def test_regularity(self):
-        assert RatFunc(x, c(1) + x).regular_at_t0()
-        assert not RatFunc(x, t).regular_at_t0()
+        # regular along t = 0 means t_order >= 0, and only then eval_t0 works
+        regular = RatFunc(x, c(1) + x)
+        assert regular.t_order() == 0
+        assert regular.eval_t0() == regular
+        assert RatFunc(x, t).t_order() == -1
+        with pytest.raises(InputError):
+            RatFunc(x, t).eval_t0()
 
     def test_mixed_denominator_rejected(self):
         f = RatFunc(c(1), t + x)
