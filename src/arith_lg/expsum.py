@@ -67,9 +67,13 @@ def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
     return total, zeros
 
 
-def _counts_to_cyclo(counts: list[int], p: int, psi_power: int) -> CycloNum:
+def _check_psi_power(psi_power: int, p: int) -> None:
+    """Refuse a character power that is not a unit mod p, before any work."""
     if psi_power % p == 0:
         raise BadIndex("character power must be a unit mod p")
+
+
+def _counts_to_cyclo(counts: list[int], p: int, psi_power: int) -> CycloNum:
     acc = [0] * p
     for v, c in enumerate(counts):
         if c:
@@ -103,6 +107,7 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
     the extension itself, or as integers.  psi_power=-1 computes the sum
     for the inverse character.
     """
+    _check_psi_power(psi_power, D.base.field.p)
     ext = extension_field(D.base.field, k)
     poly = _specialized(D, ext, tau, x)
     counts, _ = _torus_reduce(poly)
@@ -115,6 +120,7 @@ def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
     monomial list; zero entries of y drop out."""
     if len(y) != len(table.points):
         raise InputError(f"expected {len(table.points)} coefficients, got {len(y)}")
+    _check_psi_power(psi_power, field.p)
     ext = extension_field(field, k)
     n = len(table.points[0]) if table.points else 0
     terms = []

@@ -1,5 +1,10 @@
 """The numpy layer of the finite fields: int64 coordinate rows, discrete-log
-tables and the log-domain torus kernel.
+tables, the embedding root search and the log-domain torus kernel.
+
+Both pieces of field set-up walk the powers of one element in blocks of
+coordinate rows (_power_blocks): the table walks the powers of the
+generator g, the root search those of the generator of a subfield's
+units.
 
 This is the only module that imports numpy.  ffield reaches it at call
 time, when it builds a table (ffield.discrete_table) or searches for
@@ -52,93 +57,78 @@ def _mul_rows(a: numpy.ndarray, b: numpy.ndarray, reduce_rows: numpy.ndarray,
     return prod % p @ reduce_rows % p
 
 
+# points per kernel chunk and rows per power block; the kernel's scratch
+# arrays hold (#terms + 4) x 4096 int64
+TORUS_CHUNK = 4096
+
+
+def _power_blocks(field: FieldSpec, h: FqElem, count: int) -> Iterator[numpy.ndarray]:
+    """Coordinate rows of h^0 .. h^(count - 1), in order, in blocks of at
+    most TORUS_CHUNK rows.
+
+    Multiplication by h^k is an m x m matrix over F_p acting on rows: the
+    rows of h^0 .. h^(B-1) come by doubling (B = min(TORUS_CHUNK, count)),
+    and each next block of B powers is the previous block times the
+    matrix of h^B.  Fields whose coordinate products could overflow int64
+    raise InputError at the call, before the caller allocates anything.
+    """
+    p, m = field.p, field.m
+    _require_exact_int64(p, m)
+    reduce_rows = _reduction_rows(field)
+    eye = numpy.eye(m, dtype=numpy.int64)
+
+    def mul_matrix(v: numpy.ndarray) -> numpy.ndarray:
+        return _mul_rows(eye, numpy.tile(v, (m, 1)), reduce_rows, p)
+
+    size = min(TORUS_CHUNK, count)
+    mul_h = mul_matrix(numpy.array(h.coords, dtype=numpy.int64))
+    block, step = eye[:1], mul_h
+    while len(block) < size:
+        block = numpy.concatenate([block, block @ step % p])
+        step = step @ step % p
+    step = mul_matrix(block[size - 1] @ mul_h % p)
+
+    def walk(block: numpy.ndarray) -> Iterator[numpy.ndarray]:
+        for lo in range(0, count, size):
+            if lo:
+                block = block @ step % p
+            yield block[:count - lo]
+
+    return walk(block[:size])
+
+
 # --------------------------------------------------------------------------
 # embedding root search
 
-def _subfield_basis(target: FieldSpec, a: int) -> numpy.ndarray:
-    """An F_p-basis (rows of coordinates) of the subfield of order p^a.
-
-    Computed as the kernel of Frobenius^a - id, an F_p-linear map.
-    """
-    p, m = target.p, target.m
-    # columns: (X^j)^(p^a) - X^j for each basis monomial
-    cols = []
-    for j in range(m):
-        b = target.element(tuple(1 if i == j else 0 for i in range(m)))
-        img = b ** (p ** a) - b
-        cols.append(list(img.coords))
-    # kernel of the m x m matrix over F_p by Gaussian elimination
-    mat = [[cols[j][i] for j in range(m)] for i in range(m)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(m):
-        sel = None
-        for r in range(row, m):
-            if mat[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [v * inv % p for v in mat[row]]
-        for r in range(m):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(v - f * w) % p for v, w in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = numpy.zeros((len(free), m), dtype=numpy.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = -mat[r][fc] % p
-    return basis
-
-
-# subfield elements per root-search chunk; smaller than TORUS_CHUNK because
-# a product holds (2m - 1) int64 per element, and m reaches 24 here
-ROOT_CHUNK = 1024
-
-
 def _roots_in(modulus: tuple[int, ...], source_degree: int,
               target: FieldSpec) -> list[FqElem]:
-    """All roots of the (degree source_degree, F_p-coefficient) modulus
-    inside the target field, in the order of the subfield enumeration.
+    """All roots of the monic irreducible modulus (F_p coefficients, degree
+    a = source_degree >= 2) inside the target field, in the order of the
+    powers of w = g^((q - 1) / (p^a - 1)), g the target's generator.
 
-    The subfield of order p^source_degree is enumerated in chunks of
-    ROOT_CHUNK elements: element number i is the base-p digits of i (first
-    basis row most significant) times the kernel basis.  The modulus is
-    evaluated on a whole chunk by Horner's rule in coordinates.
+    The roots lie in the subfield of order p^a and are units, so they are
+    among the powers w^0 .. w^(p^a - 2) of the generator w of that
+    subfield's units.  The modulus is evaluated on each block of powers
+    by Horner's rule in coordinates.
     """
-    p, m = target.p, target.m
-    _require_exact_int64(p, m)
-    basis = _subfield_basis(target, source_degree)
+    p = target.p
+    count = p ** source_degree - 1
+    w = multiplicative_generator(target) ** ((target.q - 1) // count)
     reduce_rows = _reduction_rows(target)
-    count = p ** len(basis)
-    place = p ** numpy.arange(len(basis) - 1, -1, -1, dtype=numpy.int64)
     roots = []
-    for lo in range(0, count, ROOT_CHUNK):
-        idx = numpy.arange(lo, min(lo + ROOT_CHUNK, count), dtype=numpy.int64)
-        z = (idx[:, None] // place % p) @ basis % p
+    for z in _power_blocks(target, w, count):
         # the modulus is monic: start Horner's rule at z + c_(a-1)
         val = z.copy()
         val[:, 0] = (val[:, 0] + modulus[-2]) % p
         for c in reversed(modulus[:-2]):
             val = _mul_rows(val, z, reduce_rows, p)
             val[:, 0] = (val[:, 0] + c) % p
-        for coords in z[~val.any(axis=1)].tolist():
-            roots.append(FqElem(target, tuple(coords)))
+        roots.extend(FqElem(target, tuple(coords)) for coords in z[~val.any(axis=1)].tolist())
     return roots
 
 
 # --------------------------------------------------------------------------
 # discrete log / Zech tables and the log-domain torus kernel
-
-# points per kernel chunk; the scratch arrays hold (#terms + 4) x 4096 int64
-TORUS_CHUNK = 4096
-
 
 class DiscreteTable:
     """Log-domain tables for one field, and the torus kernel that runs on
@@ -154,11 +144,9 @@ class DiscreteTable:
     * trace_by_exp[e] = Tr(g^e) for e < q - 1, plus one last entry 0,
       the trace of zero, so that trace_by_exp[-1] covers the -1 marker.
 
-    exp_enc is built in F_p-linear algebra on coordinate rows:
-    multiplication by g^k is an m x m matrix, the rows of g^0 .. g^(B-1)
-    come by doubling (B = min(TORUS_CHUNK, q - 1)), and each next block
-    of B powers is the previous block times the matrix of g^B.
-    Fields whose coordinate products could overflow int64 raise InputError.
+    exp_enc is filled block by block from _power_blocks, the coordinate
+    rows of the powers of g.  Fields whose coordinate products could
+    overflow int64 raise InputError.
     Construction is not charged here: ffield.discrete_table charges it.
     """
 
@@ -169,31 +157,15 @@ class DiscreteTable:
         q = field.q
         self.q = q
         p, m = field.p, field.m
-        _require_exact_int64(p, m)
         g = multiplicative_generator(field)
         self.g = g
-        # multiplication by h is the F_p-linear map v -> v @ M_h on rows
-        reduce_rows = _reduction_rows(field)
-        eye = numpy.eye(m, dtype=numpy.int64)
-
-        def mul_matrix(h: numpy.ndarray) -> numpy.ndarray:
-            return _mul_rows(eye, numpy.tile(h, (m, 1)), reduce_rows, p)
-
-        # rows g^0 .. g^(B-1) by doubling, then one block of B at a time
-        size = min(TORUS_CHUNK, q - 1)
-        mul_g = mul_matrix(numpy.array(g.coords, dtype=numpy.int64))
-        block, step = eye[:1], mul_g
-        while len(block) < size:
-            block = numpy.concatenate([block, block @ step % p])
-            step = step @ step % p
-        block = block[:size]
-        step = mul_matrix(block[-1] @ mul_g % p)
+        blocks = _power_blocks(field, g, q - 1)  # the int64 check runs here
         weights = p ** numpy.arange(m, dtype=numpy.int64)
         exp_enc = numpy.empty(q - 1, dtype=numpy.int64)
-        for lo in range(0, q - 1, size):
-            hi = min(lo + size, q - 1)
-            exp_enc[lo:hi] = block[:hi - lo] @ weights
-            block = block @ step % p
+        lo = 0
+        for block in blocks:
+            exp_enc[lo:lo + len(block)] = block @ weights
+            lo += len(block)
         log_by_enc = numpy.full(q, -1, dtype=numpy.int64)
         log_by_enc[exp_enc] = numpy.arange(q - 1, dtype=numpy.int64)
         self.exp_enc = exp_enc

@@ -12,18 +12,20 @@ Conventions
   plain modular arithmetic.
 * Embeddings are deterministic and history-free: the image depends only
   on the two fields.  Canonical fields embed by one compatible-root rule
-  on the maximal subfields of the target (a vectorised root search in
-  each), so composing embeddings along any tower agrees with the direct
-  embedding; other moduli pass through a fixed isomorphism.
+  on the maximal subfields of the target (a vectorised root search among
+  the powers of each subfield's unit generator), so composing embeddings
+  along any tower agrees with the direct embedding; other moduli pass
+  through a fixed isomorphism.
 * The multiplicative group is enumerated in generator-power order: the
   canonical generator g is the first element in coefficient-lex order
   whose multiplicative order is q - 1, and (F_q^*)^n is walked as an
   odometer over exponent vectors with the last axis fastest.  The order
   is part of the contract; partitioned consumers recombine exactly.
 * This module is pure Python.  The numpy layer (discrete-log tables, the
-  torus kernel, the root search behind embed) lives in ffarray, which is
-  imported at call time by discrete_table and by the embedding root
-  search; both charge their work to the budget here.
+  torus kernel, the root search behind embed, both set-ups walking the
+  powers of one element in blocks) lives in ffarray, which is imported
+  at call time by discrete_table and by the embedding root search; both
+  charge their work to the budget here.
 """
 
 from __future__ import annotations
@@ -182,25 +184,6 @@ def _pextgcd(a, b, p):
     return r0, u0, v0
 
 
-def _pgcd(a, b, p):
-    r0, r1 = _pnorm(a), _pnorm(b)
-    while r1:
-        _, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = tuple(c * inv % p for c in r0)
-    return r0
-
-
-def _x_pow_p_iter(p: int, k: int, f) -> tuple[int, ...]:
-    """x^(p^k) mod f via k successive p-th powers."""
-    r: tuple[int, ...] = (0, 1)
-    for _ in range(k):
-        r = _ppowmod(r, p, f, p)
-    return r
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -226,12 +209,14 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
-    if _minus_x(_x_pow_p_iter(p, m, f), p):
+    # frob[k] = x^(p^k) mod f, by successive p-th powers
+    frob: list[tuple[int, ...]] = [(0, 1)]
+    for _ in range(m):
+        frob.append(_ppowmod(frob[-1], p, f, p))
+    if _minus_x(frob[m], p):
         return False  # x^(p^m) != x mod f
-    for ell in _prime_factors(m):
-        if _pgcd(_minus_x(_x_pow_p_iter(p, m // ell, f), p), f, p) != (1,):
-            return False
-    return True
+    return all(_pextgcd(_minus_x(frob[m // ell], p), f, p)[0] == (1,)
+               for ell in _prime_factors(m))
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +459,10 @@ def trace_to_prime(a: FqElem) -> int:
 
 def _roots(modulus: tuple[int, ...], source_degree: int,
            target: FieldSpec) -> list[FqElem]:
-    """The roots of the modulus in the target, in the order of
-    ffarray._roots_in's subfield enumeration, charged to the budget."""
+    """The roots of the (degree source_degree >= 2, irreducible) modulus in
+    the target, in no order callers rely on: they sort them or pick the
+    one that fits.  Charged to the budget as p^source_degree subfield
+    elements."""
     charge("subfield enumeration for embedding", target.p ** source_degree)
     from .ffarray import _roots_in  # numpy loads here, at the first search
     return _roots_in(modulus, source_degree, target)
@@ -591,11 +578,11 @@ def multiplicative_generator(field: FieldSpec) -> FqElem:
     q = field.q
     factors = _prime_factors(q - 1)
     cofactors = [(q - 1) // ell for ell in factors]
-    for coords in itertools.product(range(field.p), repeat=field.m):
-        # lex order over (c0, c1, ...); skip zero
-        if not any(coords):
-            continue
-        cand = field.element(coords)
+    p, m = field.p, field.m
+    # lex order over (c0, c1, ...), c0 the top base-p digit of the code,
+    # decoded one code at a time so that no field is materialised
+    for code in range(1, q):
+        cand = field.element([code // p ** (m - 1 - i) % p for i in range(m)])
         if all((cand ** cof) != 1 for cof in cofactors):
             return cand
     raise InputError("no generator found")  # pragma: no cover

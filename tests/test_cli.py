@@ -144,6 +144,13 @@ class TestExpsum:
         assert code == 2
         assert "nonzero" in out
 
+    def test_bad_character_power_is_input_error_before_work(self, files, capsys):
+        # rejected before the budget sees the table or the torus
+        code, out = run(capsys, "expsum", files["k5"], "--tau", "1",
+                        "--psi-power", "5", "--budget", "1")
+        assert code == 2
+        assert "character power" in out
+
     def test_budget_flag(self, files, capsys):
         code, out = run(capsys, "expsum", files["k5"], "--tau", "1",
                         "--budget", "2")

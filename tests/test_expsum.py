@@ -164,6 +164,12 @@ class TestFamilySum:
         with pytest.raises(BadIndex):
             family_sum(D, 1, F5.from_int(1), (F5.from_int(0),), psi_power=5)
 
+    def test_character_power_rejected_before_any_work(self):
+        # a budget of 1 covers neither the table nor the torus
+        D = kloosterman(F5)
+        with pytest.raises(BadIndex), scope(budget=1):
+            family_sum(D, 1, F5.from_int(1), (F5.from_int(0),), psi_power=5)
+
     def test_budget_enforced(self):
         D = kloosterman(F5)
         with pytest.raises(BudgetExceeded), scope(budget=10):
@@ -225,6 +231,13 @@ class TestGkzSum:
         table = monomial_table(D)
         with pytest.raises(InputError):
             gkz_sum(table, F5, 1, (F5.from_int(1),))
+
+    def test_character_power_rejected_before_any_work(self):
+        D = kloosterman(F5)
+        table = monomial_table(D)
+        one = F5.from_int(1)
+        with pytest.raises(BadIndex), scope(budget=1):
+            gkz_sum(table, F5, 1, (one, one, F5.from_int(0)), psi_power=10)
 
 
 class TestZeroCountAndTraceSum:

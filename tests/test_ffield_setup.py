@@ -1,12 +1,13 @@
-"""Field set-up: discrete-log tables, embedding root searches, and the
-embedding coordinates they lead to.
+"""Field set-up: power blocks, discrete-log tables, embedding root
+searches, and the embedding coordinates they lead to.
 
-DiscreteTable and _roots_in in ffarray work on numpy coordinate rows; here
-they are checked against plain FqElem arithmetic, with the block and
-chunk constants shrunk so that boundaries fall mid-range.  The embedding
-pins hold the coordinates embed gives in a fresh process, and the same
-coordinates come out step by step along fixed tower sequences in one
-process.
+_power_blocks in ffarray walks the powers of one element in blocks of
+numpy coordinate rows, and DiscreteTable and _roots_in both take their
+rows from it; here all three are checked against plain FqElem
+arithmetic, with TORUS_CHUNK, the block size, shrunk so that block
+boundaries fall mid-range.  The embedding pins hold the coordinates embed
+gives in a fresh process, and the same coordinates come out step by step
+along fixed tower sequences in one process.
 """
 
 import json
@@ -21,7 +22,7 @@ from arith_lg import ffarray
 from arith_lg.budget import scope
 from arith_lg.errors import InputError
 from arith_lg.ffarray import DiscreteTable
-from arith_lg.ffield import embed, make_field, multiplicative_generator
+from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -40,6 +41,27 @@ def walk_encodings(field):
 # F_{2^13} has q - 1 = 8191 prime; F_12289 has q - 1 = 3 * 4096; F_29 has
 # q - 1 = 4 * 7 and F_8 has q - 1 = 7
 TABLE_FIELDS = [(2, 13), (3, 7), (5, 5), (7919, 1), (2, 2), (12289, 1), (29, 1), (2, 3)]
+
+
+# a prime field, a canonical extension and a field_from_modulus field
+POWER_FIELDS = {"F29": make_field(29, 1), "F243": make_field(3, 5),
+                "K64": field_from_modulus(2, (1, 0, 0, 0, 0, 1, 1))}
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("name", sorted(POWER_FIELDS))
+def test_power_blocks_are_the_powers(monkeypatch, name, block):
+    if block is not None:
+        monkeypatch.setattr(ffarray, "TORUS_CHUNK", block)
+    field = POWER_FIELDS[name]
+    g = multiplicative_generator(field)
+    # 50 is a multiple of neither 7 nor the default block size
+    for h, count in [(g, field.q - 1), (g ** 3, 50), (g, 1)]:
+        blocks = list(ffarray._power_blocks(field, h, count))
+        assert all(len(b) == min(ffarray.TORUS_CHUNK, count) for b in blocks[:-1])
+        assert 0 < len(blocks[-1]) <= ffarray.TORUS_CHUNK
+        rows = [tuple(r) for b in blocks for r in b.tolist()]
+        assert rows == [(h ** k).coords for k in range(count)]
 
 
 @pytest.mark.parametrize("block", [None, 7])
@@ -65,12 +87,15 @@ def brute_roots(modulus, target):
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-@pytest.mark.parametrize("p,a,L", [(2, 4, 8), (2, 6, 12), (3, 2, 6), (3, 4, 8), (5, 2, 4)])
+@pytest.mark.parametrize("p,a,L", [(2, 4, 8), (2, 6, 12), (3, 2, 6), (3, 4, 8), (5, 2, 4),
+                                   # L given as the modulus of a field_from_modulus target
+                                   pytest.param(2, 3, (1, 0, 0, 0, 0, 1, 1), id="2-3-K64"),
+                                   pytest.param(3, 2, (1, 0, 1, 1, 1), id="3-2-K81")])
 def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
     if chunk is not None:
-        monkeypatch.setattr(ffarray, "ROOT_CHUNK", chunk)
+        monkeypatch.setattr(ffarray, "TORUS_CHUNK", chunk)
     modulus = make_field(p, a).modulus
-    target = make_field(p, L)
+    target = make_field(p, L) if isinstance(L, int) else field_from_modulus(p, L)
     roots = ffarray._roots_in(modulus, a, target)
     assert sorted(r.coords for r in roots) == sorted(r.coords for r in brute_roots(modulus, target))
     assert len(roots) == a
