@@ -8,9 +8,10 @@ against an exhaustive oracle, and determinism under partitioned
 enumeration.
 
 Each criterion returns a CriterionResult whose payload carries the
-exact values it computed (already JSON-compatible), so the determinism
-criterion can compare independent runs byte for byte.  Every stated
-runtime limit is enforced, not just reported.
+exact values it computed as library values.  The determinism criterion
+serializes the payloads with problemio.jsonable and compares
+independent runs byte for byte.  Every stated runtime limit is
+enforced, not just reported.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def _triple_point() -> Deformation:
 
 def _report_payload(report) -> dict:
     return {
-        "char_poly": pio.jsonable(report.char_poly),
-        "power_sums": pio.jsonable(list(report.power_sums)),
+        "char_poly": report.char_poly,
+        "power_sums": report.power_sums,
         "report_flags": [report.consistency_ok, report.purity_ok,
                          report.determinant_ok, report.duality_ok],
     }
@@ -170,9 +171,9 @@ def criterion_3() -> CriterionResult:
         transformed = _dual_transform(report.char_poly, q ** n)
         inverse_char = report.char_poly.conj_coeffs(D.base.field.p - 1)
         payload[label] = {
-            "char_poly": pio.jsonable(report.char_poly),
-            "transformed": pio.jsonable(transformed),
-            "inverse_character": pio.jsonable(inverse_char),
+            "char_poly": report.char_poly,
+            "transformed": transformed,
+            "inverse_character": inverse_char,
             "proportional": _proportional(transformed, inverse_char),
             "report_duality_ok": report.duality_ok,
         }
@@ -208,10 +209,10 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     report = family_l_function(_kloosterman(3), (), 8)
     payload = {
-        "numerator": pio.jsonable(report.numerator),
-        "denominator": pio.jsonable(report.denominator),
-        "minus_chi_c": pio.jsonable(report.minus_chi_c),
-        "trace_sums": pio.jsonable(list(report.trace_sums)),
+        "numerator": report.numerator,
+        "denominator": report.denominator,
+        "minus_chi_c": report.minus_chi_c,
+        "trace_sums": report.trace_sums,
         "flags": [report.swan_bound_ok, report.stable],
     }
     num = report.numerator
@@ -273,7 +274,7 @@ def criterion_5() -> CriterionResult:
         S_neg = family_sum(D, k, -tau, x)
         if S_inv == conj_sigma(S, -1) == S_neg:
             pullback_agree += 1
-        sums.append(pio.jsonable(S))
+        sums.append(S)
     payload = {"sums": sums, "agree": agree, "pullback_agree": pullback_agree,
                "trials": len(trials)}
     ok = (payload["trials"] == 100 and payload["agree"] == 100
@@ -299,7 +300,7 @@ def criterion_6() -> CriterionResult:
     max_abs = 0.0
     for (tau,) in enumerate_torus(F25, 1):
         S = family_sum(D, 2, tau, ())
-        sums.append(pio.jsonable(S))
+        sums.append(S)
         for a in range(1, 5):
             max_abs = max(max_abs, abs(embed_complex(S, a)))
     payload = {"sums": sums, "max_abs": max_abs}
@@ -563,8 +564,7 @@ def criterion_8() -> CriterionResult:
             mismatches += 1
     for sizes in ((2,), (2, 1), (3,)):
         filt = monodromy_filtration(_jordan(sizes))
-        jumps["+".join(map(str, sizes))] = {str(k): pio.jsonable(v)
-                                            for k, v in filt.jumps.items()}
+        jumps["+".join(map(str, sizes))] = {str(k): v for k, v in filt.jumps.items()}
     payload = {"tested": tested, "mismatches": mismatches, "jumps": jumps}
     ok = mismatches == 0 and tested == 494
     details = (f"{tested} nilpotent matrices (all of dimension <= 3 over "
@@ -589,7 +589,8 @@ def criterion_9() -> CriterionResult:
         blobs = {}
         for P in (1, 2, 8):
             with scope(partitions=P):
-                blobs[P] = json.dumps(crit().payload, sort_keys=True).encode()
+                blobs[P] = json.dumps(pio.jsonable(crit().payload),
+                                      sort_keys=True).encode()
         digests[label] = {str(P): len(blob) for P, blob in blobs.items()}
         stable.append(blobs[1] == blobs[2] == blobs[8])
     payload = {"stable": dict(zip(labels, stable)), "byte_lengths": digests}

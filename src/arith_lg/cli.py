@@ -54,11 +54,7 @@ def _point(args, pf: pio.ProblemFile):
     return pio.parse_point_arg(raw, pf.field, pf.m)
 
 
-def _embeddings(z):
-    return [pio.jsonable(v) for v in all_embeddings(z)]
-
-
-# --- subcommand handlers: return (payload, ok) ----------------------------
+# --- subcommand handlers: return (payload of library values, ok) -----------
 
 def _cmd_analyze_polytope(args):
     pf = _load_problem(args)
@@ -66,14 +62,14 @@ def _cmd_analyze_polytope(args):
     payload = {
         "command": "analyze-polytope",
         "degenerate": P.degenerate,
-        "vertices": pio.jsonable([list(v) for v in P.vertices]),
+        "vertices": P.vertices,
     }
     if not P.degenerate:
-        payload["facets"] = pio.jsonable(
-            [{"normal": list(nrm), "offset": c} for nrm, c in P.facets])
+        payload["facets"] = [{"normal": nrm, "offset": c}
+                             for nrm, c in P.facets]
         payload["convenient"] = is_convenient(P)
-        payload["normalized_volume"] = pio.jsonable(normalized_volume(P))
-        payload["face_count"] = pio.jsonable(len(all_proper_faces(P)))
+        payload["normalized_volume"] = normalized_volume(P)
+        payload["face_count"] = len(all_proper_faces(P))
     return payload, True
 
 
@@ -85,16 +81,15 @@ def _cmd_check_nondegenerate(args):
         verdict = check_nondegenerate(Fx, K=args.depth)
     payload = {
         "command": "check-nondegenerate",
-        "x": pio.jsonable(list(x)),
+        "x": x,
         "kind": verdict.kind,
         "conclusive": verdict.conclusive,
-        "checked_up_to": pio.jsonable(verdict.checked_up_to),
+        "checked_up_to": verdict.checked_up_to,
     }
     if verdict.degenerate:
-        payload["witness"] = pio.jsonable(list(verdict.witness))
-        payload["witness_degree"] = pio.jsonable(verdict.witness_degree)
-        payload["face_generators"] = pio.jsonable(
-            [list(w) for w in verdict.face.generators])
+        payload["witness"] = verdict.witness
+        payload["witness_degree"] = verdict.witness_degree
+        payload["face_generators"] = verdict.face.generators
     return payload, not verdict.degenerate
 
 
@@ -111,14 +106,14 @@ def _cmd_expsum(args):
     q = pf.field.q
     bound = r * float(q) ** (args.k * base.n / 2)
     tol = pf.tolerance if pf.tolerance is not None else 1e-6
-    embeddings = _embeddings(S)
-    amax = max((abs(complex(e["re"], e["im"])) for e in embeddings), default=0.0)
+    embeddings = all_embeddings(S)
+    amax = max((abs(e) for e in embeddings), default=0.0)
     payload = {
         "command": "expsum",
-        "k": pio.jsonable(args.k),
-        "tau": pio.jsonable(tau),
-        "x": pio.jsonable(list(x)),
-        "exact": pio.jsonable(S),
+        "k": args.k,
+        "tau": tau,
+        "x": x,
+        "exact": S,
         "embeddings": embeddings,
         "bound": bound,
         "max_abs": amax,
@@ -133,30 +128,11 @@ def _cmd_frobenius(args):
     x = _point(args, pf)
     tol = pf.tolerance if pf.tolerance is not None else PURITY_TOL
     with _scope(args, pf):
-        report = frobenius_report(pf.deformation, x, tau, strict=False, tol=tol)
+        report = frobenius_report(pf.deformation, x, tau, tol=tol)
     ok = (report.consistency_ok and report.purity_ok
           and report.determinant_ok and report.duality_ok)
-    payload = {
-        "command": "frobenius",
-        "tau": pio.jsonable(tau),
-        "x": pio.jsonable(list(x)),
-        "q": pio.jsonable(report.q),
-        "n": pio.jsonable(report.n),
-        "rank": pio.jsonable(report.rank),
-        "weight": pio.jsonable(report.weight),
-        "char_poly": pio.jsonable(report.char_poly),
-        "char_poly_inverse_character": pio.jsonable(
-            report.char_poly_inverse_character),
-        "power_sums": pio.jsonable(list(report.power_sums)),
-        "consistency_ok": report.consistency_ok,
-        "purity_max_rel_dev": report.purity_max_rel_dev,
-        "purity_ok": report.purity_ok,
-        "determinant_max_rel_dev": report.determinant_max_rel_dev,
-        "determinant_ok": report.determinant_ok,
-        "duality_ok": report.duality_ok,
-        "warnings": list(report.warnings),
-    }
-    return payload, ok
+    # report fields are document keys, in field order for the text form
+    return {"command": "frobenius", **vars(report)}, ok
 
 
 def _cmd_l_function(args):
@@ -165,19 +141,7 @@ def _cmd_l_function(args):
     with _scope(args, pf):
         report = family_l_function(pf.deformation, x, args.kmax)
     ok = report.swan_bound_ok and report.stable
-    payload = {
-        "command": "l-function",
-        "x": pio.jsonable(list(x)),
-        "numerator": pio.jsonable(report.numerator),
-        "denominator": pio.jsonable(report.denominator),
-        "minus_chi_c": pio.jsonable(report.minus_chi_c),
-        "rank": pio.jsonable(report.rank),
-        "swan_bound_ok": report.swan_bound_ok,
-        "stable": report.stable,
-        "trace_sums": pio.jsonable(list(report.trace_sums)),
-        "warnings": list(report.warnings),
-    }
-    return payload, ok
+    return {"command": "l-function", "x": x, **vars(report)}, ok
 
 
 def _cmd_verify_connection(args):
@@ -187,11 +151,11 @@ def _cmd_verify_connection(args):
     payload = {
         "command": "verify-connection",
         "flat": flat,
-        "poincare_rank": pio.jsonable(rank),
+        "poincare_rank": rank,
     }
     if flat and rank <= 0:
         lr = log_restriction(A)
-        payload["residue"] = pio.jsonable(lr.residue)
+        payload["residue"] = lr.residue
         payload["residue_horizontal"] = lr.residue_horizontal
     elif flat and rank == 1:
         try:
@@ -199,8 +163,8 @@ def _cmd_verify_connection(args):
         except WrongRank:
             pass
         else:
-            payload["higgs"] = pio.jsonable(list(rr.higgs))
-            payload["r0"] = pio.jsonable(rr.r0)
+            payload["higgs"] = rr.higgs
+            payload["r0"] = rr.r0
             payload["higgs_squares_zero"] = rr.higgs_squares_zero
             payload["higgs_commutes_r0"] = rr.higgs_commutes_r0
     if flat:
@@ -210,7 +174,7 @@ def _cmd_verify_connection(args):
             payload["logarithmic_at_infinity"] = False
         else:
             payload["logarithmic_at_infinity"] = True
-            payload["residue_at_infinity"] = pio.jsonable(res_inf)
+            payload["residue_at_infinity"] = res_inf
     return payload, flat
 
 
@@ -218,20 +182,10 @@ def _cmd_verify_fts(args):
     T = pio.parse_fts_tuple(pio.load_json_file(args.tuple), args.tuple)
     report = verify_fts(T)
     ok = report.all_conditions_ok
-    payload = {
-        "command": "verify-fts",
-        "conditions": {name: bool(v) for name, v in report.conditions.items()},
-        "all_conditions_ok": report.all_conditions_ok,
-        "assembled_flat": report.assembled_flat,
-    }
+    payload = {"command": "verify-fts", **vars(report)}
     if T.g is not None:
         mr = verify_metric(T)
-        payload["metric"] = {
-            "higgs_self_adjoint": mr.higgs_self_adjoint,
-            "r0_self_adjoint": mr.r0_self_adjoint,
-            "rinf_skew_adjoint": mr.rinf_skew_adjoint,
-            "pairing_flat": mr.pairing_flat,
-        }
+        payload["metric"] = vars(mr)
         ok = ok and mr.all_ok
     return payload, ok
 
@@ -241,11 +195,9 @@ def _cmd_monodromy(args):
     filt = monodromy_filtration(N)
     payload = {
         "command": "monodromy",
-        "dim": pio.jsonable(filt.dim),
-        "levels": [{"k": pio.jsonable(k),
-                    "dim": pio.jsonable(len(basis))}
-                   for k, basis in filt.levels],
-        "jumps": {str(k): pio.jsonable(d) for k, d in filt.jumps.items()},
+        "dim": filt.dim,
+        "levels": [{"k": k, "dim": len(basis)} for k, basis in filt.levels],
+        "jumps": {str(k): d for k, d in filt.jumps.items()},
     }
     return payload, True
 
@@ -257,7 +209,7 @@ def _cmd_acceptance(args):
     payload = {
         "command": "acceptance",
         "criteria": [{
-            "number": pio.jsonable(res.number),
+            "number": res.number,
             "name": res.name,
             "ok": res.ok,
             "details": res.details,
@@ -287,11 +239,11 @@ def _render_text(payload, out):
 
 
 def _render(payload, args, out):
+    payload = pio.jsonable(payload)
     if args.json:
-        doc = dict(payload)
-        doc["generated_at"] = datetime.datetime.now(
+        payload["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _render_text(payload, out)
 

@@ -112,6 +112,11 @@ def _mpartial(a: RMat, i: int) -> RMat:
     return _mmap(lambda x: x.partial(i), a)
 
 
+def _curl(X: RMat, Y: RMat, a: int, b: int) -> RMat:
+    """d_a Y - d_b X + [X, Y]: the dz_a^dz_b part of d + X dz_a + Y dz_b."""
+    return _madd(_msub(_mpartial(Y, a), _mpartial(X, b)), _mcomm(X, Y))
+
+
 class MatForm:
     """Matrix-valued differential form of degree 0, 1, or 2.
 
@@ -175,24 +180,14 @@ class MatForm:
 def curvature(A: MatForm) -> MatForm:
     """dA + A^A for a degree-1 form, expanded exactly.
 
-    The dt^dx_i component is d_t A_i - d_i A_t + [A_t, A_i]; the
-    dx_i^dx_j component (i < j) is d_i A_j - d_j A_i + [A_i, A_j].
+    Over the variables z_0 = t, z_1..z_m = x, the dz_a^dz_b component
+    (a < b) is d_a A_b - d_b A_a + [A_a, A_b].
     """
     if A.degree != 1:
         raise InputError("curvature needs a degree-1 form")
-    m = A.nvars - 1
-    At = A.component((0,))
-    comps = {}
-    for i in range(1, m + 1):
-        Ai = A.component((i,))
-        comps[(0, i)] = _madd(_msub(_mpartial(Ai, 0), _mpartial(At, i)),
-                              _mcomm(At, Ai))
-    for i in range(1, m + 1):
-        Ai = A.component((i,))
-        for j in range(i + 1, m + 1):
-            Aj = A.component((j,))
-            comps[(i, j)] = _madd(_msub(_mpartial(Aj, i), _mpartial(Ai, j)),
-                                  _mcomm(Ai, Aj))
+    parts = [A.component((a,)) for a in range(A.nvars)]
+    comps = {(a, b): _curl(parts[a], parts[b], a, b)
+             for a in range(A.nvars) for b in range(a + 1, A.nvars)}
     return MatForm(A.nvars, 2, comps, A.size)
 
 
@@ -241,12 +236,8 @@ def log_restriction(A: MatForm) -> LogRestriction:
                    for i in range(1, m + 1))
     residue = _mmap(lambda v: v.mul_t_power(1).eval_t0(), A.component((0,)))
 
-    restr_ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = _madd(_msub(_mpartial(omegas[j], i + 1), _mpartial(omegas[i], j + 1)),
-                      _mcomm(omegas[i], omegas[j]))
-            restr_ok = restr_ok and _mzero(c)
+    restr_ok = all(_mzero(_curl(omegas[i], omegas[j], i + 1, j + 1))
+                   for i in range(m) for j in range(i + 1, m))
     horiz_ok = all(
         _meq(_mpartial(residue, i + 1), _mcomm(residue, omegas[i]))
         for i in range(m))
@@ -400,13 +391,9 @@ def verify_fts(T: FTSTuple) -> FTSReport:
     m = T.m
 
     cond: dict[str, bool] = {}
-    ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = _madd(_msub(_mpartial(T.A[j], i + 1), _mpartial(T.A[i], j + 1)),
-                      _mcomm(T.A[i], T.A[j]))
-            ok = ok and _mzero(c)
-    cond["base_connection_flat"] = ok
+    cond["base_connection_flat"] = all(
+        _mzero(_curl(T.A[i], T.A[j], i + 1, j + 1))
+        for i in range(m) for j in range(i + 1, m))
 
     cond["rinf_horizontal"] = all(
         _mzero(_madd(_mpartial(T.rinf, i + 1), _mcomm(T.A[i], T.rinf)))

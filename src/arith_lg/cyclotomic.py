@@ -76,6 +76,13 @@ class CycloNum:
             return cls(p, coords)
         return cls(p, (Fraction(-1),) * (p - 1))
 
+    @classmethod
+    def from_zeta_powers(cls, p: int, acc: Sequence) -> "CycloNum":
+        """sum_{i < p} acc[i] zeta^i, an element of Q[zeta]/(zeta^p - 1),
+        reduced to the power basis by subtracting acc[p - 1]."""
+        top = acc[p - 1]
+        return cls(p, tuple(acc[i] - top for i in range(p - 1)))
+
     # -- coercion -----------------------------------------------------
 
     def _pair(self, other):
@@ -140,14 +147,13 @@ class CycloNum:
             return NotImplemented
         a, b = pair
         p = a.p
-        acc = [Fraction(0)] * p  # coefficients in Q[zeta]/(zeta^p - 1)
+        acc = [Fraction(0)] * p
         for i, x in enumerate(a.coords):
             if x:
                 for j, y in enumerate(b.coords):
                     if y:
                         acc[(i + j) % p] += x * y
-        top = acc[p - 1]
-        return CycloNum(p, tuple(acc[i] - top for i in range(p - 1)))
+        return CycloNum.from_zeta_powers(p, acc)
 
     __rmul__ = __mul__
 
@@ -232,8 +238,7 @@ def conj_sigma(z: CycloNum, a: int) -> CycloNum:
     for i, c in enumerate(z.coords):
         if c:
             acc[(a * i) % p] += c
-    top = acc[p - 1]
-    return CycloNum(p, tuple(acc[i] - top for i in range(p - 1)))
+    return CycloNum.from_zeta_powers(p, acc)
 
 
 def embed_complex(z: CycloNum, a: int = 1) -> complex:

@@ -103,21 +103,6 @@ class ZeroTau(InputError):
 
 # --- Frobenius data ---
 
-class RankMismatch(VerificationError):
-    """Higher power sums are inconsistent with the characteristic
-    polynomial predicted by the Newton-polytope rank."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
-class ToleranceExceeded(VerificationError):
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class NotNilpotent(InputError):
     pass
 

@@ -78,8 +78,7 @@ def _counts_to_cyclo(counts: list[int], p: int, psi_power: int) -> CycloNum:
     for v, c in enumerate(counts):
         if c:
             acc[(psi_power * v) % p] += c
-    top = acc[p - 1]
-    return CycloNum(p, [acc[i] - top for i in range(p - 1)])
+    return CycloNum.from_zeta_powers(p, acc)
 
 
 def _specialized(D: Deformation, ext: FieldSpec, tau, x: Sequence) -> LaurentPoly:
@@ -142,16 +141,16 @@ def zero_count(D: Deformation, k: int, x: Sequence) -> int:
     return zeros
 
 
-def tau_summed_trace(D: Deformation, k: int, x: Sequence, *,
-                     double_enum_cap: int = DOUBLE_ENUM_CAP) -> CycloNum:
+def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
     """c_k = (-1)^n * (q^k * Z_k - (q^k - 1)^n), the trace sum of the
     tau-family over F_{q^k}.
 
     Character orthogonality turns the tau-sum of family sums into a
     point count, which is the closed form used here.  When the doubled
-    enumeration fits under the cap, the tau-sum is also evaluated directly,
-    as the torus sum of s * F_x(t) over (F_{q^k}^*)^{n+1} with tau = s on
-    the first axis, and the two must agree exactly.
+    enumeration fits under DOUBLE_ENUM_CAP points, the tau-sum is also
+    evaluated directly, as the torus sum of s * F_x(t) over
+    (F_{q^k}^*)^{n+1} with tau = s on the first axis, and the two must
+    agree exactly.
     """
     base = D.base.field
     n = D.base.n
@@ -159,7 +158,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence, *,
     zk = zero_count(D, k, x)
     inner = qk * zk - (qk - 1) ** n
     value = inner if n % 2 == 0 else -inner
-    if (qk - 1) ** (n + 1) <= double_enum_cap:
+    if (qk - 1) ** (n + 1) <= DOUBLE_ENUM_CAP:
         fx = _specialized(D, extension_field(base, k), 1, x)
         tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
         if _counts_to_cyclo(_torus_reduce(tau_fx)[0], base.p, 1) != inner:

@@ -18,8 +18,7 @@ from typing import Sequence
 from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
-from .errors import (InputError, NotNilpotent, RankMismatch, ToleranceExceeded,
-                     VerificationError)
+from .errors import InputError, NotNilpotent, VerificationError
 from .exactla import (Mat, identity, mat_mul, mat_vec, nullspace,
                       subspace_basis, subspace_contains, subspace_intersect,
                       subspace_sum, to_fractions, transpose)
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 PURITY_TOL = 1e-6
-DEFAULT_MAX_RANK = 12
+MAX_RANK = 12  # largest rank frobenius_report takes on (it needs 2r sums)
 NONDEGENERACY_DEPTH = 1  # extension degrees searched for degenerate faces
 
 
@@ -123,16 +122,14 @@ def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
 
 
 def frobenius_report(D: Deformation, x: Sequence, tau, *,
-                     max_rank: int = DEFAULT_MAX_RANK, strict: bool = True,
                      tol: float = PURITY_TOL) -> FrobeniusReport:
     """Characteristic polynomial of Frobenius at (tau, x) with purity,
     determinant-norm, and duality verification.
 
     The rank is the normalized volume of the base polytope, never
-    inferred from data; a failed validation of p_{r+1}..p_{2r} raises
-    RankMismatch (carrying the partial report) since it signals a
-    degenerate parameter or the wrong polytope.  strict=False returns
-    the report with ok-flags lowered instead of raising.
+    inferred from data.  Every verdict is a flag of the report: a failed
+    validation of p_{r+1}..p_{2r} lowers consistency_ok, since it signals
+    a degenerate parameter or the wrong polytope.
     """
     base = D.base.field
     n = D.base.n
@@ -141,8 +138,8 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
     r = normalized_volume(P_newton)
     if r < 1:
         raise InputError("family has rank zero")
-    if r > max_rank:
-        raise InputError(f"rank {r} exceeds the budgeted maximum {max_rank}")
+    if r > MAX_RANK:
+        raise InputError(f"rank {r} exceeds the budgeted maximum {MAX_RANK}")
 
     warnings: list[str] = []
     Fx = specialize(D, tuple(x))
@@ -178,28 +175,13 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
 
     duality_ok = _proportional(_duality_transform(P, q ** n), P_inv)
 
-    report = FrobeniusReport(
+    return FrobeniusReport(
         tau=tau, x=tuple(x), q=q, n=n, rank=r, weight=n,
         char_poly=P, char_poly_inverse_character=P_inv,
         power_sums=tuple(ps), consistency_ok=consistency_ok,
         purity_max_rel_dev=purity_dev, purity_ok=purity_ok,
         determinant_max_rel_dev=det_dev, determinant_ok=det_ok,
         duality_ok=duality_ok, warnings=tuple(warnings))
-
-    if strict:
-        if not consistency_ok:
-            raise RankMismatch(
-                "higher power sums are inconsistent with a degree-"
-                f"{r} characteristic polynomial", report=report)
-        if not (purity_ok and det_ok):
-            raise ToleranceExceeded(
-                f"purity deviation {purity_dev:.3g}, determinant deviation "
-                f"{det_dev:.3g} exceed {tol}", report=report)
-        if not duality_ok:
-            raise ToleranceExceeded(
-                "duality transform is not proportional to the inverse-character "
-                "polynomial", report=report)
-    return report
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ __all__ = [
     "default_search_depth",
 ]
 
+SEARCH_CAP = 10 ** 7  # torus points of the largest default search extension
+
 
 def _coerce(c, field: FieldSpec | None):
     if field is None:
@@ -325,10 +327,10 @@ class NondegeneracyVerdict:
         return self.kind == "degenerate_at"
 
 
-def default_search_depth(q: int, n: int, cap: int = 10 ** 7) -> int:
-    """Largest K >= 1 with (q^K - 1)^n <= cap."""
+def default_search_depth(q: int, n: int) -> int:
+    """Largest K >= 1 with (q^K - 1)^n <= SEARCH_CAP."""
     K = 1
-    while (q ** (K + 1) - 1) ** n <= cap:
+    while (q ** (K + 1) - 1) ** n <= SEARCH_CAP:
         K += 1
     return K
 
@@ -403,8 +405,7 @@ def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
     return count, first
 
 
-def check_nondegenerate(f: LaurentPoly, P: Polytope | None = None,
-                        K: int | None = None) -> NondegeneracyVerdict:
+def check_nondegenerate(f: LaurentPoly, K: int | None = None) -> NondegeneracyVerdict:
     """Search every face off the origin for degenerate critical points.
 
     Vertex faces are settled exactly: a monomial a*t^w has all its
@@ -414,18 +415,12 @@ def check_nondegenerate(f: LaurentPoly, P: Polytope | None = None,
     certify failure; absence of a witness is reported as non-conclusive.
     """
     base = _require_field(f)
-    if P is None:
-        P = f.newton()
-    else:
-        mine = f.newton()
-        if P.generators != mine.generators or P.facets != mine.facets:
-            raise FaceMismatch("polytope does not match the support of f")
     if K is None:
         K = default_search_depth(base.q, f.n)
     if K < 1:
         raise InputError("search depth must be at least 1")
     all_conclusive = True
-    for sigma in faces_not_containing_origin(P):
+    for sigma in faces_not_containing_origin(f.newton()):
         f_sigma = face_restrict(f, sigma)
         if sigma.dim == 0:
             w = sigma.generators[0]

@@ -8,8 +8,10 @@ integers.  Parsing is strict: unknown keys are rejected, and every
 error names the path of the offending value.
 
 The serializers at the bottom are the single place library values turn
-into JSON-compatible structures, shared by the CLI and the acceptance
-suite so determinism checks compare like with like.
+into JSON-compatible structures.  jsonable runs once per document: on
+each CLI report just before rendering, and on each payload the
+acceptance suite's determinism criterion compares, so both see the
+same encoding.  Callers hand it plain library values.
 """
 
 from __future__ import annotations

@@ -370,3 +370,48 @@ class TestAcceptanceCommand:
         assert code == 0
         assert doc["all_ok"] is True
         assert [c["name"] for c in doc["criteria"]] == ["first", "second"]
+
+
+class TestExactDataAreStrings:
+    """Every --json document carries exact data as decimal strings.
+
+    The only plain JSON integers allowed are the exponents inside the
+    "deg" map of a polynomial term, which are structural.
+    """
+
+    def criteria(self):
+        return (lambda: acceptance.CriterionResult(1, "first", True, "fine",
+                                                   0.01, {}),)
+
+    def ints(self, doc, path="$"):
+        if isinstance(doc, dict):
+            for k, v in doc.items():
+                if k == "deg" and all(type(e) is int for e in v.values()):
+                    continue
+                yield from self.ints(v, f"{path}.{k}")
+        elif isinstance(doc, list):
+            for i, v in enumerate(doc):
+                yield from self.ints(v, f"{path}[{i}]")
+        elif isinstance(doc, int) and not isinstance(doc, bool):
+            yield path
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze-polytope", "k5"],
+        ["check-nondegenerate", "k5"],
+        ["check-nondegenerate", "deg3"],
+        ["expsum", "k5", "--tau", "1"],
+        ["expsum", "k5", "--k", "2", "--tau", "1:2"],
+        ["frobenius", "k5", "--tau", "1"],
+        ["l-function", "k3", "--kmax", "8"],
+        ["verify-connection", "flat"],
+        ["verify-connection", "curved"],
+        ["verify-fts", "fts_ok"],
+        ["monodromy", "jordan3"],
+        ["acceptance"],
+    ], ids=lambda a: "-".join(a[:2]))
+    def test_no_plain_integers(self, files, capsys, monkeypatch, argv):
+        monkeypatch.setattr(acceptance, "CRITERIA", self.criteria())
+        args = [files.get(a, a) for a in argv]
+        _, doc = run_json(capsys, *args)
+        assert "error" not in doc
+        assert list(self.ints(doc)) == []

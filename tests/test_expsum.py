@@ -282,12 +282,17 @@ class TestZeroCountAndTraceSum:
         assert tau_summed_trace(D, 1, x) == -1
         assert tau_summed_trace(D, 2, x) == -1
 
-    def test_double_enum_cap_zero_skips_cross_check(self):
+    def test_double_enum_cap_zero_skips_cross_check(self, monkeypatch):
         D = kloosterman(F3)
         x = (F3.from_int(0),)
-        a = tau_summed_trace(D, 1, x, double_enum_cap=0)
         b = tau_summed_trace(D, 1, x)
-        assert a == b
+        monkeypatch.setattr(expsum, "DOUBLE_ENUM_CAP", 0)
+        real = expsum._torus_reduce
+        tori = []
+        monkeypatch.setattr(expsum, "_torus_reduce",
+                            lambda poly: tori.append(poly.n) or real(poly))
+        assert tau_summed_trace(D, 1, x) == b
+        assert tori == [1]  # the zero count only, no (n + 1)-torus
 
 
 class TestExtensionPlumbing:
@@ -370,7 +375,8 @@ class TestTauSumCrossCheck:
         monkeypatch.setattr(expsum, "zero_count", lambda *args: real(*args) + 1)
         with pytest.raises(InputError, match="orthogonality cross-check failed"):
             tau_summed_trace(D, 1, x)
-        tau_summed_trace(D, 1, x, double_enum_cap=0)
+        monkeypatch.setattr(expsum, "DOUBLE_ENUM_CAP", 0)
+        tau_summed_trace(D, 1, x)
 
     @pytest.mark.parametrize("case", ["kloosterman-f5", "triple-point-f3"])
     def test_charges_exactly_both_tori(self, monkeypatch, case):

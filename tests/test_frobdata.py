@@ -13,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from arith_lg.cyclotomic import CycloNum, CycloPoly, embed_complex
-from arith_lg.errors import (InputError, NotNilpotent, RankMismatch,
-                             ToleranceExceeded)
+from arith_lg import frobdata
+from arith_lg.errors import InputError, NotNilpotent
 from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rref,
                               subspace_basis, subspace_intersect, subspace_sum,
                               to_fractions, transpose)
@@ -127,24 +127,23 @@ class TestFrobeniusReport:
         # x = -1 cancels the direction monomial: F_x = 1/t has rank 1,
         # eigenvalue 1, so the rank-2 pure report cannot hold
         D = kloosterman(F5)
-        with pytest.raises(ToleranceExceeded) as exc:
-            frobenius_report(D, (F5.from_int(4),), F5.from_int(1))
-        rep = exc.value.report
-        assert rep is not None
+        rep = frobenius_report(D, (F5.from_int(4),), F5.from_int(1))
         assert any("collapsed" in w for w in rep.warnings)
         assert not rep.purity_ok or not rep.determinant_ok
 
     def test_non_strict_returns_flags(self):
+        # failed checks come back as lowered flags of the report, not as
+        # an exception
         D = kloosterman(F5)
-        rep = frobenius_report(D, (F5.from_int(4),), F5.from_int(1),
-                               strict=False)
+        rep = frobenius_report(D, (F5.from_int(4),), F5.from_int(1))
         assert isinstance(rep, FrobeniusReport)
         assert not (rep.purity_ok and rep.determinant_ok)
 
-    def test_max_rank_budget(self):
+    def test_max_rank_budget(self, monkeypatch):
+        monkeypatch.setattr(frobdata, "MAX_RANK", 1)
         D = kloosterman(F5)
         with pytest.raises(InputError):
-            frobenius_report(D, (F5.from_int(0),), F5.from_int(1), max_rank=1)
+            frobenius_report(D, (F5.from_int(0),), F5.from_int(1))
 
 
 class TestFamilyLFunction:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arith_lg import ffarray
+from arith_lg import ffarray, laurent
 from arith_lg.budget import scope
 from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
                              TableMismatch, ZeroCoordinate)
@@ -288,20 +288,16 @@ class TestNondegeneracy:
         assert v.face.dim == 0
         assert v.face.generators == ((2, 0),)
 
-    def test_polytope_mismatch_rejected(self):
-        from arith_lg.polytope import newton_polyhedron
-        other = newton_polyhedron([(2,), (-1,)])
-        with pytest.raises(FaceMismatch):
-            check_nondegenerate(kloosterman(F5), other)
-
     def test_budget(self):
         with pytest.raises(BudgetExceeded), scope(budget=100):
             check_nondegenerate(triple_point(F3), K=7)
 
-    def test_default_depth(self):
+    def test_default_depth(self, monkeypatch):
         assert default_search_depth(3, 2) == 7
         assert default_search_depth(5, 1) == 10
         assert default_search_depth(10 ** 8, 1) == 1
+        monkeypatch.setattr(laurent, "SEARCH_CAP", 80)
+        assert default_search_depth(3, 1) == 4  # 3^4 - 1 = 80 points
 
 
 class TestFaceRestrict:
