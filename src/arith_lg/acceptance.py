@@ -16,6 +16,7 @@ enforced, not just reported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -51,6 +52,28 @@ class CriterionResult:
     payload: dict
 
 
+def _criterion(number: int, name: str, limit: float | None = None):
+    """Turn a body returning (checks, summary, payload) into a criterion.
+
+    The body is timed; a stated limit becomes one more check.  The
+    details are the summary when every check holds, else the names of
+    the checks that failed.
+    """
+    def wrap(body):
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            checks, summary, payload = body()
+            elapsed = time.perf_counter() - t0
+            if limit is not None:
+                checks[f"runtime < {limit:g} s"] = elapsed < limit
+            bad = [k for k, v in checks.items() if not v]
+            details = "failed: " + "; ".join(bad) if bad else summary
+            return CriterionResult(number, name, not bad, details, elapsed, payload)
+        return run
+    return wrap
+
+
 def _kloosterman(p: int) -> Deformation:
     F = make_field(p, 1)
     f = LaurentPoly(1, [((1,), 1), ((-1,), 1)], field=F)
@@ -74,9 +97,8 @@ def _report_payload(report) -> dict:
     }
 
 
-def criterion_1() -> CriterionResult:
-    name = "kloosterman-purity"
-    t0 = time.perf_counter()
+@_criterion(1, "kloosterman-purity", limit=1)
+def criterion_1():
     D = _kloosterman(5)
     report = frobenius_report(D, (), D.base.field.from_int(1))
     payload = _report_payload(report)
@@ -94,21 +116,15 @@ def criterion_1() -> CriterionResult:
         "first power sum": report.power_sums[0] == expected_p1,
         "report flags": all(payload["report_flags"]),
     }
-    elapsed = time.perf_counter() - t0
-    checks["runtime < 1 s"] = elapsed < 1.0
-    ok = all(checks.values())
-    bad = [k for k, v in checks.items() if not v]
-    details = (f"P(0) = 5, purity dev {report.purity_max_rel_dev:.2e}, "
-               f"p1 matches the enumeration oracle"
-               if ok else "failed: " + "; ".join(bad))
-    return CriterionResult(1, name, ok, details, elapsed, payload)
+    summary = (f"P(0) = 5, purity dev {report.purity_max_rel_dev:.2e}, "
+               "p1 matches the enumeration oracle")
+    return checks, summary, payload
 
 
 # --- 2: rank equals normalized volume ---------------------------------------
 
-def criterion_2() -> CriterionResult:
-    name = "rank-equals-normalized-volume"
-    t0 = time.perf_counter()
+@_criterion(2, "rank-equals-normalized-volume", limit=30)
+def criterion_2():
     D = _triple_point()
     vol = normalized_volume(D.base.newton())
     report = frobenius_report(D, (), D.base.field.from_int(1))
@@ -121,14 +137,9 @@ def criterion_2() -> CriterionResult:
             report.purity_ok and report.purity_max_rel_dev < 1e-6,
         "|P(0)| = 27 within tolerance": report.determinant_ok,
     }
-    elapsed = time.perf_counter() - t0
-    checks["runtime < 30 s"] = elapsed < 30.0
-    ok = all(checks.values())
-    bad = [k for k, v in checks.items() if not v]
-    details = (f"volume 3, purity dev {report.purity_max_rel_dev:.2e}, "
-               f"determinant dev {report.determinant_max_rel_dev:.2e}"
-               if ok else "failed: " + "; ".join(bad))
-    return CriterionResult(2, name, ok, details, elapsed, payload)
+    summary = (f"volume 3, purity dev {report.purity_max_rel_dev:.2e}, "
+               f"determinant dev {report.determinant_max_rel_dev:.2e}")
+    return checks, summary, payload
 
 
 # --- 3: duality pairing -----------------------------------------------------
@@ -159,10 +170,10 @@ def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
     return ratio is not None
 
 
-def criterion_3() -> CriterionResult:
-    name = "duality-pairing"
-    t0 = time.perf_counter()
+@_criterion(3, "duality-pairing")
+def criterion_3():
     payload = {}
+    checks = {}
     for label, D in (("kloosterman_f5", _kloosterman(5)),
                      ("triple_point_f3", _triple_point())):
         tau = D.base.field.from_int(1)
@@ -177,13 +188,11 @@ def criterion_3() -> CriterionResult:
             "proportional": _proportional(transformed, inverse_char),
             "report_duality_ok": report.duality_ok,
         }
-    ok = all(v["proportional"] and v["report_duality_ok"]
-             for v in payload.values())
-    details = ("T^r P(q^n/T) proportional to the psi-inverse polynomial, "
-               "exactly, for both instances" if ok
-               else "proportionality failed")
-    return CriterionResult(3, name, ok, details,
-                           time.perf_counter() - t0, payload)
+        checks[f"{label} proportional"] = payload[label]["proportional"]
+        checks[f"{label} report duality_ok"] = report.duality_ok
+    summary = ("T^r P(q^n/T) proportional to the psi-inverse polynomial, "
+               "exactly, for both instances")
+    return checks, summary, payload
 
 
 # --- 4: ramification shadow (L-function over the torus) ---------------------
@@ -204,9 +213,8 @@ def _direct_trace_sums() -> list:
     return out
 
 
-def criterion_4() -> CriterionResult:
-    name = "l-function-euler-characteristic"
-    t0 = time.perf_counter()
+@_criterion(4, "l-function-euler-characteristic", limit=5)
+def criterion_4():
     report = family_l_function(_kloosterman(3), (), 8)
     payload = {
         "numerator": report.numerator,
@@ -230,13 +238,8 @@ def criterion_4() -> CriterionResult:
                                       and direct[1] == report.trace_sums[1]),
         "stable reconstruction": report.stable,
     }
-    elapsed = time.perf_counter() - t0
-    checks["runtime < 5 s"] = elapsed < 5.0
-    ok = all(checks.values())
-    bad = [k for k, v in checks.items() if not v]
-    details = ("L = (1 - T)(1 + 3T), -chi_c = 2, direct double "
-               "enumeration agrees" if ok else "failed: " + "; ".join(bad))
-    return CriterionResult(4, name, ok, details, elapsed, payload)
+    summary = "L = (1 - T)(1 + 3T), -chi_c = 2, direct double enumeration agrees"
+    return checks, summary, payload
 
 
 # --- 5: coefficient-map factorization ---------------------------------------
@@ -247,9 +250,8 @@ def _constant_deformed_family(field) -> Deformation:
     return Deformation(f, [g1], kind="subdiagram")
 
 
-def criterion_5() -> CriterionResult:
-    name = "coefficient-map-factorization"
-    t0 = time.perf_counter()
+@_criterion(5, "coefficient-map-factorization")
+def criterion_5():
     F5 = make_field(5, 1)
     F25 = extension_field(F5, 2)
     rng = random.Random(52025)
@@ -277,22 +279,20 @@ def criterion_5() -> CriterionResult:
         sums.append(S)
     payload = {"sums": sums, "agree": agree, "pullback_agree": pullback_agree,
                "trials": len(trials)}
-    ok = (payload["trials"] == 100 and payload["agree"] == 100
-          and payload["pullback_agree"] == 100)
-    details = (f"{payload['agree']}/100 factorizations and "
-               f"{payload['pullback_agree']}/100 pullback identities exact"
-               if ok else
-               f"only {payload['agree']}/100 factorizations, "
-               f"{payload['pullback_agree']}/100 pullbacks agreed")
-    return CriterionResult(5, name, ok, details,
-                           time.perf_counter() - t0, payload)
+    checks = {
+        "100 trials": len(trials) == 100,
+        f"{agree}/100 factorizations": agree == 100,
+        f"{pullback_agree}/100 pullbacks": pullback_agree == 100,
+    }
+    summary = (f"{agree}/100 factorizations and "
+               f"{pullback_agree}/100 pullback identities exact")
+    return checks, summary, payload
 
 
 # --- 6: purity bound sweep ---------------------------------------------------
 
-def criterion_6() -> CriterionResult:
-    name = "purity-bound-sweep"
-    t0 = time.perf_counter()
+@_criterion(6, "purity-bound-sweep", limit=5)
+def criterion_6():
     F5 = make_field(5, 1)
     F25 = extension_field(F5, 2)
     D = _kloosterman(5)
@@ -309,13 +309,9 @@ def criterion_6() -> CriterionResult:
         "24 twists": len(payload["sums"]) == 24,
         "max |S| <= 2q + 1e-6": payload["max_abs"] <= bound,
     }
-    elapsed = time.perf_counter() - t0
-    checks["runtime < 5 s"] = elapsed < 5.0
-    ok = all(checks.values())
-    bad = [k for k, v in checks.items() if not v]
-    details = (f"max |S_2(tau)| = {payload['max_abs']:.6f} <= 10 over all "
-               "twists and embeddings" if ok else "failed: " + "; ".join(bad))
-    return CriterionResult(6, name, ok, details, elapsed, payload)
+    summary = (f"max |S_2(tau)| = {payload['max_abs']:.6f} <= 10 over all "
+               "twists and embeddings")
+    return checks, summary, payload
 
 
 # --- 7: six conditions == assembled flatness ---------------------------------
@@ -383,9 +379,8 @@ def _explicit_instances():
     return good, bad
 
 
-def criterion_7() -> CriterionResult:
-    name = "six-condition-equivalence"
-    t0 = time.perf_counter()
+@_criterion(7, "six-condition-equivalence", limit=30)
+def criterion_7():
     rng = random.Random(20260816)
     agree = flats = 0
     trials = 200
@@ -419,13 +414,8 @@ def criterion_7() -> CriterionResult:
             not rep_bad.all_conditions_ok and not rep_bad.assembled_flat
             and bad_conditions == {"r0_transport"},
     }
-    elapsed = time.perf_counter() - t0
-    checks["runtime < 30 s"] = elapsed < 30.0
-    ok = all(checks.values())
-    badk = [k for k, v in checks.items() if not v]
-    details = (f"{agree}/200 agree ({flats} flat), explicit pass/fail "
-               "instances behave" if ok else "failed: " + "; ".join(badk))
-    return CriterionResult(7, name, ok, details, elapsed, payload)
+    summary = f"{agree}/200 agree ({flats} flat), explicit pass/fail instances behave"
+    return checks, summary, payload
 
 
 # --- 8: weight filtration against an exhaustive oracle -----------------------
@@ -549,9 +539,8 @@ def _graded_symmetry(N, chain, e):
     return True
 
 
-def criterion_8() -> CriterionResult:
-    name = "weight-filtration-oracle"
-    t0 = time.perf_counter()
+@_criterion(8, "weight-filtration-oracle")
+def criterion_8():
     tested = mismatches = 0
     jumps = {}
     cases = list(_nilpotent_small_matrices())
@@ -566,20 +555,20 @@ def criterion_8() -> CriterionResult:
         filt = monodromy_filtration(_jordan(sizes))
         jumps["+".join(map(str, sizes))] = {str(k): v for k, v in filt.jumps.items()}
     payload = {"tested": tested, "mismatches": mismatches, "jumps": jumps}
-    ok = mismatches == 0 and tested == 494
-    details = (f"{tested} nilpotent matrices (all of dimension <= 3 over "
+    checks = {
+        f"{tested}/494 matrices tested": tested == 494,
+        f"{mismatches} mismatches": mismatches == 0,
+    }
+    summary = (f"{tested} nilpotent matrices (all of dimension <= 3 over "
                "{-1,0,1} entries, plus the named Jordan types): oracle "
-               "matches everywhere" if ok
-               else f"{mismatches} mismatches out of {tested}")
-    return CriterionResult(8, name, ok, details,
-                           time.perf_counter() - t0, payload)
+               "matches everywhere")
+    return checks, summary, payload
 
 
 # --- 9: determinism under partitioned enumeration ----------------------------
 
-def criterion_9() -> CriterionResult:
-    name = "determinism-under-partitioning"
-    t0 = time.perf_counter()
+@_criterion(9, "determinism-under-partitioning")
+def criterion_9():
     # the payloads of criteria 1-6 carry every exact value they computed
     labels = ("kloosterman_purity", "polytope_rank", "duality", "l_function",
               "factorization", "bound_sweep")
@@ -594,12 +583,9 @@ def criterion_9() -> CriterionResult:
         digests[label] = {str(P): len(blob) for P, blob in blobs.items()}
         stable.append(blobs[1] == blobs[2] == blobs[8])
     payload = {"stable": dict(zip(labels, stable)), "byte_lengths": digests}
-    ok = all(stable)
-    details = ("criteria 1-6 values byte-identical with 1, 2, and 8 "
-               "partitions" if ok else "partition count changed some output: "
-               + ", ".join(lbl for lbl, s in zip(labels, stable) if not s))
-    return CriterionResult(9, name, ok, details,
-                           time.perf_counter() - t0, payload)
+    checks = {f"{label} byte-identical": s for label, s in zip(labels, stable)}
+    summary = "criteria 1-6 values byte-identical with 1, 2, and 8 partitions"
+    return checks, summary, payload
 
 
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,

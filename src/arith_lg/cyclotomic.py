@@ -158,11 +158,12 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the product of Galois conjugates."""
+        """Multiplicative inverse via the product of Galois conjugates;
+        a rational value (every value when p = 2) inverts directly."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.p == 2:
-            return CycloNum(2, (1 / self.coords[0],))
+        if self.is_rational:
+            return CycloNum.from_rational(self.p, 1 / self.coords[0])
         numerator = CycloNum.one(self.p)
         for a in range(2, self.p):
             numerator = numerator * conj_sigma(self, a)
@@ -398,12 +399,24 @@ class CycloPoly:
 # --------------------------------------------------------------------------
 # Newton identities
 
-def char_poly_from_power_sums(ps: Sequence[CycloNum], r: int | None = None) -> CycloPoly:
-    """Monic degree-r polynomial whose root power sums are ps[0..r-1].
+def _exp_series(c: Sequence[CycloNum], p: int) -> list[CycloNum]:
+    """Coefficients of exp(sum c_k T^k / k) through order len(c).
 
-    Newton's identities only ever divide by the integers 1..r, so the
-    computation is exact over Q(zeta_p).
+    The recurrence n e_n = sum_{k=1..n} c_k e_{n-k} only ever divides by
+    the integers 1..len(c), so it is exact over Q(zeta_p).
     """
+    ell = [CycloNum.one(p)]
+    for n in range(1, len(c) + 1):
+        acc = CycloNum.zero(p)
+        for k in range(1, n + 1):
+            acc = acc + c[k - 1] * ell[n - k]
+        ell.append(acc / n)
+    return ell
+
+
+def char_poly_from_power_sums(ps: Sequence[CycloNum], r: int | None = None) -> CycloPoly:
+    """Monic degree-r polynomial whose root power sums are ps[0..r-1]:
+    the reversal of prod (1 - a_i T) = exp(-sum p_k T^k / k)."""
     if r is None:
         r = len(ps)
     if r < 1:
@@ -411,44 +424,20 @@ def char_poly_from_power_sums(ps: Sequence[CycloNum], r: int | None = None) -> C
     if len(ps) < r:
         raise LengthTooShort(f"need {r} power sums, got {len(ps)}")
     p = ps[0].p
-    e = [CycloNum.one(p)]
-    for k in range(1, r + 1):
-        acc = CycloNum.zero(p)
-        for i in range(1, k + 1):
-            term = e[k - i] * ps[i - 1]
-            acc = acc + term if i % 2 == 1 else acc - term
-        e.append(acc / k)
-    # P(T) = T^r - e1 T^{r-1} + e2 T^{r-2} - ... + (-1)^r e_r
-    coeffs = [CycloNum.zero(p)] * (r + 1)
-    for i in range(r + 1):
-        coeffs[r - i] = e[i] if i % 2 == 0 else -e[i]
-    return CycloPoly(p, coeffs)
+    return CycloPoly(p, reversed(_exp_series([-s for s in ps[:r]], p)))
 
 
 def validate_power_sums(poly: CycloPoly, ps: Sequence[CycloNum]) -> bool:
     """Do all given power sums match the monic polynomial's roots?
 
-    The first deg(poly) sums are checked through Newton's identities and
-    the rest through the linear recurrence the polynomial defines:
-    p_k = sum_{i=1..r} (-1)^{i-1} e_i p_{k-i}  (+ (-1)^{k-1} k e_k for k <= r).
+    Compares exp(-sum p_k T^k / k) with the reversal of poly (zero past
+    its degree) through order len(ps); power sums and series
+    coefficients determine each other, the map being triangular.
     """
     if not poly.is_monic:
         raise InputError("characteristic polynomial must be monic")
-    r = poly.degree
-    p = poly.p
-    # coefficient of T^{r-i} is (-1)^i e_i
-    e = [poly.coefficient(r - i) if i % 2 == 0 else -poly.coefficient(r - i)
-         for i in range(r + 1)]
-    for k in range(1, len(ps) + 1):
-        acc = CycloNum.zero(p)
-        for i in range(1, min(k - 1, r) + 1):
-            term = e[i] * ps[k - i - 1]
-            acc = acc + term if i % 2 == 1 else acc - term
-        if k <= r:
-            acc = acc + e[k] * (k if k % 2 == 1 else -k)
-        if ps[k - 1] != acc:
-            return False
-    return True
+    ell = _exp_series([-s for s in ps], poly.p)
+    return all(x == poly.coefficient(poly.degree - i) for i, x in enumerate(ell))
 
 
 # --------------------------------------------------------------------------
@@ -463,18 +452,6 @@ class RationalFunctionFit:
     numerator: CycloPoly
     denominator: CycloPoly
     stable: bool
-
-
-def _exp_series(c: list[CycloNum], p: int) -> list[CycloNum]:
-    """Coefficients of exp(sum c_k T^k / k) through order len(c)."""
-    K = len(c)
-    ell = [CycloNum.one(p)]
-    for n in range(1, K + 1):
-        acc = CycloNum.zero(p)
-        for k in range(1, n + 1):
-            acc = acc + c[k - 1] * ell[n - k]
-        ell.append(acc / n)
-    return ell
 
 
 def _solve_in_field(rows: list[list[CycloNum]], rhs: list[CycloNum],

@@ -28,7 +28,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 __all__ = [
-    "to_fractions", "rref", "rank", "nullspace", "solve",
+    "to_fractions", "rref", "rank", "nullspace",
     "identity", "transpose", "mat_mul", "mat_vec",
     "subspace_basis", "subspace_sum", "subspace_intersect", "subspace_contains",
 ]
@@ -112,26 +112,6 @@ def nullspace(mat: Mat) -> list[Vec]:
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(mat: Mat, rhs: Sequence) -> Vec | None:
-    """One exact solution of mat x = rhs (free variables zero), or None."""
-    m = to_fractions(mat)
-    b = [Fraction(x) for x in rhs]
-    if not m:
-        return () if not any(b) else None
-    aug = tuple(row + (bv,) for row, bv in zip(m, b))
-    red, pivots = rref(aug)
-    ncols = len(m[0])
-    for row in red:
-        if not any(row[:ncols]) and row[ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # pivot in the constant column: inconsistent
-        x[pc] = red[r][ncols]
-    return tuple(x)
 
 
 def identity(n: int) -> Mat:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .budget import charge, windows
 from .cyclotomic import CycloNum
-from .errors import BadIndex, InputError, ZeroTau
+from .errors import BadIndex, InputError, VerificationError, ZeroTau
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .laurent import Deformation, LaurentPoly, MonomialTable
 
@@ -150,7 +150,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
     enumeration fits under DOUBLE_ENUM_CAP points, the tau-sum is also
     evaluated directly, as the torus sum of s * F_x(t) over
     (F_{q^k}^*)^{n+1} with tau = s on the first axis, and the two must
-    agree exactly.
+    agree exactly, else VerificationError.
     """
     base = D.base.field
     n = D.base.n
@@ -162,7 +162,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
         fx = _specialized(D, extension_field(base, k), 1, x)
         tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
         if _counts_to_cyclo(_torus_reduce(tau_fx)[0], base.p, 1) != inner:
-            raise InputError(
+            raise VerificationError(
                 "orthogonality cross-check failed: direct tau-sum disagrees "
                 "with the zero-count closed form")
     return CycloNum.from_rational(base.p, value)

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 MAX_DIM = 4
+# The vertex a pulling triangulation cones from, read at each call; any
+# choice gives the same volume, which tests check by setting max here.
+PULL_APEX = min
 
 
 @dataclass(frozen=True)
@@ -211,24 +214,23 @@ def face_contains(face: Face, w) -> bool:
 
 
 def _pull_triangulate(gens: tuple[LatticePoint, ...], dim: int,
-                      subfaces: list[tuple[tuple[LatticePoint, ...], int]],
-                      apex_last: bool) -> list[tuple[LatticePoint, ...]]:
+                      subfaces: list[tuple[tuple[LatticePoint, ...], int]]
+                      ) -> list[tuple[LatticePoint, ...]]:
     """Pulling triangulation of a face given its own proper subfaces.
 
-    Cones the chosen apex vertex over triangulations of the subfaces of
-    one lower dimension that miss the apex; apex_last switches the
-    pulled vertex, giving an independent triangulation for cross-checks.
+    Cones the PULL_APEX vertex over triangulations of the subfaces of
+    one lower dimension that miss the apex.
     """
     if dim == 0:
         return [gens]
-    apex = max(gens) if apex_last else min(gens)
+    apex = PULL_APEX(gens)
     out = []
     for sub_gens, sub_dim in subfaces:
         if sub_dim != dim - 1 or apex in sub_gens:
             continue
         nested = [(g, d) for g, d in subfaces
                   if d < sub_dim and set(g) <= set(sub_gens)]
-        for simplex in _pull_triangulate(sub_gens, sub_dim, nested, apex_last):
+        for simplex in _pull_triangulate(sub_gens, sub_dim, nested):
             out.append((apex,) + simplex)
     return out
 
@@ -253,13 +255,12 @@ def _det(rows: list[tuple[int, ...]]) -> Fraction:
     return det
 
 
-def normalized_volume(P: Polytope, *, apex_last: bool = False) -> int:
+def normalized_volume(P: Polytope) -> int:
     """n! times the Euclidean volume, an exact integer.
 
     Built from the fan over the origin: each facet off the origin is
-    triangulated (pulling order controlled by apex_last, for the
-    triangulation-independence test) and coned to 0; each n-simplex
-    contributes |det| of its edge matrix.
+    triangulated by pulling and coned to 0; each n-simplex contributes
+    |det| of its edge matrix.
     """
     P._require_full_dim()
     n = P.dim
@@ -274,7 +275,7 @@ def normalized_volume(P: Polytope, *, apex_last: bool = False) -> int:
         face = by_gens[frozenset(fgens)]
         subfaces = [(g.generators, g.dim) for g in faces
                     if g.dim < face.dim and set(g.generators) <= set(fgens)]
-        for simplex in _pull_triangulate(face.generators, face.dim, subfaces, apex_last):
+        for simplex in _pull_triangulate(face.generators, face.dim, subfaces):
             rows = [tuple(x for x in v) for v in simplex]
             total += abs(_det(list(rows)))
     if total.denominator != 1:  # pragma: no cover

@@ -2,10 +2,12 @@
 
 Exact data (field elements, coefficients, anything that could overflow
 or lose precision) travels as decimal strings so a file means the same
-thing on every platform.  Structural integers - variable counts,
-exponent vectors, polynomial degrees, matrix sizes - stay plain JSON
-integers.  Parsing is strict: unknown keys are rejected, and every
-error names the path of the offending value.
+thing on every platform.  On input, structural integers - variable
+counts, exponent vectors, polynomial degrees, matrix sizes - are plain
+JSON integers.  On output every integer is a decimal string, structural
+ones included, except the exponents in a polynomial term's "deg" map.
+Parsing is strict: unknown keys are rejected, and every error names the
+path of the offending value.
 
 The serializers at the bottom are the single place library values turn
 into JSON-compatible structures.  jsonable runs once per document: on

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from arith_lg import acceptance, ffield
+from arith_lg import acceptance, expsum, ffield
 from arith_lg.cli import main
 
 KLOOSTERMAN5 = {
@@ -268,6 +268,15 @@ class TestLFunction:
         assert doc["denominator"]["coeffs"] == [{"p": "3", "coords": ["1", "0"]}]
         assert doc["trace_sums"][0]["coords"] == ["2", "0"]
         assert doc["swan_bound_ok"] and doc["stable"]
+
+    def test_failed_cross_check_is_a_verification_error(self, files, capsys,
+                                                         monkeypatch):
+        real = expsum.zero_count
+        monkeypatch.setattr(expsum, "zero_count", lambda *args: real(*args) + 1)
+        code, doc = run_json(capsys, "l-function", files["k3"], "--kmax", "6")
+        assert code == 1
+        assert doc["error"]["kind"] == "verification"
+        assert "orthogonality cross-check failed" in doc["error"]["message"]
 
 
 class TestVerifyConnection:

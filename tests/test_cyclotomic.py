@@ -21,6 +21,17 @@ def rat(p, v):
     return CycloNum.from_rational(p, v)
 
 
+@st.composite
+def cyclotomic_roots(draw):
+    """p in (5, 7) and 1..3 roots in Z[zeta_p] with coordinates in
+    -2..2, picked from a pool of two so that repeated roots are common."""
+    p = draw(st.sampled_from((5, 7)))
+    coords = st.lists(st.integers(-2, 2), min_size=p - 1, max_size=p - 1)
+    pool = draw(st.lists(coords, min_size=1, max_size=2))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    return p, [CycloNum(p, c) for c in picks]
+
+
 class TestCycloNum:
     def test_zeta_power_basis_reduction(self):
         z4 = CycloNum.zeta(5, 4)
@@ -81,6 +92,19 @@ class TestCycloNum:
         if z:
             assert z * z.inverse() == 1
             assert (1 / z) * z == 1
+
+    @given(st.sampled_from((2, 3, 13)), small_rats.filter(bool))
+    @settings(deadline=None, max_examples=50)
+    def test_rational_inverse_is_the_reciprocal(self, p, c):
+        assert CycloNum.from_rational(p, c).inverse() == CycloNum.from_rational(p, 1 / c)
+
+    @given(st.sampled_from((3, 7, 13)), st.data())
+    @settings(deadline=None, max_examples=50)
+    def test_irrational_inverse_roundtrip(self, p, data):
+        z = CycloNum(p, data.draw(st.lists(self.small_rats, min_size=p - 1,
+                                           max_size=p - 1)))
+        if not z.is_rational:
+            assert z * z.inverse() == 1
 
     @given(st.tuples(small_rats, small_rats), st.tuples(small_rats, small_rats))
     @settings(deadline=None, max_examples=50)
@@ -281,6 +305,25 @@ class TestNewtonIdentities:
         more = ps + [rat(2, sum(r ** k for r in roots))
                      for k in range(len(roots) + 1, 2 * len(roots) + 1)]
         assert validate_power_sums(P, more)
+
+    @given(cyclotomic_roots())
+    @settings(deadline=None, max_examples=40)
+    def test_roundtrip_cyclotomic_integer_roots(self, drawn):
+        p, roots = drawn
+        r = len(roots)
+        P = CycloPoly(p, [1])
+        for a in roots:
+            P = P * CycloPoly(p, [-a, 1])
+        ps = []
+        powers = [CycloNum.one(p)] * r
+        for _ in range(2 * r):
+            powers = [x * a for x, a in zip(powers, roots)]
+            ps.append(sum(powers, CycloNum.zero(p)))
+        assert char_poly_from_power_sums(ps[:r]) == P
+        assert validate_power_sums(P, ps)
+        for k in range(r + 1, 2 * r + 1):
+            wrong = ps[:k - 1] + [ps[k - 1] + 1] + ps[k:]
+            assert not validate_power_sums(P, wrong)
 
 
 class TestReconstruction:

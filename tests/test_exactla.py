@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rank, rref,
-                              solve, subspace_basis, subspace_contains,
+                              subspace_basis, subspace_contains,
                               subspace_intersect, subspace_sum, to_fractions,
                               transpose)
 
@@ -33,17 +33,6 @@ class TestRref:
 
 
 class TestSolveNullspace:
-    def test_unique_solution(self):
-        x = solve(M([[2, 1], [1, 3]]), [5, 10])
-        assert x == (Fraction(1), Fraction(3))
-
-    def test_inconsistent(self):
-        assert solve(M([[1, 1], [1, 1]]), [1, 2]) is None
-
-    def test_underdetermined_free_vars_zero(self):
-        x = solve(M([[1, 1, 1]]), [3])
-        assert x == (Fraction(3), Fraction(0), Fraction(0))
-
     def test_nullspace_dimension(self):
         basis = nullspace(M([[1, 2, 3]]))
         assert len(basis) == 2

@@ -13,7 +13,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from arith_lg import exactla
-from arith_lg.exactla import (mat_mul, mat_vec, nullspace, rref, solve,
+from arith_lg.exactla import (mat_mul, mat_vec, nullspace, rref,
                               subspace_basis, subspace_contains,
                               subspace_intersect, subspace_sum)
 
@@ -150,16 +150,6 @@ def test_nullspace_matches_oracle(m):
     basis = nullspace(m)
     assert basis == with_oracle(nullspace, m)
     assert all_fractions(basis)
-
-
-@settings(max_examples=80, deadline=None)
-@given(SHAPES, st.data())
-def test_solve_matches_oracle(m, data):
-    rhs = data.draw(st.lists(ENTRY, min_size=len(m), max_size=len(m)))
-    x = solve(m, rhs)
-    assert x == with_oracle(solve, m, rhs)
-    if x is not None:
-        assert all(type(v) is Fraction for v in x)
 
 
 @settings(max_examples=80, deadline=None)

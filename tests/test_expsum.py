@@ -10,7 +10,8 @@ import pytest
 from arith_lg import expsum, ffarray
 from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
-from arith_lg.errors import BadIndex, BudgetExceeded, InputError, ZeroTau
+from arith_lg.errors import (BadIndex, BudgetExceeded, InputError,
+                             VerificationError, ZeroTau)
 from arith_lg.expsum import (DOUBLE_ENUM_CAP, extension_field, family_sum,
                              gkz_sum, lift_into, tau_summed_trace, zero_count)
 from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
@@ -373,7 +374,7 @@ class TestTauSumCrossCheck:
         D, x = CROSS_CHECK_CASES["kloosterman-f5"]
         real = expsum.zero_count
         monkeypatch.setattr(expsum, "zero_count", lambda *args: real(*args) + 1)
-        with pytest.raises(InputError, match="orthogonality cross-check failed"):
+        with pytest.raises(VerificationError, match="orthogonality cross-check failed"):
             tau_summed_trace(D, 1, x)
         monkeypatch.setattr(expsum, "DOUBLE_ENUM_CAP", 0)
         tau_summed_trace(D, 1, x)

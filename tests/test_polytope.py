@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arith_lg import polytope
 from arith_lg.errors import DegeneratePolytope, DimensionUnsupported, InputError
 from arith_lg.polytope import (all_proper_faces, face_contains,
                                faces_not_containing_origin, is_convenient,
@@ -25,6 +27,13 @@ def shoelace_double_area(pts):
     for (x1, y1), (x2, y2) in zip(ordered, ordered[1:] + ordered[:1]):
         s += x1 * y2 - x2 * y1
     return abs(s)
+
+
+def volume_pulling_max(P):
+    """normalized_volume with every triangulation pulled from the largest
+    vertex instead of the smallest: an independent triangulation."""
+    with mock.patch.object(polytope, "PULL_APEX", max):
+        return normalized_volume(P)
 
 
 class TestHull:
@@ -123,7 +132,7 @@ class TestVolume:
         ]
         for pts in examples:
             P = newton_polyhedron(pts)
-            assert normalized_volume(P) == normalized_volume(P, apex_last=True)
+            assert normalized_volume(P) == volume_pulling_max(P)
 
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                     min_size=1, max_size=6))
@@ -133,7 +142,7 @@ class TestVolume:
         if P.degenerate:
             return
         assert normalized_volume(P) == shoelace_double_area(set(P.vertices))
-        assert normalized_volume(P) == normalized_volume(P, apex_last=True)
+        assert normalized_volume(P) == volume_pulling_max(P)
 
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                     min_size=1, max_size=5),
