@@ -1,34 +1,31 @@
 """Exponential sums over torus points of finite field extensions.
 
-Sums run on the torus kernel of the field's discrete-log table
-(ffield.discrete_table, an ffarray.DiscreteTable), which evaluates the
-summand in discrete logs of the canonical generator on numpy chunks of
-the enumeration order: each term's log is lg + <w, e> mod q^k - 1, and Zech
-logarithms fold the terms into the log of the point value.  Character
-values are then bucketed by trace with one bincount per chunk, so a
-whole sum is a vector of p integer counts until the very end, when it
-becomes one exact element of Q(zeta_p).  The tau-sum cross-check of
-tau_summed_trace is one such sum, with tau as an extra first coordinate.
+Every sum here is a reduction of laurent.torus_trace_counts: the number
+of torus points at which the summand's trace takes each value of F_p,
+so a whole sum is a vector of p integer counts until the very end, when
+it becomes one exact element of Q(zeta_p).  The zero count Z_k is
+laurent.torus_zeros of F_x.  The tau-sum cross-check of tau_summed_trace
+is one trace-count sum, with tau as an extra first coordinate.
 
-Each sum charges its torus points to the current budget scope and
-splits the enumeration into the scope's partition count of disjoint
-windows (budget.windows).  Sums are plain reductions over those windows,
-so any partition count gives identical results, exactly.
+Each sum charges its torus points ("torus sum") to the current budget
+scope before the walk starts; the walks split the enumeration into the
+scope's disjoint windows, so any partition count gives identical
+results, exactly.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .budget import charge, windows
+from .budget import charge
 from .cyclotomic import CycloNum
 from .errors import BadIndex, InputError, VerificationError, ZeroTau
-from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
-from .laurent import Deformation, LaurentPoly, MonomialTable
+from .ffield import FieldSpec, extension_field
+from .laurent import (Deformation, LaurentPoly, MonomialTable, lift_into,
+                      torus_trace_counts, torus_zeros)
 
 __all__ = [
     "extension_field",
-    "lift_into",
     "family_sum",
     "gkz_sum",
     "zero_count",
@@ -39,45 +36,20 @@ __all__ = [
 DOUBLE_ENUM_CAP = 10 ** 7
 
 
-def lift_into(value, ext: FieldSpec) -> FqElem:
-    if isinstance(value, FqElem):
-        return value if value.field == ext else embed(value, ext)
-    if isinstance(value, int):
-        return ext.from_int(value)
-    raise InputError(f"cannot interpret {value!r} in {ext!r}")
-
-
-def _torus_reduce(poly: LaurentPoly) -> tuple[list[int], int]:
-    """Counts of psi-trace values of poly over (F_q^*)^n, plus the number
-    of torus zeros of poly, via the scope's disjoint enumeration windows."""
-    field = poly.field
-    if field is None:
-        raise InputError("exponential sums need finite-field coefficients")
-    npoints = (field.q - 1) ** poly.n
-    charge("torus sum", npoints)
-    table = discrete_table(field)
-    logs = [table.log(c) for c in poly.terms.values()]
-    weights = list(poly.terms)
-    total = [0] * field.p
-    zeros = 0
-    for lo, hi in windows(npoints):
-        counts, z = table.window_counts(poly.n, logs, weights, lo, hi)
-        total = [a + b for a, b in zip(total, counts)]
-        zeros += z
-    return total, zeros
-
-
 def _check_psi_power(psi_power: int, p: int) -> None:
     """Refuse a character power that is not a unit mod p, before any work."""
     if psi_power % p == 0:
         raise BadIndex("character power must be a unit mod p")
 
 
-def _counts_to_cyclo(counts: list[int], p: int, psi_power: int) -> CycloNum:
+def _torus_sum(poly: LaurentPoly, psi_power: int) -> CycloNum:
+    """Sum of psi^psi_power(poly(t)) over the torus of poly's field."""
+    charge("torus sum", (poly.field.q - 1) ** poly.n)
+    counts = torus_trace_counts(poly)
+    p = poly.field.p
     acc = [0] * p
     for v, c in enumerate(counts):
-        if c:
-            acc[(psi_power * v) % p] += c
+        acc[psi_power * v % p] += c
     return CycloNum.from_zeta_powers(p, acc)
 
 
@@ -108,9 +80,7 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
     """
     _check_psi_power(psi_power, D.base.field.p)
     ext = extension_field(D.base.field, k)
-    poly = _specialized(D, ext, tau, x)
-    counts, _ = _torus_reduce(poly)
-    return _counts_to_cyclo(counts, D.base.field.p, psi_power)
+    return _torus_sum(_specialized(D, ext, tau, x), psi_power)
 
 
 def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
@@ -127,9 +97,7 @@ def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
         ce = lift_into(c, ext)
         if ce:
             terms.append((w, ce))
-    poly = LaurentPoly(n, terms, ext)
-    counts, _ = _torus_reduce(poly)
-    return _counts_to_cyclo(counts, field.p, psi_power)
+    return _torus_sum(LaurentPoly(n, terms, ext), psi_power)
 
 
 def zero_count(D: Deformation, k: int, x: Sequence) -> int:
@@ -137,8 +105,8 @@ def zero_count(D: Deformation, k: int, x: Sequence) -> int:
     vanishes."""
     ext = extension_field(D.base.field, k)
     poly = _specialized(D, ext, 1, x)  # tau=1: zero set unaffected
-    _, zeros = _torus_reduce(poly)
-    return zeros
+    charge("torus sum", (ext.q - 1) ** poly.n)
+    return torus_zeros([poly], ext)[0]
 
 
 def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
@@ -161,7 +129,7 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
     if (qk - 1) ** (n + 1) <= DOUBLE_ENUM_CAP:
         fx = _specialized(D, extension_field(base, k), 1, x)
         tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
-        if _counts_to_cyclo(_torus_reduce(tau_fx)[0], base.p, 1) != inner:
+        if _torus_sum(tau_fx, 1) != inner:
             raise VerificationError(
                 "orthogonality cross-check failed: direct tau-sum disagrees "
                 "with the zero-count closed form")

@@ -6,6 +6,11 @@ coordinate rows (_power_blocks): the table walks the powers of the
 generator g, the root search those of the generator of a subfield's
 units.
 
+The kernel is DiscreteTable.log_values, the discrete log of a sum at
+each point of a window of the torus; window_counts buckets those values
+by trace.  Only the torus walks of laurent (torus_trace_counts and
+torus_zeros) call them.
+
 This is the only module that imports numpy.  ffield reaches it at call
 time, when it builds a table (ffield.discrete_table) or searches for
 embedding roots, and charges that work to the budget itself; so a
@@ -247,13 +252,11 @@ class DiscreteTable:
             yield s
 
     def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
-                      start: int, stop: int) -> tuple[list[int], int]:
-        """Trace-value counts plus the zero-value count of the same sum over
-        one window of the torus enumeration."""
+                      start: int, stop: int) -> list[int]:
+        """How often the trace of the log_values sum takes each value of
+        F_p over one window of the torus enumeration."""
         counts = numpy.zeros(self.field.p, dtype=numpy.int64)
-        zeros = 0
         for vals in self.log_values(n, logs, weights, start, stop):
             # a zero value indexes the table's last entry, the trace of zero
             counts += numpy.bincount(self.trace_by_exp[vals], minlength=self.field.p)
-            zeros += int(numpy.count_nonzero(vals < 0))
-        return counts.tolist(), zeros
+        return counts.tolist()

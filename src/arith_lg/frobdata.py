@@ -102,23 +102,26 @@ def _duality_transform(P: CycloPoly, qn: int) -> CycloPoly:
 
 
 def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
-    """A = c * B for some nonzero constant c, checked exactly."""
-    if A.degree != B.degree or A.is_zero != B.is_zero:
+    """A = c * B for some nonzero constant c, checked exactly, with no
+    coefficient inverted.
+
+    With a0 and b0 the leading coefficients, A = (a0 / b0) * B iff A and
+    B vanish in the same degrees and a * b0 == a0 * b in every other
+    degree.  A rational b0 (1 when B is monic) makes a0 / b0 one product.
+    """
+    if A.degree != B.degree:
         return False
-    if A.is_zero:
+    pairs = [(A.coefficient(i), B.coefficient(i)) for i in range(A.degree + 1)]
+    if any(bool(a) != bool(b) for a, b in pairs):
+        return False
+    if not pairs:
         return True
-    c = None
-    for i in range(A.degree + 1):
-        a, b = A.coefficient(i), B.coefficient(i)
-        if bool(a) != bool(b):
-            return False
-        if b:
-            ratio = a / b
-            if c is None:
-                c = ratio
-            elif ratio != c:
-                return False
-    return c is not None and bool(c)
+    a0, b0 = pairs[-1]
+    rest = [(a, b) for a, b in pairs[:-1] if b]
+    if b0.is_rational:
+        c = a0 * (1 / b0.rational_value())
+        return all(a == c * b for a, b in rest)
+    return all(a * b0 == a0 * b for a, b in rest)
 
 
 def frobenius_report(D: Deformation, x: Sequence, tau, *,

@@ -8,6 +8,14 @@ is the order the monomial table uses.
 Derivatives here are logarithmic, t_i * d/dt_i: they act term-wise by
 multiplying with the exponent, never leave the Laurent ring, and have
 the same torus zero set as the plain partials.
+
+The torus walks live here too, the only code that drives the log-domain
+kernel of ffarray.DiscreteTable: torus_trace_counts (how often Tr f(t)
+takes each value of F_p, for expsum's sums) and torus_zeros (the common
+zeros of a list of polynomials, for zero counts and the degeneracy
+search).  lift_into is the one rule that lifts coefficients into an
+extension field.  The walks charge nothing; their callers charge the
+points first.
 """
 
 from __future__ import annotations
@@ -35,8 +43,10 @@ __all__ = [
     "phi_map",
     "NondegeneracyVerdict",
     "check_nondegenerate",
-    "critical_count",
     "default_search_depth",
+    "lift_into",
+    "torus_trace_counts",
+    "torus_zeros",
 ]
 
 SEARCH_CAP = 10 ** 7  # torus points of the largest default search extension
@@ -154,18 +164,78 @@ def evaluate(f: LaurentPoly, t: Sequence):
 
 
 def log_derivative(f: LaurentPoly, i: int) -> LaurentPoly:
-    """t_i * df/dt_i: multiplies each term by its i-th exponent (1-based axis)."""
+    """t_i * df/dt_i: multiplies each term by its i-th exponent (1-based
+    axis); terms whose exponent vanishes in the field drop out."""
     if not 1 <= i <= f.n:
         raise InputError(f"axis {i} out of range for {f.n} variables")
-    return LaurentPoly(f.n, [(w, c * w[i - 1]) for w, c in f.terms.items()
-                             if w[i - 1] % _char(f) != 0], f.field)
+    return LaurentPoly(f.n, [(w, c * w[i - 1]) for w, c in f.terms.items()], f.field)
 
 
-def _char(f: LaurentPoly) -> int:
-    # Fraction coefficients behave as characteristic 0; any modulus works
-    # for the "exponent vanishes in the field" filter as long as it never
-    # triggers, so use a value larger than any exponent could reach.
-    return f.field.p if f.field is not None else 1 << 62
+# --------------------------------------------------------------------------
+# torus walks: the two reductions over the log-domain kernel, in the
+# scope's windows (budget.windows)
+
+def lift_into(value, ext: FieldSpec) -> FqElem:
+    """value (an element of a subfield of ext, or an integer) as an element of ext."""
+    if isinstance(value, FqElem):
+        return value if value.field == ext else embed(value, ext)
+    if isinstance(value, int):
+        return ext.from_int(value)
+    raise InputError(f"cannot interpret {value!r} in {ext!r}")
+
+
+def _kernel_input(f: LaurentPoly, ext: FieldSpec, table) -> tuple[list[int], list]:
+    """Discrete logs of f's coefficients lifted into ext, and f's exponents."""
+    return [table.log(lift_into(c, ext)) for c in f.terms.values()], list(f.terms)
+
+
+def torus_trace_counts(f: LaurentPoly) -> list[int]:
+    """Number of points of (F_q^*)^n, F_q the field of f, at which
+    Tr(f(t)) takes each value 0 .. p - 1."""
+    field = f.field
+    table = discrete_table(field)
+    logs, weights = _kernel_input(f, field, table)
+    total = [0] * field.p
+    for lo, hi in windows((field.q - 1) ** f.n):
+        counts = table.window_counts(f.n, logs, weights, lo, hi)
+        total = [a + b for a, b in zip(total, counts)]
+    return total
+
+
+def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
+                first_only: bool = False) -> tuple[int, tuple | None]:
+    """Common zeros of polys (one variable count, coefficients in subfields
+    of ext) on (ext^*)^n: their number and the first of them in the order
+    of ffield.enumerate_torus, or (0, None).
+
+    An identically zero poly vanishes everywhere.  With first_only the
+    walk stops at the first zero and reports a count of 1.
+    """
+    n = polys[0].n
+    Q = ext.q - 1
+    npoints = Q ** n
+    table = discrete_table(ext)
+    live = [_kernel_input(f, ext, table) for f in polys if f]
+    if not live:
+        return (1 if first_only else npoints), (ext.one(),) * n
+    count, first = 0, None
+    for start, stop in windows(npoints):
+        lo = start
+        for chunks in zip(*(table.log_values(n, logs, weights, start, stop)
+                            for logs, weights in live)):
+            hits = chunks[0] < 0
+            for vals in chunks[1:]:
+                hits &= vals < 0
+            found = int(hits.sum())
+            if found and first is None:
+                index = lo + int(hits.argmax())
+                first = tuple(table.elem(index // Q ** (n - 1 - axis) % Q)
+                              for axis in range(n))
+                if first_only:
+                    return 1, first
+            count += found
+            lo += hits.size
+    return count, first
 
 
 @dataclass(frozen=True)
@@ -303,7 +373,7 @@ def phi_map(D: Deformation, table: MonomialTable, tau, x: Sequence) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# non-degeneracy and critical points
+# non-degeneracy
 
 @dataclass(frozen=True)
 class NondegeneracyVerdict:
@@ -335,76 +405,6 @@ def default_search_depth(q: int, n: int) -> int:
     return K
 
 
-def _require_field(f: LaurentPoly) -> FieldSpec:
-    if f.field is None:
-        raise InputError("this operation needs finite-field coefficients")
-    return f.field
-
-
-def _term_logs(f: LaurentPoly, ext: FieldSpec, table) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Discrete logs of f's coefficients embedded into ext, plus exponents."""
-    logs, weights = [], []
-    for w, c in f.terms.items():
-        logs.append(table.log(embed(c, ext)))
-        weights.append(w)
-    return logs, weights
-
-
-def _axis_systems(f: LaurentPoly, ext: FieldSpec, table):
-    """Per-axis (logs, weights) of t_i d_i f over the extension, None for
-    an identically zero derivative."""
-    systems = []
-    for i in range(1, f.n + 1):
-        d = log_derivative(f, i)
-        if not d:
-            systems.append(None)
-        else:
-            systems.append(_term_logs(d, ext, table))
-    return systems
-
-
-def _search_common_zero(f: LaurentPoly, k: int, *, count_all: bool):
-    """Common zeros of all logarithmic derivatives of f on (F_{q^k}^*)^n.
-
-    Returns (count, first_witness) where the witness is a tuple of
-    FqElem in the degree-k extension.
-    """
-    base = _require_field(f)
-    ext = extension_field(base, k)
-    Q = ext.q - 1
-    npoints = Q ** f.n
-    charge("torus search", npoints)
-    table = discrete_table(ext)
-    systems = _axis_systems(f, ext, table)
-    if all(s is None for s in systems):
-        one = ext.one()
-        pt = (one,) * f.n
-        return npoints, pt
-    live = [s for s in systems if s is not None]
-    count = 0
-    first = None
-    for start, stop in windows(npoints):
-        lo = start
-        for chunks in zip(*(table.log_values(f.n, logs, weights, start, stop)
-                            for logs, weights in live)):
-            hits = chunks[0] < 0
-            for vals in chunks[1:]:
-                hits &= vals < 0
-            found = int(hits.sum())
-            if found and first is None:
-                index = lo + int(hits.argmax())
-                exps = []
-                for _ in range(f.n):
-                    index, e = divmod(index, Q)
-                    exps.append(e)
-                first = tuple(table.elem(e) for e in reversed(exps))
-                if not count_all:
-                    return 1, first
-            count += found
-            lo += hits.size
-    return count, first
-
-
 def check_nondegenerate(f: LaurentPoly, K: int | None = None) -> NondegeneracyVerdict:
     """Search every face off the origin for degenerate critical points.
 
@@ -414,7 +414,9 @@ def check_nondegenerate(f: LaurentPoly, K: int | None = None) -> NondegeneracyVe
     by brute force over (F_{q^k}^*)^n for k = 1..K, which can only ever
     certify failure; absence of a witness is reported as non-conclusive.
     """
-    base = _require_field(f)
+    base = f.field
+    if base is None:
+        raise InputError("this operation needs finite-field coefficients")
     if K is None:
         K = default_search_depth(base.q, f.n)
     if K < 1:
@@ -429,24 +431,12 @@ def check_nondegenerate(f: LaurentPoly, K: int | None = None) -> NondegeneracyVe
                 return NondegeneracyVerdict(
                     "degenerate_at", True, K, sigma, (one,) * f.n, 1)
             continue  # some exponent survives: monomial derivative never 0
-        found = None
+        derivs = [log_derivative(f_sigma, i) for i in range(1, f.n + 1)]
         for k in range(1, K + 1):
-            _, witness = _search_common_zero(f_sigma, k, count_all=False)
+            ext = extension_field(base, k)
+            charge("torus search", (ext.q - 1) ** f.n)
+            _, witness = torus_zeros(derivs, ext, first_only=True)
             if witness is not None:
-                found = (witness, k)
-                break
-        if found is not None:
-            return NondegeneracyVerdict(
-                "degenerate_at", True, K, sigma, found[0], found[1])
+                return NondegeneracyVerdict("degenerate_at", True, K, sigma, witness, k)
         all_conclusive = False
     return NondegeneracyVerdict("verified_up_to", all_conclusive, K)
-
-
-def critical_count(f: LaurentPoly, k: int = 1) -> int:
-    """Distinct points of (F_{q^k}^*)^n where every logarithmic
-    derivative of f vanishes.  Counts points only; multiplicity is
-    invisible here."""
-    if k < 1:
-        raise InputError("extension degree must be at least 1")
-    count, _ = _search_common_zero(f, k, count_all=True)
-    return count

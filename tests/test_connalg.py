@@ -2,7 +2,6 @@
 and the structure-condition checks."""
 
 import random
-from fractions import Fraction
 
 import pytest
 

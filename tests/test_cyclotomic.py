@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arith_lg.cyclotomic import (CycloNum, CycloPoly, RationalFunctionFit,
-                                 all_embeddings, char_poly_from_power_sums,
-                                 conj_sigma, embed_complex,
-                                 linear_recurrence_reconstruct, psi,
-                                 validate_power_sums)
+from arith_lg.cyclotomic import (CycloNum, CycloPoly, all_embeddings,
+                                 char_poly_from_power_sums, conj_sigma,
+                                 embed_complex, linear_recurrence_reconstruct,
+                                 psi, validate_power_sums)
 from arith_lg.errors import BadIndex, InputError, LengthTooShort, Unstable
 from arith_lg.ffield import enumerate_torus, make_field
 

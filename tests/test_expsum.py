@@ -3,7 +3,6 @@ the composition with the coefficient map."""
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,10 +11,10 @@ from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
 from arith_lg.errors import (BadIndex, BudgetExceeded, InputError,
                              VerificationError, ZeroTau)
-from arith_lg.expsum import (DOUBLE_ENUM_CAP, extension_field, family_sum,
-                             gkz_sum, lift_into, tau_summed_trace, zero_count)
+from arith_lg.expsum import (extension_field, family_sum, gkz_sum,
+                             tau_summed_trace, zero_count)
 from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
-from arith_lg.laurent import (Deformation, LaurentPoly, evaluate,
+from arith_lg.laurent import (Deformation, LaurentPoly, evaluate, lift_into,
                               monomial_table, phi_map, specialize)
 
 F3 = make_field(3, 1)
@@ -288,12 +287,12 @@ class TestZeroCountAndTraceSum:
         x = (F3.from_int(0),)
         b = tau_summed_trace(D, 1, x)
         monkeypatch.setattr(expsum, "DOUBLE_ENUM_CAP", 0)
-        real = expsum._torus_reduce
-        tori = []
-        monkeypatch.setattr(expsum, "_torus_reduce",
-                            lambda poly: tori.append(poly.n) or real(poly))
+        real = expsum.charge
+        charged = []
+        monkeypatch.setattr(expsum, "charge",
+                            lambda what, points: charged.append(points) or real(what, points))
         assert tau_summed_trace(D, 1, x) == b
-        assert tori == [1]  # the zero count only, no (n + 1)-torus
+        assert charged == [2]  # the zero count's F_3 torus only, no (n + 1)-torus
 
 
 class TestExtensionPlumbing:
@@ -348,14 +347,14 @@ class TestTauSumCrossCheck:
     @pytest.fixture
     def reductions(self, monkeypatch):
         seen = []
-        real = expsum._torus_reduce
+        real = expsum.torus_trace_counts
 
         def recording(poly):
             out = real(poly)
-            seen.append((poly.n, out[0]))
+            seen.append((poly.n, out))
             return out
 
-        monkeypatch.setattr(expsum, "_torus_reduce", recording)
+        monkeypatch.setattr(expsum, "torus_trace_counts", recording)
         return seen
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -364,9 +363,9 @@ class TestTauSumCrossCheck:
         D, x = CROSS_CHECK_CASES[case]
         n, p = D.base.n, D.base.field.p
         value = tau_summed_trace(D, k, x)
-        (zero_n, _), (cross_n, counts) = reductions
-        assert (zero_n, cross_n) == (n, n + 1)
-        direct = expsum._counts_to_cyclo(counts, p, 1)
+        [(cross_n, counts)] = reductions  # the zero count walks no trace counts
+        assert cross_n == n + 1
+        direct = CycloNum.from_zeta_powers(p, counts)
         assert direct == per_tau_loop(D, k, x)
         assert value == (direct if n % 2 == 0 else -direct)
 
@@ -400,13 +399,13 @@ class TestTauSumCrossCheck:
             assert tau_summed_trace(D, k, x) == expected
         assert charged == [("torus sum", q1 ** n), ("torus sum", q1 ** (n + 1))]
 
-        real_counts = ffarray.DiscreteTable.window_counts
+        real_values = ffarray.DiscreteTable.log_values
 
         def zero_count_only(self, nvars, *args):
             assert nvars == n, "cross-check kernel ran past the budget"
-            return real_counts(self, nvars, *args)
+            return real_values(self, nvars, *args)
 
-        monkeypatch.setattr(ffarray.DiscreteTable, "window_counts", zero_count_only)
+        monkeypatch.setattr(ffarray.DiscreteTable, "log_values", zero_count_only)
         with pytest.raises(BudgetExceeded) as exc, scope(budget=need - 1):
             tau_summed_trace(D, k, x)
         assert (exc.value.required, exc.value.budget) == (need, need - 1)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from arith_lg.budget import scope
 from arith_lg.errors import (BadIndex, BudgetExceeded, DegreeZero,
                              IncompatibleCharacteristic, NotAnExtension, NotPrime)
-from arith_lg.ffield import (FieldSpec, FqElem, discrete_table, embed, enumerate_torus,
+from arith_lg.ffield import (discrete_table, embed, enumerate_torus,
                              field_from_modulus, make_field, multiplicative_generator,
                              torus_size, trace_to_prime)
 

@@ -20,9 +20,9 @@ from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rref,
                               to_fractions, transpose)
 from arith_lg.expsum import family_sum
 from arith_lg.ffield import make_field
-from arith_lg.frobdata import (FrobeniusReport, LFunctionReport,
-                               family_l_function, frobenius_report,
-                               monodromy_filtration, stalk_power_sums)
+from arith_lg.frobdata import (FrobeniusReport, family_l_function,
+                               frobenius_report, monodromy_filtration,
+                               stalk_power_sums)
 from arith_lg.laurent import Deformation, LaurentPoly
 
 F3 = make_field(3, 1)
@@ -106,6 +106,28 @@ class TestFrobeniusReport:
             5, [P.coefficient(r - j) * Fraction(qn) ** (r - j)
                 for j in range(r + 1)])
         assert transformed == rep.char_poly_inverse_character.scale(P.coefficient(0))
+
+    def test_proportional_takes_no_inverse(self, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("inverse taken")
+
+        monkeypatch.setattr(CycloNum, "inverse", no_inverse)
+        z = CycloNum.zeta(7, 1)
+        c = z * z + 3  # not rational
+        # leading coefficients: irrational, rational (3/2), and 1
+        for top in (Fraction(-2, 3) * z + 5, Fraction(3, 2), 1):
+            B = CycloPoly(7, [1, 0, z, top])
+            A = CycloPoly(7, [c * b for b in B.coeffs])
+            assert frobdata._proportional(A, B)
+            assert frobdata._proportional(B, A)
+            assert not frobdata._proportional(A + CycloPoly(7, [1]), B)
+            assert not frobdata._proportional(B, A + CycloPoly(7, [1]))
+            # same degree, zero in a different place
+            other = CycloPoly(7, [1, z, 0, top])
+            assert not frobdata._proportional(other, B)
+            assert not frobdata._proportional(B, other)
+            assert not frobdata._proportional(CycloPoly(7, []), B)
+        assert frobdata._proportional(CycloPoly(7, []), CycloPoly(7, []))
 
     def test_triple_point_rank_three(self):
         # normalized volume of the standard simplex spanned at

@@ -13,11 +13,12 @@ from arith_lg import ffarray, laurent
 from arith_lg.budget import scope
 from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
                              TableMismatch, ZeroCoordinate)
-from arith_lg.ffield import enumerate_torus, make_field, multiplicative_generator
+from arith_lg.ffield import (enumerate_torus, extension_field, make_field,
+                             multiplicative_generator)
 from arith_lg.laurent import (Deformation, LaurentPoly, check_nondegenerate,
-                              critical_count, default_search_depth, evaluate,
-                              face_restrict, log_derivative, monomial_table,
-                              phi_map, specialize)
+                              default_search_depth, evaluate, face_restrict,
+                              log_derivative, monomial_table, phi_map,
+                              specialize, torus_zeros)
 from arith_lg.polytope import faces_not_containing_origin, normalized_volume
 
 F3 = make_field(3, 1)
@@ -103,6 +104,19 @@ class TestLogDerivative:
     def test_axis_out_of_range(self):
         with pytest.raises(InputError):
             log_derivative(kloosterman(F5), 2)
+
+    @pytest.mark.parametrize("field", [make_field(3, 2), None], ids=["F9", "Q"])
+    def test_vanishing_exponents_drop_out(self, field):
+        # exponents divisible by 3 vanish in F_9 and only 0 vanishes in Q;
+        # the constructor drops exactly those terms, with no filter
+        a = field.element((1, 2)) if field else Fraction(2, 3)
+        f = LaurentPoly(2, [((3, 1), a), ((-6, 0), 1), ((0, -3), a), ((2, 5), 1),
+                            ((-1, 3), -1), ((4, 0), a)], field)
+        char = 3 if field else None
+        for i in (1, 2):
+            want = {w: c * w[i - 1] for w, c in f.terms.items()
+                    if w[i - 1] and (char is None or w[i - 1] % char)}
+            assert log_derivative(f, i).terms == want
 
     @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 4)),
                     min_size=1, max_size=3),
@@ -351,6 +365,12 @@ def set_on_face(f, face):
     return {w for w in f.support if face_contains(face, w)}
 
 
+def critical_count(f, k=1):
+    """Common zeros of every logarithmic derivative of f on (F_{q^k}^*)^n."""
+    derivs = [log_derivative(f, i) for i in range(1, f.n + 1)]
+    return torus_zeros(derivs, extension_field(f.field, k))[0]
+
+
 def brute_common_zeros(f, k):
     """Points of (F_{q^k}^*)^n where every log derivative of f vanishes,
     in itertools.product order of the generator exponents."""
@@ -463,9 +483,13 @@ class TestCriticalCount:
         assert critical_count(f, 1) == normalized_volume(f.newton()) == 2
 
     def test_budget(self):
+        # the search charges (5 - 1)^2 points for its first edge at k = 1
         with pytest.raises(BudgetExceeded), scope(budget=10):
-            critical_count(triple_point(F5), 4)
+            check_nondegenerate(triple_point(F5), K=4)
 
     def test_rational_coefficients_rejected(self):
+        f = LaurentPoly(1, [((1,), 1), ((-1,), 1)])
         with pytest.raises(InputError):
-            critical_count(LaurentPoly(1, [((1,), 1), ((-1,), 1)]))
+            check_nondegenerate(f)
+        with pytest.raises(InputError):
+            torus_zeros([log_derivative(f, 1)], F5)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from unittest import mock
 
 import pytest

@@ -1,9 +1,13 @@
-"""The log-domain torus kernel against brute-force evaluation.
+"""The log-domain torus kernel and the torus walks against brute-force
+evaluation.
 
 DiscreteTable.log_values is checked point by point, and through the
 trace-bucket counts of DiscreteTable.window_counts, against enumerate_torus +
 laurent.evaluate + trace_to_prime, on windows whose ends fall inside
-chunks and that cross odometer carries.
+chunks and that cross odometer carries.  laurent.torus_zeros is checked
+on one polynomial and on its system of logarithmic derivatives, count
+and first zero, under one to three partitions, whose window ends fall
+inside chunks too.
 """
 
 import random
@@ -16,7 +20,8 @@ from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum
 from arith_lg.expsum import extension_field, family_sum
 from arith_lg.ffield import discrete_table, embed, enumerate_torus, make_field, trace_to_prime
-from arith_lg.laurent import Deformation, LaurentPoly, evaluate, specialize
+from arith_lg.laurent import (Deformation, LaurentPoly, evaluate, log_derivative,
+                              specialize, torus_zeros)
 
 
 @pytest.fixture
@@ -74,10 +79,31 @@ def check(f, start, stop):
     got = np.concatenate(chunks).tolist() if chunks else []
     want_logs, want_traces = brute(f, table, start, stop)
     assert got == want_logs
-    counts, zeros = table.window_counts(f.n, logs, weights, start, stop)
+    counts = table.window_counts(f.n, logs, weights, start, stop)
     assert counts == [want_traces.count(v) for v in range(f.field.p)]
-    assert zeros == want_logs.count(-1)
-    return zeros
+
+
+def brute_zeros(polys, field):
+    n = polys[0].n
+    return [pt for pt in enumerate_torus(field, n)
+            if all(not evaluate(f, pt) for f in polys)]
+
+
+def check_zeros(polys, field):
+    """torus_zeros of polys, and of their log-derivative system when there
+    is one poly, against brute force under 1-3 partitions; returns the
+    zero count of polys."""
+    systems = [polys]
+    if len(polys) == 1:
+        systems.append([log_derivative(polys[0], i) for i in range(1, polys[0].n + 1)])
+    for system in systems:
+        want = brute_zeros(system, field)
+        first = want[0] if want else None
+        for parts in (1, 2, 3):
+            with scope(partitions=parts):
+                assert torus_zeros(system, field) == (len(want), first)
+                assert torus_zeros(system, field, first_only=True) == (min(len(want), 1), first)
+    return torus_zeros(polys, field)[0]
 
 
 RANDOM_CASES = [
@@ -98,6 +124,8 @@ def test_random_polys_match_brute_force(small_chunks, p, m, n, nterms, seed):
         if Q ** n > 2000 and stop - start > 400:
             continue  # the brute-force side is slow on the full F_128 tori
         check(f, start, stop)
+    if Q ** n <= 2000:
+        check_zeros([f], F)
 
 
 def test_default_chunk_size_agrees():
@@ -120,7 +148,7 @@ def test_default_chunk_size_agrees():
 def test_cancelling_sums(small_chunks, p, m, n, terms, want_zeros):
     F = make_field(p, m)
     f = LaurentPoly(n, terms, F)
-    assert check(f, 0, (F.q - 1) ** n) == want_zeros
+    assert check_zeros([f], F) == want_zeros
     for start, stop in windows(F.q - 1, n):
         check(f, start, stop)
 
@@ -129,7 +157,13 @@ def test_no_terms_is_zero_everywhere(small_chunks):
     table = discrete_table(make_field(5, 1))
     vals = np.concatenate(list(table.log_values(2, [], [], 3, 14)))
     assert vals.tolist() == [-1] * 11
-    assert table.window_counts(2, [], [], 3, 14) == ([11, 0, 0, 0, 0], 11)
+    assert table.window_counts(2, [], [], 3, 14) == [11, 0, 0, 0, 0]
+    F5 = make_field(5, 1)
+    zero, f = LaurentPoly(2, [], F5), LaurentPoly(2, [((1, 0), 1)], F5)
+    first = (F5.one(), F5.one())
+    assert torus_zeros([zero], F5) == (16, first)
+    assert torus_zeros([zero], F5, first_only=True) == (1, first)
+    assert torus_zeros([zero, f], F5) == (0, None)
 
 
 def test_empty_window_yields_nothing():

@@ -92,7 +92,7 @@ def test_ratfunc_arithmetic_goes_through_mpoly_mul(mul_calls, op, expected, den)
 @pytest.fixture
 def kernel_windows(monkeypatch):
     calls = []
-    real = ffarray.DiscreteTable.window_counts
+    real = ffarray.DiscreteTable.log_values
 
     def counting(self, n, *args):
         calls.append(n)
@@ -101,7 +101,7 @@ def kernel_windows(monkeypatch):
     def no_family_sum(*args, **kwargs):
         raise AssertionError("family_sum called from tau_summed_trace")
 
-    monkeypatch.setattr(ffarray.DiscreteTable, "window_counts", counting)
+    monkeypatch.setattr(ffarray.DiscreteTable, "log_values", counting)
     monkeypatch.setattr(expsum, "family_sum", no_family_sum)
     return calls
 
