@@ -102,26 +102,15 @@ def _duality_transform(P: CycloPoly, qn: int) -> CycloPoly:
 
 
 def _proportional(A: CycloPoly, B: CycloPoly) -> bool:
-    """A = c * B for some nonzero constant c, checked exactly, with no
-    coefficient inverted.
+    """A = c * B for some nonzero constant c, B monic, checked exactly.
 
-    With a0 and b0 the leading coefficients, A = (a0 / b0) * B iff A and
-    B vanish in the same degrees and a * b0 == a0 * b in every other
-    degree.  A rational b0 (1 when B is monic) makes a0 / b0 one product.
+    c can only be A's leading coefficient, so the check takes one
+    product per lower degree and inverts nothing.  The one caller's B is
+    the conjugate of a characteristic polynomial, hence monic.
     """
-    if A.degree != B.degree:
-        return False
-    pairs = [(A.coefficient(i), B.coefficient(i)) for i in range(A.degree + 1)]
-    if any(bool(a) != bool(b) for a, b in pairs):
-        return False
-    if not pairs:
-        return True
-    a0, b0 = pairs[-1]
-    rest = [(a, b) for a, b in pairs[:-1] if b]
-    if b0.is_rational:
-        c = a0 * (1 / b0.rational_value())
-        return all(a == c * b for a, b in rest)
-    return all(a * b0 == a0 * b for a, b in rest)
+    c = A.coefficient(A.degree)
+    return A.degree == B.degree and all(
+        A.coefficient(i) == c * B.coefficient(i) for i in range(B.degree))
 
 
 def frobenius_report(D: Deformation, x: Sequence, tau, *,

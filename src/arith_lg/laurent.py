@@ -193,6 +193,8 @@ def torus_trace_counts(f: LaurentPoly) -> list[int]:
     """Number of points of (F_q^*)^n, F_q the field of f, at which
     Tr(f(t)) takes each value 0 .. p - 1."""
     field = f.field
+    if field is None:
+        raise InputError("exponential sums need finite-field coefficients")
     table = discrete_table(field)
     logs, weights = _kernel_input(f, field, table)
     total = [0] * field.p

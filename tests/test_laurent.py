@@ -18,7 +18,7 @@ from arith_lg.ffield import (enumerate_torus, extension_field, make_field,
 from arith_lg.laurent import (Deformation, LaurentPoly, check_nondegenerate,
                               default_search_depth, evaluate, face_restrict,
                               log_derivative, monomial_table, phi_map,
-                              specialize, torus_zeros)
+                              specialize, torus_trace_counts, torus_zeros)
 from arith_lg.polytope import faces_not_containing_origin, normalized_volume
 
 F3 = make_field(3, 1)
@@ -493,3 +493,5 @@ class TestCriticalCount:
             check_nondegenerate(f)
         with pytest.raises(InputError):
             torus_zeros([log_derivative(f, 1)], F5)
+        with pytest.raises(InputError):
+            torus_trace_counts(f)
