@@ -19,12 +19,10 @@ import sys
 
 from . import problemio as pio
 from .budget import scope
-from .connalg import (curvature, log_restriction, poincare_rank,
-                      rank1_restriction, residue_at_infinity, verify_fts,
-                      verify_metric)
+from .connalg import verify_connection, verify_fts, verify_metric
 from .cyclotomic import all_embeddings
 from .errors import (ArithLGError, BudgetExceeded, InputError,
-                     VerificationError, WrongRank)
+                     VerificationError)
 from .expsum import extension_field, family_sum
 from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
     monodromy_filtration
@@ -146,36 +144,11 @@ def _cmd_l_function(args):
 
 def _cmd_verify_connection(args):
     A = pio.parse_connection(pio.load_json_file(args.connection), args.connection)
-    flat = curvature(A).is_zero
-    rank = poincare_rank(A)
-    payload = {
-        "command": "verify-connection",
-        "flat": flat,
-        "poincare_rank": rank,
-    }
-    if flat and rank <= 0:
-        lr = log_restriction(A)
-        payload["residue"] = lr.residue
-        payload["residue_horizontal"] = lr.residue_horizontal
-    elif flat and rank == 1:
-        try:
-            rr = rank1_restriction(A)
-        except WrongRank:
-            pass
-        else:
-            payload["higgs"] = rr.higgs
-            payload["r0"] = rr.r0
-            payload["higgs_squares_zero"] = rr.higgs_squares_zero
-            payload["higgs_commutes_r0"] = rr.higgs_commutes_r0
-    if flat:
-        try:
-            res_inf = residue_at_infinity(A)
-        except WrongRank:
-            payload["logarithmic_at_infinity"] = False
-        else:
-            payload["logarithmic_at_infinity"] = True
-            payload["residue_at_infinity"] = res_inf
-    return payload, flat
+    report = verify_connection(A)
+    # fields that apply are document keys, in field order for the text form
+    payload = {"command": "verify-connection",
+               **{k: v for k, v in vars(report).items() if v is not None}}
+    return payload, report.flat
 
 
 def _cmd_verify_fts(args):

@@ -1,6 +1,7 @@
 """Exact matrix-valued differential forms on the (t, x)-chart:
-curvature, pole classification along t = 0, residue and Higgs
-extraction, one-parameter assembly, and the flat-structure conditions.
+curvature, the connection report (pole classification along t = 0,
+residue and Higgs extraction, the pole at t = oo), one-parameter
+assembly, and the flat-structure conditions.
 
 Matrices of rational functions represent connection forms; everything
 is decided exactly over the rationals.  Variable 0 is t, variables
@@ -13,24 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import (InputError, NotFlat, SingularMetric, VerificationError,
-                     WrongRank)
+from .errors import InputError, SingularMetric, VerificationError
 from .mpoly import MPoly, RatFunc
 
 __all__ = [
     "MatForm",
     "FTSTuple",
-    "LogRestriction",
-    "Rank1Restriction",
+    "ConnectionReport",
     "FTSReport",
     "MetricReport",
     "curvature",
     "poincare_rank",
-    "log_restriction",
-    "rank1_restriction",
     "assemble_nabla",
     "to_infinity_chart",
-    "residue_at_infinity",
+    "verify_connection",
     "verify_fts",
     "verify_metric",
     "assembled_pairing_flat",
@@ -212,71 +209,6 @@ def poincare_rank(A: MatForm) -> int:
     return max(p_x, p_t - 1, 0)
 
 
-@dataclass(frozen=True)
-class LogRestriction:
-    """Restriction data of a flat logarithmic form at t = 0."""
-
-    restriction: tuple  # Omega_i(0, x), i = 1..m
-    residue: RMat
-    restriction_flat: bool
-    residue_horizontal: bool
-
-
-def log_restriction(A: MatForm) -> LogRestriction:
-    """Restrict a flat form with a logarithmic pole: the x-connection at
-    t = 0 plus the residue endomorphism, with both derived identities
-    re-verified."""
-    if not curvature(A).is_zero:
-        raise NotFlat("curvature does not vanish")
-    rank = poincare_rank(A)
-    if rank > 0:
-        raise WrongRank(f"pole has rank {rank}, need a logarithmic pole")
-    m = A.nvars - 1
-    omegas = tuple(_mmap(lambda v: v.eval_t0(), A.component((i,)))
-                   for i in range(1, m + 1))
-    residue = _mmap(lambda v: v.mul_t_power(1).eval_t0(), A.component((0,)))
-
-    restr_ok = all(_mzero(_curl(omegas[i], omegas[j], i + 1, j + 1))
-                   for i in range(m) for j in range(i + 1, m))
-    horiz_ok = all(
-        _meq(_mpartial(residue, i + 1), _mcomm(residue, omegas[i]))
-        for i in range(m))
-    if not (restr_ok and horiz_ok):  # pragma: no cover - implied by flatness
-        raise VerificationError("restriction identities fail on a flat form")
-    return LogRestriction(omegas, residue, restr_ok, horiz_ok)
-
-
-@dataclass(frozen=True)
-class Rank1Restriction:
-    """Higgs and residue data of a flat form with a rank-1 pole."""
-
-    higgs: tuple  # Phi_i(0, x), i = 1..m
-    r0: RMat
-    higgs_squares_zero: bool
-    higgs_commutes_r0: bool
-
-
-def rank1_restriction(A: MatForm) -> Rank1Restriction:
-    """Extract Phi = (t * dx-part)|_{t=0} and R_0 = (t^2 * dt-part)|_{t=0}
-    from a flat form with a pole of rank exactly 1."""
-    if not curvature(A).is_zero:
-        raise NotFlat("curvature does not vanish")
-    rank = poincare_rank(A)
-    if rank != 1:
-        raise WrongRank(f"pole has rank {rank}, need rank exactly 1")
-    m = A.nvars - 1
-    higgs = tuple(_mmap(lambda v: v.mul_t_power(1).eval_t0(), A.component((i,)))
-                  for i in range(1, m + 1))
-    r0 = _mmap(lambda v: v.mul_t_power(2).eval_t0(), A.component((0,)))
-
-    squares = all(_mzero(_mcomm(higgs[i], higgs[j]))
-                  for i in range(m) for j in range(i + 1, m))
-    commutes = all(_mzero(_mcomm(r0, higgs[i])) for i in range(m))
-    if not (squares and commutes):  # pragma: no cover - implied by flatness
-        raise VerificationError("Higgs identities fail on a flat form")
-    return Rank1Restriction(higgs, r0, squares, commutes)
-
-
 class FTSTuple:
     """Flat-structure tuple (A, Phi, R_0, R_inf[, g]) over the base.
 
@@ -352,13 +284,73 @@ def to_infinity_chart(A: MatForm) -> MatForm:
     return MatForm(A.nvars, 1, comps, A.size)
 
 
-def residue_at_infinity(A: MatForm) -> RMat:
-    """(s * ds-part)|_{s=0} of the s = 1/t chart of A; the pole there
-    must be logarithmic."""
+def _t0_part(a: RMat, k: int = 0) -> RMat:
+    """(t^k * a)|_{t=0}, entrywise."""
+    if k:
+        a = _mmap(lambda v: v.mul_t_power(k), a)
+    return _mmap(lambda v: v.eval_t0(), a)
+
+
+@dataclass(frozen=True)
+class ConnectionReport:
+    """Flatness and pole structure of a connection form.
+
+    A flat form carries the restriction data its Poincare rank along
+    t = 0 calls for: the residue for a logarithmic pole (rank <= 0), the
+    Higgs field Phi = (t * dx-part)|_{t=0} and R_0 = (t^2 * dt-part)|_{t=0}
+    for rank 1, and in every case whether the pole at t = oo is
+    logarithmic, with its residue when it is.  Fields that do not apply
+    are None; field order is the order of the CLI report.
+    """
+
+    flat: bool
+    poincare_rank: int
+    residue: RMat | None = None
+    residue_horizontal: bool | None = None
+    higgs: tuple | None = None  # Phi_i(0, x), i = 1..m
+    r0: RMat | None = None
+    higgs_squares_zero: bool | None = None
+    higgs_commutes_r0: bool | None = None
+    logarithmic_at_infinity: bool | None = None
+    residue_at_infinity: RMat | None = None
+
+
+def verify_connection(A: MatForm) -> ConnectionReport:
+    """Curvature and Poincare rank of A, then, on a flat form, the
+    restriction data of its poles at t = 0 and t = oo, with the
+    identities flatness implies re-verified."""
+    flat = curvature(A).is_zero
+    rank = poincare_rank(A)
+    if not flat:
+        return ConnectionReport(flat, rank)
+    m = A.nvars - 1
+    data = {}
+    if rank <= 0:
+        omegas = [_t0_part(A.component((i,))) for i in range(1, m + 1)]
+        residue = _t0_part(A.component((0,)), 1)
+        restr_ok = all(_mzero(_curl(omegas[i], omegas[j], i + 1, j + 1))
+                       for i in range(m) for j in range(i + 1, m))
+        horiz_ok = all(
+            _meq(_mpartial(residue, i + 1), _mcomm(residue, omegas[i]))
+            for i in range(m))
+        if not (restr_ok and horiz_ok):  # pragma: no cover - implied by flatness
+            raise VerificationError("restriction identities fail on a flat form")
+        data.update(residue=residue, residue_horizontal=horiz_ok)
+    elif rank == 1:
+        higgs = tuple(_t0_part(A.component((i,)), 1) for i in range(1, m + 1))
+        r0 = _t0_part(A.component((0,)), 2)
+        squares = all(_mzero(_mcomm(higgs[i], higgs[j]))
+                      for i in range(m) for j in range(i + 1, m))
+        commutes = all(_mzero(_mcomm(r0, higgs[i])) for i in range(m))
+        if not (squares and commutes):  # pragma: no cover - implied by flatness
+            raise VerificationError("Higgs identities fail on a flat form")
+        data.update(higgs=higgs, r0=r0, higgs_squares_zero=squares,
+                    higgs_commutes_r0=commutes)
     B = to_infinity_chart(A)
-    if poincare_rank(B) > 0:
-        raise WrongRank("pole at infinity is not logarithmic")
-    return _mmap(lambda v: v.mul_t_power(1).eval_t0(), B.component((0,)))
+    data["logarithmic_at_infinity"] = poincare_rank(B) <= 0
+    if data["logarithmic_at_infinity"]:
+        data["residue_at_infinity"] = _t0_part(B.component((0,)), 1)
+    return ConnectionReport(flat, rank, **data)
 
 
 CONDITION_NAMES = (

@@ -109,14 +109,6 @@ class NotNilpotent(InputError):
 
 # --- connection calculus ---
 
-class NotFlat(VerificationError):
-    pass
-
-
-class WrongRank(VerificationError):
-    """The connection's pole structure along t = 0 is not the expected one."""
-
-
 class NotMeromorphicAlongT(InputError):
     """An entry's denominator is not a power of t times a t-free
     polynomial, so pole order along t = 0 is not defined here."""

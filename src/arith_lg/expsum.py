@@ -78,8 +78,8 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
     the extension itself, or as integers.  psi_power=-1 computes the sum
     for the inverse character.
     """
-    _check_psi_power(psi_power, D.base.field.p)
     ext = extension_field(D.base.field, k)
+    _check_psi_power(psi_power, ext.p)
     return _torus_sum(_specialized(D, ext, tau, x), psi_power)
 
 
@@ -89,8 +89,8 @@ def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
     monomial list; zero entries of y drop out."""
     if len(y) != len(table.points):
         raise InputError(f"expected {len(table.points)} coefficients, got {len(y)}")
-    _check_psi_power(psi_power, field.p)
     ext = extension_field(field, k)
+    _check_psi_power(psi_power, ext.p)
     n = len(table.points[0]) if table.points else 0
     terms = []
     for w, c in zip(table.points, y):
@@ -120,17 +120,17 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
     (F_{q^k}^*)^{n+1} with tau = s on the first axis, and the two must
     agree exactly, else VerificationError.
     """
-    base = D.base.field
+    ext = extension_field(D.base.field, k)
     n = D.base.n
-    qk = base.q ** k
+    qk = ext.q
     zk = zero_count(D, k, x)
     inner = qk * zk - (qk - 1) ** n
     value = inner if n % 2 == 0 else -inner
     if (qk - 1) ** (n + 1) <= DOUBLE_ENUM_CAP:
-        fx = _specialized(D, extension_field(base, k), 1, x)
+        fx = _specialized(D, ext, 1, x)
         tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
         if _torus_sum(tau_fx, 1) != inner:
             raise VerificationError(
                 "orthogonality cross-check failed: direct tau-sum disagrees "
                 "with the zero-count closed form")
-    return CycloNum.from_rational(base.p, value)
+    return CycloNum.from_rational(ext.p, value)

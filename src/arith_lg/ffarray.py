@@ -155,7 +155,7 @@ class DiscreteTable:
     Construction is not charged here: ffield.discrete_table charges it.
     """
 
-    __slots__ = ("field", "q", "g", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
+    __slots__ = ("field", "q", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
 
     def __init__(self, field: FieldSpec):
         self.field = field
@@ -163,7 +163,6 @@ class DiscreteTable:
         self.q = q
         p, m = field.p, field.m
         g = multiplicative_generator(field)
-        self.g = g
         blocks = _power_blocks(field, g, q - 1)  # the int64 check runs here
         weights = p ** numpy.arange(m, dtype=numpy.int64)
         exp_enc = numpy.empty(q - 1, dtype=numpy.int64)

@@ -291,7 +291,12 @@ def make_field(p: int, m: int) -> FieldSpec:
 
 
 def extension_field(base: FieldSpec, k: int) -> FieldSpec:
-    """The degree-k extension F_{q^k} of F_q, canonically presented."""
+    """The degree-k extension F_{q^k} of F_q, canonically presented.
+
+    Every exponential sum and point count reads its field through here
+    first, so rational coefficients (base None) stop here."""
+    if base is None:
+        raise InputError("this operation needs finite-field coefficients")
     if k < 1:
         raise InputError("extension degree must be at least 1")
     return base if k == 1 else make_field(base.p, base.m * k)

@@ -125,7 +125,6 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
     """
     base = D.base.field
     n = D.base.n
-    q = base.q
     P_newton = D.base.newton()
     r = normalized_volume(P_newton)
     if r < 1:
@@ -154,6 +153,7 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
     P = char_poly_from_power_sums(ps[:r], r)
     consistency_ok = validate_power_sums(P, ps)
 
+    q = base.q  # read after stalk_power_sums has checked the field
     P_inv = P.conj_coeffs(base.p - 1)
     moduli = _all_root_moduli(P)
     target = q ** (n / 2)

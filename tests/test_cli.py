@@ -28,6 +28,24 @@ FLAT_CONN = {
     "dx": [[[{"num": [{"c": "-1"}], "den": [{"c": "1", "deg": {"t": 1}}]}]]],
 }
 
+# dt = C/t with C = [[5, 1], [0, 2]]: a logarithmic pole at t = 0
+LOG_CONN = {
+    "m": 1, "size": 2,
+    "dt": [[{"num": [{"c": "5"}], "den": [{"c": "1", "deg": {"t": 1}}]},
+            {"num": [{"c": "1"}], "den": [{"c": "1", "deg": {"t": 1}}]}],
+           [[{"c": "0"}],
+            {"num": [{"c": "2"}], "den": [{"c": "1", "deg": {"t": 1}}]}]],
+}
+
+# FLAT_CONN plus t dt: still flat of rank 1, but no longer logarithmic
+# at t = oo
+IRREGULAR_INF_CONN = {
+    "m": 1, "size": 1,
+    "dt": [[{"num": [{"c": "1", "deg": {"x1": 1}}, {"c": "1", "deg": {"t": 3}}],
+             "den": [{"c": "1", "deg": {"t": 2}}]}]],
+    "dx": [[[{"num": [{"c": "-1"}], "den": [{"c": "1", "deg": {"t": 1}}]}]]],
+}
+
 CURVED_CONN = {
     "m": 1, "size": 1,
     "dt": [[[{"c": "1", "deg": {"x1": 1}}]]],
@@ -57,6 +75,7 @@ def files(tmp_path_factory):
     out = {}
     for name, obj in [("k5", KLOOSTERMAN5), ("k3", KLOOSTERMAN3),
                       ("deg3", DEGENERATE3), ("flat", FLAT_CONN),
+                      ("log", LOG_CONN), ("irregular_inf", IRREGULAR_INF_CONN),
                       ("curved", CURVED_CONN), ("fts_ok", fts_tuple("1")),
                       ("fts_bad", fts_tuple("2")), ("jordan3", JORDAN3)]:
         p = root / f"{name}.json"
@@ -292,6 +311,50 @@ class TestVerifyConnection:
         code, doc = run_json(capsys, "verify-connection", files["curved"])
         assert code == 1
         assert doc["flat"] is False
+
+    @pytest.mark.parametrize("name, doc, text", [
+        ("log", {
+            "command": "verify-connection",
+            "flat": True,
+            "poincare_rank": "0",
+            "residue": [[[{"c": "5"}], [{"c": "1"}]], [[], [{"c": "2"}]]],
+            "residue_horizontal": True,
+            "logarithmic_at_infinity": True,
+            "residue_at_infinity": [[[{"c": "-5"}], [{"c": "-1"}]],
+                                    [[], [{"c": "-2"}]]],
+        }, (
+            'flat: true\n'
+            'poincare_rank: "0"\n'
+            'residue: [[[{"c": "5"}], [{"c": "1"}]], [[], [{"c": "2"}]]]\n'
+            'residue_horizontal: true\n'
+            'logarithmic_at_infinity: true\n'
+            'residue_at_infinity: [[[{"c": "-5"}], [{"c": "-1"}]], '
+            '[[], [{"c": "-2"}]]]\n'
+        )),
+        ("irregular_inf", {
+            "command": "verify-connection",
+            "flat": True,
+            "poincare_rank": "1",
+            "higgs": [[[[{"c": "-1"}]]]],
+            "r0": [[[{"c": "1", "deg": {"x1": 1}}]]],
+            "higgs_squares_zero": True,
+            "higgs_commutes_r0": True,
+            "logarithmic_at_infinity": False,
+        }, (
+            'flat: true\n'
+            'poincare_rank: "1"\n'
+            'higgs: [[[[{"c": "-1"}]]]]\n'
+            'r0: [[[{"c": "1", "deg": {"x1": 1}}]]]\n'
+            'higgs_squares_zero: true\n'
+            'higgs_commutes_r0: true\n'
+            'logarithmic_at_infinity: false\n'
+        )),
+    ])
+    def test_pole_branches(self, files, capsys, name, doc, text):
+        code, got = run_json(capsys, "verify-connection", files[name])
+        del got["generated_at"]
+        assert (code, got) == (0, doc)
+        assert run(capsys, "verify-connection", files[name]) == (0, text)
 
 
 class TestVerifyFts:

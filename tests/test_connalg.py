@@ -5,13 +5,13 @@ import random
 
 import pytest
 
+from arith_lg import connalg
+from arith_lg.acceptance import _random_structure_tuple
 from arith_lg.connalg import (FTSTuple, MatForm, assemble_nabla,
-                              assembled_pairing_flat, curvature,
-                              log_restriction, poincare_rank,
-                              rank1_restriction, residue_at_infinity,
-                              to_infinity_chart, verify_fts, verify_metric)
-from arith_lg.errors import (InputError, NotFlat, NotMeromorphicAlongT,
-                             SingularMetric, WrongRank)
+                              assembled_pairing_flat, curvature, poincare_rank,
+                              to_infinity_chart, verify_connection, verify_fts,
+                              verify_metric)
+from arith_lg.errors import InputError, NotMeromorphicAlongT, SingularMetric
 from arith_lg.mpoly import MPoly, RatFunc
 
 NV = 3
@@ -183,73 +183,126 @@ class TestPoincareRank:
 
 
 class TestLogRestriction:
+    """The report's residue data, present for a flat form of rank <= 0."""
+
     def test_constant_residue(self):
         A = MatForm(NV, 1, {(0,): [[RatFunc(c(5), t), RatFunc(c(1), t)],
                                    [0, RatFunc(c(2), t)]]}, 2)
-        lr = log_restriction(A)
-        assert lr.residue[0][0] == 5
-        assert lr.residue[0][1] == 1
-        assert lr.residue[1][1] == 2
-        assert all(v.is_zero for mat in lr.restriction for row in mat for v in row)
-        assert lr.restriction_flat and lr.residue_horizontal
+        rep = verify_connection(A)
+        assert rep.poincare_rank == 0
+        assert rep.residue[0][0] == 5
+        assert rep.residue[0][1] == 1
+        assert rep.residue[1][1] == 2
+        assert rep.residue_horizontal
+        assert rep.higgs is None and rep.r0 is None
 
     def test_nonconstant_residue_without_dx_is_not_flat(self):
         # horizontality would force the residue constant
         A = MatForm(NV, 1, {(0,): [[RatFunc(x, t), 0], [0, RatFunc(y, t)]]}, 2)
-        with pytest.raises(NotFlat):
-            log_restriction(A)
+        rep = verify_connection(A)
+        assert not rep.flat
+        assert rep.poincare_rank == 0
+        assert rep.residue is None and rep.logarithmic_at_infinity is None
 
     def test_rank_one_rejected(self):
         T = FTSTuple(2, 2, A=[ZERO2, ZERO2], phi=[E12, ZERO2], r0=I2,
                      rinf=[[0, 0], [0, 1]])
-        with pytest.raises(WrongRank):
-            log_restriction(assemble_nabla(T))
+        rep = verify_connection(assemble_nabla(T))
+        assert rep.flat and rep.poincare_rank == 1
+        assert rep.residue is None and rep.residue_horizontal is None
 
     def test_holomorphic_accepted_with_zero_residue(self):
         A = MatForm(NV, 1, {(1,): [[1, 0], [0, 1]]}, 2)
-        lr = log_restriction(A)
-        assert all(v.is_zero for row in lr.residue for v in row)
+        rep = verify_connection(A)
+        assert rep.poincare_rank == -1
+        assert all(v.is_zero for row in rep.residue for v in row)
 
 
 class TestRank1Restriction:
+    """The report's Higgs data, present for a flat form of rank 1."""
+
     def test_round_trip(self):
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 1]])
-        rt = rank1_restriction(assemble_nabla(T))
-        assert mats_equal(rt.higgs[0], as_rf_matrix(E12, 2))
-        assert mats_equal(rt.r0, as_rf_matrix(I2, 2))
-        assert rt.higgs_squares_zero and rt.higgs_commutes_r0
+        rep = verify_connection(assemble_nabla(T))
+        assert mats_equal(rep.higgs[0], as_rf_matrix(E12, 2))
+        assert mats_equal(rep.r0, as_rf_matrix(I2, 2))
+        assert rep.higgs_squares_zero and rep.higgs_commutes_r0
+        assert rep.residue is None
 
     def test_round_trip_polynomial_entries(self):
         phi = [[x, y], [c(0), x]]
         r0 = [[x * y, c(0)], [c(0), x * y]]
         T = FTSTuple(2, 2, A=[ZERO2, ZERO2],
                      phi=[phi, ZERO2], r0=r0, rinf=ZERO2)
-        A = assemble_nabla(T)
-        # flatness of this particular tuple is not automatic; only run
-        # the restriction when it holds
-        if curvature(A).is_zero:
-            rt = rank1_restriction(A)
-            assert mats_equal(rt.higgs[0], as_rf_matrix(phi))
+        # flatness of this particular tuple is not automatic; the Higgs
+        # field is reported only when it holds
+        rep = verify_connection(assemble_nabla(T))
+        if rep.flat:
+            assert mats_equal(rep.higgs[0], as_rf_matrix(phi))
+        else:
+            assert rep.higgs is None
 
     def test_curved_form_rejected(self):
         A = MatForm(NV, 1, {(1,): [[RatFunc(y, t), 0], [0, 0]],
                             (2,): [[0, 0], [0, 0]]}, 2)
-        with pytest.raises(NotFlat):
-            rank1_restriction(A)
+        rep = verify_connection(A)
+        assert not rep.flat and rep.poincare_rank == 1
+        assert rep.higgs is None and rep.r0 is None
 
     def test_log_pole_rejected(self):
         A = MatForm(NV, 1, {(0,): [[RatFunc(c(5), t), 0], [0, 0]]}, 2)
-        with pytest.raises(WrongRank):
-            rank1_restriction(A)
+        rep = verify_connection(A)
+        assert rep.flat and rep.poincare_rank == 0
+        assert rep.higgs is None and rep.higgs_squares_zero is None
 
     def test_scalar_case(self):
         # scalar flatness forces phi = -dr0/dx, commutators all vanish
         x1 = MPoly.variable(2, 1)
         T = FTSTuple(1, 1, A=[[[0]]], phi=[[[1]]], r0=[[-x1]], rinf=[[3]])
-        rt = rank1_restriction(assemble_nabla(T))
-        assert rt.higgs_squares_zero and rt.higgs_commutes_r0
-        assert rt.higgs[0][0][0] == RatFunc.const(2, 1)
-        assert rt.r0[0][0] == RatFunc(-x1)
+        rep = verify_connection(assemble_nabla(T))
+        assert rep.higgs_squares_zero and rep.higgs_commutes_r0
+        assert rep.higgs[0][0][0] == RatFunc.const(2, 1)
+        assert rep.r0[0][0] == RatFunc(-x1)
+
+
+class TestConnectionReport:
+    def test_one_curvature_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return curvature(A)
+
+        monkeypatch.setattr(connalg, "curvature", counted)
+        T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 1]])
+        assert verify_connection(assemble_nabla(T)).flat
+        assert len(calls) == 1
+
+    def test_round_trip_over_random_tuples(self):
+        # the seeded generator of acceptance criterion 7 reaches all three
+        # cases (flat of rank 1, flat of rank <= 0, not flat) in its first
+        # four tuples
+        rng = random.Random(20260816)
+        seen = set()
+        for _ in range(20):
+            T = _random_structure_tuple(rng)
+            rep = verify_connection(assemble_nabla(T))
+            assert rep.flat == verify_fts(T).all_conditions_ok
+            if not rep.flat:
+                seen.add("curved")
+                continue
+            assert rep.logarithmic_at_infinity
+            assert mats_equal(rep.residue_at_infinity, T.rinf)
+            if rep.poincare_rank == 1:
+                seen.add("rank 1")
+                assert all(mats_equal(a, b) for a, b in zip(rep.higgs, T.phi))
+                assert mats_equal(rep.r0, T.r0)
+            else:
+                seen.add("logarithmic")
+                assert mats_equal(rep.residue, [[-v for v in row] for row in T.rinf])
+            if len(seen) == 3:
+                break
+        assert seen == {"curved", "rank 1", "logarithmic"}
 
 
 class TestAssembly:
@@ -288,8 +341,9 @@ class TestAssembly:
     def test_residue_at_infinity_is_rinf(self):
         rinf = [[3, 1], [0, 4]]
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=rinf)
-        res = residue_at_infinity(assemble_nabla(T))
-        assert mats_equal(res, as_rf_matrix(rinf, T.nvars))
+        rep = verify_connection(assemble_nabla(T))
+        assert rep.logarithmic_at_infinity
+        assert mats_equal(rep.residue_at_infinity, as_rf_matrix(rinf, T.nvars))
 
     def test_chart_change_involution(self):
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 1]])

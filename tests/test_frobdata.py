@@ -18,12 +18,12 @@ from arith_lg.errors import InputError, NotNilpotent
 from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rref,
                               subspace_basis, subspace_intersect, subspace_sum,
                               to_fractions, transpose)
-from arith_lg.expsum import family_sum
+from arith_lg.expsum import family_sum, gkz_sum, tau_summed_trace, zero_count
 from arith_lg.ffield import make_field
 from arith_lg.frobdata import (FrobeniusReport, family_l_function,
                                frobenius_report, monodromy_filtration,
                                stalk_power_sums)
-from arith_lg.laurent import Deformation, LaurentPoly
+from arith_lg.laurent import Deformation, LaurentPoly, monomial_table
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -34,6 +34,26 @@ def kloosterman(field):
     f = LaurentPoly(1, [((1,), one), ((-1,), one)], field)
     g = LaurentPoly(1, [((1,), one)], field)
     return Deformation(f, (g,), "newton_preserving")
+
+
+# the Kloosterman family t + 1/t + x t over Q (field None)
+RATIONAL = Deformation(LaurentPoly(1, [((1,), 1), ((-1,), 1)]),
+                       (LaurentPoly(1, [((1,), 1)]),), "newton_preserving")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family_sum(RATIONAL, 1, 1, (0,)),
+    lambda: gkz_sum(monomial_table(RATIONAL), None, 1, (1, 0, 1)),
+    lambda: zero_count(RATIONAL, 1, (0,)),
+    lambda: tau_summed_trace(RATIONAL, 1, (0,)),
+    lambda: stalk_power_sums(RATIONAL, (0,), 1, 2),
+    lambda: frobenius_report(RATIONAL, (0,), 1),
+    lambda: family_l_function(RATIONAL, (0,)),
+], ids=["family_sum", "gkz_sum", "zero_count", "tau_summed_trace",
+        "stalk_power_sums", "frobenius_report", "family_l_function"])
+def test_rational_family_is_input_error(call):
+    with pytest.raises(InputError, match="finite-field coefficients"):
+        call()
 
 
 def triple_point():

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import CURVED_CONN, FLAT_CONN, JORDAN3, KLOOSTERMAN5, fts_tuple
+from test_cli import (CURVED_CONN, FLAT_CONN, IRREGULAR_INF_CONN, JORDAN3,
+                      KLOOSTERMAN5, LOG_CONN, fts_tuple)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -26,6 +27,8 @@ EXACT_COMMANDS = {
     "verify-fts-fails": ("verify-fts", fts_tuple("2"), 1),
     "verify-connection": ("verify-connection", FLAT_CONN, 0),
     "verify-connection-fails": ("verify-connection", CURVED_CONN, 1),
+    "verify-connection-log": ("verify-connection", LOG_CONN, 0),
+    "verify-connection-irregular-inf": ("verify-connection", IRREGULAR_INF_CONN, 0),
     "analyze-polytope": ("analyze-polytope", KLOOSTERMAN5, 0),
 }
 
