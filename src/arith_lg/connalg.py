@@ -78,11 +78,9 @@ def _mneg(a: RMat) -> RMat:
 
 
 def _mmul(a: RMat, b: RMat) -> RMat:
-    n = len(a)
     cols = list(zip(*b))
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)),
-                           RatFunc.const(row[0].nvars, 0))
-                       for col in cols) for row in a)
+    return tuple(tuple(RatFunc.dot(zip(row, col)) for col in cols)
+                 for row in a)
 
 
 def _mcomm(a: RMat, b: RMat) -> RMat:
@@ -421,16 +419,13 @@ def verify_fts(T: FTSTuple) -> FTSReport:
     return FTSReport(cond, all_ok, flat)
 
 
-def _det(mat: RMat, nvars: int) -> RatFunc:
-    n = len(mat)
-    if n == 1:
+def _det(mat: RMat) -> RatFunc:
+    """Cofactor expansion along the first row."""
+    if len(mat) == 1:
         return mat[0][0]
-    total = RatFunc.const(nvars, 0)
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in mat[1:])
-        term = mat[0][j] * _det(minor, nvars)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return RatFunc.dot(
+        (-x if j % 2 else x, _det(tuple(row[:j] + row[j + 1:] for row in mat[1:])))
+        for j, x in enumerate(mat[0]))
 
 
 @dataclass(frozen=True)
@@ -451,7 +446,7 @@ def verify_metric(T: FTSTuple) -> MetricReport:
     of g under the base connection."""
     if T.g is None:
         raise InputError("tuple carries no pairing matrix")
-    if _det(T.g, T.nvars).is_zero:
+    if _det(T.g).is_zero:
         raise SingularMetric("pairing matrix has zero determinant")
     g = T.g
     higgs_sa = all(_meq(_mmul(_mtrans(T.phi[i]), g), _mmul(g, T.phi[i]))

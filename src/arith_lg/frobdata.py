@@ -12,7 +12,6 @@ pairs the eigenvalues of the character psi with those of its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
@@ -95,10 +94,15 @@ def _all_root_moduli(P: CycloPoly) -> list[float]:
 
 
 def _duality_transform(P: CycloPoly, qn: int) -> CycloPoly:
-    """T^r * P(q^n / T), expanded exactly."""
+    """T^r * P(q^n / T), expanded exactly.
+
+    The coefficient of T^j is P's coefficient of T^(r - j) times the
+    integer (q^n)^(r - j), so its coordinates are scaled directly.
+    """
     r = P.degree
-    coeffs = [P.coefficient(r - j) * Fraction(qn) ** (r - j) for j in range(r + 1)]
-    return CycloPoly(P.p, coeffs)
+    return CycloPoly(P.p, [
+        CycloNum(P.p, [c * qn ** (r - j) for c in P.coefficient(r - j).coords])
+        for j in range(r + 1)])
 
 
 def _proportional(A: CycloPoly, B: CycloPoly) -> bool:

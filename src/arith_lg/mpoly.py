@@ -12,9 +12,13 @@ content, and the shared monomial factor.
 Stored coefficients are always Fractions.  The public `MPoly(...)`
 validates every term; arithmetic results, whose term dicts are already
 canonical (exponent tuples of the right arity, no zero coefficients),
-go through the private `_poly` constructor instead.  Products lift both
-operands to integer coefficients over one common denominator and
-multiply in Python integers.  A product with the constant 1 is the other
+go through the private `_poly` constructor instead.  One kernel,
+`_sum_products`, multiplies: it lifts every factor to integer
+coefficients, scales each pair's products to one common denominator,
+sums all terms in a single exponent -> int dict, and makes one Fraction
+per surviving term.  `MPoly * MPoly` is its one-pair case, and
+`RatFunc.dot` calls it once per denominator group of a sum of
+rational-function products.  A product with the constant 1 is the other
 operand itself (polynomials are immutable), and a rational function
 whose denominator is the constant 1 is already normalized.
 """
@@ -62,6 +66,29 @@ def _lift(terms: dict) -> tuple[list, int]:
     den = lcm(*[c.denominator for c in terms.values()])
     return [(e, c.numerator * (den // c.denominator))
             for e, c in terms.items()], den
+
+
+def _sum_products(nvars: int, pairs: list) -> "MPoly":
+    """The polynomial sum of p * q over pairs (p, q) of term dicts.
+
+    Each pair's integer products are scaled to the lcm of all the pairs'
+    denominators, so every term accumulates as one integer.
+    """
+    lifted = [(_lift(p), _lift(q)) for p, q in pairs]
+    den = lcm(*[d1 * d2 for (_, d1), (_, d2) in lifted])
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for (left, d1), (right, d2) in lifted:
+        scale = den // (d1 * d2)
+        for e1, c1 in left:
+            c1 *= scale
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                acc[e] = c1 * c2 if s is None else s + c1 * c2
+    if den == 1:
+        return _poly(nvars, {e: Fraction(c) for e, c in acc.items() if c})
+    return _poly(nvars, {e: Fraction(c, den) for e, c in acc.items() if c})
 
 
 class MPoly:
@@ -181,20 +208,7 @@ class MPoly:
             return self
         if _is_one(self.terms):
             return o
-        left, d1 = _lift(self.terms)
-        right, d2 = _lift(o.terms)
-        acc: dict[tuple[int, ...], int] = {}
-        get = acc.get
-        for e1, c1 in left:
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                s = get(e)
-                acc[e] = c1 * c2 if s is None else s + c1 * c2
-        den = d1 * d2
-        if den == 1:
-            return _poly(self.nvars, {e: Fraction(c) for e, c in acc.items() if c})
-        return _poly(self.nvars,
-                     {e: Fraction(c, den) for e, c in acc.items() if c})
+        return _sum_products(self.nvars, [(self.terms, o.terms)])
 
     __rmul__ = __mul__
 
@@ -414,6 +428,32 @@ class RatFunc:
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs) -> "RatFunc":
+        """The sum of x * y over pairs (x, y) of rational functions.
+
+        Products are grouped by denominator; each group's numerator
+        products are summed in one integer accumulation, and only the
+        group sums are added as rational functions.  Zero products are
+        skipped.  Raises InputError on an empty input, which has no
+        variable count.
+        """
+        nvars = None
+        groups: dict[MPoly, list] = {}
+        for x, y in pairs:
+            if nvars is None:
+                nvars = x.nvars
+            if x.nvars != nvars or y.nvars != nvars:
+                raise InputError("mixed variable counts")
+            if x.num.terms and y.num.terms:
+                groups.setdefault(x.den * y.den, []).append(
+                    (x.num.terms, y.num.terms))
+        if nvars is None:
+            raise InputError("an empty dot product has no variable count")
+        parts = [RatFunc(_sum_products(nvars, group), den)
+                 for den, group in groups.items()]
+        return sum(parts[1:], parts[0]) if parts else RatFunc.const(nvars, 0)
 
     def __truediv__(self, other):
         o = self._coerce(other)

@@ -8,6 +8,7 @@ member.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,33 @@ class TestFrobeniusReport:
             5, [P.coefficient(r - j) * Fraction(qn) ** (r - j)
                 for j in range(r + 1)])
         assert transformed == rep.char_poly_inverse_character.scale(P.coefficient(0))
+
+    @staticmethod
+    def duality_polys():
+        # a degree-2 P over Q(zeta_13), and a seeded random one over Q(zeta_7)
+        z = CycloNum.zeta(13, 1)
+        yield CycloPoly(13, [z * z + Fraction(3, 2), z + 5, 1]), 13
+        rng = random.Random(0)
+        yield CycloPoly(7, [CycloNum(7, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                         for _ in range(6)])
+                            for _ in range(5)] + [1]), 49
+
+    def test_duality_transform_matches_formula(self):
+        for P, qn in self.duality_polys():
+            r = P.degree
+            old = CycloPoly(P.p, [P.coefficient(r - j) * Fraction(qn) ** (r - j)
+                                  for j in range(r + 1)])
+            assert frobdata._duality_transform(P, qn) == old
+
+    def test_duality_transform_takes_no_cyclotomic_product(self, monkeypatch):
+        def no_product(self, other):
+            raise AssertionError("CycloNum product taken")
+
+        polys = list(self.duality_polys())
+        monkeypatch.setattr(CycloNum, "__mul__", no_product)
+        monkeypatch.setattr(CycloNum, "__rmul__", no_product)
+        for P, qn in polys:
+            frobdata._duality_transform(P, qn)
 
     def test_proportional_takes_no_inverse(self, monkeypatch):
         def no_inverse(self):

@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function layer for the connection
 calculus."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arith_lg.errors import InputError, NotMeromorphicAlongT
+from arith_lg import mpoly
 from arith_lg.mpoly import MPoly, RatFunc
 
 NV = 3
@@ -314,6 +316,59 @@ class TestTrustedResults:
             f = RatFunc(num, den)
             assert (f.num.terms, f.den.terms) == tuple(
                 g.terms for g in normalized(num, den))
+
+
+# --- sums of products -----------------------------------------------------------
+
+H = x * y + Fraction(2, 3) * x + 1  # free of t
+DENS = [c(1), t, t * t, H, t * H]
+
+
+def random_poly(rng, max_terms=4):
+    return MPoly(NV, [((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                       Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+                      for _ in range(rng.randint(0, max_terms))])
+
+
+def random_ratfunc(rng):
+    return RatFunc(random_poly(rng), rng.choice(DENS))
+
+
+class TestSumsOfProducts:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_dot_is_the_sequential_sum(self, seed):
+        rng = random.Random(seed)
+        pairs = [(random_ratfunc(rng), random_ratfunc(rng))
+                 for _ in range(rng.randint(1, 6))]
+        f = RatFunc.dot(pairs)
+        assert f == sum((a * b for a, b in pairs), RatFunc.const(NV, 0))
+        f.require_t_factored()
+        assert_canonical(f.num)
+        assert_canonical(f.den)
+
+    def test_dot_of_zeros_is_the_zero(self):
+        zero = RatFunc.const(NV, 0)
+        for pairs in ([(zero, zero)], [(zero, RatFunc(x, t)), (RatFunc(H), zero)],
+                      [(RatFunc(x, t), RatFunc(y)), (RatFunc(-x, t), RatFunc(y))]):
+            f = RatFunc.dot(pairs)
+            assert f.is_zero and f.den == 1 and f.nvars == NV
+
+    def test_dot_rejects_empty_and_mixed_inputs(self):
+        with pytest.raises(InputError):
+            RatFunc.dot([])
+        with pytest.raises(InputError):
+            RatFunc.dot([(RatFunc(x), RatFunc(MPoly.variable(2, 1)))])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kernel_is_the_brute_force_sum(self, seed):
+        rng = random.Random(seed)
+        pairs = [(random_poly(rng), random_poly(rng)) for _ in range(rng.randint(1, 4))]
+        expected = MPoly(NV, [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                              for p, q in pairs for e1, c1 in p.terms.items()
+                              for e2, c2 in q.terms.items()])
+        total = mpoly._sum_products(NV, [(p.terms, q.terms) for p, q in pairs])
+        assert_canonical(total)
+        assert total == expected
 
 
 class TestPublicConstructorValidates:

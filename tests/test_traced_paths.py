@@ -4,7 +4,11 @@ A traced run counts eliminations by rebinding `exactla.rref` in every
 module that bound it, and counts polynomial products by wrapping
 `MPoly.__mul__`.  Those counts only mean something if the layers built
 on them still reach them: the subspace functions through the module
-global `rref`, and rational-function arithmetic through `MPoly.__mul__`.
+global `rref`, and single rational-function operations through
+`MPoly.__mul__`.  Matrix products do not: each entry of `connalg._mmul`
+is one `RatFunc.dot`, which makes one `mpoly._sum_products` call per
+denominator group and adds only the group sums, so `MPoly.__mul__`
+sees the denominator products and those additions, not every product.
 A subspace is its canonical RREF basis, so the subspace functions get
 canonical bases here, and containment takes no elimination at all.
 The tau-sum cross-check is pinned to one torus sum: one kernel call per
@@ -17,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from arith_lg import exactla, expsum, ffarray
+from arith_lg import connalg, exactla, expsum, ffarray, mpoly
 from arith_lg.budget import scope
 from arith_lg.ffield import make_field
 from arith_lg.laurent import Deformation, LaurentPoly
@@ -87,6 +91,53 @@ def test_ratfunc_arithmetic_goes_through_mpoly_mul(mul_calls, op, expected, den)
     mul_calls.clear()
     op(f, g)
     assert len(mul_calls) == expected
+
+
+@pytest.fixture
+def dot_calls(monkeypatch):
+    """Sizes of the kernel calls, and the RatFunc additions; products
+    made inside an addition belong to the addition."""
+    kernel, adds = [], []
+    real_kernel, real_add = mpoly._sum_products, RatFunc.__add__
+
+    def counting_kernel(nvars, pairs):
+        kernel.append(len(pairs))
+        return real_kernel(nvars, pairs)
+
+    def counting_add(self, other):
+        adds.append(other)
+        mark = len(kernel)
+        out = real_add(self, other)
+        del kernel[mark:]
+        return out
+
+    monkeypatch.setattr(mpoly, "_sum_products", counting_kernel)
+    monkeypatch.setattr(RatFunc, "__add__", counting_add)
+    monkeypatch.setattr(RatFunc, "__radd__", counting_add)
+    return kernel, adds
+
+
+ONE = MPoly.const(3, 1)
+ROW = ((RatFunc(X + 1), RatFunc(X * Fraction(1, 2)), RatFunc(T + 2)),)
+
+
+@pytest.mark.parametrize("dens, groups", [
+    ((ONE, ONE, ONE), [3]),
+    ((ONE, T, T), [1, 2]),
+    ((ONE, T, T * T), [1, 1, 1]),
+], ids=["one-group", "two-groups", "three-groups"])
+def test_matrix_entry_is_one_kernel_call_per_denominator(dot_calls, dens, groups):
+    # ROW is over 1, so the denominator products take the shortcut and
+    # every kernel call outside an addition sums one group
+    col = tuple((RatFunc(X - k, d),) for k, d in enumerate(dens))
+    expected = sum(a * b[0] for a, b in zip(ROW[0], col))
+    kernel, adds = dot_calls
+    kernel.clear()
+    adds.clear()
+    (entry,), = connalg._mmul(ROW, col)
+    assert sorted(kernel) == groups
+    assert len(adds) == len(groups) - 1
+    assert entry == expected
 
 
 @pytest.fixture
