@@ -21,7 +21,6 @@ import itertools
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import problemio as pio
@@ -31,7 +30,7 @@ from .cyclotomic import CycloNum, CycloPoly, conj_sigma, embed_complex, psi
 from .exactla import (identity, mat_mul, mat_vec, nullspace, subspace_basis,
                       subspace_contains, subspace_sum, subspace_intersect,
                       transpose)
-from .errors import VerificationError
+from .errors import VerificationError, frozen
 from .expsum import extension_field, family_sum, gkz_sum
 from .ffield import enumerate_torus, make_field
 from .frobdata import family_l_function, frobenius_report, monodromy_filtration
@@ -42,7 +41,7 @@ from .polytope import normalized_volume
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 
-@dataclass(frozen=True)
+@frozen
 class CriterionResult:
     number: int
     name: str

@@ -10,11 +10,10 @@ is decided exactly over the rationals.  Variable 0 is t, variables
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InputError, SingularMetric, VerificationError
+from .errors import InputError, SingularMetric, VerificationError, frozen
 from .mpoly import MPoly, RatFunc
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "verify_connection",
     "verify_fts",
     "verify_metric",
-    "assembled_pairing_flat",
 ]
 
 RMat = tuple  # tuple of tuples of RatFunc
@@ -289,7 +287,7 @@ def _t0_part(a: RMat, k: int = 0) -> RMat:
     return _mmap(lambda v: v.eval_t0(), a)
 
 
-@dataclass(frozen=True)
+@frozen
 class ConnectionReport:
     """Flatness and pole structure of a connection form.
 
@@ -361,7 +359,7 @@ CONDITION_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class FTSReport:
     """Per-condition verdicts plus the assembled-flatness verdict."""
 
@@ -428,7 +426,7 @@ def _det(mat: RMat) -> RatFunc:
         for j, x in enumerate(mat[0]))
 
 
-@dataclass(frozen=True)
+@frozen
 class MetricReport:
     higgs_self_adjoint: bool
     r0_self_adjoint: bool
@@ -457,27 +455,3 @@ def verify_metric(T: FTSTuple) -> MetricReport:
                     _madd(_mmul(_mtrans(T.A[i]), g), _mmul(g, T.A[i])))
                for i in range(T.m))
     return MetricReport(higgs_sa, r0_sa, rinf_sk, flat)
-
-
-def assembled_pairing_flat(T: FTSTuple) -> bool:
-    """Flatness of the pairing <a(t), b(-t)> through g on the assembled
-    family, decided on the full (t, x)-chart.
-
-    Writing A' for the assembled form, the pairing is flat iff
-    d_i g = A'_i(t)^T g + g A'_i(-t) for every i and
-    A'_t(t)^T g = g A'_t(-t); this is the disjoint-path counterpart of
-    the four identities in verify_metric.
-    """
-    if T.g is None:
-        raise InputError("tuple carries no pairing matrix")
-    A = assemble_nabla(T)
-    g = T.g
-    flip = lambda mat: _mmap(lambda v: v.flip_sign(0), mat)
-    for i in range(1, T.m + 1):
-        Ai = A.component((i,))
-        lhs = _mpartial(g, i)
-        rhs = _madd(_mmul(_mtrans(Ai), g), _mmul(g, flip(Ai)))
-        if not _meq(lhs, rhs):
-            return False
-    At = A.component((0,))
-    return _meq(_mmul(_mtrans(At), g), _mmul(g, flip(At)))

@@ -16,11 +16,10 @@ rational.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadIndex, InputError, LengthTooShort, NotPrime, Unstable
+from .errors import BadIndex, InputError, LengthTooShort, NotPrime, Unstable, frozen
 from .ffield import FqElem, _is_prime, trace_to_prime
 
 __all__ = [
@@ -443,7 +442,7 @@ def validate_power_sums(poly: CycloPoly, ps: Sequence[CycloNum]) -> bool:
 # --------------------------------------------------------------------------
 # rational function reconstruction from trace sums
 
-@dataclass(frozen=True)
+@frozen
 class RationalFunctionFit:
     """L(T) = numerator/denominator with N(0) = D(0) = 1, plus whether
     the same fit was already found at the two preceding truncation

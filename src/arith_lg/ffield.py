@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -44,6 +43,7 @@ from .errors import (
     InputError,
     NotAnExtension,
     NotPrime,
+    frozen,
 )
 
 if TYPE_CHECKING:
@@ -222,7 +222,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
 # --------------------------------------------------------------------------
 # concrete field models
 
-@dataclass(frozen=True)
+@frozen
 class FieldSpec:
     """A concrete model of F_{p^m}: characteristic, degree, modulus.
 

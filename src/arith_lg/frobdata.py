@@ -11,13 +11,12 @@ pairs the eigenvalues of the character psi with those of its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
-from .errors import InputError, NotNilpotent, VerificationError
+from .errors import InputError, NotNilpotent, VerificationError, frozen
 from .exactla import (Mat, identity, mat_mul, mat_vec, nullspace,
                       subspace_basis, subspace_contains, subspace_intersect,
                       subspace_sum, to_fractions, transpose)
@@ -59,7 +58,7 @@ def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class FrobeniusReport:
     """Eigenvalue data of Frobenius at one parameter point."""
 
@@ -180,7 +179,7 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
         duality_ok=duality_ok, warnings=tuple(warnings))
 
 
-@dataclass(frozen=True)
+@frozen
 class LFunctionReport:
     """Rational L-function of the tau-family at a fixed deformation point."""
 
@@ -230,7 +229,7 @@ def family_l_function(D: Deformation, x: Sequence,
 # --------------------------------------------------------------------------
 # monodromy filtration
 
-@dataclass(frozen=True)
+@frozen
 class Filtration:
     """Increasing filtration 0 = M_{low-1} <= ... <= M_high = V by
     canonical rational subspace bases."""

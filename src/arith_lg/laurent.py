@@ -21,12 +21,11 @@ points first.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .budget import charge, windows
-from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate
+from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate, frozen
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
@@ -240,7 +239,7 @@ def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
     return count, first
 
 
-@dataclass(frozen=True)
+@frozen
 class Deformation:
     """F_x = base + x_1 g_1 + ... + x_m g_m.
 
@@ -294,7 +293,7 @@ def specialize(D: Deformation, x: Sequence) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
+@frozen
 class MonomialTable:
     """Ordered list of lattice points indexing the coefficient map.
 
@@ -377,7 +376,7 @@ def phi_map(D: Deformation, table: MonomialTable, tau, x: Sequence) -> tuple:
 # --------------------------------------------------------------------------
 # non-degeneracy
 
-@dataclass(frozen=True)
+@frozen
 class NondegeneracyVerdict:
     """Outcome of the face-by-face common-zero search.
 

@@ -16,11 +16,10 @@ is strictly negative, which is the "convenient" test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegeneratePolytope, DimensionUnsupported, InputError
+from .errors import DegeneratePolytope, DimensionUnsupported, InputError, frozen
 from .exactla import nullspace, rank, to_fractions
 
 LatticePoint = tuple[int, ...]
@@ -43,7 +42,7 @@ MAX_DIM = 4
 PULL_APEX = min
 
 
-@dataclass(frozen=True)
+@frozen
 class Face:
     """A proper nonempty face: the argmax set of a linear functional.
 
@@ -61,7 +60,7 @@ class Face:
         return (0,) * n in self.generators
 
 
-@dataclass(frozen=True)
+@frozen
 class Polytope:
     dim: int
     generators: tuple[LatticePoint, ...]

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .connalg import FTSTuple, MatForm
 from .cyclotomic import CycloNum, CycloPoly
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, frozen
 from .ffield import FieldSpec, FqElem, field_from_modulus, make_field
 from .laurent import Deformation, LaurentPoly, MonomialTable, monomial_table
 from .mpoly import MPoly, RatFunc
@@ -131,7 +130,7 @@ def _parse_terms(v, n: int, field: FieldSpec, path: str) -> LaurentPoly:
     return LaurentPoly(n, terms, field=field)
 
 
-@dataclass(frozen=True)
+@frozen
 class ProblemFile:
     """A parsed family: base field, deformation, coefficient table.
 

@@ -77,7 +77,9 @@ def files(tmp_path_factory):
                       ("deg3", DEGENERATE3), ("flat", FLAT_CONN),
                       ("log", LOG_CONN), ("irregular_inf", IRREGULAR_INF_CONN),
                       ("curved", CURVED_CONN), ("fts_ok", fts_tuple("1")),
-                      ("fts_bad", fts_tuple("2")), ("jordan3", JORDAN3)]:
+                      ("fts_bad", fts_tuple("2")),
+                      ("fts_metric", dict(fts_tuple("1"), g=EYE2)),
+                      ("jordan3", JORDAN3)]:
         p = root / f"{name}.json"
         p.write_text(json.dumps(obj))
         out[name] = str(p)
@@ -369,6 +371,26 @@ class TestVerifyFts:
         failing = [k for k, v in doc["conditions"].items() if not v]
         assert failing == ["r0_transport"]
         assert doc["assembled_flat"] is False
+
+
+class TestTextKeyOrder:
+    """The text form lists a report's fields in field order: the order of
+    `vars(report)`."""
+
+    @pytest.mark.parametrize("argv, code, keys", [
+        pytest.param(["frobenius", "k5", "--tau", "1"], 0,
+                     ["tau", "x", "q", "n", "rank", "weight", "char_poly",
+                      "char_poly_inverse_character", "power_sums", "consistency_ok",
+                      "purity_max_rel_dev", "purity_ok", "determinant_max_rel_dev",
+                      "determinant_ok", "duality_ok", "warnings"], id="frobenius"),
+        pytest.param(["verify-fts", "fts_metric"], 1,
+                     ["conditions", "all_conditions_ok", "assembled_flat", "metric"],
+                     id="verify-fts-metric"),
+    ])
+    def test_keys(self, files, capsys, argv, code, keys):
+        got, out = run(capsys, *[files.get(a, a) for a in argv])
+        assert got == code
+        assert [line.split(":")[0] for line in out.splitlines()] == keys
 
 
 class TestMonodromy:

@@ -7,10 +7,9 @@ import pytest
 
 from arith_lg import connalg
 from arith_lg.acceptance import _random_structure_tuple
-from arith_lg.connalg import (FTSTuple, MatForm, assemble_nabla,
-                              assembled_pairing_flat, curvature, poincare_rank,
-                              to_infinity_chart, verify_connection, verify_fts,
-                              verify_metric)
+from arith_lg.connalg import (FTSTuple, MatForm, assemble_nabla, curvature,
+                              poincare_rank, to_infinity_chart, verify_connection,
+                              verify_fts, verify_metric)
 from arith_lg.errors import InputError, NotMeromorphicAlongT, SingularMetric
 from arith_lg.mpoly import MPoly, RatFunc
 
@@ -460,6 +459,28 @@ def random_tuple(rng, with_metric=False):
                      r0=rand_mat(), rinf=rand_mat(),
                      g=cmat(1) if with_metric else None)
     return T
+
+
+def assembled_pairing_flat(T):
+    """Flatness of the pairing <a(t), b(-t)> through g on the assembled
+    family, decided on the full (t, x)-chart.
+
+    Writing A' for the assembled form, the pairing is flat iff
+    d_i g = A'_i(t)^T g + g A'_i(-t) for every i and
+    A'_t(t)^T g = g A'_t(-t); this is the disjoint-path counterpart of
+    the four identities in verify_metric.
+    """
+    A = assemble_nabla(T)
+    g = T.g
+    mul, trans = connalg._mmul, connalg._mtrans
+    flip = lambda mat: connalg._mmap(lambda v: v.flip_sign(0), mat)
+    for i in range(1, T.m + 1):
+        Ai = A.component((i,))
+        rhs = connalg._madd(mul(trans(Ai), g), mul(g, flip(Ai)))
+        if not connalg._meq(connalg._mpartial(g, i), rhs):
+            return False
+    At = A.component((0,))
+    return connalg._meq(mul(trans(At), g), mul(g, flip(At)))
 
 
 class TestVerifyMetric:
