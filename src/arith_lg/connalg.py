@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import InputError, SingularMetric, VerificationError, frozen
+from .errors import InputError, VerificationError, frozen
 from .mpoly import MPoly, RatFunc
 
 __all__ = [
@@ -445,7 +445,7 @@ def verify_metric(T: FTSTuple) -> MetricReport:
     if T.g is None:
         raise InputError("tuple carries no pairing matrix")
     if _det(T.g).is_zero:
-        raise SingularMetric("pairing matrix has zero determinant")
+        raise InputError("pairing matrix has zero determinant")
     g = T.g
     higgs_sa = all(_meq(_mmul(_mtrans(T.phi[i]), g), _mmul(g, T.phi[i]))
                    for i in range(T.m))

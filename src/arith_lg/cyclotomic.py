@@ -19,7 +19,7 @@ import cmath
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadIndex, InputError, LengthTooShort, NotPrime, Unstable, frozen
+from .errors import InputError, VerificationError, frozen
 from .ffield import FqElem, _is_prime, trace_to_prime
 
 __all__ = [
@@ -43,7 +43,7 @@ class CycloNum:
 
     def __init__(self, p: int, coords: Sequence[Fraction | int]):
         if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise InputError(f"{p} is not prime")
         if len(coords) != p - 1:
             raise InputError(f"expected {p - 1} coordinates, got {len(coords)}")
         self.p = p
@@ -225,7 +225,7 @@ def psi(a: FqElem, power: int = 1) -> CycloNum:
     """
     p = a.field.p
     if power % p == 0:
-        raise BadIndex("character power must be a unit mod p")
+        raise InputError("character power must be a unit mod p")
     return CycloNum.zeta(p, power * trace_to_prime(a))
 
 
@@ -233,7 +233,7 @@ def conj_sigma(z: CycloNum, a: int) -> CycloNum:
     """Galois conjugation zeta -> zeta^a, a a unit mod p."""
     p = z.p
     if a % p == 0:
-        raise BadIndex(f"{a} is not a unit mod {p}")
+        raise InputError(f"{a} is not a unit mod {p}")
     acc = [Fraction(0)] * p
     for i, c in enumerate(z.coords):
         if c:
@@ -245,7 +245,7 @@ def embed_complex(z: CycloNum, a: int = 1) -> complex:
     """Complex embedding zeta -> exp(2*pi*i*a/p), a a unit mod p."""
     p = z.p
     if a % p == 0:
-        raise BadIndex(f"{a} is not a unit mod {p}")
+        raise InputError(f"{a} is not a unit mod {p}")
     acc = 0j
     for i, c in enumerate(z.coords):
         if c:
@@ -421,7 +421,7 @@ def char_poly_from_power_sums(ps: Sequence[CycloNum], r: int | None = None) -> C
     if r < 1:
         raise InputError("rank must be >= 1")
     if len(ps) < r:
-        raise LengthTooShort(f"need {r} power sums, got {len(ps)}")
+        raise InputError(f"need {r} power sums, got {len(ps)}")
     p = ps[0].p
     return CycloPoly(p, reversed(_exp_series([-s for s in ps[:r]], p)))
 
@@ -567,15 +567,15 @@ def linear_recurrence_reconstruct(c: Sequence) -> RationalFunctionFit:
     series through order K = len(c), minimizing deg N + deg D.  A
     second, independent path fits a minimal linear recurrence directly
     to the c_k (Berlekamp-Massey); its characteristic polynomial must
-    equal the squarefree part of rev(N) * rev(D), else Unstable.
+    equal the squarefree part of rev(N) * rev(D), else VerificationError.
 
-    Raises Unstable when no rational function of total degree at most
+    Raises VerificationError when no rational function of total degree at most
     (K - 2) / 2 matches, i.e. the sequence is too short to commit to an
     answer.
     """
     values = list(c)
     if len(values) < 2:
-        raise LengthTooShort("need at least two trace sums")
+        raise InputError("need at least two trace sums")
     p = None
     for v in values:
         if isinstance(v, CycloNum) and not v.is_rational:
@@ -598,15 +598,15 @@ def linear_recurrence_reconstruct(c: Sequence) -> RationalFunctionFit:
     ell = _exp_series(lifted, p)
     fit = _pade_at_order(ell, K, p)
     if fit is None:
-        raise Unstable(f"no rational function of total degree <= {(K - 2) // 2} "
-                       f"matches {K} trace sums")
+        raise VerificationError(f"no rational function of total degree <= {(K - 2) // 2} "
+                                f"matches {K} trace sums")
     num, den = fit
     # independent cross-check on the power-sum side
     char_bm = _berlekamp_massey(lifted, p)
     expected = (num.reversed_poly() * den.reversed_poly()).squarefree_part()
     if char_bm != expected:
-        raise Unstable("series fit and direct recurrence fit disagree; "
-                       "the sequence is too short or inconsistent")
+        raise VerificationError("series fit and direct recurrence fit disagree; "
+                                "the sequence is too short or inconsistent")
     stable = False
     if K >= 4:
         prev1 = _pade_at_order(ell[:K], K - 1, p)

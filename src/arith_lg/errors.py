@@ -1,8 +1,19 @@
-"""Shared exception taxonomy, and the frozen-record decorator.
+"""The package's exceptions, one class per CLI exit code, and the
+frozen-record decorator.
 
-Every error the library raises deliberately derives from ArithLGError, so
-callers (and the CLI) can distinguish "the input is bad" from "the
-verification failed" from "this would exceed the configured budget".
+Every error the library raises deliberately derives from ArithLGError,
+and `cli.main` turns each subclass into one exit code:
+
+- InputError, exit 2: the input is malformed or violates a precondition.
+  ParseError is the InputError of the JSON reader; its message starts
+  with the path of the offending key.
+- VerificationError, exit 1: a verification that the caller requested
+  did not pass.
+- BudgetExceeded, exit 3: an enumeration or search would exceed the
+  configured budget.
+
+The message says which precondition or check failed; no subclass is
+defined per cause, since nothing handles one cause differently.
 
 `frozen` lives here because every module that defines a record already
 imports this one.
@@ -116,80 +127,4 @@ class ParseError(InputError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.detail = message
 
-
-# --- finite field / cyclotomic ---
-
-class NotPrime(InputError):
-    pass
-
-
-class DegreeZero(InputError):
-    pass
-
-
-class IncompatibleCharacteristic(InputError):
-    pass
-
-
-class NotAnExtension(InputError):
-    pass
-
-
-class BadIndex(InputError):
-    pass
-
-
-class LengthTooShort(InputError):
-    pass
-
-
-class Unstable(VerificationError):
-    """A sequence was too short to pin down a rational function."""
-
-
-# --- polytope ---
-
-class DimensionUnsupported(InputError):
-    pass
-
-
-class DegeneratePolytope(InputError):
-    """The Newton polyhedron is not full-dimensional; dependent
-    quantities (volume, faces, facets) are undefined."""
-
-
-class FaceMismatch(InputError):
-    pass
-
-
-# --- Laurent / exponential sums ---
-
-class ZeroCoordinate(InputError):
-    pass
-
-
-class TableMismatch(InputError):
-    pass
-
-
-class ZeroTau(InputError):
-    pass
-
-
-# --- Frobenius data ---
-
-class NotNilpotent(InputError):
-    pass
-
-
-# --- connection calculus ---
-
-class NotMeromorphicAlongT(InputError):
-    """An entry's denominator is not a power of t times a t-free
-    polynomial, so pole order along t = 0 is not defined here."""
-
-
-class SingularMetric(InputError):
-    pass

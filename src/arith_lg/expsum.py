@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .budget import charge
 from .cyclotomic import CycloNum
-from .errors import BadIndex, InputError, VerificationError, ZeroTau
+from .errors import InputError, VerificationError
 from .ffield import FieldSpec, extension_field
 from .laurent import (Deformation, LaurentPoly, MonomialTable, lift_into,
                       torus_trace_counts, torus_zeros)
@@ -39,7 +39,7 @@ DOUBLE_ENUM_CAP = 10 ** 7
 def _check_psi_power(psi_power: int, p: int) -> None:
     """Refuse a character power that is not a unit mod p, before any work."""
     if psi_power % p == 0:
-        raise BadIndex("character power must be a unit mod p")
+        raise InputError("character power must be a unit mod p")
 
 
 def _torus_sum(poly: LaurentPoly, psi_power: int) -> CycloNum:
@@ -59,7 +59,7 @@ def _specialized(D: Deformation, ext: FieldSpec, tau, x: Sequence) -> LaurentPol
         raise InputError(f"expected {D.m} parameters, got {len(x)}")
     tau_e = lift_into(tau, ext)
     if not tau_e:
-        raise ZeroTau("tau must be a nonzero field element")
+        raise InputError("tau must be a nonzero field element")
     terms = []
     for w, c in D.base.terms.items():
         terms.append((w, tau_e * lift_into(c, ext)))

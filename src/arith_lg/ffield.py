@@ -36,15 +36,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .budget import charge
-from .errors import (
-    BadIndex,
-    DegreeZero,
-    IncompatibleCharacteristic,
-    InputError,
-    NotAnExtension,
-    NotPrime,
-    frozen,
-)
+from .errors import InputError, frozen
 
 if TYPE_CHECKING:
     from .ffarray import DiscreteTable
@@ -273,9 +265,9 @@ def make_field(p: int, m: int) -> FieldSpec:
     and make_field(2, 3) picks X^3 + X + 1.
     """
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if m < 1:
-        raise DegreeZero(f"extension degree must be >= 1, got {m}")
+        raise InputError(f"extension degree must be >= 1, got {m}")
     if m == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p ** m):
@@ -305,11 +297,11 @@ def extension_field(base: FieldSpec, k: int) -> FieldSpec:
 def field_from_modulus(p: int, modulus: Sequence[int]) -> FieldSpec:
     """A field with an explicitly supplied monic irreducible modulus."""
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     mod = tuple(c % p for c in modulus)
     m = len(mod) - 1
     if m < 1:
-        raise DegreeZero("modulus must have degree >= 1")
+        raise InputError("modulus must have degree >= 1")
     if mod[-1] != 1:
         raise InputError("modulus must be monic")
     if m == 1:
@@ -563,10 +555,10 @@ def embed(a: FqElem, target: FieldSpec) -> FqElem:
     if source == target:
         return a
     if source.p != target.p:
-        raise IncompatibleCharacteristic(
+        raise InputError(
             f"cannot embed characteristic {source.p} into characteristic {target.p}")
     if target.m % source.m != 0:
-        raise NotAnExtension(f"{target!r} is not an extension of {source!r}")
+        raise InputError(f"{target!r} is not an extension of {source!r}")
     if source.m == 1:
         coords = [0] * target.m
         coords[0] = a.coords[0]
@@ -612,7 +604,7 @@ def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
     if stop is None:
         stop = total
     if not (0 <= start <= stop <= total):
-        raise BadIndex(f"window [{start}, {stop}) out of range for {total} points")
+        raise InputError(f"window [{start}, {stop}) out of range for {total} points")
     charge("torus enumeration", stop - start)
     q1 = field.q - 1
     g = multiplicative_generator(field)

@@ -16,7 +16,7 @@ from typing import Sequence
 from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
-from .errors import InputError, NotNilpotent, VerificationError, frozen
+from .errors import InputError, VerificationError, frozen
 from .exactla import (Mat, identity, mat_mul, mat_vec, nullspace,
                       subspace_basis, subspace_contains, subspace_intersect,
                       subspace_sum, to_fractions, transpose)
@@ -40,8 +40,7 @@ MAX_RANK = 12  # largest rank frobenius_report takes on (it needs 2r sums)
 NONDEGENERACY_DEPTH = 1  # extension degrees searched for degenerate faces
 
 
-def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
-                     psi_power: int = 1) -> list[CycloNum]:
+def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int) -> list[CycloNum]:
     """Power sums p_1..p_{2r} of the Frobenius eigenvalues at (tau, x).
 
     p_k = (-1)^n S_k with S_k the family sum over the degree-k extension;
@@ -53,7 +52,7 @@ def stalk_power_sums(D: Deformation, x: Sequence, tau, r: int, *,
     sign = 1 if n % 2 == 0 else -1
     out = []
     for k in range(1, 2 * r + 1):
-        S = family_sum(D, k, tau, x, psi_power=psi_power)
+        S = family_sum(D, k, tau, x)
         out.append(S * sign)
     return out
 
@@ -276,7 +275,7 @@ def monodromy_filtration(Nmat) -> Filtration:
     for _ in range(d):
         powers.append(mat_mul(powers[-1], N))
     if any(any(row) for row in powers[d]):
-        raise NotNilpotent(f"matrix is not nilpotent: N^{d} != 0")
+        raise InputError(f"matrix is not nilpotent: N^{d} != 0")
     e = next(i for i in range(d + 1) if not any(any(row) for row in powers[i]))
 
     kernels = [subspace_basis(nullspace(powers[i])) for i in range(e + 1)]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .budget import charge, windows
-from .errors import FaceMismatch, InputError, TableMismatch, ZeroCoordinate, frozen
+from .errors import InputError, frozen
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
@@ -151,7 +151,7 @@ def evaluate(f: LaurentPoly, t: Sequence):
     if len(t) != f.n:
         raise InputError(f"expected {f.n} coordinates, got {len(t)}")
     if not all(t):
-        raise ZeroCoordinate("evaluation point has a zero coordinate")
+        raise InputError("evaluation point has a zero coordinate")
     acc = Fraction(0) if f.field is None else f.field.zero()
     for w, c in f.terms.items():
         term = c
@@ -306,7 +306,7 @@ class MonomialTable:
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
-            raise TableMismatch("duplicate lattice point in table")
+            raise InputError("duplicate lattice point in table")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -316,7 +316,7 @@ class MonomialTable:
         try:
             return self.points.index(w)
         except ValueError:
-            raise TableMismatch(f"lattice point {w} missing from table") from None
+            raise InputError(f"lattice point {w} missing from table") from None
 
 
 def _lattice_points(P: Polytope) -> list[tuple[int, ...]]:
@@ -348,11 +348,11 @@ def face_restrict(f: LaurentPoly, sigma: Face) -> LaurentPoly:
     for normal, c in sigma.supporting:
         for w in support:
             if sum(a * x for a, x in zip(normal, w)) < c:
-                raise FaceMismatch(
+                raise InputError(
                     "supporting hyperplane cuts the support: not a face of this polytope")
     on_face = {w for w in support if face_contains(sigma, w)}
     if set(sigma.generators) - on_face:
-        raise FaceMismatch("face has generators outside the support")
+        raise InputError("face has generators outside the support")
     return LaurentPoly(f.n, [(w, c) for w, c in f.terms.items() if face_contains(sigma, w)],
                        f.field)
 
@@ -365,11 +365,11 @@ def phi_map(D: Deformation, table: MonomialTable, tau, x: Sequence) -> tuple:
     give zero entries.
     """
     if not tau:
-        raise ZeroCoordinate("tau must be a unit")
+        raise InputError("tau must be a unit")
     F = specialize(D, x)
     for w in F.support:
         if w not in table.points:
-            raise TableMismatch(f"table does not cover support point {w}")
+            raise InputError(f"table does not cover support point {w}")
     return tuple(tau * F.coefficient(w) for w in table.points)
 
 

@@ -30,7 +30,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .errors import InputError, NotMeromorphicAlongT
+from .errors import InputError
 
 __all__ = ["MPoly", "RatFunc"]
 
@@ -269,12 +269,6 @@ class MPoly:
         return _poly(self.nvars,
                      {e: c for e, c in self.terms.items() if e[i] == 0})
 
-    def flip_sign(self, i: int) -> "MPoly":
-        """Substitute -v for variable i."""
-        return _poly(self.nvars,
-                     {e: (c if e[i] % 2 == 0 else -c)
-                      for e, c in self.terms.items()})
-
     def reverse_in(self, i: int, depth: int) -> "MPoly":
         """exponent e_i -> depth - e_i; requires depth >= max_deg(i)."""
         if depth < self.max_deg(i):
@@ -470,12 +464,9 @@ class RatFunc:
     def involves(self, i: int) -> bool:
         return self.num.involves(i) or self.den.involves(i)
 
-    def flip_sign(self, i: int) -> "RatFunc":
-        return RatFunc(self.num.flip_sign(i), self.den.flip_sign(i))
-
     def require_t_factored(self) -> None:
         if not _t_factored(self.den):
-            raise NotMeromorphicAlongT(
+            raise InputError(
                 "denominator does not factor as a t-power times a t-free part")
 
     def t_order(self) -> int | None:

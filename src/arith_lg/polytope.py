@@ -19,7 +19,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .errors import DegeneratePolytope, DimensionUnsupported, InputError, frozen
+from .errors import InputError, frozen
 from .exactla import nullspace, rank, to_fractions
 
 LatticePoint = tuple[int, ...]
@@ -70,7 +70,7 @@ class Polytope:
 
     def _require_full_dim(self) -> None:
         if self.degenerate:
-            raise DegeneratePolytope(
+            raise InputError(
                 f"polytope spans less than {self.dim} dimensions")
 
 
@@ -113,9 +113,9 @@ def newton_polyhedron(support) -> Polytope:
         raise InputError("empty support")
     n = len(pts[0])
     if n > MAX_DIM:
-        raise DimensionUnsupported(f"ambient dimension {n} exceeds {MAX_DIM}")
+        raise InputError(f"ambient dimension {n} exceeds {MAX_DIM}")
     if n < 1:
-        raise DimensionUnsupported("ambient dimension must be at least 1")
+        raise InputError("ambient dimension must be at least 1")
     if any(len(w) != n for w in pts):
         raise InputError("support points of mixed dimension")
     origin = (0,) * n

@@ -441,6 +441,64 @@ class TestInputErrors:
         assert doc["error"]["kind"] == "input"
 
 
+FLAT2 = {"field": {"p": "5"}, "n": 2,
+         "f": [{"c": "1", "w": [1, 0]}, {"c": "1", "w": [-1, 0]}]}
+
+# command, input document, extra arguments, message ({path} is the input file)
+INPUT_ERROR_PATHS = {
+    "not-prime": ("analyze-polytope", dict(KLOOSTERMAN5, field={"p": "4"}), [],
+                  "{path}.field: 4 is not prime"),
+    "not-prime-modulus": ("analyze-polytope",
+                          dict(KLOOSTERMAN5, field={"p": "4", "m": 1, "modulus": ["1", "1"]}),
+                          [], "{path}.field: 4 is not prime"),
+    "dimension-cap": ("analyze-polytope",
+                      {"field": {"p": "5"}, "n": 5,
+                       "f": [{"c": "1", "w": [1, 0, 0, 0, 0]},
+                             {"c": "1", "w": [-1, 0, 0, 0, 0]}]},
+                      [], "{path}: ambient dimension 5 exceeds 4"),
+    "flat-polytope": ("analyze-polytope", FLAT2, [],
+                      "{path}: polytope spans less than 2 dimensions"),
+    "flat-polytope-nondegenerate": ("check-nondegenerate", FLAT2, [],
+                                    "{path}: polytope spans less than 2 dimensions"),
+    "zero-tau": ("expsum", KLOOSTERMAN5, ["--tau", "0"],
+                 "tau must be a nonzero field element"),
+    "psi-power": ("expsum", KLOOSTERMAN5, ["--tau", "1", "--psi-power", "5"],
+                  "character power must be a unit mod p"),
+    "degree-zero": ("expsum", KLOOSTERMAN5, ["--tau", "1", "--k", "0"],
+                    "extension degree must be at least 1"),
+    "not-nilpotent": ("monodromy", {"matrix": [["1"]]}, [],
+                      "matrix is not nilpotent: N^1 != 0"),
+    "mixed-denominator": ("verify-connection",
+                          {"m": 1, "size": 1,
+                           "dt": [[{"num": [{"c": "1"}],
+                                    "den": [{"c": "1", "deg": {"t": 1}},
+                                            {"c": "1", "deg": {"x1": 1}}]}]],
+                           "dx": [[[[{"c": "0"}]]]]},
+                          [], "denominator does not factor as a t-power times a t-free part"),
+    "singular-metric": ("verify-fts",
+                        dict(fts_tuple("1"), phi=[ZERO2], r0=ZERO2, rinf=ZERO2,
+                             g=[[[{"c": "1"}], [{"c": "1"}]], [[{"c": "1"}], [{"c": "1"}]]]),
+                        [], "pairing matrix has zero determinant"),
+    "kmax-too-small": ("l-function", KLOOSTERMAN5, ["--kmax", "1"],
+                       "need at least 6 trace sums for rank 2"),
+}
+
+
+class TestExitCodeContract:
+    """Each input error reaches the user as one `error (input): ...` line,
+    or as {"error": {"kind": "input", ...}} under --json, with exit 2."""
+
+    @pytest.mark.parametrize("case", list(INPUT_ERROR_PATHS))
+    def test_input_error_path(self, tmp_path, capsys, case):
+        command, doc, extra, message = INPUT_ERROR_PATHS[case]
+        p = tmp_path / "in.json"
+        p.write_text(json.dumps(doc))
+        message = message.format(path=p)
+        assert run(capsys, command, str(p), *extra) == (2, f"error (input): {message}\n")
+        assert run_json(capsys, command, str(p), *extra) == (
+            2, {"error": {"kind": "input", "message": message}})
+
+
 class TestAcceptanceCommand:
     def fake_results(self, all_ok):
         mk = acceptance.CriterionResult

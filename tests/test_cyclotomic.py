@@ -11,7 +11,7 @@ from arith_lg.cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                                  char_poly_from_power_sums, conj_sigma,
                                  embed_complex, linear_recurrence_reconstruct,
                                  psi, validate_power_sums)
-from arith_lg.errors import BadIndex, InputError, LengthTooShort, Unstable
+from arith_lg.errors import InputError, VerificationError
 from arith_lg.ffield import enumerate_torus, make_field
 
 
@@ -143,9 +143,9 @@ class TestGaloisAction:
         assert conj_sigma(x + y, 3) == conj_sigma(x, 3) + conj_sigma(y, 3)
 
     def test_non_unit_rejected(self):
-        with pytest.raises(BadIndex):
+        with pytest.raises(InputError, match="^0 is not a unit mod 5"):
             conj_sigma(CycloNum.zeta(5, 1), 0)
-        with pytest.raises(BadIndex):
+        with pytest.raises(InputError, match="10 is not a unit mod 5"):
             conj_sigma(CycloNum.zeta(5, 1), 10)
 
 
@@ -163,7 +163,7 @@ class TestCharacter:
 
     def test_psi_power_zero_rejected(self):
         F = make_field(5, 1)
-        with pytest.raises(BadIndex):
+        with pytest.raises(InputError, match="character power must be a unit mod p"):
             psi(F.one(), power=5)
 
     def test_psi_char2(self):
@@ -289,7 +289,7 @@ class TestNewtonIdentities:
             validate_power_sums(CycloPoly(2, [1, 2]), [rat(2, 1)])
 
     def test_too_few_sums_raises(self):
-        with pytest.raises(LengthTooShort):
+        with pytest.raises(InputError, match="need 2 power sums, got 1"):
             char_poly_from_power_sums([rat(2, 5)], r=2)
 
     @given(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=4))
@@ -372,11 +372,11 @@ class TestReconstruction:
         assert fit.denominator == CycloPoly(5, [1])
 
     def test_too_short_raises(self):
-        with pytest.raises(LengthTooShort):
+        with pytest.raises(InputError, match="need at least two trace sums"):
             linear_recurrence_reconstruct([1])
 
     def test_undecidable_raises_unstable(self):
-        with pytest.raises(Unstable):
+        with pytest.raises(VerificationError, match="no rational function of total degree <= 0"):
             linear_recurrence_reconstruct([1, 2])
 
     def test_kmax_truncation(self):

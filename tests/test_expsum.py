@@ -9,8 +9,7 @@ import pytest
 from arith_lg import expsum, ffarray
 from arith_lg.budget import scope
 from arith_lg.cyclotomic import CycloNum, conj_sigma, embed_complex
-from arith_lg.errors import (BadIndex, BudgetExceeded, InputError,
-                             VerificationError, ZeroTau)
+from arith_lg.errors import BudgetExceeded, InputError, VerificationError
 from arith_lg.expsum import (extension_field, family_sum, gkz_sum,
                              tau_summed_trace, zero_count)
 from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
@@ -156,18 +155,18 @@ class TestFamilySum:
 
     def test_zero_tau_rejected(self):
         D = kloosterman(F5)
-        with pytest.raises(ZeroTau):
+        with pytest.raises(InputError, match="tau must be a nonzero field element"):
             family_sum(D, 1, F5.from_int(0), (F5.from_int(0),))
 
     def test_character_power_multiple_of_p_rejected(self):
         D = kloosterman(F5)
-        with pytest.raises(BadIndex):
+        with pytest.raises(InputError, match="character power must be a unit mod p"):
             family_sum(D, 1, F5.from_int(1), (F5.from_int(0),), psi_power=5)
 
     def test_character_power_rejected_before_any_work(self):
         # a budget of 1 covers neither the table nor the torus
         D = kloosterman(F5)
-        with pytest.raises(BadIndex), scope(budget=1):
+        with pytest.raises(InputError, match="character power must be a unit"), scope(budget=1):
             family_sum(D, 1, F5.from_int(1), (F5.from_int(0),), psi_power=5)
 
     def test_budget_enforced(self):
@@ -236,7 +235,7 @@ class TestGkzSum:
         D = kloosterman(F5)
         table = monomial_table(D)
         one = F5.from_int(1)
-        with pytest.raises(BadIndex), scope(budget=1):
+        with pytest.raises(InputError, match="character power must be a unit"), scope(budget=1):
             gkz_sum(table, F5, 1, (one, one, F5.from_int(0)), psi_power=10)
 
 

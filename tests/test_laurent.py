@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from arith_lg import ffarray, laurent
 from arith_lg.budget import scope
-from arith_lg.errors import (BudgetExceeded, FaceMismatch, InputError,
-                             TableMismatch, ZeroCoordinate)
+from arith_lg.errors import BudgetExceeded, InputError
 from arith_lg.ffield import (enumerate_torus, extension_field, make_field,
                              multiplicative_generator)
 from arith_lg.laurent import (Deformation, LaurentPoly, check_nondegenerate,
@@ -77,7 +76,7 @@ class TestEvaluate:
         assert evaluate(f, (F5.from_int(4),)) == F5.from_int(3)
 
     def test_zero_coordinate_rejected(self):
-        with pytest.raises(ZeroCoordinate):
+        with pytest.raises(InputError, match="evaluation point has a zero coordinate"):
             evaluate(kloosterman(F5), (F5.zero(),))
 
     def test_rational_evaluation(self):
@@ -195,7 +194,7 @@ class TestMonomialTable:
 
     def test_index_raises_on_miss(self):
         D = Deformation(kloosterman(F5), [])
-        with pytest.raises(TableMismatch):
+        with pytest.raises(InputError, match=r"lattice point \(7,\) missing from table"):
             monomial_table(D).index((7,))
 
 
@@ -209,7 +208,7 @@ class TestPhiMap:
 
     def test_zero_tau_rejected(self):
         D = Deformation(kloosterman(F5), [])
-        with pytest.raises(ZeroCoordinate):
+        with pytest.raises(InputError, match="tau must be a unit"):
             phi_map(D, monomial_table(D), F5.zero(), ())
 
     def test_unused_entries_zero(self):
@@ -339,7 +338,7 @@ class TestFaceRestrict:
         g = LaurentPoly(2, [((2, 0), 1), ((0, 1), 1), ((-1, -1), 1)], F5)
         faces = faces_not_containing_origin(g.newton())
         bad = next(s for s in faces if (2, 0) in s.generators and s.dim == 0)
-        with pytest.raises(FaceMismatch):
+        with pytest.raises(InputError, match="face has generators outside the support"):
             face_restrict(f, bad)
 
     def test_restricted_support_on_face(self):

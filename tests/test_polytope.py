@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arith_lg import polytope
-from arith_lg.errors import DegeneratePolytope, DimensionUnsupported, InputError
+from arith_lg.errors import InputError
 from arith_lg.polytope import (all_proper_faces, face_contains,
                                faces_not_containing_origin, is_convenient,
                                newton_polyhedron, normalized_volume)
@@ -71,15 +71,15 @@ class TestHull:
     def test_degenerate_flagged(self):
         P = newton_polyhedron([(2, 0)])
         assert P.degenerate
-        with pytest.raises(DegeneratePolytope):
+        with pytest.raises(InputError, match="polytope spans less than 2 dimensions"):
             normalized_volume(P)
-        with pytest.raises(DegeneratePolytope):
+        with pytest.raises(InputError, match="polytope spans less than 2 dimensions"):
             is_convenient(P)
-        with pytest.raises(DegeneratePolytope):
+        with pytest.raises(InputError, match="polytope spans less than 2 dimensions"):
             faces_not_containing_origin(P)
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionUnsupported):
+        with pytest.raises(InputError, match="ambient dimension 5 exceeds 4"):
             newton_polyhedron([(1, 0, 0, 0, 0)])
 
     def test_empty_support_rejected(self):
