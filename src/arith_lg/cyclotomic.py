@@ -11,6 +11,11 @@ sign character (-1)^{Tr(a)}; nothing special-cases on p = 2 beyond the
 basis having length one.  Rational values are transparent across
 different p: mixed-p arithmetic is allowed exactly when one side is
 rational.
+
+CycloPoly, polynomials over Q(zeta_p), has one division.  Rational
+function reconstruction of an L-function from its trace sums is one
+run of the extended Euclidean algorithm on it, cross-checked by
+Berlekamp-Massey on the sums.
 """
 
 from __future__ import annotations
@@ -453,78 +458,31 @@ class RationalFunctionFit:
     stable: bool
 
 
-def _solve_in_field(rows: list[list[CycloNum]], rhs: list[CycloNum],
-                    p: int) -> list[CycloNum] | None:
-    """Any exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero; plain Gaussian elimination since the
-    scalars form a field.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    mat = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if mat[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if mat[r][ncols]:
-            return None
-    x = [CycloNum.zero(p)] * ncols
-    for r, c in pivots:
-        x[c] = mat[r][ncols]
-    return x
-
-
 def _pade_at_order(ell: list[CycloNum], K: int, p: int):
-    """Minimal-total-degree (N, D), N(0)=D(0)=1, with series match to
-    order K; None when nothing of total degree <= (K-2)/2 matches."""
-    zero = CycloNum.zero(p)
-    for d in range(0, (K - 2) // 2 + 1):
-        for d_den in range(0, d + 1):
-            d_num = d - d_den
-            rows = []
-            rhs = []
-            for n in range(d_num + 1, K + 1):
-                rows.append([ell[n - j] if n - j >= 0 else zero
-                             for j in range(1, d_den + 1)])
-                rhs.append(-ell[n])
-            if d_den > 0:
-                sol = _solve_in_field(rows, rhs, p)
-                if sol is None:
-                    continue
-                den = [CycloNum.one(p)] + sol
-            else:
-                if any(rhs):
-                    continue
-                den = [CycloNum.one(p)]
-            den_poly = CycloPoly(p, den)
-            # numerator = truncation of ell * D at degree d_num
-            num = []
-            for i in range(d_num + 1):
-                acc = zero
-                for j in range(0, min(i, d_den) + 1):
-                    acc = acc + den_poly.coefficient(j) * ell[i - j]
-                num.append(acc)
-            return CycloPoly(p, num), den_poly
-    return None
+    """The (N, D) of least total degree with N(0) = D(0) = 1 and
+    N = D * ell mod T^(K+1); None when none has total degree <= (K-2)/2.
+
+    Extended Euclid on (T^(K+1), ell mod T^(K+1)), stopped at the first
+    remainder r of degree <= dmax = (K-2)/2, with cofactor t: every row
+    has r = t * ell mod T^(K+1).  Fits of total degree <= dmax are one
+    rational function, since N1*D2 - N2*D1 has degree below K + 1 and
+    vanishes to order K + 1, and the Euclid row (r, t) is a constant
+    multiple of its reduced fit whenever one exists (von zur Gathen-Gerhard,
+    Modern Computer Algebra, 5.9).  So the row scaled to t(0) = 1 is
+    the answer, or there is none.
+    """
+    dmax = (K - 2) // 2
+    r0, r1 = CycloPoly(p, [0] * (K + 1) + [1]), CycloPoly(p, ell[:K + 1])
+    t0, t1 = CycloPoly(p, []), CycloPoly(p, [1])
+    while r1.degree > dmax:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    c0 = t1.coefficient(0)
+    if not c0 or r1.degree + t1.degree > dmax:
+        return None
+    inv = c0.inverse()
+    return r1.scale(inv), t1.scale(inv)
 
 
 def _berlekamp_massey(seq: list[CycloNum], p: int) -> CycloPoly:
@@ -564,7 +522,9 @@ def linear_recurrence_reconstruct(c: Sequence) -> RationalFunctionFit:
     """Reconstruct L(T) = exp(sum_k c_k T^k / k) as a rational function.
 
     Finds the unique reduced N(T)/D(T) with N(0) = D(0) = 1 matching the
-    series through order K = len(c), minimizing deg N + deg D.  A
+    series through order K = len(c), minimizing deg N + deg D: one run
+    of the extended Euclidean algorithm on (T^(K+1), the series), read
+    at the first remainder of degree <= (K - 2) / 2.  A
     second, independent path fits a minimal linear recurrence directly
     to the c_k (Berlekamp-Massey); its characteristic polynomial must
     equal the squarefree part of rev(N) * rev(D), else VerificationError.

@@ -30,7 +30,6 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -137,43 +136,14 @@ def _ppowmod(a, e: int, f, p) -> tuple[int, ...]:
     return result
 
 
-def _pdivmod(a: Sequence[int], b: Sequence[int], p: int):
-    """General division with invertible leading coefficient."""
-    a = list(a)
-    b = _pnorm(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    while len(_pnorm(a)) - 1 >= db and _pnorm(a):
-        a = list(_pnorm(a))
-        if len(a) - 1 < db:
-            break
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        q[shift] = coef
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - coef * b[i]) % p
-    return _pnorm(q), _pnorm(a)
-
-
-def _pextgcd(a, b, p):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = _pnorm(a), _pnorm(b)
-    u0, u1 = (1,), ()
-    v0, v1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        u0, u1 = u1, _pnorm([(x - y) % p for x, y in itertools.zip_longest(u0, _pmul(q, u1, p), fillvalue=0)])
-        v0, v1 = v1, _pnorm([(x - y) % p for x, y in itertools.zip_longest(v0, _pmul(q, v1, p), fillvalue=0)])
-    if r0:
-        inv = pow(r0[-1], p - 2, p)
-        r0 = tuple(c * inv % p for c in r0)
-        u0 = tuple(c * inv % p for c in u0)
-        v0 = tuple(c * inv % p for c in v0)
-    return r0, u0, v0
+def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
+    """Monic gcd over F_p, b nonzero with a nonzero leading coefficient:
+    Euclid on _pmod, each divisor made monic first."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = tuple(c * inv % p for c in b)
+        a, b = b, _pmod(a, b, p)
+    return a
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -207,7 +177,7 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         frob.append(_ppowmod(frob[-1], p, f, p))
     if _minus_x(frob[m], p):
         return False  # x^(p^m) != x mod f
-    return all(_pextgcd(_minus_x(frob[m // ell], p), f, p)[0] == (1,)
+    return all(_pgcd(_minus_x(frob[m // ell], p), f, p) == (1,)
                for ell in _prime_factors(m))
 
 
@@ -376,15 +346,10 @@ class FqElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FqElem":
+        """a^(q-2), which is a^-1 because a^(q-1) = 1 on F_q^*."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        f = self.field
-        if f.m == 1:
-            return FqElem(f, (pow(self.coords[0], f.p - 2, f.p),))
-        g, u, _ = _pextgcd(self.coords, f.modulus, f.p)
-        if g != (1,):  # pragma: no cover - modulus is irreducible
-            raise InputError("element not invertible")
-        return FqElem(f, tuple(u) + (0,) * (f.m - len(u)))
+        return self ** (self.field.q - 2)
 
     def __truediv__(self, other):
         o = self._lift(other)

@@ -17,9 +17,8 @@ from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
 from .errors import InputError, VerificationError, frozen
-from .exactla import (Mat, identity, mat_mul, mat_vec, nullspace,
-                      subspace_basis, subspace_contains, subspace_intersect,
-                      subspace_sum, to_fractions, transpose)
+from .exactla import (Mat, identity, mat_mul, nullspace, subspace_basis,
+                      subspace_contains, subspace_sum, to_fractions, transpose)
 from .expsum import family_sum, tau_summed_trace
 from .laurent import Deformation, check_nondegenerate, specialize
 from .polytope import normalized_volume
@@ -263,9 +262,11 @@ def monodromy_filtration(Nmat) -> Filtration:
     """The unique increasing filtration M with N M_k <= M_{k-2} and
     N^k inducing gr_k isomorphic to gr_{-k}, for nilpotent N.
 
-    Built by the convolution formula M_k = sum over j >= 0 of
-    ker(N^{k+j+1}) intersect im(N^j); both defining properties are then
-    re-verified on the result.
+    Built as M_k = sum over j >= max(0, -k) of N^j ker(N^{k+2j+1}),
+    whose pieces are the terms ker(N^{k+j+1}) intersect im(N^j) of the
+    convolution formula; both defining properties are then re-verified
+    on the result.  Vectors are rows, so N^j maps a whole basis by one
+    product with its transpose.
     """
     N = to_fractions(Nmat)
     d = len(N)
@@ -279,20 +280,11 @@ def monodromy_filtration(Nmat) -> Filtration:
     e = next(i for i in range(d + 1) if not any(any(row) for row in powers[i]))
 
     kernels = [subspace_basis(nullspace(powers[i])) for i in range(e + 1)]
-    # image of the operator = column space, hence the transpose
-    images = [subspace_basis(transpose(powers[i])) for i in range(e + 1)]
 
     def M(k: int) -> Mat:
-        acc: Mat = ()
-        for j in range(0, e + 1):
-            ki = k + j + 1
-            if ki <= 0:
-                continue
-            if ki > e:
-                ki = e
-            piece = subspace_intersect(kernels[ki], images[j])
-            acc = subspace_sum(acc, piece)
-        return acc
+        return subspace_basis(
+            row for j in range(max(0, -k), e)
+            for row in mat_mul(kernels[min(k + 2 * j + 1, e)], transpose(powers[j])))
 
     levels = tuple((k, M(k)) for k in range(-e, e))
     filtration = Filtration(d, levels)
@@ -311,8 +303,8 @@ def monodromy_filtration(Nmat) -> Filtration:
     # re-verify: N lowers by two
     for k, basis in levels:
         lower = filtration.level(k - 2)
-        for v in basis:
-            if not subspace_contains(lower, mat_vec(N, v)):  # pragma: no cover
+        for v in mat_mul(basis, transpose(N)):
+            if not subspace_contains(lower, v):  # pragma: no cover
                 raise VerificationError("N does not lower the filtration by two")
     # re-verify: N^k induces gr_k ~ gr_{-k}
     for k in range(1, e):
@@ -321,7 +313,7 @@ def monodromy_filtration(Nmat) -> Filtration:
         if gk != gmk:  # pragma: no cover
             raise VerificationError("graded pieces fail the symmetry")
         mk = filtration.level(k)
-        mapped = subspace_basis([mat_vec(powers[k], v) for v in mk])
+        mapped = subspace_basis(mat_mul(mk, transpose(powers[k])))
         below = filtration.level(-k - 1)
         induced = len(subspace_sum(mapped, below)) - len(below)
         if induced != gk:  # pragma: no cover

@@ -27,7 +27,7 @@ from .connalg import FTSTuple, MatForm
 from .cyclotomic import CycloNum, CycloPoly
 from .errors import InputError, ParseError, frozen
 from .ffield import FieldSpec, FqElem, field_from_modulus, make_field
-from .laurent import Deformation, LaurentPoly, MonomialTable, monomial_table
+from .laurent import Deformation, LaurentPoly, MonomialTable
 from .mpoly import MPoly, RatFunc
 
 __all__ = [
@@ -132,15 +132,15 @@ def _parse_terms(v, n: int, field: FieldSpec, path: str) -> LaurentPoly:
 
 @frozen
 class ProblemFile:
-    """A parsed family: base field, deformation, coefficient table.
+    """A parsed family: base field and deformation.
 
     budget and tolerance are file-level defaults; command-line flags
-    override the former.
+    override the former.  An explicit monomial table is validated and
+    not kept: no command reads one.
     """
 
     field: FieldSpec
     deformation: Deformation
-    table: MonomialTable
     budget: int | None
     tolerance: float | None
 
@@ -179,11 +179,9 @@ def parse_problem(obj, path: str = "$") -> ProblemFile:
         points = tuple(_exponent_vector(w, n, f"{path}.table[{i}]")
                        for i, w in enumerate(pts))
         try:
-            table = MonomialTable(points)
+            MonomialTable(points)
         except InputError as exc:
             raise ParseError(f"{path}.table", str(exc)) from exc
-    else:
-        table = monomial_table(D)
     budget = None
     if "budget" in obj:
         budget = _decimal(obj["budget"], f"{path}.budget")
@@ -200,7 +198,7 @@ def parse_problem(obj, path: str = "$") -> ProblemFile:
             raise ParseError(f"{path}.tolerance", f"not a number: {t!r}") from None
         if tolerance <= 0:
             raise ParseError(f"{path}.tolerance", "tolerance must be positive")
-    return ProblemFile(field, D, table, budget, tolerance)
+    return ProblemFile(field, D, budget, tolerance)
 
 
 # --- symbolic side: polynomials in t, x1..xm ----------------------------
@@ -213,7 +211,7 @@ def _parse_mpoly(v, m: int, path: str) -> MPoly:
     if not isinstance(v, list):
         raise ParseError(path, "expected a list of terms")
     nvars = m + 1
-    out = MPoly.const(nvars, 0)
+    terms = []
     for i, term in enumerate(v):
         tp = f"{path}[{i}]"
         _check_keys(term, tp, ["c"], ["deg"])
@@ -230,8 +228,8 @@ def _parse_mpoly(v, m: int, path: str) -> MPoly:
                 raise ParseError(f"{tp}.deg.{name}",
                                  f"variable out of range for m = {m}")
             exps[idx] = _plain_int(d, f"{tp}.deg.{name}", minimum=0)
-        out = out + MPoly(nvars, [(tuple(exps), c)])
-    return out
+        terms.append((tuple(exps), c))
+    return MPoly(nvars, terms)
 
 
 def _parse_ratfunc(v, m: int, path: str) -> RatFunc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from arith_lg.budget import scope
 from arith_lg.errors import BudgetExceeded, InputError
-from arith_lg.ffield import (discrete_table, embed, enumerate_torus,
-                             field_from_modulus, make_field, multiplicative_generator,
-                             torus_size, trace_to_prime)
+from arith_lg.ffield import (_is_irreducible, _pgcd, discrete_table, embed,
+                             enumerate_torus, field_from_modulus, make_field,
+                             multiplicative_generator, torus_size, trace_to_prime)
 
 
 def poly_eval_mod(coeffs, x, p):
@@ -95,6 +96,63 @@ class TestFieldConstruction:
         F9 = make_field(3, 2)
         assert F9.from_int(7).coords == (1, 0)
         assert F9.from_int(-1) == F9.from_int(2)
+
+
+def divides(g, f, p):
+    """Whether the monic g divides f over F_p, by long division."""
+    rem = list(f)
+    d = len(g) - 1
+    for shift in range(len(f) - 1 - d, -1, -1):
+        c = rem[shift + d]
+        for i, gi in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - c * gi) % p
+    return not any(rem)
+
+
+def monics(p, m):
+    return [low + (1,) for low in itertools.product(range(p), repeat=m)]
+
+
+def irreducible_by_trial_division(f, p):
+    m = len(f) - 1
+    return not any(divides(g, f, p) for d in range(1, m // 2 + 1) for g in monics(p, d))
+
+
+# monic irreducibles of degree m over F_p: (1/m) sum_{d | m} mu(d) p^(m/d)
+IRREDUCIBLE_COUNTS = {(2, 1): 2, (2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6,
+                      (3, 1): 3, (3, 2): 3, (3, 3): 8, (3, 4): 18, (3, 5): 48,
+                      (5, 1): 5, (5, 2): 10, (5, 3): 40}
+
+
+class TestIrreducibility:
+    """Rabin's test, behind make_field and field_from_modulus, against
+    trial division on every monic polynomial of small degree."""
+
+    @pytest.mark.parametrize("p,m", sorted(IRREDUCIBLE_COUNTS))
+    def test_rabin_agrees_with_trial_division(self, p, m):
+        verdicts = {f: irreducible_by_trial_division(f, p) for f in monics(p, m)}
+        assert sum(verdicts.values()) == IRREDUCIBLE_COUNTS[p, m]
+        assert {f: _is_irreducible(f, p) for f in verdicts} == verdicts
+
+    @pytest.mark.parametrize("p,m", [pm for pm in sorted(IRREDUCIBLE_COUNTS) if pm[1] >= 2])
+    def test_field_from_modulus_accepts_exactly_the_irreducibles(self, p, m):
+        for f in monics(p, m):
+            if irreducible_by_trial_division(f, p):
+                assert field_from_modulus(p, f).modulus == f
+            else:
+                with pytest.raises(InputError, match="not irreducible"):
+                    field_from_modulus(p, f)
+
+    @pytest.mark.parametrize("p,m", [(2, 4), (3, 3)])
+    def test_gcd_is_the_largest_monic_common_divisor(self, p, m):
+        rng = random.Random(p)
+        polys = [c for d in range(m + 1) for c in itertools.product(range(p), repeat=d + 1)
+                 if c[-1]]
+        divisors = [g for d in range(m + 1) for g in monics(p, d)]
+        for _ in range(300):
+            a, b = rng.choice(polys), rng.choice(polys)
+            common = [g for g in divisors if divides(g, a, p) and divides(g, b, p)]
+            assert _pgcd(a, b, p) == max(common, key=len)
 
 
 coords9 = st.tuples(st.integers(0, 2), st.integers(0, 2))

@@ -20,7 +20,7 @@ from arith_lg.cyclotomic import linear_recurrence_reconstruct
 from arith_lg.errors import frozen
 from arith_lg.ffield import make_field
 from arith_lg.frobdata import family_l_function, frobenius_report, monodromy_filtration
-from arith_lg.laurent import check_nondegenerate
+from arith_lg.laurent import check_nondegenerate, monomial_table
 from arith_lg.polytope import all_proper_faces
 
 from test_cli import (EYE2, FLAT_CONN, JORDAN3, KLOOSTERMAN3, KLOOSTERMAN5,
@@ -163,7 +163,7 @@ def package_records():
         P,
         all_proper_faces(P)[0],
         D,
-        k5.table,
+        monomial_table(D),
         k5,
         check_nondegenerate(D.base),
         frobenius_report(D, (0,), k5.field.from_int(1)),
