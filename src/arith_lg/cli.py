@@ -7,7 +7,8 @@ strings.  Re-running a command on the same inputs is byte-identical
 except for the generated_at stamp.
 
 Exit codes: 0 all requested checks pass, 1 a verification failed,
-2 bad input (message carries the location), 3 budget exhausted.
+2 bad input (message carries the location), 3 budget exhausted (the
+work budget, or memory).
 """
 
 from __future__ import annotations
@@ -316,6 +317,9 @@ def main(argv=None) -> int:
         payload, ok = args.handler(args)
     except BudgetExceeded as exc:
         _render_error(args, out, "budget", str(exc))
+        return EXIT_BUDGET
+    except MemoryError:  # work the process could not hold: refused, not a verdict
+        _render_error(args, out, "budget", "out of memory")
         return EXIT_BUDGET
     except InputError as exc:
         _render_error(args, out, "input", str(exc))

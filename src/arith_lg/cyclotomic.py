@@ -92,15 +92,15 @@ class CycloNum:
     def _pair(self, other):
         """Lift self and other into one cyclotomic field, or None."""
         if isinstance(other, (int, Fraction)):
-            return self, CycloNum.from_rational(self.p, other)
+            return self, _rational(self.p, Fraction(other))
         if not isinstance(other, CycloNum):
             return None
         if other.p == self.p:
             return self, other
         if other.is_rational:
-            return self, CycloNum.from_rational(self.p, other.rational_value())
+            return self, _rational(self.p, other.coords[0])
         if self.is_rational:
-            return CycloNum.from_rational(other.p, self.rational_value()), other
+            return _rational(other.p, self.coords[0]), other
         raise InputError(f"mixed cyclotomic fields p={self.p} and p={other.p}")
 
     # -- predicates ---------------------------------------------------
@@ -124,19 +124,19 @@ class CycloNum:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloNum(a.p, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        return _cyclo(a.p, tuple(x + y for x, y in zip(a.coords, b.coords)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.p, tuple(-a for a in self.coords))
+        return _cyclo(self.p, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return CycloNum(a.p, tuple(x - y for x, y in zip(a.coords, b.coords)))
+        return _cyclo(a.p, tuple(x - y for x, y in zip(a.coords, b.coords)))
 
     def __rsub__(self, other):
         pair = self._pair(other)
@@ -157,7 +157,7 @@ class CycloNum:
                 for j, y in enumerate(b.coords):
                     if y:
                         acc[(i + j) % p] += x * y
-        return CycloNum.from_zeta_powers(p, acc)
+        return _from_zeta_powers(p, acc)
 
     __rmul__ = __mul__
 
@@ -167,12 +167,12 @@ class CycloNum:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational:
-            return CycloNum.from_rational(self.p, 1 / self.coords[0])
-        numerator = CycloNum.one(self.p)
+            return _rational(self.p, 1 / self.coords[0])
+        numerator = _rational(self.p, Fraction(1))
         for a in range(2, self.p):
             numerator = numerator * conj_sigma(self, a)
         norm = (self * numerator).rational_value()
-        return CycloNum(self.p, tuple(c / norm for c in numerator.coords))
+        return _cyclo(self.p, tuple(c / norm for c in numerator.coords))
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -219,6 +219,25 @@ class CycloNum:
         return f"CycloNum({self.p}, {' + '.join(parts)})"
 
 
+def _cyclo(p: int, coords: tuple[Fraction, ...]) -> CycloNum:
+    """A CycloNum on p - 1 coordinates that are already Fractions, p
+    already checked prime: internal results skip the public
+    constructor's checks."""
+    z = object.__new__(CycloNum)
+    z.p, z.coords = p, coords
+    return z
+
+
+def _rational(p: int, r: Fraction) -> CycloNum:
+    return _cyclo(p, (r,) + (Fraction(0),) * (p - 2))
+
+
+def _from_zeta_powers(p: int, acc: Sequence[Fraction]) -> CycloNum:
+    """CycloNum.from_zeta_powers on Fraction sums, unchecked."""
+    top = acc[p - 1]
+    return _cyclo(p, tuple(acc[i] - top for i in range(p - 1)))
+
+
 # --------------------------------------------------------------------------
 # characters and Galois action
 
@@ -243,7 +262,7 @@ def conj_sigma(z: CycloNum, a: int) -> CycloNum:
     for i, c in enumerate(z.coords):
         if c:
             acc[(a * i) % p] += c
-    return CycloNum.from_zeta_powers(p, acc)
+    return _from_zeta_powers(p, acc)
 
 
 def embed_complex(z: CycloNum, a: int = 1) -> complex:
@@ -324,7 +343,7 @@ class CycloPoly:
     def __mul__(self, other: "CycloPoly") -> "CycloPoly":
         if self.is_zero or other.is_zero:
             return CycloPoly(self.p, [])
-        out = [CycloNum.zero(self.p) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        out = [_rational(self.p, Fraction(0))] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -355,7 +374,7 @@ class CycloPoly:
             raise ZeroDivisionError("polynomial division by zero")
         inv_lead = other.coeffs[-1].inverse()
         rem = list(self.coeffs)
-        quo = [CycloNum.zero(self.p)] * max(len(rem) - other.degree, 0)
+        quo = [_rational(self.p, Fraction(0))] * max(len(rem) - other.degree, 0)
         while len(rem) - 1 >= other.degree and rem:
             if not rem[-1]:
                 rem.pop()

@@ -1,109 +1,469 @@
-"""The numpy layer of the finite fields: int64 coordinate rows, discrete-log
-tables, the embedding root search and the log-domain torus kernel.
+"""Power tables of finite-field elements on byte lanes, and the torus
+kernel and the embedding root search that run on them, in pure Python.
 
-Both pieces of field set-up walk the powers of one element in blocks of
-coordinate rows (_power_blocks): the table walks the powers of the
-generator g, the root search those of the generator of a subfield's
-units.
+Lanes
+-----
+A row of residues mod p is one Python int: the value at position x is
+the lane of `width` bytes at byte x * width, in the platform's byte
+order.  Adding two such ints adds every lane at once, exactly, as long
+as no lane overflows, so every sum here tracks a bound on its lanes and
+reduces mod p before an addend could overflow one: bytes.translate
+reduces byte lanes, and wider lanes subtract p * 2^k wherever they hold
+at least that much, with a shift and a mask per k.  lane_width(p) is one
+byte for p < 128, where two residues fit a byte, and otherwise the
+narrowest of 2, 4 or 8 bytes that holds a product of two residues plus a
+residue with the top bit to spare.
 
-The kernel is DiscreteTable.log_values, the discrete log of a sum at
-each point of a window of the torus; window_counts buckets those values
-by trace.  Only the torus walks of laurent (torus_trace_counts and
-torus_zeros) call them.
+Power tables
+------------
+PowerTable(field, h, order) holds the coordinates of h^0 .. h^(order-1)
+as m columns, one lane per exponent.  They are built in place by
+doubling: the powers h^s .. h^(2s - 1) are the powers h^0 .. h^(s - 1)
+times h^s, a linear map over F_p on coordinates, applied in chunks of
+BATCH lanes (scaled by bytes.translate or by int products, summed as
+ints).  The discrete-log table of a field (ffield.discrete_table) is the
+power table of its generator g, order q - 1, plus a trace column
+Tr(g^e), built on first use.
 
-This is the only module that imports numpy.  ffield reaches it at call
-time, when it builds a table (ffield.discrete_table) or searches for
-embedding roots, and charges that work to the budget itself; so a
-command that never enumerates a torus never loads numpy.
+The torus kernel
+----------------
+A Laurent polynomial sum_j g^logs[j] t^weights[j] on (F_q^*)^n, with
+points in the order of ffield.enumerate_torus (last axis fastest), is
+walked in rows over the trailing axes.  Along a row, term j reads one
+column at the exponents logs[j] + <weights[j], e> mod N: a rotation,
+by the offset the leading axes give, of a strided copy of the column.
+When N <= 256 and lanes are bytes, a row spans as many trailing axes as
+fit in BATCH and is one bytes.translate of the term's exponent pattern
+through the rotated column; otherwise a row is the last axis, cut from
+the strided copy by one slice.  The rows of all terms are added as ints
+in batches of about BATCH lanes, and then
+
+* window_counts reduces the trace column's sums mod p and counts each
+  value (the trace is additive, so the terms' traces are summed);
+* zero_flags reduces each coordinate column's sums mod p (several
+  coordinates share a byte when a sum fits in a few bits) and flags the
+  points where every coordinate of every polynomial is zero.
+
+laurent's torus walks drive both, and _roots_in is the zero search of a
+modulus over the powers of the generator of a subfield's units.
+ffield reaches this module at call time, when it builds a table or
+searches for embedding roots, and charges that work to the budget.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
-import numpy
+import math
+import sys
+from collections import Counter
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputError
 from .ffield import FieldSpec, FqElem, _basis_traces, multiplicative_generator
 
+# lanes per batch: table chunks, log searches and the rows of one kernel
+# sum (one row when a row is longer)
+BATCH = 1 << 16
 
-# --------------------------------------------------------------------------
-# batched arithmetic on coordinate rows (int64 numpy arrays, entries < p)
+_ORDER = sys.byteorder
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # array and memoryview codes
 
-def _require_exact_int64(p: int, m: int) -> None:
-    """Refuse fields whose coordinate products could overflow int64.
 
-    A product of two rows sums at most 2m - 1 terms below p^2 per entry.
+def lane_width(p: int) -> int:
+    """Bytes per lane for residues mod p (see the module docstring)."""
+    if p < 128:
+        return 1
+    width = 2
+    while p * (p - 1) >= 1 << (8 * width - 1):
+        width *= 2
+    return width
+
+
+def table_bytes(field: FieldSpec) -> int:
+    """Bytes of the field's discrete-log table: m coordinate columns and
+    the trace column, one lane per element."""
+    return (field.m + 1) * lane_width(field.p) * field.q
+
+
+@lru_cache(maxsize=None)
+def _mod_table(p: int) -> bytes:
+    return bytes(v % p for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _scale_table(p: int, c: int) -> bytes:
+    return bytes(c * v % p for v in range(256))
+
+
+@lru_cache(maxsize=None)
+def _flag_table(p: int, bits: int, slots: int) -> bytes:
+    """Byte v -> 0 if each of its `slots` fields of `bits` bits is 0 mod p,
+    else 1."""
+    mask = (1 << bits) - 1
+    return bytes(any((v >> bits * i & mask) % p for i in range(slots)) for v in range(256))
+
+
+@lru_cache(maxsize=64)
+def _pattern(N: int, tail: tuple[int, ...]) -> bytes:
+    """<tail, x's digits> mod N for x = 0 .. N^len(tail) - 1: a term's
+    exponents along a row of the trailing axes (N <= 256)."""
+    pattern = bytes(tail[-1] * x % N for x in range(N))
+    base = bytes(v % N for v in range(2 * N))  # base[s:s + N] adds s mod N
+    for w in reversed(tail[:-1]):
+        pattern = b"".join(pattern.translate(base[s:s + N] + bytes(256 - N))
+                           for s in (w * d % N for d in range(N)))
+    return pattern
+
+
+@lru_cache(maxsize=8)
+def _ones(count: int, width: int) -> int:
+    """The int with 1 in each of `count` lanes."""
+    return int.from_bytes((1).to_bytes(width, _ORDER) * count, _ORDER)
+
+
+class PowerTable:
+    """The powers h^0 .. h^(order - 1) of one element h of a field, by
+    coordinate columns, and the torus kernel on them.
+
+    The columns hold the first `order` powers of any h; log and the
+    kernel take h to have multiplicative order `order`.  An element is
+    referenced by its exponent e; zero is None at API boundaries.
+    Construction is not charged here: ffield.discrete_table and
+    ffield._roots charge it.
     """
-    if (2 * m - 1) * (p - 1) ** 2 >= 2 ** 63:
-        raise InputError(f"GF({p}^{m}) is too large for exact int64 coordinate arithmetic")
+
+    __slots__ = ("field", "order", "width", "columns", "_cap", "_trace", "_packs")
+
+    def __init__(self, field: FieldSpec, h: FqElem, order: int):
+        p, m = field.p, field.m
+        W = lane_width(p)
+        if W > 8:
+            raise InputError(f"{field!r} is too large for exact 64-bit lanes")
+        self.field, self.order, self.width = field, order, W
+        self._cap = 255 if W == 1 else (1 << 8 * W - 1) - 1
+        self._trace = None
+        self._packs: dict[int, list[bytes]] = {}
+        cols = [bytearray(order * W) for _ in range(m)]
+        cols[0][:W] = (1).to_bytes(W, _ORDER)
+        x = field.element([0, 1] + [0] * (m - 2)) if m > 1 else None
+        filled, step = 1, h
+        while filled < order:
+            # coordinate i of (sum_j c_j X^j) * step is sum_j c_j images[j][i]
+            images, img = [], step
+            for _ in range(m):
+                images.append(img.coords)
+                if x is not None:
+                    img = img * x
+            size = min(filled, order - filled)
+            for lo in range(0, size, BATCH):
+                hi = min(lo + BATCH, size)
+                chunks = [col[lo * W:hi * W] for col in cols]
+                values = [int.from_bytes(chunk, _ORDER) for chunk in chunks]
+                for i, col in enumerate(cols):
+                    col[(filled + lo) * W:(filled + hi) * W] = self._combine(
+                        chunks, values, [img[i] for img in images], hi - lo)
+            filled += size
+            step = step * step
+        self.columns = cols
+
+    # ----------------------------------------------------------------------
+    # lane arithmetic
+
+    def _reduce(self, acc: int, count: int, bound: int) -> int:
+        """acc's `count` lanes, each at most bound, reduced mod p."""
+        p = self.field.p
+        if bound < p:
+            return acc
+        if self.width == 1:
+            return int.from_bytes(acc.to_bytes(count, _ORDER).translate(_mod_table(p)), _ORDER)
+        top = 8 * self.width - 1
+        ones = _ones(count, self.width)
+        for k in range((bound // p).bit_length() - 1, -1, -1):
+            t = p << k
+            acc -= ((acc + ((1 << top) - t) * ones) >> top & ones) * t
+        return acc
+
+    def _add(self, acc: int, bound: int, value: int, vbound: int,
+             count: int) -> tuple[int, int]:
+        """acc + value and its lane bound, reducing acc first if the sum
+        could overflow a lane."""
+        if bound + vbound > self._cap:
+            acc, bound = self._reduce(acc, count, bound), self.field.p - 1
+        return acc + value, bound + vbound
+
+    def _combine(self, chunks: Sequence[bytes], values: Sequence[int],
+                 coeffs: Sequence[int], count: int) -> bytes:
+        """The lanes of sum_j coeffs[j] * chunks[j] mod p, as bytes;
+        values[j] is chunks[j] as an int."""
+        p = self.field.p
+        acc = bound = 0
+        for chunk, value, c in zip(chunks, values, coeffs):
+            if not c:
+                continue
+            if (c + 1) * (p - 1) <= self._cap:
+                value, vbound = value * c, c * (p - 1)
+            else:  # byte lanes: scale and reduce by one translate
+                value = int.from_bytes(chunk.translate(_scale_table(p, c)), _ORDER)
+                vbound = p - 1
+            acc, bound = self._add(acc, bound, value, vbound, count)
+        return self._reduce(acc, count, bound).to_bytes(count * self.width, _ORDER)
+
+    def _flags(self, acc: int, count: int) -> bytes:
+        """One byte per lane of acc (each below 2^(8 width - 1)): 0 where
+        the lane is 0, nonzero elsewhere."""
+        W = self.width
+        if W == 1:
+            return acc.to_bytes(count, _ORDER)
+        top, ones = 8 * W - 1, _ones(count, W)
+        acc = (acc + ((1 << top) - 1) * ones) >> top & ones
+        return acc.to_bytes(count * W, _ORDER)[0 if _ORDER == "little" else W - 1::W]
+
+    # ----------------------------------------------------------------------
+    # elements
+
+    def log(self, a: FqElem) -> int | None:
+        """The exponent e with h^e = a, None for zero."""
+        if a.field != self.field:
+            raise InputError("element from a different field")
+        if not a:
+            return None
+        W = self.width
+        for lo in range(0, self.order, BATCH):
+            hi = min(lo + BATCH, self.order)
+            ones = _ones(hi - lo, W)
+            diff = 0
+            for col, c in zip(self.columns, a.coords):
+                diff |= int.from_bytes(col[lo * W:hi * W], _ORDER) ^ c * ones
+            pos = self._flags(diff, hi - lo).find(0)
+            if pos >= 0:
+                return lo + pos
+        raise InputError(f"{a!r} is not a power of the table's element")
+
+    def elem(self, e: int | None) -> FqElem:
+        if e is None:
+            return self.field.zero()
+        e %= self.order
+        W = self.width
+        return FqElem(self.field, tuple(int.from_bytes(col[e * W:(e + 1) * W], _ORDER)
+                                        for col in self.columns))
+
+    def trace_column(self) -> bytearray:
+        """Tr(h^e) for each exponent e, one lane each."""
+        if self._trace is None:
+            if self.field.m == 1:
+                self._trace = self.columns[0]
+            else:
+                W, basis = self.width, _basis_traces(self.field)
+                trace = bytearray(self.order * W)
+                for lo in range(0, self.order, BATCH):
+                    hi = min(lo + BATCH, self.order)
+                    chunks = [col[lo * W:hi * W] for col in self.columns]
+                    trace[lo * W:hi * W] = self._combine(
+                        chunks, [int.from_bytes(c, _ORDER) for c in chunks], basis, hi - lo)
+                self._trace = trace
+        return self._trace
+
+    # ----------------------------------------------------------------------
+    # the torus kernel
+
+    def _batches(self, n: int, start: int,
+                 stop: int) -> Iterator[tuple[int, int, int, int, int]]:
+        """Runs of whole rows covering [start, stop): (first point, rows,
+        lanes, lanes to drop in front, lanes to drop behind)."""
+        R = self.order ** self._axes(n)
+        per_batch = max(1, BATCH // R)
+        row = start // R
+        end = -(-stop // R) if start < stop else row
+        while row < end:
+            nrows = min(per_batch, end - row)
+            first, last = row * R, (row + nrows) * R
+            yield first, nrows, last - first, max(0, start - first), max(0, last - stop)
+            row += nrows
+
+    def _axes(self, n: int) -> int:
+        """How many trailing axes one row spans."""
+        if self.width > 1 or self.order > 256:
+            return 1
+        a = 1
+        while a < n and self.order ** (a + 1) <= BATCH:
+            a += 1
+        return a
+
+    def _row_sum(self, builders: Sequence[Callable[[int], bytes]],
+                 offsets: Sequence[Sequence[int]], count: int,
+                 term_bound: int) -> tuple[int, int]:
+        """Sum over the terms of their rows at the given offsets, as lanes,
+        and its lane bound."""
+        acc = bound = 0
+        for build, offs in zip(builders, offsets):
+            value = int.from_bytes(b"".join(map(build, offs)), _ORDER)
+            acc, bound = self._add(acc, bound, value, term_bound, count)
+        return acc, bound
+
+    def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
+                      start: int, stop: int) -> list[int]:
+        """How often Tr(sum_j h^logs[j] t^weights[j]) takes each value of
+        F_p over the window [start, stop) of the torus (F_q^*)^n."""
+        p, W = self.field.p, self.width
+        counts = [0] * p
+        if not logs:
+            counts[0] = stop - start
+            return counts
+        terms = _Terms(self, n, logs, weights, start)
+        builders = terms.builders(self.trace_column())
+        total = 0
+        for _, nrows, count, front, back in self._batches(n, start, stop):
+            acc, bound = self._row_sum(builders, terms.take(nrows), count, p - 1)
+            data = self._reduce(acc, count, bound).to_bytes(count * W, _ORDER)
+            data = data[front * W:(count - back) * W]
+            total += count - front - back
+            if W > 1:
+                for v, c in Counter(memoryview(data).cast(_FORMATS[W])).items():
+                    counts[v] += c
+                continue
+            for v in range(1, p):
+                counts[v] += data.count(v)
+        counts[0] = total - sum(counts[1:])
+        return counts
+
+    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
+                   start: int, stop: int) -> Iterator[tuple[int, bytes]]:
+        """The common zeros of polys (each (logs, weights), at least one
+        term) over the window [start, stop) of (F_q^*)^n, in batches:
+        (lo, flags) with flags[i] == 0 exactly where every poly vanishes
+        at point lo + i."""
+        p, m = self.field.p, self.field.m
+        systems = []
+        for logs, weights in polys:
+            terms = _Terms(self, n, logs, weights, start)
+            bits = (len(logs) * (p - 1)).bit_length()
+            if self.width > 1 or m == 1 or bits > 4:
+                columns, table, bound = self.columns, _flag_table(p, 8, 1), p - 1
+            else:  # several coordinates per byte, no field overflowing its bits
+                slots = 8 // bits
+                columns, table = self._packed(bits, slots), _flag_table(p, bits, slots)
+                bound = (p - 1) * sum(1 << bits * i for i in range(slots))
+            systems.append((terms, [terms.builders(c) for c in columns], table, bound))
+        for first, nrows, count, front, back in self._batches(n, start, stop):
+            nonzero = 0
+            for terms, groups, table, bound in systems:
+                offsets = terms.take(nrows)
+                for builders in groups:
+                    acc, b = self._row_sum(builders, offsets, count, bound)
+                    if self.width == 1:
+                        acc = int.from_bytes(acc.to_bytes(count, _ORDER).translate(table), _ORDER)
+                    else:
+                        acc = self._reduce(acc, count, b)
+                    nonzero |= acc
+            yield first + front, self._flags(nonzero, count)[front:count - back]
+
+    def _packed(self, bits: int, slots: int) -> list[bytes]:
+        """The coordinate columns `slots` to a byte, `bits` bits each."""
+        packs = self._packs.get(bits)
+        if packs is None:
+            packs = []
+            for g in range(0, self.field.m, slots):
+                value = 0
+                for slot, col in enumerate(self.columns[g:g + slots]):
+                    value += int.from_bytes(col, _ORDER) << bits * slot
+                packs.append(value.to_bytes(self.order, _ORDER))
+            self._packs[bits] = packs
+        return packs
 
 
-def _reduction_rows(field: FieldSpec) -> numpy.ndarray:
-    """Row d holds the coordinates of X^d mod the modulus, for d < 2m - 1."""
-    p, m = field.p, field.m
-    rows = numpy.zeros((2 * m - 1, m), dtype=numpy.int64)
-    cur = [1] + [0] * (m - 1)
-    for d in range(2 * m - 1):
-        rows[d] = cur
-        # times X: shift up and replace X^m by -(modulus - X^m)
-        top = cur[-1]
-        cur = [(c - top * f) % p for c, f in zip([0] + cur[:-1], field.modulus)]
-    return rows
+class _Terms:
+    """One polynomial's terms h^logs[j] t^weights[j] on (F_q^*)^n, laid out
+    for the rows of a table's walk from the row of point `start` on: the
+    offset of each term in the current row, and its row builders."""
+
+    __slots__ = ("table", "lead", "digits", "offsets", "deltas", "patterns", "tails")
+
+    def __init__(self, table: PowerTable, n: int, logs: Sequence[int],
+                 weights: Sequence[Sequence[int]], start: int):
+        N = table.order
+        axes = table._axes(n)
+        self.table, self.lead = table, n - axes
+        row = start // N ** axes
+        self.digits = [row // N ** (self.lead - 1 - i) % N for i in range(self.lead)]
+        self.offsets = [(lg + sum(w * d for w, d in zip(ws, self.digits))) % N
+                        for lg, ws in zip(logs, weights)]
+        # the step of each offset when axis i counts up and the axes after it
+        # wrap from N - 1 to 0
+        self.deltas = [[(ws[i] - (N - 1) * sum(ws[i + 1:self.lead])) % N
+                        for i in range(self.lead)] for ws in weights]
+        self.tails = [[w % N for w in ws[self.lead:]] for ws in weights]
+        self.patterns = None
+        if table.width == 1 and N <= 256:
+            self.patterns = [_pattern(N, tuple(tail)) for tail in self.tails]
+
+    def take(self, nrows: int) -> list[list[int]]:
+        """Each term's offsets in the next nrows rows."""
+        N, lead, digits = self.table.order, self.lead, self.digits
+        offsets = self.offsets
+        out = [[] for _ in offsets]
+        for _ in range(nrows):
+            for lst, o in zip(out, offsets):
+                lst.append(o)
+            i = lead - 1
+            while i >= 0 and digits[i] == N - 1:
+                digits[i] = 0
+                i -= 1
+            if i >= 0:
+                digits[i] += 1
+                offsets = [(o + d[i]) % N for o, d in zip(offsets, self.deltas)]
+        self.offsets = offsets
+        return out
+
+    def builders(self, column: bytes) -> list[Callable[[int], bytes]]:
+        """Per term, the row of the column at a given offset o: the lanes
+        column[o + <tail weights, tail digits> mod N] along the row."""
+        N = self.table.order
+        if self.patterns is not None:
+            tile = column * (1 + -(-255 // N))
+            return [lambda o, e=e: e.translate(tile[o:o + 256]) for e in self.patterns]
+        return [_rotations(column, N, self.table.width, tail[-1]) for tail in self.tails]
 
 
-def _mul_rows(a: numpy.ndarray, b: numpy.ndarray, reduce_rows: numpy.ndarray,
-              p: int) -> numpy.ndarray:
-    """Row-wise field products of two (N, m) coordinate arrays."""
-    n, m = a.shape
-    prod = numpy.zeros((n, 2 * m - 1), dtype=numpy.int64)
-    for i in range(m):
-        prod[:, i:i + m] += a[:, i:i + 1] * b
-    return prod % p @ reduce_rows % p
+def _rotations(column: bytes, N: int, W: int, w: int) -> Callable[[int], bytes]:
+    """o -> the lanes column[(o + w x) mod N], x = 0 .. N - 1.
 
-
-# points per kernel chunk and rows per power block; the kernel's scratch
-# arrays hold (#terms + 4) x 4096 int64
-TORUS_CHUNK = 4096
-
-
-def _power_blocks(field: FieldSpec, h: FqElem, count: int) -> Iterator[numpy.ndarray]:
-    """Coordinate rows of h^0 .. h^(count - 1), in order, in blocks of at
-    most TORUS_CHUNK rows.
-
-    Multiplication by h^k is an m x m matrix over F_p acting on rows: the
-    rows of h^0 .. h^(B-1) come by doubling (B = min(TORUS_CHUNK, count)),
-    and each next block of B powers is the previous block times the
-    matrix of h^B.  Fields whose coordinate products could overflow int64
-    raise InputError at the call, before the caller allocates anything.
+    With d = gcd(w, N) and P = N / d the row has period P.  Writing
+    o = s + d k (s < d), it is the strided copy V_s[x] = column[s + w x],
+    x < P, rotated by r = k (w / d)^-1 mod P, d times over; each V_s is
+    gathered once.
     """
-    p, m = field.p, field.m
-    _require_exact_int64(p, m)
-    reduce_rows = _reduction_rows(field)
-    eye = numpy.eye(m, dtype=numpy.int64)
+    d = math.gcd(w, N)
+    P = N // d
+    inv = pow(w // d, -1, P) if P > 1 else 0
+    lanes = memoryview(column).cast(_FORMATS[W])
+    copies: dict[int, bytes] = {}
 
-    def mul_matrix(v: numpy.ndarray) -> numpy.ndarray:
-        return _mul_rows(eye, numpy.tile(v, (m, 1)), reduce_rows, p)
+    def row(o: int) -> bytes:
+        s = o % d
+        seq = copies.get(s)
+        if seq is None:
+            seq = copies[s] = _strided(lanes, s, w if 2 * w <= N else w - N, P)
+        r = o // d * inv % P * W
+        piece = seq[r:] + seq[:r] if r else seq
+        return piece * d if d > 1 else piece
 
-    size = min(TORUS_CHUNK, count)
-    mul_h = mul_matrix(numpy.array(h.coords, dtype=numpy.int64))
-    block, step = eye[:1], mul_h
-    while len(block) < size:
-        block = numpy.concatenate([block, block @ step % p])
-        step = step @ step % p
-    step = mul_matrix(block[size - 1] @ mul_h % p)
-
-    def walk(block: numpy.ndarray) -> Iterator[numpy.ndarray]:
-        for lo in range(0, count, size):
-            if lo:
-                block = block @ step % p
-            yield block[:count - lo]
-
-    return walk(block[:size])
+    return row
 
 
-# --------------------------------------------------------------------------
-# embedding root search
+def _strided(lanes: memoryview, s: int, u: int, count: int) -> bytes:
+    """lanes[(s + u x) mod N] for x < count, N = len(lanes), as bytes: one
+    slice per pass over the lanes, so about |u| count / N slices."""
+    if not u:
+        return lanes[s:s + 1].tobytes() * count
+    N, parts = len(lanes), []
+    while count:
+        # the steps before the index leaves [0, N)
+        run = min(count, (N - 1 - s) // u + 1 if u > 0 else s // -u + 1)
+        stop = s + u * run
+        parts.append(lanes[s:stop if stop >= 0 else None:u].tobytes())
+        s, count = stop % N, count - run
+    return b"".join(parts)
+
 
 def _roots_in(modulus: tuple[int, ...], source_degree: int,
               target: FieldSpec) -> list[FqElem]:
@@ -113,149 +473,19 @@ def _roots_in(modulus: tuple[int, ...], source_degree: int,
 
     The roots lie in the subfield of order p^a and are units, so they are
     among the powers w^0 .. w^(p^a - 2) of the generator w of that
-    subfield's units.  The modulus is evaluated on each block of powers
-    by Horner's rule in coordinates.
+    subfield's units; so are the modulus's nonzero coefficients, which
+    lie in F_p.  The roots are the zeros of sum_k c_k t^k on the powers
+    of w, found by the torus kernel on w's power table.
     """
-    p = target.p
-    count = p ** source_degree - 1
+    count = target.p ** source_degree - 1
     w = multiplicative_generator(target) ** ((target.q - 1) // count)
-    reduce_rows = _reduction_rows(target)
+    table = PowerTable(target, w, count)
+    logs = [table.log(target.from_int(c)) for c in modulus if c]
+    weights = [(k,) for k, c in enumerate(modulus) if c]
     roots = []
-    for z in _power_blocks(target, w, count):
-        # the modulus is monic: start Horner's rule at z + c_(a-1)
-        val = z.copy()
-        val[:, 0] = (val[:, 0] + modulus[-2]) % p
-        for c in reversed(modulus[:-2]):
-            val = _mul_rows(val, z, reduce_rows, p)
-            val[:, 0] = (val[:, 0] + c) % p
-        roots.extend(FqElem(target, tuple(coords)) for coords in z[~val.any(axis=1)].tolist())
+    for lo, flags in table.zero_flags(1, [(logs, weights)], 0, count):
+        pos = flags.find(0)
+        while pos >= 0:
+            roots.append(table.elem(lo + pos))
+            pos = flags.find(0, pos + 1)
     return roots
-
-
-# --------------------------------------------------------------------------
-# discrete log / Zech tables and the log-domain torus kernel
-
-class DiscreteTable:
-    """Log-domain tables for one field, and the torus kernel that runs on
-    them.
-
-    Elements are referenced by their discrete log e (g^e); zero is
-    represented by None at API boundaries and -1 inside arrays.  The
-    tables are int64 arrays so that log_values can evaluate sums on whole
-    chunks of the torus at once:
-
-    * exp_enc[e] = the base-p encoding sum(c_i p^i) of g^e;
-    * zech[e] = log(1 + g^e), or -1 when 1 + g^e = 0;
-    * trace_by_exp[e] = Tr(g^e) for e < q - 1, plus one last entry 0,
-      the trace of zero, so that trace_by_exp[-1] covers the -1 marker.
-
-    exp_enc is filled block by block from _power_blocks, the coordinate
-    rows of the powers of g.  Fields whose coordinate products could
-    overflow int64 raise InputError.
-    Construction is not charged here: ffield.discrete_table charges it.
-    """
-
-    __slots__ = ("field", "q", "exp_enc", "log_by_enc", "zech", "trace_by_exp")
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        q = field.q
-        self.q = q
-        p, m = field.p, field.m
-        g = multiplicative_generator(field)
-        blocks = _power_blocks(field, g, q - 1)  # the int64 check runs here
-        weights = p ** numpy.arange(m, dtype=numpy.int64)
-        exp_enc = numpy.empty(q - 1, dtype=numpy.int64)
-        lo = 0
-        for block in blocks:
-            exp_enc[lo:lo + len(block)] = block @ weights
-            lo += len(block)
-        log_by_enc = numpy.full(q, -1, dtype=numpy.int64)
-        log_by_enc[exp_enc] = numpy.arange(q - 1, dtype=numpy.int64)
-        self.exp_enc = exp_enc
-        self.log_by_enc = log_by_enc
-        # adding 1 bumps the constant coordinate, the lowest base-p digit
-        c0 = exp_enc % p
-        self.zech = log_by_enc[exp_enc - c0 + (c0 + 1) % p]
-        basis = _basis_traces(field) if m > 1 else (1,)
-        trace = numpy.zeros(q, dtype=numpy.int64)
-        rem = exp_enc
-        for t in basis:
-            trace[:-1] += rem % p * t
-            rem = rem // p
-        self.trace_by_exp = trace % p
-
-    def log(self, a: FqElem) -> int | None:
-        """Discrete log of a field element, None for zero."""
-        if a.field != self.field:
-            raise InputError("element from a different field")
-        p = self.field.p
-        enc = 0
-        w = 1
-        for c in a.coords:
-            enc += c * w
-            w *= p
-        e = int(self.log_by_enc[enc])
-        return None if e == -1 else e
-
-    def elem(self, e: int | None) -> FqElem:
-        if e is None:
-            return self.field.zero()
-        enc = int(self.exp_enc[e % (self.q - 1)])
-        coords = []
-        p = self.field.p
-        for _ in range(self.field.m):
-            coords.append(enc % p)
-            enc //= p
-        return self.field.element(coords)
-
-    def log_values(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
-                   start: int, stop: int) -> Iterator[numpy.ndarray]:
-        """Values of sum_j g^logs[j] * t^weights[j] over a window of (F_q^*)^n.
-
-        The window [start, stop) is in the canonical order of
-        ffield.enumerate_torus (last axis fastest).  Yields int64 arrays of
-        at most TORUS_CHUNK entries, in order: the discrete log of the value
-        at each point, -1 where it is zero.  Terms fold left to right
-        through the Zech table; a zero partial sum followed by the term a
-        gives a.
-        """
-        Q = self.q - 1
-        zech = self.zech
-        base = numpy.array(logs, dtype=numpy.int64).reshape(-1, 1)
-        wmod = numpy.array([[w % Q for w in ws] for ws in weights],
-                           dtype=numpy.int64).reshape(len(logs), n)
-        # x - x // Q * Q is x % Q: numpy divides by a scalar several times
-        # faster than it takes a remainder
-        for lo in range(start, stop, TORUS_CHUNK):
-            idx = numpy.arange(lo, min(lo + TORUS_CHUNK, stop), dtype=numpy.int64)
-            if not logs:
-                yield numpy.full(idx.size, -1, dtype=numpy.int64)
-                continue
-            # acc[j] = logs[j] + <weights[j], e> mod Q, one axis at a time; no
-            # entry exceeds Q + Q^2, so int64 is safe for any table that exists
-            acc = numpy.repeat(base, idx.size, axis=1)
-            for axis in range(n - 1, -1, -1):
-                quot = idx // Q
-                acc += wmod[:, axis:axis + 1] * (idx - quot * Q)
-                acc -= acc // Q * Q
-                idx = quot
-            # g^s + g^a = g^a (1 + g^(s - a)); a negative index s - a wraps
-            # to (s - a) mod Q, and s = -1 gives a valid (discarded) index
-            s = acc[0]
-            for a in acc[1:]:
-                z = zech[s - a]
-                folded = a + z
-                folded -= folded // Q * Q
-                s = numpy.where(s < 0, a, numpy.where(z < 0, -1, folded))
-            yield s
-
-    def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
-                      start: int, stop: int) -> list[int]:
-        """How often the trace of the log_values sum takes each value of
-        F_p over one window of the torus enumeration."""
-        counts = numpy.zeros(self.field.p, dtype=numpy.int64)
-        for vals in self.log_values(n, logs, weights, start, stop):
-            # a zero value indexes the table's last entry, the trace of zero
-            counts += numpy.bincount(self.trace_by_exp[vals], minlength=self.field.p)
-        return counts.tolist()

@@ -21,24 +21,26 @@ Conventions
   whose multiplicative order is q - 1, and (F_q^*)^n is walked as an
   odometer over exponent vectors with the last axis fastest.  The order
   is part of the contract; partitioned consumers recombine exactly.
-* This module is pure Python.  The numpy layer (discrete-log tables, the
-  torus kernel, the root search behind embed, both set-ups walking the
-  powers of one element in blocks) lives in ffarray, which is imported
-  at call time by discrete_table and by the embedding root search; both
-  charge their work to the budget here.
+* The byte-lane layer (power tables of one element by coordinate
+  columns, the discrete-log tables among them, the torus kernel and the
+  root search behind embed) lives in ffarray, which is imported at call
+  time by discrete_table and by the embedding root search; both charge
+  their work to the budget here, and discrete_table refuses a table the
+  machine's memory cannot hold.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .budget import charge
-from .errors import InputError, frozen
+from .errors import BudgetExceeded, InputError, frozen
 
 if TYPE_CHECKING:
-    from .ffarray import DiscreteTable
+    from .ffarray import PowerTable
 
 __all__ = [
     "FieldSpec",
@@ -426,7 +428,7 @@ def _roots(modulus: tuple[int, ...], source_degree: int,
     one that fits.  Charged to the budget as p^source_degree subfield
     elements."""
     charge("subfield enumeration for embedding", target.p ** source_degree)
-    from .ffarray import _roots_in  # numpy loads here, at the first search
+    from .ffarray import _roots_in
     return _roots_in(modulus, source_degree, target)
 
 
@@ -596,12 +598,26 @@ def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
 
 
 # --------------------------------------------------------------------------
-# discrete log / Zech tables
+# discrete log tables
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
 
 @lru_cache(maxsize=None)
-def discrete_table(field: FieldSpec) -> DiscreteTable:
-    """The field's ffarray.DiscreteTable, built once per field and charged
-    to the budget; the first build loads numpy."""
+def discrete_table(field: FieldSpec) -> PowerTable:
+    """The field's discrete-log table, the ffarray.PowerTable of its
+    generator, built once per field and charged to the budget.
+
+    A table larger than the machine's physical memory is refused with
+    BudgetExceeded before anything is allocated.  The check reads the
+    machine, but a run it lets through never depends on what it read.
+    """
     charge("discrete log table construction", field.q)
-    from .ffarray import DiscreteTable
-    return DiscreteTable(field)
+    from .ffarray import PowerTable, table_bytes
+    need, have = table_bytes(field), _physical_memory()
+    if need > have:
+        raise BudgetExceeded(f"memory for the discrete log table of {field!r}, in bytes",
+                             required=need, budget=have)
+    return PowerTable(field, multiplicative_generator(field), field.q - 1)

@@ -80,7 +80,7 @@ class FrobeniusReport:
 
 def _all_root_moduli(P: CycloPoly) -> list[float]:
     """|root| over every complex embedding of the coefficient field."""
-    import numpy  # at call time: only the torus commands load numpy
+    import numpy  # at call time: only the root moduli load numpy
 
     out = []
     for a in range(1, P.p):

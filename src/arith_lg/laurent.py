@@ -9,13 +9,13 @@ Derivatives here are logarithmic, t_i * d/dt_i: they act term-wise by
 multiplying with the exponent, never leave the Laurent ring, and have
 the same torus zero set as the plain partials.
 
-The torus walks live here too, the only code that drives the log-domain
-kernel of ffarray.DiscreteTable: torus_trace_counts (how often Tr f(t)
-takes each value of F_p, for expsum's sums) and torus_zeros (the common
-zeros of a list of polynomials, for zero counts and the degeneracy
-search).  lift_into is the one rule that lifts coefficients into an
-extension field.  The walks charge nothing; their callers charge the
-points first.
+The torus walks live here too, the only code that drives the torus
+kernel of ffarray.PowerTable: torus_trace_counts (how often Tr f(t)
+takes each value of F_p, for expsum's sums; window_counts) and
+torus_zeros (the common zeros of a list of polynomials, for zero counts
+and the degeneracy search; zero_flags).  lift_into is the one rule that
+lifts coefficients into an extension field.  The walks charge nothing;
+their callers charge the points first.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ def log_derivative(f: LaurentPoly, i: int) -> LaurentPoly:
 
 
 # --------------------------------------------------------------------------
-# torus walks: the two reductions over the log-domain kernel, in the
-# scope's windows (budget.windows)
+# torus walks: the two reductions of the torus kernel, in the scope's
+# windows (budget.windows)
 
 def lift_into(value, ext: FieldSpec) -> FqElem:
     """value (an element of a subfield of ext, or an integer) as an element of ext."""
@@ -221,21 +221,15 @@ def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
         return (1 if first_only else npoints), (ext.one(),) * n
     count, first = 0, None
     for start, stop in windows(npoints):
-        lo = start
-        for chunks in zip(*(table.log_values(n, logs, weights, start, stop)
-                            for logs, weights in live)):
-            hits = chunks[0] < 0
-            for vals in chunks[1:]:
-                hits &= vals < 0
-            found = int(hits.sum())
+        for lo, flags in table.zero_flags(n, live, start, stop):
+            found = flags.count(0)
             if found and first is None:
-                index = lo + int(hits.argmax())
+                index = lo + flags.find(0)
                 first = tuple(table.elem(index // Q ** (n - 1 - axis) % Q)
                               for axis in range(n))
                 if first_only:
                     return 1, first
             count += found
-            lo += hits.size
     return count, first
 
 

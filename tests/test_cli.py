@@ -1,9 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from arith_lg import acceptance, expsum, ffield
 from arith_lg.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 KLOOSTERMAN5 = {
     "field": {"p": "5"},
@@ -235,11 +242,17 @@ class TestCommandBudget:
 
     def test_table_build_sees_file_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
-        # within a 10^12 budget the table is refused for int64, not budget
+        # within a 10^12 budget the sums and the table are admitted (the
+        # default 10^9 would refuse the torus sum first), and the table is
+        # refused for memory: 2 lanes of 16 bytes for each of 4294967311
+        # elements, against the 8 GiB the probe reports
+        monkeypatch.setattr(ffield, "_physical_memory", lambda: 8 << 30)
         path = self.problem(tmp_path, {"p": "4294967311"}, "1000000000000")
         code, out = run(capsys, "expsum", path, "--tau", "1")
-        assert code == 2
-        assert "int64" in out
+        assert code == 3
+        assert out == ("error (budget): memory for the discrete log table of "
+                       "GF(4294967311), in bytes (required 137438953952, "
+                       "budget 8589934592)\n")
 
     @pytest.mark.parametrize("argv", [["check-nondegenerate"],
                                       ["expsum", "--tau", "1"],
@@ -497,6 +510,45 @@ class TestExitCodeContract:
         assert run(capsys, command, str(p), *extra) == (2, f"error (input): {message}\n")
         assert run_json(capsys, command, str(p), *extra) == (
             2, {"error": {"kind": "input", "message": message}})
+
+
+class TestOutOfMemory:
+    """A command that runs out of memory exits 3, the budget code, with
+    one line: running out is work refused, never a verdict."""
+
+    # F_{2^24}: the table takes 25 lanes of a byte for each of its 2^24
+    # elements, 419 MB, which a child limited to 256 MB of address space
+    # cannot map although the machine could hold it
+    FAMILY = dict(KLOOSTERMAN5, field={"p": "2"})
+
+    def test_address_space_limit_is_a_budget_exit(self, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(self.FAMILY))
+        limit = 256 << 20
+
+        def limit_child():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run(
+            [sys.executable, "-m", "arith_lg.cli", "expsum", str(path), "--tau", "1",
+             "--k", "24"],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_child)
+        assert run.returncode == 3, run.stdout + run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error (budget): "), run.stdout
+        assert "Traceback" not in run.stdout + run.stderr
+
+    def test_memory_error_is_one_line(self, files, capsys, monkeypatch):
+        def out_of_memory(field):
+            raise MemoryError
+
+        monkeypatch.setattr(expsum, "torus_trace_counts", out_of_memory)
+        assert run(capsys, "expsum", files["k5"], "--tau", "1") == (
+            3, "error (budget): out of memory\n")
+        assert run_json(capsys, "expsum", files["k5"], "--tau", "1") == (
+            3, {"error": {"kind": "budget", "message": "out of memory"}})
 
 
 class TestAcceptanceCommand:

@@ -398,13 +398,15 @@ class TestTauSumCrossCheck:
             assert tau_summed_trace(D, k, x) == expected
         assert charged == [("torus sum", q1 ** n), ("torus sum", q1 ** (n + 1))]
 
-        real_values = ffarray.DiscreteTable.log_values
+        def zero_count_only(real):
+            def kernel(self, nvars, *args):
+                assert nvars == n, "cross-check kernel ran past the budget"
+                return real(self, nvars, *args)
+            return kernel
 
-        def zero_count_only(self, nvars, *args):
-            assert nvars == n, "cross-check kernel ran past the budget"
-            return real_values(self, nvars, *args)
-
-        monkeypatch.setattr(ffarray.DiscreteTable, "log_values", zero_count_only)
+        for name in ("zero_flags", "window_counts"):
+            monkeypatch.setattr(ffarray.PowerTable, name,
+                                zero_count_only(getattr(ffarray.PowerTable, name)))
         with pytest.raises(BudgetExceeded) as exc, scope(budget=need - 1):
             tau_summed_trace(D, k, x)
         assert (exc.value.required, exc.value.budget) == (need, need - 1)

@@ -1,19 +1,22 @@
-"""Finite field construction, embeddings, torus enumeration, Zech tables."""
+"""Finite field construction, embeddings, torus enumeration, discrete-log tables."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arith_lg import ffield
 from arith_lg.budget import scope
 from arith_lg.errors import BudgetExceeded, InputError
+from arith_lg.ffarray import lane_width, table_bytes
 from arith_lg.ffield import (_is_irreducible, _pgcd, discrete_table, embed,
                              enumerate_torus, field_from_modulus, make_field,
                              multiplicative_generator, torus_size, trace_to_prime)
+from test_torus_kernel import kernel_values
 
 
 def poly_eval_mod(coeffs, x, p):
@@ -426,27 +429,26 @@ class TestDiscreteTable:
             assert tab.log(g ** e) == e
         assert tab.log(F.zero()) is None
 
-    def test_zech_addition_oracle(self):
+    def test_two_term_sums_oracle(self):
         # g^e1 + g^e2 is the two-term polynomial t1 + t2 at (g^e1, g^e2)
         F = make_field(3, 2)
         tab = discrete_table(F)
         g = multiplicative_generator(F)
-        got = np.concatenate(list(tab.log_values(2, [0, 0], [(1, 0), (0, 1)], 0, 64)))
-        assert got.size == 64
-        for (e1, e2), v in zip(itertools.product(range(8), repeat=2), got):
-            s = g ** e1 + g ** e2
-            if s:
-                assert tab.elem(int(v)) == s
-            else:
-                assert v == -1
+        got = kernel_values(tab, 2, [0, 0], [(1, 0), (0, 1)], 0, 64)
+        assert got == [g ** e1 + g ** e2 for e1, e2 in itertools.product(range(8), repeat=2)]
 
     def test_trace_by_exp(self):
-        F = make_field(5, 2)
-        tab = discrete_table(F)
-        g = multiplicative_generator(F)
-        for e in range(F.q - 1):
-            assert tab.trace_by_exp[e] == trace_to_prime(g ** e)
-        assert tab.trace_by_exp[-1] == 0  # the -1 marker: trace of zero
+        # the trace column, on byte lanes and on 2- and 4-byte lanes
+        for p, m in [(5, 2), (2, 6), (131, 1), (257, 1)]:
+            F = make_field(p, m)
+            tab = discrete_table(F)
+            g = multiplicative_generator(F)
+            W = tab.width
+            lanes = tab.trace_column()
+            assert len(lanes) == (F.q - 1) * W
+            for e in range(F.q - 1):
+                lane = int.from_bytes(lanes[e * W:(e + 1) * W], sys.byteorder)
+                assert lane == trace_to_prime(g ** e)
 
     def test_sum_terms_matches_elementwise(self):
         F = make_field(3, 2)
@@ -454,12 +456,37 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         logs = [0, 3, 5]
         weights = [(1, 2), (2, 1), (1, 1)]
-        got = np.concatenate(list(tab.log_values(2, logs, weights, 0, 64)))
-        assert got.size == 64
-        for e, v in zip(itertools.product(range(8), repeat=2), got):
-            want = sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
-                        for lg, ws in zip(logs, weights)), F.zero())
-            if want:
-                assert tab.elem(int(v)) == want
-            else:
-                assert v == -1
+        got = kernel_values(tab, 2, logs, weights, 0, 64)
+        assert got == [sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
+                            for lg, ws in zip(logs, weights)), F.zero())
+                       for e in itertools.product(range(8), repeat=2)]
+
+    @pytest.mark.parametrize("p,m,width", [(2, 3, 1), (127, 1, 1), (131, 1, 2),
+                                           (181, 1, 2), (191, 1, 4), (257, 1, 4)])
+    def test_lane_widths(self, p, m, width):
+        # one byte while two residues fit it, then room for a product of
+        # two residues plus one, with the top bit spare
+        assert lane_width(p) == width
+        F = make_field(p, m)
+        tab = discrete_table(F)
+        assert tab.width == width
+        g = multiplicative_generator(F)
+        for e in range(0, F.q - 1, max(1, (F.q - 1) // 40)):
+            assert tab.elem(e) == g ** e
+            assert tab.log(g ** e) == e
+
+    def test_table_refused_past_physical_memory(self, monkeypatch):
+        # the probe is replaced: GF(7^3) needs 4 lanes of a byte for each
+        # of its 343 elements, 1372 bytes, and the machine is given 1371
+        F = make_field(7, 3)
+        assert table_bytes(F) == 1372
+        discrete_table.cache_clear()
+        monkeypatch.setattr(ffield, "_physical_memory", lambda: 1371)
+        with pytest.raises(BudgetExceeded) as exc, scope(budget=10 ** 6):
+            discrete_table(F)
+        assert "GF(7^3)" in str(exc.value)
+        assert (exc.value.required, exc.value.budget) == (1372, 1371)
+        monkeypatch.setattr(ffield, "_physical_memory", lambda: 1372)
+        with scope(budget=10 ** 6):
+            tab = discrete_table(F)
+        assert sum(map(len, tab.columns)) + len(tab.trace_column()) <= table_bytes(F)

@@ -1,13 +1,14 @@
-"""Field set-up: power blocks, discrete-log tables, embedding root
+"""Field set-up: power tables, discrete-log tables, embedding root
 searches, and the embedding coordinates they lead to.
 
-_power_blocks in ffarray walks the powers of one element in blocks of
-numpy coordinate rows, and DiscreteTable and _roots_in both take their
-rows from it; here all three are checked against plain FqElem
-arithmetic, with TORUS_CHUNK, the block size, shrunk so that block
-boundaries fall mid-range.  The embedding pins hold the coordinates embed
-gives in a fresh process, and the same coordinates come out step by step
-along fixed tower sequences in one process.
+ffarray.PowerTable builds the coordinate columns of the powers of one
+element by doubling in chunks of BATCH lanes; the discrete-log table is
+the power table of the generator, and _roots_in searches the power
+table of a subfield's unit generator with the torus kernel.  All three
+are checked against plain FqElem arithmetic, with BATCH shrunk so that
+chunk boundaries fall mid-range.  The embedding pins hold the
+coordinates embed gives in a fresh process, and the same coordinates
+come out step by step along fixed tower sequences in one process.
 """
 
 import json
@@ -19,28 +20,25 @@ from pathlib import Path
 import pytest
 
 from arith_lg import ffarray
-from arith_lg.budget import scope
 from arith_lg.errors import InputError
-from arith_lg.ffarray import DiscreteTable
-from arith_lg.ffield import embed, field_from_modulus, make_field, multiplicative_generator
+from arith_lg.ffarray import PowerTable
+from arith_lg.ffield import (discrete_table, embed, field_from_modulus, make_field,
+                             multiplicative_generator)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def walk_encodings(field):
-    """exp_enc by the g**e walk: base-p encodings of g^0, g^1, ..."""
-    g = multiplicative_generator(field)
-    cur = field.one()
-    out = []
-    for _ in range(field.q - 1):
-        out.append(sum(c * field.p ** i for i, c in enumerate(cur.coords)))
-        cur = cur * g
-    return out
+def columns(table):
+    """The table's coordinate columns, decoded: one tuple per exponent."""
+    W = table.width
+    return [tuple(int.from_bytes(col[e * W:(e + 1) * W], sys.byteorder) for col in table.columns)
+            for e in range(table.order)]
 
 
 # F_{2^13} has q - 1 = 8191 prime; F_12289 has q - 1 = 3 * 4096; F_29 has
-# q - 1 = 4 * 7 and F_8 has q - 1 = 7
-TABLE_FIELDS = [(2, 13), (3, 7), (5, 5), (7919, 1), (2, 2), (12289, 1), (29, 1), (2, 3)]
+# q - 1 = 4 * 7 and F_8 has q - 1 = 7; F_131 and F_7919 have wide lanes
+TABLE_FIELDS = [(2, 13), (3, 7), (5, 5), (7919, 1), (2, 2), (12289, 1), (29, 1), (2, 3),
+                (131, 2)]
 
 
 # a prime field, a canonical extension and a field_from_modulus field
@@ -48,29 +46,32 @@ POWER_FIELDS = {"F29": make_field(29, 1), "F243": make_field(3, 5),
                 "K64": field_from_modulus(2, (1, 0, 0, 0, 0, 1, 1))}
 
 
-@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("batch", [None, 1, 7])
 @pytest.mark.parametrize("name", sorted(POWER_FIELDS))
-def test_power_blocks_are_the_powers(monkeypatch, name, block):
-    if block is not None:
-        monkeypatch.setattr(ffarray, "TORUS_CHUNK", block)
+def test_power_blocks_are_the_powers(monkeypatch, name, batch):
+    if batch is not None:
+        monkeypatch.setattr(ffarray, "BATCH", batch)
     field = POWER_FIELDS[name]
     g = multiplicative_generator(field)
-    # 50 is a multiple of neither 7 nor the default block size
+    # 50 is a multiple of neither 7 nor the default batch
     for h, count in [(g, field.q - 1), (g ** 3, 50), (g, 1)]:
-        blocks = list(ffarray._power_blocks(field, h, count))
-        assert all(len(b) == min(ffarray.TORUS_CHUNK, count) for b in blocks[:-1])
-        assert 0 < len(blocks[-1]) <= ffarray.TORUS_CHUNK
-        rows = [tuple(r) for b in blocks for r in b.tolist()]
-        assert rows == [(h ** k).coords for k in range(count)]
+        table = PowerTable(field, h, count)
+        assert columns(table) == [(h ** k).coords for k in range(count)]
 
 
-@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("batch", [None, 7])
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
-def test_table_build_matches_walk(monkeypatch, p, m, block):
-    if block is not None:
-        monkeypatch.setattr(ffarray, "TORUS_CHUNK", block)
+def test_table_build_matches_walk(monkeypatch, p, m, batch):
+    if batch is not None:
+        monkeypatch.setattr(ffarray, "BATCH", batch)
     field = make_field(p, m)
-    assert DiscreteTable(field).exp_enc.tolist() == walk_encodings(field)
+    g = multiplicative_generator(field)
+    walk, cur = [], field.one()
+    for _ in range(field.q - 1):
+        walk.append(cur.coords)
+        cur = cur * g
+    table = discrete_table.__wrapped__(field)
+    assert columns(table) == walk
 
 
 def brute_roots(modulus, target):
@@ -86,14 +87,14 @@ def brute_roots(modulus, target):
     return roots
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("batch", [None, 7])
 @pytest.mark.parametrize("p,a,L", [(2, 4, 8), (2, 6, 12), (3, 2, 6), (3, 4, 8), (5, 2, 4),
                                    # L given as the modulus of a field_from_modulus target
                                    pytest.param(2, 3, (1, 0, 0, 0, 0, 1, 1), id="2-3-K64"),
                                    pytest.param(3, 2, (1, 0, 1, 1, 1), id="3-2-K81")])
-def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(ffarray, "TORUS_CHUNK", chunk)
+def test_roots_in_matches_brute_force(monkeypatch, p, a, L, batch):
+    if batch is not None:
+        monkeypatch.setattr(ffarray, "BATCH", batch)
     modulus = make_field(p, a).modulus
     target = make_field(p, L) if isinstance(L, int) else field_from_modulus(p, L)
     roots = ffarray._roots_in(modulus, a, target)
@@ -103,9 +104,10 @@ def test_roots_in_matches_brute_force(monkeypatch, p, a, L, chunk):
 
 
 def test_int64_bound_is_checked_before_allocating():
-    # (2m - 1)(p - 1)^2 >= 2^63 for p > 2^32: refused, not built in 34 GB
-    with pytest.raises(InputError, match="int64"), scope(budget=10 ** 12):
-        DiscreteTable(make_field(4294967311, 1))
+    # p (p - 1) >= 2^63 for p > 2^32: refused, not built in 137 GB
+    field = make_field(4294967311, 1)
+    with pytest.raises(InputError, match="64-bit lanes"):
+        PowerTable(field, multiplicative_generator(field), field.q - 1)
 
 
 # generator X of F_{p^a} embedded into F_{p^b}, each recorded in a fresh

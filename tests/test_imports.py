@@ -1,12 +1,15 @@
-"""numpy is a dependency of the torus layer only, and `dataclasses` of
-none.
+"""numpy is a dependency of the Frobenius root moduli only, and
+`dataclasses` of none.
 
-Commands that never enumerate a torus (the exact layers) must not pay for
-loading numpy: each check runs in a fresh interpreter and looks at
-sys.modules after the command.  ffarray is the one module that imports
-numpy at module level; every other numpy use is a call-time import.
-The records are `errors.frozen` classes, so no command loads
-`dataclasses`, and only numpy loads `inspect`.
+A command that does not need the floating-point roots of a
+characteristic polynomial must not pay for loading numpy: each check
+runs in a fresh interpreter and looks at sys.modules after the command.
+The torus kernel is pure Python, so the exact commands, `expsum` (also
+over a field whose coefficients are embedded), `l-function` and
+`check-nondegenerate` leave numpy unloaded, and `frobenius` loads it.
+The one numpy import in the package is the call-time import in
+`frobdata._all_root_moduli`.  The records are `errors.frozen` classes,
+so no command loads `dataclasses`, and only numpy loads `inspect`.
 """
 
 import ast
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from test_cli import (CURVED_CONN, FLAT_CONN, IRREGULAR_INF_CONN, JORDAN3,
-                      KLOOSTERMAN5, LOG_CONN, fts_tuple)
+                      KLOOSTERMAN3, KLOOSTERMAN5, LOG_CONN, fts_tuple)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,6 +36,19 @@ EXACT_COMMANDS = {
     "verify-connection-log": ("verify-connection", LOG_CONN, 0),
     "verify-connection-irregular-inf": ("verify-connection", IRREGULAR_INF_CONN, 0),
     "analyze-polytope": ("analyze-polytope", KLOOSTERMAN5, 0),
+}
+
+# a Kloosterman family over F_9 with a coefficient outside F_3, so that
+# sums over F_81 embed it
+KLOOSTERMAN9 = dict(KLOOSTERMAN5, field={"p": "3", "m": 2},
+                    f=[{"c": ["0", "1"], "w": [1]}, {"c": ["1", "0"], "w": [-1]}])
+
+# torus commands that never take the roots of a characteristic polynomial
+TORUS_COMMANDS = {
+    "expsum": (KLOOSTERMAN5, ["expsum", "--tau", "1"]),
+    "expsum-embedded": (KLOOSTERMAN9, ["expsum", "--tau", "1", "--k", "2"]),
+    "l-function": (KLOOSTERMAN3, ["l-function", "--kmax", "8"]),
+    "check-nondegenerate": (KLOOSTERMAN5, ["check-nondegenerate"]),
 }
 
 RUN_SCRIPT = """
@@ -73,36 +89,46 @@ def test_exact_commands_leave_numpy_unloaded(tmp_path, name):
     assert run_fresh(command, write(tmp_path, doc)) == (code, [])
 
 
-def test_torus_command_loads_numpy(tmp_path):
-    # the guard above can fail: a command that builds a table loads numpy,
-    # and numpy loads inspect
-    code, loaded = run_fresh("expsum", write(tmp_path, KLOOSTERMAN5), "--tau", "1")
+@pytest.mark.parametrize("name", sorted(TORUS_COMMANDS))
+def test_torus_commands_leave_numpy_unloaded(tmp_path, name):
+    doc, (command, *options) = TORUS_COMMANDS[name]
+    assert run_fresh(command, write(tmp_path, doc), *options) == (0, [])
+
+
+def test_frobenius_loads_numpy(tmp_path):
+    # the guard above can fail: the root moduli load numpy, and numpy
+    # loads inspect
+    code, loaded = run_fresh("frobenius", write(tmp_path, KLOOSTERMAN5), "--tau", "1")
     assert (code, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
 
 
-def module_level_imports(tree):
-    """Module names imported by statements that run at import time, that
-    is outside function bodies."""
-    names = []
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def numpy_imports(tree):
+    """The dotted names of the functions (or "<module>") that hold an
+    import of numpy."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        names = []
         if isinstance(node, ast.Import):
-            names += [alias.name for alias in node.names]
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.append(node.module)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
+            names = [node.module]
+        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
 
 
-def test_only_ffarray_imports_numpy_at_module_level():
+def test_numpy_is_imported_only_for_root_moduli():
     importers = sorted(
-        path.name for path in (SRC / "arith_lg").glob("*.py")
-        if any(name == "numpy" or name.startswith("numpy.")
-               for name in module_level_imports(ast.parse(path.read_text()))))
-    assert importers == ["ffarray.py"]
+        f"{path.stem}.{owner}" for path in (SRC / "arith_lg").glob("*.py")
+        for owner in numpy_imports(ast.parse(path.read_text())))
+    assert importers == ["frobdata._all_root_moduli"]
 
 
 def test_no_module_imports_dataclasses():

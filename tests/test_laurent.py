@@ -415,22 +415,24 @@ def test_witness_is_first_common_zero(p, terms):
 
 @pytest.fixture
 def search_windows(monkeypatch):
-    """The [start, stop) window of every kernel call, one per live derivative."""
+    """The [start, stop) window of every zero search, and how many
+    polynomials it searched."""
     calls = []
-    real = ffarray.DiscreteTable.log_values
+    real = ffarray.PowerTable.zero_flags
 
-    def counting(self, n, logs, weights, start, stop):
-        calls.append((start, stop))
-        return real(self, n, logs, weights, start, stop)
+    def counting(self, n, polys, start, stop):
+        calls.append((start, stop, len(polys)))
+        return real(self, n, polys, start, stop)
 
-    monkeypatch.setattr(ffarray.DiscreteTable, "log_values", counting)
+    monkeypatch.setattr(ffarray.PowerTable, "zero_flags", counting)
     return calls
 
 
 @pytest.mark.parametrize("p,terms", DEGENERATE)
 def test_search_splits_into_scope_windows(search_windows, p, terms):
     # --threads N promises N disjoint windows for every enumeration, and
-    # the same witness and count whatever N is
+    # the same witness and count whatever N is; each window is one kernel
+    # call over every live derivative
     f = LaurentPoly(len(terms[0][0]), terms, make_field(p, 1))
     live = sum(1 for i in range(1, f.n + 1) if log_derivative(f, i))
     npoints = (p * p - 1) ** f.n
@@ -439,9 +441,11 @@ def test_search_splits_into_scope_windows(search_windows, p, terms):
         search_windows.clear()
         with scope(partitions=partitions):
             count = critical_count(f, 2)
-            windows = Counter(search_windows)
+            windows = Counter((start, stop) for start, stop, _ in search_windows)
+            searched = {polys for _, _, polys in search_windows}
             verdict = check_nondegenerate(f)
-        assert set(windows.values()) <= {live}
+        assert set(windows.values()) <= {1}
+        assert searched <= {live}
         assert len(windows) == (partitions if live else 0)
         edges = sorted(windows)
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))

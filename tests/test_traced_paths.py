@@ -142,17 +142,22 @@ def test_matrix_entry_is_one_kernel_call_per_denominator(dot_calls, dens, groups
 
 @pytest.fixture
 def kernel_windows(monkeypatch):
+    """(kernel entry point, torus dimension) of every kernel call."""
     calls = []
-    real = ffarray.DiscreteTable.log_values
 
-    def counting(self, n, *args):
-        calls.append(n)
-        return real(self, n, *args)
+    def recording(name):
+        real = getattr(ffarray.PowerTable, name)
+
+        def counting(self, n, *args):
+            calls.append((name, n))
+            return real(self, n, *args)
+        return counting
 
     def no_family_sum(*args, **kwargs):
         raise AssertionError("family_sum called from tau_summed_trace")
 
-    monkeypatch.setattr(ffarray.DiscreteTable, "log_values", counting)
+    for name in ("zero_flags", "window_counts"):
+        monkeypatch.setattr(ffarray.PowerTable, name, recording(name))
     monkeypatch.setattr(expsum, "family_sum", no_family_sum)
     return calls
 
@@ -167,4 +172,7 @@ def test_tau_sum_cross_check_is_one_torus_sum(kernel_windows, partitions):
     D = Deformation(f, (LaurentPoly(1, [((1,), one)], F5),), "newton_preserving")
     with scope(partitions=partitions):
         expsum.tau_summed_trace(D, 2, (F5.from_int(3),))
-    assert kernel_windows == [1] * partitions + [2] * partitions
+    # the zero count searches the n = 1 torus, the cross-check counts
+    # traces on the n = 2 torus, one kernel call per window each
+    assert kernel_windows == ([("zero_flags", 1)] * partitions
+                              + [("window_counts", 2)] * partitions)
