@@ -2,7 +2,8 @@
 
 Inside scope(budget, partitions) every charge adds to one running total
 (torus points, search points, table and embedding elements) and raises
-BudgetExceeded once it passes the limit; a nested scope is its own
+BudgetExceeded once it passes the limit (check_room refuses work the
+same way before it starts, charging nothing); a nested scope is its own
 ledger, and outside any scope each charge is checked alone.  The limit
 resolves as: explicit argument, ARITH_LG_BUDGET, then 10**9 points.
 Every enumeration takes its windows from windows(npoints).
@@ -75,10 +76,18 @@ def windows(npoints: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
+def check_room(description: str, required: int) -> None:
+    """Raise BudgetExceeded, as charge would, when `required` more units
+    pass the current scope's limit; charges nothing."""
+    ledger = _SCOPE.get() or _Ledger(resolve_budget(), 1)
+    if ledger.spent + required > ledger.limit:
+        raise BudgetExceeded(description, required=ledger.spent + required,
+                             budget=ledger.limit)
+
+
 def charge(description: str, required: int) -> None:
     """Add `required` units of work to the current scope's running total."""
-    ledger = _SCOPE.get() or _Ledger(resolve_budget(), 1)
-    ledger.spent += required
-    if ledger.spent > ledger.limit:
-        raise BudgetExceeded(description, required=ledger.spent,
-                             budget=ledger.limit)
+    check_room(description, required)
+    ledger = _SCOPE.get()
+    if ledger is not None:  # outside a scope each charge stands alone
+        ledger.spent += required

@@ -94,11 +94,11 @@ def _cmd_check_nondegenerate(args):
 
 def _cmd_expsum(args):
     pf = _load_problem(args)
-    # the twist may live anywhere in the degree-k extension
-    E = extension_field(pf.field, args.k)
-    tau = pio.parse_element_arg(args.tau, E, "tau")
-    x = _point(args, pf)
     with _scope(args, pf):
+        # the twist may live anywhere in the degree-k extension, which
+        # the command's budget must have room for
+        tau = pio.parse_element_arg(args.tau, extension_field(pf.field, args.k), "tau")
+        x = _point(args, pf)
         S = family_sum(pf.deformation, args.k, tau, x, psi_power=args.psi_power)
     base = pf.deformation.base
     r = normalized_volume(base.newton())

@@ -5,7 +5,9 @@ of torus points at which the summand's trace takes each value of F_p,
 so a whole sum is a vector of p integer counts until the very end, when
 it becomes one exact element of Q(zeta_p).  The zero count Z_k is
 laurent.torus_zeros of F_x.  The tau-sum cross-check of tau_summed_trace
-is one trace-count sum, with tau as an extra first coordinate.
+is one trace-count sum, with tau as an extra first coordinate.  Nothing
+is built in the extension: F_x is laurent.specialize over the base
+field, and the walks lift it, and twist it by tau, themselves.
 
 Each sum charges its torus points ("torus sum") to the current budget
 scope before the walk starts; the walks split the enumeration into the
@@ -22,7 +24,7 @@ from .cyclotomic import CycloNum
 from .errors import InputError, VerificationError
 from .ffield import FieldSpec, extension_field
 from .laurent import (Deformation, LaurentPoly, MonomialTable, lift_into,
-                      torus_trace_counts, torus_zeros)
+                      specialize, torus_trace_counts, torus_zeros)
 
 __all__ = [
     "extension_field",
@@ -42,71 +44,55 @@ def _check_psi_power(psi_power: int, p: int) -> None:
         raise InputError("character power must be a unit mod p")
 
 
-def _torus_sum(poly: LaurentPoly, psi_power: int) -> CycloNum:
-    """Sum of psi^psi_power(poly(t)) over the torus of poly's field."""
-    charge("torus sum", (poly.field.q - 1) ** poly.n)
-    counts = torus_trace_counts(poly)
-    p = poly.field.p
+def _torus_sum(f: LaurentPoly, ext: FieldSpec, tau, psi_power: int) -> CycloNum:
+    """Sum of psi^psi_power(tau * f(t)) over the torus of ext."""
+    charge("torus sum", (ext.q - 1) ** f.n)
+    counts = torus_trace_counts(f, ext, tau)
+    p = ext.p
     acc = [0] * p
     for v, c in enumerate(counts):
         acc[psi_power * v % p] += c
     return CycloNum.from_zeta_powers(p, acc)
 
 
-def _specialized(D: Deformation, ext: FieldSpec, tau, x: Sequence) -> LaurentPoly:
-    """tau * F_x with everything lifted into the extension field."""
-    if len(x) != D.m:
-        raise InputError(f"expected {D.m} parameters, got {len(x)}")
-    tau_e = lift_into(tau, ext)
-    if not tau_e:
-        raise InputError("tau must be a nonzero field element")
-    terms = []
-    for w, c in D.base.terms.items():
-        terms.append((w, tau_e * lift_into(c, ext)))
-    for xk, g in zip(x, D.directions):
-        xe = lift_into(xk, ext) * tau_e
-        for w, c in g.terms.items():
-            terms.append((w, xe * lift_into(c, ext)))
-    return LaurentPoly(D.base.n, terms, ext)
-
-
 def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
                psi_power: int = 1) -> CycloNum:
     """S = sum over (F_{q^k}^*)^n of psi(tau * F_x(t)), exactly.
 
-    tau and the x entries may be given in the base field (embedded), in
-    the extension itself, or as integers.  psi_power=-1 computes the sum
-    for the inverse character.
+    tau may be given in the base field (embedded), in the extension
+    itself, or as an integer; the x entries lie in the base field or
+    are integers.  psi_power=-1 computes the sum for the inverse
+    character.
     """
     ext = extension_field(D.base.field, k)
     _check_psi_power(psi_power, ext.p)
-    return _torus_sum(_specialized(D, ext, tau, x), psi_power)
+    f = specialize(D, x)
+    tau = lift_into(tau, ext)
+    if not tau:
+        raise InputError("tau must be a nonzero field element")
+    return _torus_sum(f, ext, tau, psi_power)
 
 
 def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
             psi_power: int = 1) -> CycloNum:
-    """Sum over the torus of psi(sum_j y_j t^{w_j}) for the table's
-    monomial list; zero entries of y drop out."""
+    """Sum over the torus of F_{q^k}, F_q = field, of
+    psi(sum_j y_j t^{w_j}) for the table's monomial list; the y entries
+    lie in field or are integers, and zero entries drop out."""
     if len(y) != len(table.points):
         raise InputError(f"expected {len(table.points)} coefficients, got {len(y)}")
     ext = extension_field(field, k)
     _check_psi_power(psi_power, ext.p)
     n = len(table.points[0]) if table.points else 0
-    terms = []
-    for w, c in zip(table.points, y):
-        ce = lift_into(c, ext)
-        if ce:
-            terms.append((w, ce))
-    return _torus_sum(LaurentPoly(n, terms, ext), psi_power)
+    return _torus_sum(LaurentPoly(n, zip(table.points, y), field), ext, 1, psi_power)
 
 
 def zero_count(D: Deformation, k: int, x: Sequence) -> int:
     """Z_k: number of torus points of the degree-k extension where F_x
     vanishes."""
     ext = extension_field(D.base.field, k)
-    poly = _specialized(D, ext, 1, x)  # tau=1: zero set unaffected
-    charge("torus sum", (ext.q - 1) ** poly.n)
-    return torus_zeros([poly], ext)[0]
+    f = specialize(D, x)
+    charge("torus sum", (ext.q - 1) ** f.n)
+    return torus_zeros([f], ext)[0]
 
 
 def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
@@ -127,9 +113,9 @@ def tau_summed_trace(D: Deformation, k: int, x: Sequence) -> CycloNum:
     inner = qk * zk - (qk - 1) ** n
     value = inner if n % 2 == 0 else -inner
     if (qk - 1) ** (n + 1) <= DOUBLE_ENUM_CAP:
-        fx = _specialized(D, ext, 1, x)
+        fx = specialize(D, x)
         tau_fx = LaurentPoly(n + 1, [((1,) + w, c) for w, c in fx.terms.items()], fx.field)
-        if _torus_sum(tau_fx, 1) != inner:
+        if _torus_sum(tau_fx, ext, 1, 1) != inner:
             raise VerificationError(
                 "orthogonality cross-check failed: direct tau-sum disagrees "
                 "with the zero-count closed form")

@@ -36,7 +36,7 @@ import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .budget import charge
+from .budget import charge, check_room
 from .errors import BudgetExceeded, InputError, frozen
 
 if TYPE_CHECKING:
@@ -258,11 +258,15 @@ def extension_field(base: FieldSpec, k: int) -> FieldSpec:
     """The degree-k extension F_{q^k} of F_q, canonically presented.
 
     Every exponential sum and point count reads its field through here
-    first, so rational coefficients (base None) stop here."""
+    first, so rational coefficients (base None) stop here.  Each charges
+    at least the q^k - 1 units next, so when the budget scope has no room
+    for them the extension is refused before its modulus search."""
     if base is None:
         raise InputError("this operation needs finite-field coefficients")
     if k < 1:
         raise InputError("extension degree must be at least 1")
+    if k > 1:
+        check_room(f"units of GF({base.p}^{base.m * k})", base.q ** k - 1)
     return base if k == 1 else make_field(base.p, base.m * k)
 
 
@@ -394,19 +398,18 @@ class FqElem:
 
 @lru_cache(maxsize=None)
 def _basis_traces(field: FieldSpec) -> tuple[int, ...]:
-    """Traces of the basis monomials X^j, j < m, as integers mod p."""
-    out = []
-    for j in range(field.m):
-        basis = field.element(tuple(1 if i == j else 0 for i in range(field.m)))
-        acc = field.zero()
-        frob = basis
-        for _ in range(field.m):
-            acc = acc + frob
-            frob = frob ** field.p
-        if any(acc.coords[1:]):  # pragma: no cover - trace lands in F_p
-            raise InputError("trace computation left the prime field")
-        out.append(acc.coords[0])
-    return tuple(out)
+    """Traces of the basis monomials X^j, j < m, as integers mod p.
+
+    Tr(X^j) is the j-th power sum s_j of the modulus's roots, so Newton's
+    identities give them from the coefficients c_i of X^(m - i):
+    s_0 = m and s_j = -(j c_j + sum_{0<i<j} c_i s_(j-i)).
+    """
+    p, m = field.p, field.m
+    c = field.modulus[::-1]
+    s = [m % p]
+    for j in range(1, m):
+        s.append(-(j * c[j] + sum(c[i] * s[j - i] for i in range(1, j))) % p)
+    return tuple(s)
 
 
 def trace_to_prime(a: FqElem) -> int:

@@ -10,12 +10,13 @@ multiplying with the exponent, never leave the Laurent ring, and have
 the same torus zero set as the plain partials.
 
 The torus walks live here too, the only code that drives the torus
-kernel of ffarray.PowerTable: torus_trace_counts (how often Tr f(t)
+kernel of ffarray.PowerTable: torus_trace_counts (how often Tr(tau f(t))
 takes each value of F_p, for expsum's sums; window_counts) and
 torus_zeros (the common zeros of a list of polynomials, for zero counts
-and the degeneracy search; zero_flags).  lift_into is the one rule that
-lifts coefficients into an extension field.  The walks charge nothing;
-their callers charge the points first.
+and the degeneracy search; zero_flags).  Both walk an extension on
+polynomials over its subfields: _kernel_input alone lifts coefficients
+into it (lift_into), twists them by tau and takes their logs.  The
+walks charge nothing; their callers charge the points first.
 """
 
 from __future__ import annotations
@@ -183,21 +184,19 @@ def lift_into(value, ext: FieldSpec) -> FqElem:
     raise InputError(f"cannot interpret {value!r} in {ext!r}")
 
 
-def _kernel_input(f: LaurentPoly, ext: FieldSpec, table) -> tuple[list[int], list]:
-    """Discrete logs of f's coefficients lifted into ext, and f's exponents."""
-    return [table.log(lift_into(c, ext)) for c in f.terms.values()], list(f.terms)
+def _kernel_input(f: LaurentPoly, ext: FieldSpec, table, tau=1) -> tuple[list[int], list]:
+    """Discrete logs of tau times f's coefficients, lifted into ext, and f's exponents."""
+    tau = lift_into(tau, ext)
+    return [table.log(tau * lift_into(c, ext)) for c in f.terms.values()], list(f.terms)
 
 
-def torus_trace_counts(f: LaurentPoly) -> list[int]:
-    """Number of points of (F_q^*)^n, F_q the field of f, at which
-    Tr(f(t)) takes each value 0 .. p - 1."""
-    field = f.field
-    if field is None:
-        raise InputError("exponential sums need finite-field coefficients")
-    table = discrete_table(field)
-    logs, weights = _kernel_input(f, field, table)
-    total = [0] * field.p
-    for lo, hi in windows((field.q - 1) ** f.n):
+def torus_trace_counts(f: LaurentPoly, ext: FieldSpec, tau) -> list[int]:
+    """Number of points of (ext^*)^n at which Tr(tau * f(t)) takes each
+    value 0 .. p - 1; f's coefficients and tau lie in subfields of ext."""
+    table = discrete_table(ext)
+    logs, weights = _kernel_input(f, ext, table, tau)
+    total = [0] * ext.p
+    for lo, hi in windows((ext.q - 1) ** f.n):
         counts = table.window_counts(f.n, logs, weights, lo, hi)
         total = [a + b for a, b in zip(total, counts)]
     return total

@@ -1,12 +1,20 @@
 """The per-command work scope: one budget and one partition count."""
 
 import inspect
+import sys
+from collections import Counter
 
 import pytest
 
 from arith_lg import acceptance, budget, expsum, ffarray, ffield, frobdata, laurent
 from arith_lg.budget import charge, scope
 from arith_lg.errors import BudgetExceeded, InputError
+from arith_lg.expsum import family_sum, gkz_sum, tau_summed_trace, zero_count
+from arith_lg.ffield import make_field
+from arith_lg.frobdata import family_l_function, frobenius_report
+from arith_lg.laurent import Deformation, LaurentPoly, check_nondegenerate, monomial_table
+
+F3, F5, F9 = make_field(3, 1), make_field(5, 1), make_field(3, 2)
 
 
 def _callables(module):
@@ -86,6 +94,37 @@ def test_limit_resolution(monkeypatch):
         charge("explicit beats env", 20)
 
 
+def test_check_room_charges_nothing(monkeypatch):
+    with scope(budget=1000):
+        charge("first", 600)
+        with pytest.raises(BudgetExceeded) as exc:
+            budget.check_room("more", 401)
+        budget.check_room("more", 400)
+        charge("second", 400)
+    assert (exc.value.required, exc.value.budget) == (1001, 1000)
+    monkeypatch.setenv("ARITH_LG_BUDGET", "1000")
+    budget.check_room("alone", 1000)
+    with pytest.raises(BudgetExceeded):
+        budget.check_room("alone", 1001)
+
+
+def test_extension_past_the_budget_is_refused_unbuilt(monkeypatch):
+    def no_search(f, p):
+        raise AssertionError("the modulus search ran")
+
+    F25 = make_field(5, 2)
+    monkeypatch.setattr(ffield, "_is_irreducible", no_search)
+    with scope(budget=1000):
+        charge("first", 1000 - 24)
+        assert ffield.extension_field(F5, 2) is F25  # exactly room for its 24 units
+        with pytest.raises(BudgetExceeded, match=r"units of GF\(5\^3\) "
+                                                 r"\(required 1100, budget 1000\)"):
+            ffield.extension_field(F5, 3)
+        charge("the rest", 24)  # the refusal charged nothing
+    with pytest.raises(BudgetExceeded):  # outside a scope, against the limit
+        ffield.extension_field(F5, 40)
+
+
 @pytest.mark.parametrize("bad", [0, -1])
 def test_bad_values_are_input_errors(bad):
     with pytest.raises(InputError):
@@ -112,3 +151,90 @@ def test_scope_is_restored_after_an_error():
             charge("too much", 6)
     assert budget.partitions() == 1
     charge("no ledger left behind", 6)
+
+
+# --------------------------------------------------------------------------
+# the budget covers what the walks visit
+
+def _kloosterman(field):
+    f = LaurentPoly(1, [((1,), 1), ((-1,), 1)], field)
+    return Deformation(f, [LaurentPoly(1, [((1,), 1)], field)], "newton_preserving")
+
+
+# no witness: every face is searched to the end
+TRIPLE3 = LaurentPoly(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], F3)
+# degenerate on the edge through (2, 0), (1, 1), (0, 2): the search stops
+# at the first witness
+EDGE3 = LaurentPoly(2, [((2, 0), 1), ((1, 1), 1), ((0, 2), 1)], F3)
+
+# name -> (the work, whether a first_only search may stop before its end)
+WALKS = {
+    "family_sum-prime": (lambda: family_sum(_kloosterman(F5), 2, 2, (3,)), False),
+    "family_sum-F9": (lambda: family_sum(_kloosterman(F9), 2, F9.element((1, 1)),
+                                         (F9.element((0, 1)),)), False),
+    "gkz_sum": (lambda: gkz_sum(monomial_table(_kloosterman(F5)), F5, 2, (1, 2, 3)), False),
+    "zero_count": (lambda: zero_count(_kloosterman(F9), 2, (1,)), False),
+    "tau_summed_trace": (lambda: tau_summed_trace(_kloosterman(F3), 2, (1,)), False),
+    "check_nondegenerate": (lambda: check_nondegenerate(TRIPLE3, K=2), False),
+    "check_nondegenerate-witness": (lambda: check_nondegenerate(EDGE3, K=2), True),
+    "frobenius_report": (lambda: frobenius_report(_kloosterman(F5), (1,), 1), False),
+    "family_l_function": (lambda: family_l_function(_kloosterman(F3), (0,), 6), False),
+}
+
+
+@pytest.fixture
+def meter(monkeypatch):
+    """Charges by description, and the lanes the kernel visits: in the
+    torus walks (window_counts, and zero_flags batches the caller took)
+    and in the embedding root search."""
+    charged, lanes = Counter(), Counter()
+    real_charge = budget.charge
+
+    def charge(description, required):
+        charged[description] += required
+        real_charge(description, required)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("arith_lg") and getattr(module, "charge", None) is real_charge:
+            monkeypatch.setattr(module, "charge", charge)
+    searching = []
+    real_roots = ffarray._roots_in
+
+    def roots_in(*args):
+        searching.append(True)
+        try:
+            return real_roots(*args)
+        finally:
+            searching.pop()
+
+    real_counts, real_flags = ffarray.PowerTable.window_counts, ffarray.PowerTable.zero_flags
+
+    def window_counts(self, n, logs, weights, start, stop):
+        lanes["torus"] += stop - start
+        return real_counts(self, n, logs, weights, start, stop)
+
+    def zero_flags(self, *args):
+        walk = "roots" if searching else "torus"
+        for lo, flags in real_flags(self, *args):
+            lanes[walk] += len(flags)
+            yield lo, flags
+
+    monkeypatch.setattr(ffarray, "_roots_in", roots_in)
+    monkeypatch.setattr(ffarray.PowerTable, "window_counts", window_counts)
+    monkeypatch.setattr(ffarray.PowerTable, "zero_flags", zero_flags)
+    ffield._image_powers.cache_clear()  # so that embeddings search their roots here
+    return charged, lanes
+
+
+@pytest.mark.parametrize("name", list(WALKS))
+def test_budget_covers_what_the_walks_visit(meter, name):
+    charged, lanes = meter
+    work, may_stop_early = WALKS[name]
+    work()
+    torus = charged["torus sum"] + charged["torus search"]
+    assert 0 < lanes["torus"] <= torus
+    if not may_stop_early:
+        assert lanes["torus"] == torus
+    assert lanes["roots"] <= charged["subfield enumeration for embedding"]
+    if name in ("family_sum-F9", "zero_count"):
+        assert lanes["roots"] > 0

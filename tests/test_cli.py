@@ -254,6 +254,22 @@ class TestCommandBudget:
                        "GF(4294967311), in bytes (required 137438953952, "
                        "budget 8589934592)\n")
 
+    def test_extension_past_the_budget_is_refused_before_its_modulus(
+            self, files, capsys, monkeypatch):
+        # F_{5^90} has 5^90 - 1 units, far past 1000; the modulus search it
+        # would start (tens of seconds) must not run, so it fails here
+        monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
+
+        def no_search(f, p):
+            raise AssertionError("the modulus search ran")
+
+        monkeypatch.setattr(ffield, "_is_irreducible", no_search)
+        code, out = run(capsys, "expsum", files["k5"], "--tau", "1", "--k", "90",
+                        "--budget", "1000")
+        assert code == 3
+        assert out == (f"error (budget): units of GF(5^90) (required {5 ** 90 - 1}, "
+                       "budget 1000)\n")
+
     @pytest.mark.parametrize("argv", [["check-nondegenerate"],
                                       ["expsum", "--tau", "1"],
                                       ["frobenius", "--tau", "1"],
@@ -541,7 +557,7 @@ class TestOutOfMemory:
         assert "Traceback" not in run.stdout + run.stderr
 
     def test_memory_error_is_one_line(self, files, capsys, monkeypatch):
-        def out_of_memory(field):
+        def out_of_memory(f, ext, tau):
             raise MemoryError
 
         monkeypatch.setattr(expsum, "torus_trace_counts", out_of_memory)

@@ -348,8 +348,8 @@ class TestTauSumCrossCheck:
         seen = []
         real = expsum.torus_trace_counts
 
-        def recording(poly):
-            out = real(poly)
+        def recording(poly, ext, tau):
+            out = real(poly, ext, tau)
             seen.append((poly.n, out))
             return out
 

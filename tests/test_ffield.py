@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 
@@ -205,7 +206,38 @@ class TestArithmetic:
         assert F7.from_int(3) / F7.from_int(5) == F7.from_int(2)  # 3 * 5^{-1} = 3*3 = 2
 
 
+def frobenius_traces(field):
+    """Reference for ffield._basis_traces: Tr(X^j) as the Frobenius sum
+    X^j + (X^j)^p + ... + (X^j)^(p^(m-1)), which lands in F_p."""
+    out = []
+    for j in range(field.m):
+        x = field.element(tuple(int(i == j) for i in range(field.m)))
+        acc = field.zero()
+        for _ in range(field.m):
+            acc, x = acc + x, x ** field.p
+        assert not any(acc.coords[1:])
+        out.append(acc.coords[0])
+    return tuple(out)
+
+
+def small_fields(qmax):
+    """(p, m) of every canonical field F_{p^m}, m >= 2, with p^m <= qmax."""
+    for p in range(2, math.isqrt(qmax) + 1):
+        if ffield._is_prime(p):
+            yield from ((p, m) for m in range(2, qmax.bit_length()) if p ** m <= qmax)
+
+
 class TestTrace:
+    def test_basis_traces_are_the_frobenius_sums(self):
+        fields = [make_field(p, m) for p, m in small_fields(10 ** 6)]
+        fields += [make_field(p, m) for p, m in [(131, 3), (131, 4), (257, 3)]]
+        fields += [field_from_modulus(2, (1, 1, 1)), field_from_modulus(3, (2, 1, 1)),
+                   field_from_modulus(3, (1, 0, 1, 1, 1)),
+                   field_from_modulus(2, (1, 0, 0, 0, 0, 1, 1))]
+        assert len(fields) > 200
+        for F in fields:
+            assert ffield._basis_traces(F) == frobenius_traces(F), F
+
     def test_trace_of_f4_generator(self):
         F4 = make_field(2, 2)
         g = multiplicative_generator(F4)

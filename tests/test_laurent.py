@@ -497,4 +497,4 @@ class TestCriticalCount:
         with pytest.raises(InputError):
             torus_zeros([log_derivative(f, 1)], F5)
         with pytest.raises(InputError):
-            torus_trace_counts(f)
+            torus_trace_counts(f, F5, 1)
