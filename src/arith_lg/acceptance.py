@@ -4,14 +4,13 @@ Nine desk-scale criteria covering the whole pipeline: Kloosterman
 purity, polytope rank, duality, the L-function of a family over the
 torus, the coefficient-map factorization, the Weil-type bound sweep,
 the six-condition/assembled-flatness equivalence, the weight filtration
-against an exhaustive oracle, and determinism under partitioned
-enumeration.
+against an exhaustive oracle, and determinism across processes.
 
 Each criterion returns a CriterionResult whose payload carries the
 exact values it computed as library values.  The determinism criterion
-serializes the payloads with problemio.jsonable and compares
-independent runs byte for byte.  Every stated runtime limit is
-enforced, not just reported.
+serializes the payloads with problemio.jsonable and compares this
+process's run with a fresh interpreter's, byte for byte.  Every stated
+runtime limit is enforced, not just reported.
 """
 
 from __future__ import annotations
@@ -19,12 +18,16 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import problemio as pio
-from .budget import partitions, scope
+from .budget import scope
 from .connalg import FTSTuple, assemble_nabla, curvature, verify_fts
 from .cyclotomic import CycloNum, CycloPoly, conj_sigma, embed_complex, psi
 from .exactla import (identity, mat_mul, mat_vec, nullspace, subspace_basis,
@@ -564,26 +567,42 @@ def criterion_8():
     return checks, summary, payload
 
 
-# --- 9: determinism under partitioned enumeration ----------------------------
+# --- 9: determinism across processes ----------------------------------------
 
-@_criterion(9, "determinism-under-partitioning")
+def _payload_lines() -> list[str]:
+    """The payloads of criteria 1-6 (they carry every exact value they
+    computed), each serialized with problemio.jsonable in its own scope."""
+    lines = []
+    for crit in CRITERIA[:6]:
+        with scope():
+            lines.append(json.dumps(pio.jsonable(crit().payload), sort_keys=True))
+    return lines
+
+
+_CHILD = ("import json\n"
+          "from arith_lg.acceptance import _payload_lines\n"
+          "print(json.dumps(_payload_lines()))\n")
+
+
+@_criterion(9, "determinism-across-processes")
 def criterion_9():
-    # the payloads of criteria 1-6 carry every exact value they computed
     labels = ("kloosterman_purity", "polytope_rank", "duality", "l_function",
               "factorization", "bound_sweep")
-    stable = []
-    digests = {}
-    for label, crit in zip(labels, CRITERIA):
-        blobs = {}
-        for P in (1, 2, 8):
-            with scope(partitions=P):
-                blobs[P] = json.dumps(pio.jsonable(crit().payload),
-                                      sort_keys=True).encode()
-        digests[label] = {str(P): len(blob) for P, blob in blobs.items()}
-        stable.append(blobs[1] == blobs[2] == blobs[8])
-    payload = {"stable": dict(zip(labels, stable)), "byte_lengths": digests}
-    checks = {f"{label} byte-identical": s for label, s in zip(labels, stable)}
-    summary = "criteria 1-6 values byte-identical with 1, 2, and 8 partitions"
+    here = _payload_lines()
+    # a fresh interpreter on these sources: cold field, table and
+    # embedding caches, and a new hash seed
+    src = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", _CHILD], cwd=src, capture_output=True,
+                           text=True, env=dict(os.environ, PYTHONPATH=path,
+                                               PYTHONHASHSEED="random"))
+    there = json.loads(child.stdout) if child.returncode == 0 else []
+    stable = [i < len(there) and line == there[i] for i, line in enumerate(here)]
+    payload = {"stable": dict(zip(labels, stable)),
+               "byte_lengths": {label: len(line.encode()) for label, line in zip(labels, here)}}
+    checks = {f"fresh interpreter exited {child.returncode}": child.returncode == 0}
+    checks.update({f"{label} byte-identical": s for label, s in zip(labels, stable)})
+    summary = "criteria 1-6 values byte-identical in a fresh interpreter"
     return checks, summary, payload
 
 
@@ -592,9 +611,9 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all() -> list[CriterionResult]:
-    """Each criterion in its own budget scope, same partition count."""
+    """Each criterion in its own budget scope."""
     results = []
     for crit in CRITERIA:
-        with scope(partitions=partitions()):
+        with scope():
             results.append(crit())
     return results

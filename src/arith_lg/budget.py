@@ -1,12 +1,11 @@
-"""Per-command work scope: one enumeration budget, one partition count.
+"""Per-command work scope: one enumeration budget.
 
-Inside scope(budget, partitions) every charge adds to one running total
+Inside scope(budget) every charge adds to one running total
 (torus points, search points, table and embedding elements) and raises
 BudgetExceeded once it passes the limit (check_room refuses work the
 same way before it starts, charging nothing); a nested scope is its own
 ledger, and outside any scope each charge is checked alone.  The limit
 resolves as: explicit argument, ARITH_LG_BUDGET, then 10**9 points.
-Every enumeration takes its windows from windows(npoints).
 """
 
 from __future__ import annotations
@@ -41,45 +40,29 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 class _Ledger:
-    __slots__ = ("limit", "partitions", "spent")
+    __slots__ = ("limit", "spent")
 
-    def __init__(self, limit: int, partitions: int):
-        self.limit, self.partitions, self.spent = limit, partitions, 0
+    def __init__(self, limit: int):
+        self.limit, self.spent = limit, 0
 
 
 _SCOPE: ContextVar[_Ledger | None] = ContextVar("arith_lg_scope", default=None)
 
 
 @contextmanager
-def scope(budget: int | None = None, partitions: int = 1) -> Iterator[None]:
-    """Run the body as one command: one budget, one partition count."""
-    if partitions < 1:
-        raise InputError("partition count must be at least 1")
-    token = _SCOPE.set(_Ledger(resolve_budget(budget), partitions))
+def scope(budget: int | None = None) -> Iterator[None]:
+    """Run the body as one command: one budget for all its work."""
+    token = _SCOPE.set(_Ledger(resolve_budget(budget)))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-def partitions() -> int:
-    """The partition count of the current scope; 1 outside any scope."""
-    ledger = _SCOPE.get()
-    return 1 if ledger is None else ledger.partitions
-
-
-def windows(npoints: int) -> list[tuple[int, int]]:
-    """The nonempty [lo, hi) windows that split range(npoints) into the
-    current scope's partition count of near-equal parts, in order."""
-    n = partitions()
-    bounds = [npoints * i // n for i in range(n + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
 def check_room(description: str, required: int) -> None:
     """Raise BudgetExceeded, as charge would, when `required` more units
     pass the current scope's limit; charges nothing."""
-    ledger = _SCOPE.get() or _Ledger(resolve_budget(), 1)
+    ledger = _SCOPE.get() or _Ledger(resolve_budget())
     if ledger.spent + required > ledger.limit:
         raise BudgetExceeded(description, required=ledger.spent + required,
                              budget=ledger.limit)

@@ -42,10 +42,16 @@ def _load_problem(args) -> pio.ProblemFile:
     return pio.parse_problem(pio.load_json_file(args.problem), args.problem)
 
 
+def _check_threads(args) -> None:
+    """--threads N is accepted and has no effect; N must still be positive."""
+    if args.threads < 1:
+        raise InputError("--threads must be at least 1")
+
+
 def _scope(args, pf: pio.ProblemFile):
     """One budget scope for the command: flag, then file, then env/default."""
-    budget = args.budget if args.budget is not None else pf.budget
-    return scope(budget, args.threads)
+    _check_threads(args)
+    return scope(args.budget if args.budget is not None else pf.budget)
 
 
 def _point(args, pf: pio.ProblemFile):
@@ -178,8 +184,8 @@ def _cmd_monodromy(args):
 
 def _cmd_acceptance(args):
     from .acceptance import run_all
-    with scope(partitions=args.threads):
-        results = run_all()
+    _check_threads(args)
+    results = run_all()
     payload = {
         "command": "acceptance",
         "criteria": [{
@@ -230,11 +236,14 @@ def _add_common(sp):
                     help="emit a machine-readable JSON report")
 
 
+_THREADS_HELP = "accepted for compatibility; has no effect (N >= 1)"
+
+
 def _add_torus(sp):
     """A problem-file command that enumerates tori under one work scope."""
     _add_common(sp)
     sp.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="partition count for enumerations (output-invariant)")
+                    help=_THREADS_HELP)
     sp.add_argument("--budget", type=int, default=None, metavar="POINTS",
                     help="enumeration budget override")
 
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("acceptance", help="run the full acceptance suite")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--threads", type=int, default=1, metavar="N")
+    sp.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
     sp.set_defaults(handler=_cmd_acceptance)
 
     return parser

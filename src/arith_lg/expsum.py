@@ -10,9 +10,8 @@ is built in the extension: F_x is laurent.specialize over the base
 field, and the walks lift it, and twist it by tau, themselves.
 
 Each sum charges its torus points ("torus sum") to the current budget
-scope before the walk starts; the walks split the enumeration into the
-scope's disjoint windows, so any partition count gives identical
-results, exactly.
+scope before the walk starts, and the walk then visits each of them
+once, in canonical order.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ When N <= 256 and lanes are bytes, a row spans as many trailing axes as
 fit in BATCH and is one bytes.translate of the term's exponent pattern
 through the rotated column; otherwise a row is the last axis, cut from
 the strided copy by one slice.  The rows of all terms are added as ints
-in batches of about BATCH lanes, and then
+in batches of about BATCH lanes, whole rows each, from the first point
+of the torus to the last, and then
 
 * window_counts reduces the trace column's sums mod p and counts each
   value (the trace is additive, so the terms' traces are summed);
@@ -266,19 +267,14 @@ class PowerTable:
     # ----------------------------------------------------------------------
     # the torus kernel
 
-    def _batches(self, n: int, start: int,
-                 stop: int) -> Iterator[tuple[int, int, int, int, int]]:
-        """Runs of whole rows covering [start, stop): (first point, rows,
-        lanes, lanes to drop in front, lanes to drop behind)."""
+    def _batches(self, n: int) -> Iterator[tuple[int, int, int]]:
+        """Runs of whole rows covering (F_q^*)^n: (first point, rows, lanes)."""
         R = self.order ** self._axes(n)
         per_batch = max(1, BATCH // R)
-        row = start // R
-        end = -(-stop // R) if start < stop else row
-        while row < end:
-            nrows = min(per_batch, end - row)
-            first, last = row * R, (row + nrows) * R
-            yield first, nrows, last - first, max(0, start - first), max(0, last - stop)
-            row += nrows
+        rows = self.order ** n // R
+        for row in range(0, rows, per_batch):
+            nrows = min(per_batch, rows - row)
+            yield row * R, nrows, nrows * R
 
     def _axes(self, n: int) -> int:
         """How many trailing axes one row spans."""
@@ -300,42 +296,36 @@ class PowerTable:
             acc, bound = self._add(acc, bound, value, term_bound, count)
         return acc, bound
 
-    def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
-                      start: int, stop: int) -> list[int]:
+    def window_counts(self, n: int, logs: Sequence[int],
+                      weights: Sequence[Sequence[int]]) -> list[int]:
         """How often Tr(sum_j h^logs[j] t^weights[j]) takes each value of
-        F_p over the window [start, stop) of the torus (F_q^*)^n."""
+        F_p on the torus (F_q^*)^n."""
         p, W = self.field.p, self.width
         counts = [0] * p
-        if not logs:
-            counts[0] = stop - start
-            return counts
-        terms = _Terms(self, n, logs, weights, start)
-        builders = terms.builders(self.trace_column())
-        total = 0
-        for _, nrows, count, front, back in self._batches(n, start, stop):
-            acc, bound = self._row_sum(builders, terms.take(nrows), count, p - 1)
-            data = self._reduce(acc, count, bound).to_bytes(count * W, _ORDER)
-            data = data[front * W:(count - back) * W]
-            total += count - front - back
-            if W > 1:
-                for v, c in Counter(memoryview(data).cast(_FORMATS[W])).items():
-                    counts[v] += c
-                continue
-            for v in range(1, p):
-                counts[v] += data.count(v)
-        counts[0] = total - sum(counts[1:])
+        if logs:
+            terms = _Terms(self, n, logs, weights)
+            builders = terms.builders(self.trace_column())
+            for _, nrows, count in self._batches(n):
+                acc, bound = self._row_sum(builders, terms.take(nrows), count, p - 1)
+                data = self._reduce(acc, count, bound).to_bytes(count * W, _ORDER)
+                if W > 1:
+                    for v, c in Counter(memoryview(data).cast(_FORMATS[W])).items():
+                        counts[v] += c
+                    continue
+                for v in range(1, p):
+                    counts[v] += data.count(v)
+        counts[0] = self.order ** n - sum(counts[1:])
         return counts
 
-    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
-                   start: int, stop: int) -> Iterator[tuple[int, bytes]]:
+    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]]
+                   ) -> Iterator[tuple[int, bytes]]:
         """The common zeros of polys (each (logs, weights), at least one
-        term) over the window [start, stop) of (F_q^*)^n, in batches:
-        (lo, flags) with flags[i] == 0 exactly where every poly vanishes
-        at point lo + i."""
+        term) on (F_q^*)^n, in batches: (lo, flags) with flags[i] == 0
+        exactly where every poly vanishes at point lo + i."""
         p, m = self.field.p, self.field.m
         systems = []
         for logs, weights in polys:
-            terms = _Terms(self, n, logs, weights, start)
+            terms = _Terms(self, n, logs, weights)
             bits = (len(logs) * (p - 1)).bit_length()
             if self.width > 1 or m == 1 or bits > 4:
                 columns, table, bound = self.columns, _flag_table(p, 8, 1), p - 1
@@ -344,7 +334,7 @@ class PowerTable:
                 columns, table = self._packed(bits, slots), _flag_table(p, bits, slots)
                 bound = (p - 1) * sum(1 << bits * i for i in range(slots))
             systems.append((terms, [terms.builders(c) for c in columns], table, bound))
-        for first, nrows, count, front, back in self._batches(n, start, stop):
+        for first, nrows, count in self._batches(n):
             nonzero = 0
             for terms, groups, table, bound in systems:
                 offsets = terms.take(nrows)
@@ -355,7 +345,7 @@ class PowerTable:
                     else:
                         acc = self._reduce(acc, count, b)
                     nonzero |= acc
-            yield first + front, self._flags(nonzero, count)[front:count - back]
+            yield first, self._flags(nonzero, count)
 
     def _packed(self, bits: int, slots: int) -> list[bytes]:
         """The coordinate columns `slots` to a byte, `bits` bits each."""
@@ -373,20 +363,17 @@ class PowerTable:
 
 class _Terms:
     """One polynomial's terms h^logs[j] t^weights[j] on (F_q^*)^n, laid out
-    for the rows of a table's walk from the row of point `start` on: the
-    offset of each term in the current row, and its row builders."""
+    for the rows of a table's walk from the first row on: the offset of
+    each term in the current row, and its row builders."""
 
     __slots__ = ("table", "lead", "digits", "offsets", "deltas", "patterns", "tails")
 
     def __init__(self, table: PowerTable, n: int, logs: Sequence[int],
-                 weights: Sequence[Sequence[int]], start: int):
+                 weights: Sequence[Sequence[int]]):
         N = table.order
-        axes = table._axes(n)
-        self.table, self.lead = table, n - axes
-        row = start // N ** axes
-        self.digits = [row // N ** (self.lead - 1 - i) % N for i in range(self.lead)]
-        self.offsets = [(lg + sum(w * d for w, d in zip(ws, self.digits))) % N
-                        for lg, ws in zip(logs, weights)]
+        self.table, self.lead = table, n - table._axes(n)
+        self.digits = [0] * self.lead
+        self.offsets = [lg % N for lg in logs]
         # the step of each offset when axis i counts up and the axes after it
         # wrap from N - 1 to 0
         self.deltas = [[(ws[i] - (N - 1) * sum(ws[i + 1:self.lead])) % N
@@ -483,7 +470,7 @@ def _roots_in(modulus: tuple[int, ...], source_degree: int,
     logs = [table.log(target.from_int(c)) for c in modulus if c]
     weights = [(k,) for k, c in enumerate(modulus) if c]
     roots = []
-    for lo, flags in table.zero_flags(1, [(logs, weights)], 0, count):
+    for lo, flags in table.zero_flags(1, [(logs, weights)]):
         pos = flags.find(0)
         while pos >= 0:
             roots.append(table.elem(lo + pos))

@@ -20,7 +20,8 @@ Conventions
   canonical generator g is the first element in coefficient-lex order
   whose multiplicative order is q - 1, and (F_q^*)^n is walked as an
   odometer over exponent vectors with the last axis fastest.  The order
-  is part of the contract; partitioned consumers recombine exactly.
+  is part of the contract: the torus kernel walks it, and a search's
+  first zero is the first in it.
 * The byte-lane layer (power tables of one element by coordinate
   columns, the discrete-log tables among them, the torus kernel and the
   root search behind embed) lives in ffarray, which is imported at call
@@ -561,32 +562,19 @@ def torus_size(field: FieldSpec, n: int) -> int:
     return (field.q - 1) ** n
 
 
-def enumerate_torus(field: FieldSpec, n: int, *, start: int = 0,
-                    stop: int | None = None) -> Iterator[tuple[FqElem, ...]]:
+def enumerate_torus(field: FieldSpec, n: int) -> Iterator[tuple[FqElem, ...]]:
     """Yield points of (F_q^*)^n in the canonical order.
 
     Point number L (0-based) is (g^{e_1}, ..., g^{e_n}) where
     (e_1, ..., e_n) are the base-(q-1) digits of L, last axis fastest.
-    The [start, stop) window makes disjoint contiguous chunks that
-    together reproduce the full stream exactly.
     """
     total = torus_size(field, n)
-    if stop is None:
-        stop = total
-    if not (0 <= start <= stop <= total):
-        raise InputError(f"window [{start}, {stop}) out of range for {total} points")
-    charge("torus enumeration", stop - start)
+    charge("torus enumeration", total)
     q1 = field.q - 1
     g = multiplicative_generator(field)
-    # decode the starting exponent vector
-    exps = []
-    rem = start
-    for _ in range(n):
-        exps.append(rem % q1)
-        rem //= q1
-    exps.reverse()
-    point = [g ** e for e in exps]
-    for _ in range(stop - start):
+    exps = [0] * n
+    point = [field.one()] * n
+    for _ in range(total):
         yield tuple(point)
         # odometer step on the exponent vector, last axis fastest
         axis = n - 1

@@ -15,8 +15,10 @@ takes each value of F_p, for expsum's sums; window_counts) and
 torus_zeros (the common zeros of a list of polynomials, for zero counts
 and the degeneracy search; zero_flags).  Both walk an extension on
 polynomials over its subfields: _kernel_input alone lifts coefficients
-into it (lift_into), twists them by tau and takes their logs.  The
-walks charge nothing; their callers charge the points first.
+into it (lift_into), twists them by tau and takes their logs.  Each
+walk is one kernel call over the whole torus, in the order of
+ffield.enumerate_torus.  The walks charge nothing; their callers charge
+the points first.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .budget import charge, windows
+from .budget import charge
 from .errors import InputError, frozen
 from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
@@ -172,8 +174,8 @@ def log_derivative(f: LaurentPoly, i: int) -> LaurentPoly:
 
 
 # --------------------------------------------------------------------------
-# torus walks: the two reductions of the torus kernel, in the scope's
-# windows (budget.windows)
+# torus walks: the two reductions of the torus kernel, each one pass over
+# the whole torus
 
 def lift_into(value, ext: FieldSpec) -> FqElem:
     """value (an element of a subfield of ext, or an integer) as an element of ext."""
@@ -195,11 +197,7 @@ def torus_trace_counts(f: LaurentPoly, ext: FieldSpec, tau) -> list[int]:
     value 0 .. p - 1; f's coefficients and tau lie in subfields of ext."""
     table = discrete_table(ext)
     logs, weights = _kernel_input(f, ext, table, tau)
-    total = [0] * ext.p
-    for lo, hi in windows((ext.q - 1) ** f.n):
-        counts = table.window_counts(f.n, logs, weights, lo, hi)
-        total = [a + b for a, b in zip(total, counts)]
-    return total
+    return table.window_counts(f.n, logs, weights)
 
 
 def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
@@ -213,22 +211,20 @@ def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
     """
     n = polys[0].n
     Q = ext.q - 1
-    npoints = Q ** n
     table = discrete_table(ext)
     live = [_kernel_input(f, ext, table) for f in polys if f]
     if not live:
-        return (1 if first_only else npoints), (ext.one(),) * n
+        return (1 if first_only else Q ** n), (ext.one(),) * n
     count, first = 0, None
-    for start, stop in windows(npoints):
-        for lo, flags in table.zero_flags(n, live, start, stop):
-            found = flags.count(0)
-            if found and first is None:
-                index = lo + flags.find(0)
-                first = tuple(table.elem(index // Q ** (n - 1 - axis) % Q)
-                              for axis in range(n))
-                if first_only:
-                    return 1, first
-            count += found
+    for lo, flags in table.zero_flags(n, live):
+        found = flags.count(0)
+        if found and first is None:
+            index = lo + flags.find(0)
+            first = tuple(table.elem(index // Q ** (n - 1 - axis) % Q)
+                          for axis in range(n))
+            if first_only:
+                return 1, first
+        count += found
     return count, first
 
 

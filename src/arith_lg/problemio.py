@@ -196,8 +196,8 @@ def parse_problem(obj, path: str = "$") -> ProblemFile:
             tolerance = float(t)
         except ValueError:
             raise ParseError(f"{path}.tolerance", f"not a number: {t!r}") from None
-        if tolerance <= 0:
-            raise ParseError(f"{path}.tolerance", "tolerance must be positive")
+        if not 0 < tolerance < float("inf"):  # nan fails both comparisons
+            raise ParseError(f"{path}.tolerance", "tolerance must be positive and finite")
     return ProblemFile(field, D, budget, tolerance)
 
 

@@ -8,6 +8,7 @@ criterion's own details string, which names the frozen values it checked.
 
 import pytest
 
+from arith_lg import acceptance
 from arith_lg.acceptance import CRITERIA, run_all
 
 NAMES = (
@@ -19,7 +20,7 @@ NAMES = (
     "purity-bound-sweep",
     "six-condition-equivalence",
     "weight-filtration-oracle",
-    "determinism-under-partitioning",
+    "determinism-across-processes",
 )
 
 # the whole gate must stay comfortably interactive
@@ -52,3 +53,16 @@ def test_total_runtime(results):
     print(f"total acceptance runtime {total:.3f} s "
           f"(budget {TOTAL_BUDGET_SECONDS:.0f} s)")
     assert total < TOTAL_BUDGET_SECONDS
+
+
+@pytest.mark.parametrize("child,failed", [
+    ("import json; print(json.dumps(['{}'] * 6))", "kloosterman_purity byte-identical"),
+    ("print('[]')", "bound_sweep byte-identical"),
+    ("raise SystemExit(3)", "fresh interpreter exited 3"),
+], ids=["other-payloads", "no-payloads", "child-fails"])
+def test_determinism_sees_the_other_process(monkeypatch, child, failed):
+    # criterion 9 compares with what the fresh interpreter printed
+    monkeypatch.setattr(acceptance, "_CHILD", child)
+    r = acceptance.criterion_9()
+    assert not r.ok
+    assert failed in r.details

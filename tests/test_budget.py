@@ -1,4 +1,4 @@
-"""The per-command work scope: one budget and one partition count."""
+"""The per-command work scope: one budget for all of a command's work."""
 
 import inspect
 import sys
@@ -130,26 +130,13 @@ def test_bad_values_are_input_errors(bad):
     with pytest.raises(InputError):
         with scope(budget=bad):
             pass
-    with pytest.raises(InputError, match="partition"):
-        with scope(partitions=bad):
-            pass
-
-
-def test_partitions_are_scoped():
-    assert budget.partitions() == 1
-    with scope(partitions=3):
-        assert budget.partitions() == 3
-        with scope(partitions=8):
-            assert budget.partitions() == 8
-        assert budget.partitions() == 3
-    assert budget.partitions() == 1
 
 
 def test_scope_is_restored_after_an_error():
     with pytest.raises(BudgetExceeded):
-        with scope(budget=5, partitions=2):
+        with scope(budget=5):
             charge("too much", 6)
-    assert budget.partitions() == 1
+    assert budget._SCOPE.get() is None
     charge("no ledger left behind", 6)
 
 
@@ -209,9 +196,9 @@ def meter(monkeypatch):
 
     real_counts, real_flags = ffarray.PowerTable.window_counts, ffarray.PowerTable.zero_flags
 
-    def window_counts(self, n, logs, weights, start, stop):
-        lanes["torus"] += stop - start
-        return real_counts(self, n, logs, weights, start, stop)
+    def window_counts(self, n, logs, weights):
+        lanes["torus"] += self.order ** n  # one walk over the whole torus
+        return real_counts(self, n, logs, weights)
 
     def zero_flags(self, *args):
         walk = "roots" if searching else "torus"

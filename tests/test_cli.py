@@ -210,6 +210,18 @@ class TestExpsum:
         assert docs[0] == docs[1]
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("command", ["expsum", "frobenius"])
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_tolerance_is_input_error(self, tmp_path, capsys, command, raw):
+        # nan would fail every float verdict (exit 1), inf pass every one (exit 0)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(KLOOSTERMAN5, tolerance=raw)))
+        code, out = run(capsys, command, str(path), "--tau", "1")
+        assert code == 2
+        assert out == f"error (input): {path}.tolerance: tolerance must be positive and finite\n"
+
+
 class TestCommandBudget:
     """The budget caps the work of a whole command, not of each charge."""
 
@@ -277,8 +289,7 @@ class TestCommandBudget:
     def test_zero_threads_is_input_error(self, files, capsys, argv):
         code, out = run(capsys, argv[0], files["k5"], *argv[1:],
                         "--threads", "0")
-        assert code == 2
-        assert "partition count" in out
+        assert (code, out) == (2, "error (input): --threads must be at least 1\n")
 
 
 class TestFrobenius:
@@ -582,6 +593,13 @@ class TestAcceptanceCommand:
         assert lines[0].startswith("PASS") and "first" in lines[0]
         assert lines[1].startswith("FAIL") and "second" in lines[1]
         assert "FAILED" in lines[-1]
+
+    @pytest.mark.parametrize("threads,code", [("2", 0), ("0", 2)])
+    def test_threads_still_parse(self, capsys, monkeypatch, threads, code):
+        # --threads has no effect, but existing invocations pass it
+        monkeypatch.setattr(acceptance, "run_all",
+                            lambda: self.fake_results(True))
+        assert run(capsys, "acceptance", "--threads", threads)[0] == code
 
     def test_all_ok_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "run_all",

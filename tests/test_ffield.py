@@ -417,26 +417,6 @@ class TestTorusEnumeration:
         for pt in enumerate_torus(F4, 3):
             assert all(x for x in pt)
 
-    def test_windows_partition_exactly(self):
-        F5 = make_field(5, 1)
-        full = [tuple(x.coords for x in pt) for pt in enumerate_torus(F5, 2)]
-        for nparts in (1, 2, 8):
-            bounds = [len(full) * k // nparts for k in range(nparts + 1)]
-            glued = []
-            for lo, hi in zip(bounds, bounds[1:]):
-                glued.extend(tuple(x.coords for x in pt)
-                             for pt in enumerate_torus(F5, 2, start=lo, stop=hi))
-            assert glued == full
-
-    def test_window_validation(self):
-        F5 = make_field(5, 1)
-        with pytest.raises(InputError, match=r"window \[-1, 16\) out of range"):
-            list(enumerate_torus(F5, 2, start=-1))
-        with pytest.raises(InputError, match=r"window \[3, 2\) out of range"):
-            list(enumerate_torus(F5, 2, start=3, stop=2))
-        with pytest.raises(InputError, match=r"window \[0, 17\) out of range"):
-            list(enumerate_torus(F5, 2, stop=17))
-
     def test_budget_enforced(self):
         F5 = make_field(5, 1)
         with pytest.raises(BudgetExceeded) as exc, scope(budget=1000):
@@ -466,7 +446,7 @@ class TestDiscreteTable:
         F = make_field(3, 2)
         tab = discrete_table(F)
         g = multiplicative_generator(F)
-        got = kernel_values(tab, 2, [0, 0], [(1, 0), (0, 1)], 0, 64)
+        got = kernel_values(tab, 2, [0, 0], [(1, 0), (0, 1)])
         assert got == [g ** e1 + g ** e2 for e1, e2 in itertools.product(range(8), repeat=2)]
 
     def test_trace_by_exp(self):
@@ -488,7 +468,7 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         logs = [0, 3, 5]
         weights = [(1, 2), (2, 1), (1, 1)]
-        got = kernel_values(tab, 2, logs, weights, 0, 64)
+        got = kernel_values(tab, 2, logs, weights)
         assert got == [sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
                             for lg, ws in zip(logs, weights)), F.zero())
                        for e in itertools.product(range(8), repeat=2)]

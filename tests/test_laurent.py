@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -414,44 +413,50 @@ def test_witness_is_first_common_zero(p, terms):
 
 
 @pytest.fixture
-def search_windows(monkeypatch):
-    """The [start, stop) window of every zero search, and how many
-    polynomials it searched."""
-    calls = []
-    real = ffarray.PowerTable.zero_flags
+def searches(monkeypatch):
+    """Each zero search (the points of the torus it walks, the polynomials
+    it searched, the lanes its caller took) and each "torus search" charge."""
+    calls, charged = [], []
+    real, real_charge = ffarray.PowerTable.zero_flags, laurent.charge
 
-    def counting(self, n, polys, start, stop):
-        calls.append((start, stop, len(polys)))
-        return real(self, n, polys, start, stop)
+    def counting(self, n, polys):
+        call = {"points": self.order ** n, "polys": len(polys), "lanes": 0}
+        calls.append(call)
+        for lo, flags in real(self, n, polys):
+            call["lanes"] += len(flags)
+            yield lo, flags
+
+    def charge(description, required):
+        if description == "torus search":
+            charged.append(required)
+        real_charge(description, required)
 
     monkeypatch.setattr(ffarray.PowerTable, "zero_flags", counting)
-    return calls
+    monkeypatch.setattr(laurent, "charge", charge)
+    return calls, charged
 
 
 @pytest.mark.parametrize("p,terms", DEGENERATE)
-def test_search_splits_into_scope_windows(search_windows, p, terms):
-    # --threads N promises N disjoint windows for every enumeration, and
-    # the same witness and count whatever N is; each window is one kernel
-    # call over every live derivative
+def test_search_walks_each_torus_once(searches, p, terms):
+    # one kernel call per (face, k) searched, over the whole torus of the
+    # degree-k extension; every walk but the last, which found the
+    # witness, visits all of it
+    calls, charged = searches
     f = LaurentPoly(len(terms[0][0]), terms, make_field(p, 1))
-    live = sum(1 for i in range(1, f.n + 1) if log_derivative(f, i))
-    npoints = (p * p - 1) ** f.n
-    results = set()
-    for partitions in (1, 2, 3):
-        search_windows.clear()
-        with scope(partitions=partitions):
-            count = critical_count(f, 2)
-            windows = Counter((start, stop) for start, stop, _ in search_windows)
-            searched = {polys for _, _, polys in search_windows}
-            verdict = check_nondegenerate(f)
-        assert set(windows.values()) <= {1}
-        assert searched <= {live}
-        assert len(windows) == (partitions if live else 0)
-        edges = sorted(windows)
-        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        assert not edges or (edges[0][0], edges[-1][1]) == (0, npoints)
-        results.add((count, verdict.witness, verdict.witness_degree))
-    assert len(results) == 1
+    assert check_nondegenerate(f).degenerate
+    assert [call["points"] for call in calls] == charged
+    assert all(1 <= call["polys"] <= f.n for call in calls)
+    assert all(call["lanes"] == call["points"] for call in calls[:-1])
+    if calls:
+        assert 0 < calls[-1]["lanes"] <= calls[-1]["points"]
+
+
+def test_search_without_witness_walks_every_torus(searches):
+    # the triple point's three edges at k = 1, 2: six whole walks
+    calls, charged = searches
+    assert not check_nondegenerate(triple_point(F3), K=2).degenerate
+    assert [call["points"] for call in calls] == charged == [4, 64] * 3
+    assert all(call["lanes"] == call["points"] for call in calls)
 
 
 class TestCriticalCount:

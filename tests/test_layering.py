@@ -33,7 +33,7 @@ def kernel_names(source: str) -> set[str]:
 
 def test_the_scan_sees_names_attributes_and_imports():
     assert kernel_names("from .ffield import discrete_table as dt\n") == {"discrete_table"}
-    assert kernel_names("t.window_counts(1, [], [], 0, 1)\n") == {"window_counts"}
+    assert kernel_names("t.window_counts(1, [], [])\n") == {"window_counts"}
     assert kernel_names("x = PowerTable\n") == {"PowerTable"}
     assert kernel_names("zero_flags = 'a string is no reference'\n") == {"zero_flags"}
     assert kernel_names("'zero_flags'\n") == set()

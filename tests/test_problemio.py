@@ -118,6 +118,13 @@ class TestParseProblem:
         with pytest.raises(ParseError):
             parse_problem(dict(KLOOSTERMAN, tolerance=1e-9))
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "Infinity", "1e999", "-inf"])
+    def test_tolerance_must_be_finite(self, raw):
+        # nan fails every float verdict and inf passes every one
+        with pytest.raises(ParseError, match="finite") as e:
+            parse_problem(dict(KLOOSTERMAN, tolerance=raw))
+        assert path_of(e) == "$.tolerance"
+
     def test_unknown_key(self):
         with pytest.raises(ParseError) as e:
             parse_problem(dict(KLOOSTERMAN, extra=1))

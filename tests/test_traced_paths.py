@@ -12,7 +12,7 @@ sees the denominator products and those additions, not every product.
 A subspace is its canonical RREF basis, so the subspace functions get
 canonical bases here, and containment takes no elimination at all.
 The tau-sum cross-check is pinned to one torus sum: one kernel call per
-window, and no `family_sum` per tau.
+walk, and no `family_sum` per tau.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from fractions import Fraction
 import pytest
 
 from arith_lg import connalg, exactla, expsum, ffarray, mpoly
-from arith_lg.budget import scope
 from arith_lg.ffield import make_field
 from arith_lg.laurent import Deformation, LaurentPoly
 from arith_lg.mpoly import MPoly, RatFunc
@@ -141,7 +140,7 @@ def test_matrix_entry_is_one_kernel_call_per_denominator(dot_calls, dens, groups
 
 
 @pytest.fixture
-def kernel_windows(monkeypatch):
+def kernel_calls(monkeypatch):
     """(kernel entry point, torus dimension) of every kernel call."""
     calls = []
 
@@ -162,17 +161,17 @@ def kernel_windows(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("partitions", [1, 3])
-def test_tau_sum_cross_check_is_one_torus_sum(kernel_windows, partitions):
-    # Kloosterman over F_5, k = 2: 24 zero-count points and 576 pairs
-    # (tau, t), both at least `partitions`, so no window is empty
+@pytest.mark.parametrize("k", [1, 3])
+def test_tau_sum_cross_check_is_one_torus_sum(kernel_calls, monkeypatch, k):
+    # Kloosterman over F_5: the zero count walks the (5^k - 1)-point torus
+    # and the cross-check the (5^k - 1)^2 pairs (tau, t), in batches of at
+    # most 7 lanes, so each walk spans many batches
+    monkeypatch.setattr(ffarray, "BATCH", 7)
     F5 = make_field(5, 1)
     one = F5.from_int(1)
     f = LaurentPoly(1, [((1,), one), ((-1,), one)], F5)
     D = Deformation(f, (LaurentPoly(1, [((1,), one)], F5),), "newton_preserving")
-    with scope(partitions=partitions):
-        expsum.tau_summed_trace(D, 2, (F5.from_int(3),))
-    # the zero count searches the n = 1 torus, the cross-check counts
-    # traces on the n = 2 torus, one kernel call per window each
-    assert kernel_windows == ([("zero_flags", 1)] * partitions
-                              + [("window_counts", 2)] * partitions)
+    expsum.tau_summed_trace(D, k, (F5.from_int(3),))
+    # one kernel call per walk: the zero count searches the n = 1 torus,
+    # the cross-check counts traces on the n = 2 torus
+    assert kernel_calls == [("zero_flags", 1), ("window_counts", 2)]
