@@ -39,7 +39,8 @@ EXIT_BUDGET = 3
 
 
 def _load_problem(args) -> pio.ProblemFile:
-    return pio.parse_problem(pio.load_json_file(args.problem), args.problem)
+    return pio.parse_problem(pio.load_json_file(args.problem), args.problem,
+                             getattr(args, "budget", None))
 
 
 def _check_threads(args) -> None:

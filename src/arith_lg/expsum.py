@@ -10,8 +10,10 @@ is built in the extension: F_x is laurent.specialize over the base
 field, and the walks lift it, and twist it by tau, themselves.
 
 Each sum charges its torus points ("torus sum") to the current budget
-scope before the walk starts, and the walk then visits each of them
-once, in canonical order.
+scope before the walk starts.  The walk then visits them in canonical
+order, all of them or, when F_x and tau lie in a proper subfield, the
+fibres over one first coordinate per Frobenius orbit, each counted
+once per point of its orbit (laurent's torus walks).
 """
 
 from __future__ import annotations

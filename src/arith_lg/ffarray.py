@@ -45,6 +45,14 @@ of the torus to the last, and then
   coordinates share a byte when a sum fits in a few bits) and flags the
   points where every coordinate of every polynomial is zero.
 
+Given orbits, a map from some first-axis exponents to weights (n >= 2),
+a walk visits only the fibres over those exponents, ascending: the rows
+over them when a row spans fewer than n axes, else their blocks of the
+one row's exponent pattern.  window_counts counts each point of the
+fibre over e orbits[e] times, and zero_flags yields pieces over
+exponents of one weight, for its caller to weight.  The whole torus is
+the case of all N exponents, of weight 1.
+
 laurent's torus walks drive both, and _roots_in is the zero search of a
 modulus over the powers of the generator of a subfield's units.
 ffield reaches this module at call time, when it builds a table or
@@ -57,7 +65,7 @@ import math
 import sys
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import InputError
 from .ffield import FieldSpec, FqElem, _basis_traces, multiplicative_generator
@@ -105,15 +113,45 @@ def _flag_table(p: int, bits: int, slots: int) -> bytes:
 
 
 @lru_cache(maxsize=64)
-def _pattern(N: int, tail: tuple[int, ...]) -> bytes:
-    """<tail, x's digits> mod N for x = 0 .. N^len(tail) - 1: a term's
-    exponents along a row of the trailing axes (N <= 256)."""
-    pattern = bytes(tail[-1] * x % N for x in range(N))
+def _pattern(N: int, tail: tuple[int, ...], first: Sequence[int]) -> bytes:
+    """<tail, x> mod N for the exponent vectors x of the trailing axes in
+    order, the first of them taking the values `first` and the others
+    0 .. N - 1: a term's exponents along a row (N <= 256)."""
+    if len(tail) == 1:
+        return bytes(tail[0] * x % N for x in first)
+    rest = _pattern(N, tail[1:], range(N))
     base = bytes(v % N for v in range(2 * N))  # base[s:s + N] adds s mod N
-    for w in reversed(tail[:-1]):
-        pattern = b"".join(pattern.translate(base[s:s + N] + bytes(256 - N))
-                           for s in (w * d % N for d in range(N)))
-    return pattern
+    return b"".join(rest.translate(base[s:s + N] + bytes(256 - N))
+                    for s in (tail[0] * d % N for d in first))
+
+
+def _runs(N: int, n: int, orbits: Mapping[int, int] | None
+          ) -> tuple[Sequence[int], list[tuple[int, int, int]]]:
+    """The first-axis values a walk visits, ascending, and their runs
+    (index of the first value, index past the last, weight) of
+    consecutive values of one weight: all N values of weight 1 when
+    orbits is None, else each value of orbits alone."""
+    if orbits is None:
+        return range(N), [(0, N, 1)]
+    if n < 2:
+        raise InputError("a walk over orbits of the first axis needs a second axis")
+    first = tuple(orbits)
+    return first, [(i, i + 1, orbits[e]) for i, e in enumerate(first)]
+
+
+def _weighted(pieces: Sequence[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """(weight, a, b): lane ranges of a batch whose counts, times their
+    weights, add up to the pieces' weighted counts.  The whole batch comes
+    at the weight that covers most of it, then each piece of another
+    weight with the difference."""
+    cover = Counter()
+    for _, a, b, w in pieces:
+        cover[w] += b - a
+    common = cover.most_common(1)[0][0]
+    yield common, 0, pieces[-1][2]
+    for _, a, b, w in pieces:
+        if w != common:
+            yield w - common, a, b
 
 
 @lru_cache(maxsize=8)
@@ -267,14 +305,29 @@ class PowerTable:
     # ----------------------------------------------------------------------
     # the torus kernel
 
-    def _batches(self, n: int) -> Iterator[tuple[int, int, int]]:
-        """Runs of whole rows covering (F_q^*)^n: (first point, rows, lanes)."""
-        R = self.order ** self._axes(n)
-        per_batch = max(1, BATCH // R)
-        rows = self.order ** n // R
-        for row in range(0, rows, per_batch):
-            nrows = min(per_batch, rows - row)
-            yield row * R, nrows, nrows * R
+    def _batches(self, n: int, first: Sequence[int], runs: Sequence[Sequence[int]]
+                 ) -> Iterator[tuple[int, int, list[tuple[int, int, int, int]]]]:
+        """Runs of whole rows covering the fibres of (F_q^*)^n over the
+        first-axis values `first`, in order: (rows, lanes, pieces).  A
+        piece (its first point in the canonical order, its lanes a:b in
+        the batch, its weight) is where the batch meets one of the runs."""
+        fibre = self.order ** (n - 1)
+        lanes = len(first) * fibre
+        axes = self._axes(n)
+        R = self.order ** axes if axes < n else lanes
+        step, j = max(1, BATCH // R) * R, 0
+        for lo in range(0, lanes, step):
+            hi = min(lo + step, lanes)
+            pieces = []
+            while True:
+                i0, i1, weight = runs[j]
+                a, b = max(lo, i0 * fibre), min(hi, i1 * fibre)
+                pieces.append((first[i0] * fibre + a - i0 * fibre, a - lo, b - lo, weight))
+                if b == i1 * fibre:
+                    j += 1
+                if b == hi:
+                    break
+            yield (hi - lo) // R, hi - lo, pieces
 
     def _axes(self, n: int) -> int:
         """How many trailing axes one row spans."""
@@ -296,36 +349,46 @@ class PowerTable:
             acc, bound = self._add(acc, bound, value, term_bound, count)
         return acc, bound
 
-    def window_counts(self, n: int, logs: Sequence[int],
-                      weights: Sequence[Sequence[int]]) -> list[int]:
+    def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
+                      orbits: Mapping[int, int] | None = None) -> list[int]:
         """How often Tr(sum_j h^logs[j] t^weights[j]) takes each value of
-        F_p on the torus (F_q^*)^n."""
+        F_p on the torus (F_q^*)^n.  Given orbits (n >= 2), the walk
+        visits only the fibres over its first-axis values and counts each
+        point orbits[t_1] times; the orbits must partition the first axis
+        into fibres of equal counts."""
         p, W = self.field.p, self.width
         counts = [0] * p
         if logs:
-            terms = _Terms(self, n, logs, weights)
+            first, runs = _runs(self.order, n, orbits)
+            terms = _Terms(self, n, logs, weights, first)
             builders = terms.builders(self.trace_column())
-            for _, nrows, count in self._batches(n):
+            for nrows, count, pieces in self._batches(n, first, runs):
                 acc, bound = self._row_sum(builders, terms.take(nrows), count, p - 1)
                 data = self._reduce(acc, count, bound).to_bytes(count * W, _ORDER)
-                if W > 1:
-                    for v, c in Counter(memoryview(data).cast(_FORMATS[W])).items():
-                        counts[v] += c
-                    continue
-                for v in range(1, p):
-                    counts[v] += data.count(v)
+                lanes = memoryview(data).cast(_FORMATS[W]) if W > 1 else None
+                for weight, a, b in _weighted(pieces):
+                    if W > 1:
+                        tally = Counter(lanes[a:b]).items()
+                    else:
+                        tally = ((v, data.count(v, a, b)) for v in range(1, p))
+                    for v, c in tally:
+                        counts[v] += c * weight
         counts[0] = self.order ** n - sum(counts[1:])
         return counts
 
-    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]]
-                   ) -> Iterator[tuple[int, bytes]]:
+    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
+                   orbits: Mapping[int, int] | None = None) -> Iterator[tuple[int, bytes]]:
         """The common zeros of polys (each (logs, weights), at least one
-        term) on (F_q^*)^n, in batches: (lo, flags) with flags[i] == 0
-        exactly where every poly vanishes at point lo + i."""
+        term) on (F_q^*)^n, in pieces: (lo, flags) with flags[i] == 0
+        exactly where every poly vanishes at point lo + i.  Given orbits
+        (n >= 2), the walk visits only the fibres over its first-axis
+        values, ascending, and each piece lies over values of one
+        weight."""
         p, m = self.field.p, self.field.m
+        first, runs = _runs(self.order, n, orbits)
         systems = []
         for logs, weights in polys:
-            terms = _Terms(self, n, logs, weights)
+            terms = _Terms(self, n, logs, weights, first)
             bits = (len(logs) * (p - 1)).bit_length()
             if self.width > 1 or m == 1 or bits > 4:
                 columns, table, bound = self.columns, _flag_table(p, 8, 1), p - 1
@@ -334,7 +397,7 @@ class PowerTable:
                 columns, table = self._packed(bits, slots), _flag_table(p, bits, slots)
                 bound = (p - 1) * sum(1 << bits * i for i in range(slots))
             systems.append((terms, [terms.builders(c) for c in columns], table, bound))
-        for first, nrows, count in self._batches(n):
+        for nrows, count, pieces in self._batches(n, first, runs):
             nonzero = 0
             for terms, groups, table, bound in systems:
                 offsets = terms.take(nrows)
@@ -345,7 +408,9 @@ class PowerTable:
                     else:
                         acc = self._reduce(acc, count, b)
                     nonzero |= acc
-            yield first, self._flags(nonzero, count)
+            flags = self._flags(nonzero, count)
+            for lo, a, b, _ in pieces:
+                yield lo, flags[a:b]
 
     def _packed(self, bits: int, slots: int) -> list[bytes]:
         """The coordinate columns `slots` to a byte, `bits` bits each."""
@@ -363,25 +428,31 @@ class PowerTable:
 
 class _Terms:
     """One polynomial's terms h^logs[j] t^weights[j] on (F_q^*)^n, laid out
-    for the rows of a table's walk from the first row on: the offset of
-    each term in the current row, and its row builders."""
+    for the rows of a table's walk from the first row on, the first axis
+    taking the values `first` in turn: the offset of each term in the
+    current row, and its row builders."""
 
-    __slots__ = ("table", "lead", "digits", "offsets", "deltas", "patterns", "tails")
+    __slots__ = ("table", "lead", "first", "index", "digits", "logs", "heads", "offsets",
+                 "deltas", "patterns", "tails")
 
     def __init__(self, table: PowerTable, n: int, logs: Sequence[int],
-                 weights: Sequence[Sequence[int]]):
+                 weights: Sequence[Sequence[int]], first: Sequence[int]):
         N = table.order
-        self.table, self.lead = table, n - table._axes(n)
-        self.digits = [0] * self.lead
-        self.offsets = [lg % N for lg in logs]
-        # the step of each offset when axis i counts up and the axes after it
-        # wrap from N - 1 to 0
+        self.table, self.lead, self.first = table, n - table._axes(n), first
+        self.index, self.digits = 0, [0] * self.lead
+        # a row's offsets, the lead axes after the first at 0: logs + heads t_1
+        self.logs = [lg % N for lg in logs]
+        self.heads = [ws[0] % N if self.lead else 0 for ws in weights]
+        self.offsets = [(lg + h * first[0]) % N for lg, h in zip(self.logs, self.heads)]
+        # the step of each offset when lead axis i >= 1 counts up and the
+        # axes after it wrap from N - 1 to 0
         self.deltas = [[(ws[i] - (N - 1) * sum(ws[i + 1:self.lead])) % N
                         for i in range(self.lead)] for ws in weights]
         self.tails = [[w % N for w in ws[self.lead:]] for ws in weights]
         self.patterns = None
         if table.width == 1 and N <= 256:
-            self.patterns = [_pattern(N, tuple(tail)) for tail in self.tails]
+            heads = range(N) if self.lead else first
+            self.patterns = [_pattern(N, tuple(tail), heads) for tail in self.tails]
 
     def take(self, nrows: int) -> list[list[int]]:
         """Each term's offsets in the next nrows rows."""
@@ -392,12 +463,16 @@ class _Terms:
             for lst, o in zip(out, offsets):
                 lst.append(o)
             i = lead - 1
-            while i >= 0 and digits[i] == N - 1:
+            while i >= 1 and digits[i] == N - 1:
                 digits[i] = 0
                 i -= 1
-            if i >= 0:
+            if i >= 1:
                 digits[i] += 1
                 offsets = [(o + d[i]) % N for o, d in zip(offsets, self.deltas)]
+            elif i == 0 and self.index + 1 < len(self.first):
+                self.index += 1
+                t1 = self.first[self.index]
+                offsets = [(lg + h * t1) % N for lg, h in zip(self.logs, self.heads)]
         self.offsets = offsets
         return out
 

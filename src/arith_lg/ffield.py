@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .budget import charge, check_room
 from .errors import BudgetExceeded, InputError, frozen
@@ -170,18 +171,16 @@ def _minus_x(poly: tuple[int, ...], p: int) -> tuple[int, ...]:
 
 
 def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree >= 1 over F_p."""
-    m = len(f) - 1
-    if m == 1:
-        return True
-    # frob[k] = x^(p^k) mod f, by successive p-th powers
-    frob: list[tuple[int, ...]] = [(0, 1)]
-    for _ in range(m):
-        frob.append(_ppowmod(frob[-1], p, f, p))
-    if _minus_x(frob[m], p):
-        return False  # x^(p^m) != x mod f
-    return all(_pgcd(_minus_x(frob[m // ell], p), f, p) == (1,)
-               for ell in _prime_factors(m))
+    """Ben-Or's test for a monic polynomial of degree m >= 1 over F_p: f
+    is reducible iff it has an irreducible factor of some degree i <= m/2,
+    that is iff gcd(x^(p^i) - x, f) != 1 for some i <= m/2.  The powers
+    x^(p^i) mod f come one at a time, so most reducible f stop early."""
+    frob: tuple[int, ...] = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        frob = _ppowmod(frob, p, f, p)
+        if _pgcd(_minus_x(frob, p), f, p) != (1,):
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -586,6 +585,23 @@ def enumerate_torus(field: FieldSpec, n: int) -> Iterator[tuple[FqElem, ...]]:
             exps[axis] = 0
             point[axis] = field.one()
             axis -= 1
+
+
+@lru_cache(maxsize=16)
+def frobenius_orbits(N: int, q: int) -> Mapping[int, int]:
+    """The orbits of e -> q e mod N, q a unit mod N: on exponents of a
+    generator of the order-N units, the q-power Frobenius.  Each orbit's
+    least element, ascending, maps to the orbit's size (read-only, as the
+    mapping is cached)."""
+    seen, orbits = bytearray(N), {}
+    for e in range(N):
+        if not seen[e]:
+            x, size = e, 0
+            while not seen[x]:
+                seen[x] = 1
+                x, size = x * q % N, size + 1
+            orbits[e] = size
+    return MappingProxyType(orbits)
 
 
 # --------------------------------------------------------------------------

@@ -23,10 +23,11 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
+from .budget import scope
 from .connalg import FTSTuple, MatForm
 from .cyclotomic import CycloNum, CycloPoly
 from .errors import InputError, ParseError, frozen
-from .ffield import FieldSpec, FqElem, field_from_modulus, make_field
+from .ffield import FieldSpec, FqElem, extension_field, field_from_modulus, make_field
 from .laurent import Deformation, LaurentPoly, MonomialTable
 from .mpoly import MPoly, RatFunc
 
@@ -86,7 +87,10 @@ def _exponent_vector(v, n: int, path: str) -> tuple[int, ...]:
 
 
 def parse_field(obj, path: str = "field") -> FieldSpec:
-    """{"p": "5", "m": 2, "modulus": ["2","0","1"]}; modulus optional."""
+    """{"p": "5", "m": 2, "modulus": ["2","0","1"]}; modulus optional.
+
+    Without a modulus the field is the degree-m extension of F_p, refused
+    before its modulus search when its units pass the current budget."""
     _check_keys(obj, path, ["p"], ["m", "modulus"])
     p = _decimal(obj["p"], f"{path}.p")
     m = _plain_int(obj.get("m", 1), f"{path}.m", minimum=1)
@@ -100,7 +104,7 @@ def parse_field(obj, path: str = "field") -> FieldSpec:
                 raise ParseError(f"{path}.modulus",
                                  f"degree {m} field needs {m + 1} coefficients")
             return field_from_modulus(p, mod)
-        return make_field(p, m)
+        return extension_field(make_field(p, 1), m)
     except ParseError:
         raise
     except InputError as exc:
@@ -153,10 +157,19 @@ class ProblemFile:
         return self.deformation.m
 
 
-def parse_problem(obj, path: str = "$") -> ProblemFile:
+def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFile:
+    """The family in obj.  The base field is parsed under the command's
+    budget: `budget` (the command line's), else the file's, else
+    ARITH_LG_BUDGET or the default."""
     _check_keys(obj, path, ["field", "n", "f"],
                 ["deformations", "kind", "table", "budget", "tolerance"])
-    field = parse_field(obj["field"], f"{path}.field")
+    file_budget = None
+    if "budget" in obj:
+        file_budget = _decimal(obj["budget"], f"{path}.budget")
+        if file_budget <= 0:
+            raise ParseError(f"{path}.budget", "budget must be positive")
+    with scope(budget if budget is not None else file_budget):
+        field = parse_field(obj["field"], f"{path}.field")
     n = _plain_int(obj["n"], f"{path}.n", minimum=1)
     f = _parse_terms(obj["f"], n, field, f"{path}.f")
     directions = []
@@ -182,11 +195,6 @@ def parse_problem(obj, path: str = "$") -> ProblemFile:
             MonomialTable(points)
         except InputError as exc:
             raise ParseError(f"{path}.table", str(exc)) from exc
-    budget = None
-    if "budget" in obj:
-        budget = _decimal(obj["budget"], f"{path}.budget")
-        if budget <= 0:
-            raise ParseError(f"{path}.budget", "budget must be positive")
     tolerance = None
     if "tolerance" in obj:
         t = obj["tolerance"]
@@ -198,7 +206,7 @@ def parse_problem(obj, path: str = "$") -> ProblemFile:
             raise ParseError(f"{path}.tolerance", f"not a number: {t!r}") from None
         if not 0 < tolerance < float("inf"):  # nan fails both comparisons
             raise ParseError(f"{path}.tolerance", "tolerance must be positive and finite")
-    return ProblemFile(field, D, budget, tolerance)
+    return ProblemFile(field, D, file_budget, tolerance)
 
 
 # --- symbolic side: polynomials in t, x1..xm ----------------------------

@@ -159,6 +159,10 @@ WALKS = {
     "family_sum-prime": (lambda: family_sum(_kloosterman(F5), 2, 2, (3,)), False),
     "family_sum-F9": (lambda: family_sum(_kloosterman(F9), 2, F9.element((1, 1)),
                                          (F9.element((0, 1)),)), False),
+    "family_sum-orbits": (lambda: family_sum(Deformation(TRIPLE3, ()), 3, 2, ()), False),
+    "family_sum-extension-tau": (lambda: family_sum(Deformation(TRIPLE3, ()), 3,
+                                                    make_field(3, 3).element((0, 1, 0)), ()),
+                                 False),
     "gkz_sum": (lambda: gkz_sum(monomial_table(_kloosterman(F5)), F5, 2, (1, 2, 3)), False),
     "zero_count": (lambda: zero_count(_kloosterman(F9), 2, (1,)), False),
     "tau_summed_trace": (lambda: tau_summed_trace(_kloosterman(F3), 2, (1,)), False),
@@ -171,9 +175,10 @@ WALKS = {
 
 @pytest.fixture
 def meter(monkeypatch):
-    """Charges by description, and the lanes the kernel visits: in the
-    torus walks (window_counts, and zero_flags batches the caller took)
-    and in the embedding root search."""
+    """Charges by description, and the lanes the kernel walks, each
+    weighted by the size of its first coordinate's Frobenius orbit (1 on
+    a walk over the whole torus): in the torus walks (window_counts and
+    zero_flags) and in the embedding root search."""
     charged, lanes = Counter(), Counter()
     real_charge = budget.charge
 
@@ -185,7 +190,7 @@ def meter(monkeypatch):
         if name.startswith("arith_lg") and getattr(module, "charge", None) is real_charge:
             monkeypatch.setattr(module, "charge", charge)
     searching = []
-    real_roots = ffarray._roots_in
+    real_roots, real_batches = ffarray._roots_in, ffarray.PowerTable._batches
 
     def roots_in(*args):
         searching.append(True)
@@ -194,21 +199,14 @@ def meter(monkeypatch):
         finally:
             searching.pop()
 
-    real_counts, real_flags = ffarray.PowerTable.window_counts, ffarray.PowerTable.zero_flags
-
-    def window_counts(self, n, logs, weights):
-        lanes["torus"] += self.order ** n  # one walk over the whole torus
-        return real_counts(self, n, logs, weights)
-
-    def zero_flags(self, *args):
+    def batches(self, *args):
         walk = "roots" if searching else "torus"
-        for lo, flags in real_flags(self, *args):
-            lanes[walk] += len(flags)
-            yield lo, flags
+        for nrows, count, pieces in real_batches(self, *args):
+            lanes[walk] += sum((b - a) * weight for _, a, b, weight in pieces)
+            yield nrows, count, pieces
 
     monkeypatch.setattr(ffarray, "_roots_in", roots_in)
-    monkeypatch.setattr(ffarray.PowerTable, "window_counts", window_counts)
-    monkeypatch.setattr(ffarray.PowerTable, "zero_flags", zero_flags)
+    monkeypatch.setattr(ffarray.PowerTable, "_batches", batches)
     ffield._image_powers.cache_clear()  # so that embeddings search their roots here
     return charged, lanes
 

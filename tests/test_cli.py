@@ -282,6 +282,36 @@ class TestCommandBudget:
         assert out == (f"error (budget): units of GF(5^90) (required {5 ** 90 - 1}, "
                        "budget 1000)\n")
 
+    @pytest.mark.parametrize("where", ["flag", "file", "env"])
+    def test_base_field_past_the_budget_is_refused_before_its_modulus(
+            self, tmp_path, capsys, monkeypatch, where):
+        # the file's own F_{5^40} has 5^40 - 1 units, far past 1000: the
+        # limit resolves (flag, then file, then env) before the modulus
+        # search, which must not run
+        monkeypatch.delenv("ARITH_LG_BUDGET", raising=False)
+
+        def no_search(f, p):
+            raise AssertionError("the modulus search ran")
+
+        monkeypatch.setattr(ffield, "_is_irreducible", no_search)
+        argv = ["expsum", "--tau", "1"]
+        budget = None
+        if where == "flag":
+            argv += ["--budget", "1000"]
+        elif where == "file":
+            budget = "1000"
+        else:
+            monkeypatch.setenv("ARITH_LG_BUDGET", "1000")
+        obj = dict(KLOOSTERMAN5, field={"p": "5", "m": 40})
+        if budget is not None:
+            obj["budget"] = budget
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(obj))
+        code, out = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 3
+        assert out == (f"error (budget): units of GF(5^40) (required {5 ** 40 - 1}, "
+                       "budget 1000)\n")
+
     @pytest.mark.parametrize("argv", [["check-nondegenerate"],
                                       ["expsum", "--tau", "1"],
                                       ["frobenius", "--tau", "1"],

@@ -14,9 +14,10 @@ from arith_lg import ffield
 from arith_lg.budget import scope
 from arith_lg.errors import BudgetExceeded, InputError
 from arith_lg.ffarray import lane_width, table_bytes
-from arith_lg.ffield import (_is_irreducible, _pgcd, discrete_table, embed,
-                             enumerate_torus, field_from_modulus, make_field,
-                             multiplicative_generator, torus_size, trace_to_prime)
+from arith_lg.ffield import (_is_irreducible, _minus_x, _pgcd, _ppowmod, _prime_factors,
+                             _is_prime, discrete_table, embed, enumerate_torus,
+                             field_from_modulus, make_field, multiplicative_generator,
+                             torus_size, trace_to_prime)
 from test_torus_kernel import kernel_values
 
 
@@ -128,15 +129,51 @@ IRREDUCIBLE_COUNTS = {(2, 1): 2, (2, 2): 1, (2, 3): 2, (2, 4): 3, (2, 5): 6,
                       (5, 1): 5, (5, 2): 10, (5, 3): 40}
 
 
+def rabin_is_irreducible(f, p):
+    """Reference: Rabin's test for a monic f of degree m >= 1 over F_p.
+    f is irreducible iff x^(p^m) = x mod f and gcd(x^(p^(m/l)) - x, f) = 1
+    for every prime l dividing m; all m Frobenius powers come first."""
+    m = len(f) - 1
+    if m == 1:
+        return True
+    frob = [(0, 1)]
+    for _ in range(m):
+        frob.append(_ppowmod(frob[-1], p, f, p))
+    if _minus_x(frob[m], p):
+        return False
+    return all(_pgcd(_minus_x(frob[m // ell], p), f, p) == (1,) for ell in _prime_factors(m))
+
+
+# every (p, m), m >= 2, with p^m <= 10^6
+SMALL_FIELDS = [(p, m) for p in range(2, 1001) if _is_prime(p)
+                for m in range(2, 20) if p ** m <= 10 ** 6]
+
+
 class TestIrreducibility:
-    """Rabin's test, behind make_field and field_from_modulus, against
-    trial division on every monic polynomial of small degree."""
+    """Ben-Or's test, behind make_field and field_from_modulus, against
+    trial division on every monic polynomial of small degree, and against
+    Rabin's test, the reference, on the moduli scans of small fields."""
 
     @pytest.mark.parametrize("p,m", sorted(IRREDUCIBLE_COUNTS))
     def test_rabin_agrees_with_trial_division(self, p, m):
         verdicts = {f: irreducible_by_trial_division(f, p) for f in monics(p, m)}
         assert sum(verdicts.values()) == IRREDUCIBLE_COUNTS[p, m]
+        assert {f: rabin_is_irreducible(f, p) for f in verdicts} == verdicts
         assert {f: _is_irreducible(f, p) for f in verdicts} == verdicts
+
+    def test_moduli_scans_agree_with_rabin(self):
+        # make_field's scan, replayed under the reference: each candidate
+        # before the first irreducible one is refused by field_from_modulus,
+        # and the first is make_field's modulus
+        assert len(SMALL_FIELDS) > 200
+        for p, m in SMALL_FIELDS:
+            for code in itertools.count():
+                f = tuple(code // p ** i % p for i in range(m)) + (1,)
+                if rabin_is_irreducible(f, p):
+                    break
+                with pytest.raises(InputError, match="not irreducible"):
+                    field_from_modulus(p, f)
+            assert make_field(p, m).modulus == f, (p, m)
 
     @pytest.mark.parametrize("p,m", [pm for pm in sorted(IRREDUCIBLE_COUNTS) if pm[1] >= 2])
     def test_field_from_modulus_accepts_exactly_the_irreducibles(self, p, m):

@@ -389,12 +389,15 @@ def brute_common_zeros(f, k):
 # the degenerate examples of TestNondegeneracy (a vertex with every
 # exponent divisible by p, the F_3 edge t1^2 + t1t2 + t2^2, a vertex over
 # F_2), plus the F_5 edge (t1 + t2)^2, whose first common zero (1, -1)
-# is not at exponent 0
+# is not at exponent 0, and the F_5 edge (t1^2 - 2 t2^2)^2, whose common
+# zeros t1 = +-sqrt(2) t2 lie over F_25 only, found by a walk over the
+# Frobenius orbits of t1
 DEGENERATE = [
     (3, [((3,), 1), ((-3,), 1)]),
     (3, [((2, 0), 1), ((1, 1), 1), ((0, 2), 1)]),
     (2, [((2, 0), 1), ((0, 1), 1)]),
     (5, [((2, 0), 1), ((1, 1), 2), ((0, 2), 1)]),
+    (5, [((4, 0), 1), ((2, 2), 1), ((0, 4), 4), ((-1, -1), 1)]),
 ]
 
 
@@ -415,15 +418,17 @@ def test_witness_is_first_common_zero(p, terms):
 @pytest.fixture
 def searches(monkeypatch):
     """Each zero search (the points of the torus it walks, the polynomials
-    it searched, the lanes its caller took) and each "torus search" charge."""
+    it searched, the lanes its caller took, each weighted by the size of
+    its first coordinate's Frobenius orbit) and each "torus search"
+    charge."""
     calls, charged = [], []
     real, real_charge = ffarray.PowerTable.zero_flags, laurent.charge
 
-    def counting(self, n, polys):
+    def counting(self, n, polys, orbits=None):
         call = {"points": self.order ** n, "polys": len(polys), "lanes": 0}
         calls.append(call)
-        for lo, flags in real(self, n, polys):
-            call["lanes"] += len(flags)
+        for lo, flags in real(self, n, polys, orbits):
+            call["lanes"] += len(flags) * (orbits[lo // self.order ** (n - 1)] if orbits else 1)
             yield lo, flags
 
     def charge(description, required):

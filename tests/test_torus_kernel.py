@@ -20,6 +20,7 @@ against a brute-force sum over an extension.
 """
 
 import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ import pytest
 from arith_lg import ffarray
 from arith_lg.cyclotomic import CycloNum
 from arith_lg.expsum import extension_field, family_sum
-from arith_lg.ffield import (discrete_table, embed, enumerate_torus, make_field,
-                             multiplicative_generator, trace_to_prime)
+from arith_lg.errors import InputError
+from arith_lg.ffield import (discrete_table, embed, enumerate_torus, frobenius_orbits,
+                             make_field, multiplicative_generator, trace_to_prime)
 from arith_lg.laurent import (Deformation, LaurentPoly, evaluate, log_derivative,
-                              specialize, torus_zeros)
+                              specialize, torus_trace_counts, torus_zeros)
 
 
 @pytest.fixture
@@ -250,3 +252,171 @@ def test_family_sum_matches_brute_force(small_batches, p, m, k):
     tau = F.from_int(1) if F.m == 1 else F.element((0, 1))
     x = (F.from_int(2 % p),)
     assert family_sum(D, k, tau, x) == brute_family_sum(D, k, tau, x)
+
+
+# --------------------------------------------------------------------------
+# walks over Frobenius orbits of the first axis
+#
+# A walk over the orbits of e -> q e on the first axis visits the fibres
+# over each orbit's least element only, ascending; window_counts weights
+# each point by its orbit's size and zero_flags' pieces lie over orbits
+# of one size.  Every check below is against f's value at every point of
+# the whole torus.
+
+def lifted(f, ext, tau=1):
+    """tau f, its coefficients embedded in ext."""
+    return LaurentPoly(f.n, [(w, embed(c, ext) * tau) for w, c in f.terms.items()], ext)
+
+
+def check_orbit_walk(f, orbits):
+    """Both reductions of f over orbits of its torus's first axis against
+    its values on the whole torus; returns the lanes walked."""
+    F, n = f.field, f.n
+    table = discrete_table(F)
+    logs, weights = [table.log(c) for c in f.terms.values()], list(f.terms)
+    values = torus_values(f)
+    basis = np.array([trace_to_prime(F.element([int(i == j) for j in range(F.m)]))
+                      for i in range(F.m)])
+    traces = values.astype(np.int64) @ basis % F.p
+    counts = table.window_counts(n, logs, weights, orbits)
+    assert counts == np.bincount(traces, minlength=F.p).tolist()
+    zero, fibre = ~values.any(axis=1), table.order ** (n - 1)
+    walked = []
+    for lo, flags in table.zero_flags(n, [(logs, weights)], orbits):
+        first, last = lo // fibre, (lo + len(flags) - 1) // fibre
+        assert {orbits[e] for e in range(first, last + 1)} == {orbits[first]}
+        assert np.array_equal(np.frombuffer(flags, dtype=np.uint8) == 0,
+                              zero[lo:lo + len(flags)])
+        walked.extend(range(lo, lo + len(flags)))
+    assert walked == [e * fibre + x for e in orbits for x in range(fibre)]
+    return len(walked)
+
+
+# (p, m, k, n): f over F_{p^m}, walked on the torus of its degree-k
+# extension over the orbits of the q-power Frobenius, q = p^m
+ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 3, 3), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2, 2),
+               (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 2, 2),
+               # rows along the last axis only (N > 256)
+               (2, 1, 9, 2)]
+
+
+@pytest.mark.parametrize("batch", [7, 300, 1 << 16], ids=["axis-rows", "two-axis-rows", "whole-rows"])
+@pytest.mark.parametrize("p,m,k,n", ORBIT_CASES)
+def test_orbit_walks_match_brute_force(monkeypatch, batch, p, m, k, n):
+    # 7-lane batches: rows of one axis, lead axes >= 1; 300: rows of two
+    # axes when they fit, so (F_16^*)^2 is one row; 2^16: whole-torus
+    # rows (lead 0), the orbits' pattern blocks joined, up to N^n = 6400
+    monkeypatch.setattr(ffarray, "BATCH", batch)
+    F = make_field(p, m)
+    ext = extension_field(F, k)
+    orbits = frobenius_orbits(ext.q - 1, F.q)
+    assert len(orbits) < ext.q - 1
+    for seed in (0, 1):
+        f = lifted(random_poly(F, n, 4, seed), ext)
+        walked = check_orbit_walk(f, orbits)
+        assert walked == len(orbits) * (ext.q - 1) ** (n - 1)
+
+
+def test_wide_lanes_over_orbits(small_batches):
+    # F_131 on 2-byte lanes: f is fixed by t -> t^-1, so the orbits of
+    # e -> -e mod 130 ({0}, {65} and pairs) partition its first axis
+    # into fibres of equal counts
+    F = make_field(131, 1)
+    terms = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 3), ((0, -1), 3), ((2, 1), 5), ((-2, -1), 5)]
+    f = LaurentPoly(2, terms, F)
+    orbits = frobenius_orbits(130, 129)
+    assert sorted(set(orbits.values())) == [1, 2] and len(orbits) == 66
+    check_orbit_walk(f, orbits)
+    g = f + LaurentPoly(2, [((0, 0), 7)], F)  # with a constant, so that it has zeros
+    check_orbit_walk(g, orbits)
+
+
+def test_orbit_walks_need_a_second_axis():
+    table = discrete_table(make_field(2, 4))
+    with pytest.raises(InputError, match="second axis"):
+        table.window_counts(1, [0], [(1,)], frobenius_orbits(15, 2))
+
+
+def test_frobenius_orbits():
+    # 3^4 - 1 = 80: the orbits of e -> 3e rotate the 4 ternary digits of
+    # e, so they are the 24 necklaces less 2222, which is 0 mod 80; 3e = e
+    # for e = 0, 40 and 9e = e for the multiples of 10
+    orbits = frobenius_orbits(80, 3)
+    assert sum(orbits.values()) == 80 and len(orbits) == 23
+    assert all(e == min(e * 3 ** j % 80 for j in range(4)) for e in orbits)
+    assert list(orbits) == sorted(orbits)
+    assert {e: s for e, s in orbits.items() if s < 4} == {0: 1, 10: 2, 20: 2, 40: 1, 50: 2}
+
+
+@pytest.fixture
+def kernel_orbits(monkeypatch):
+    """Whether each kernel call walked over orbits."""
+    calls = []
+    for name in ("zero_flags", "window_counts"):
+        real = getattr(ffarray.PowerTable, name)
+
+        def recording(self, n, *args, real=real):
+            calls.append(isinstance(args[-1], Mapping))
+            return real(self, n, *args)
+        monkeypatch.setattr(ffarray.PowerTable, name, recording)
+    return calls
+
+
+def brute_zeros_in(polys, ext):
+    """The common zeros of polys on the torus of ext, in canonical order,
+    from their lifts' values at every point."""
+    n, Q = polys[0].n, ext.q - 1
+    zero = np.ones(Q ** n, dtype=bool)
+    for f in polys:
+        zero &= ~torus_values(lifted(f, ext)).any(axis=1)
+    g = multiplicative_generator(ext)
+    return [tuple(g ** (L // Q ** (n - 1 - i) % Q) for i in range(n))
+            for L in np.flatnonzero(zero).tolist()]
+
+
+# (p, m, k, n) with k >= 2 and a base field of at least 3 elements
+WALK_CASES = [(3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2, 3), (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("p,m,k,n", WALK_CASES)
+def test_trace_counts_over_orbits(small_batches, kernel_orbits, p, m, k, n):
+    # tau in the base field: one walk over orbits; tau only in the
+    # extension: the whole torus
+    F = make_field(p, m)
+    ext = extension_field(F, k)
+    f = random_poly(F, n, 4, p + n)
+    basis = np.array([trace_to_prime(ext.element([int(i == j) for j in range(ext.m)]))
+                      for i in range(ext.m)])
+    for tau, over_orbits in ((embed(F.element([1] * m), ext), True),
+                             (multiplicative_generator(ext), False)):
+        traces = torus_values(lifted(f, ext, tau)).astype(np.int64) @ basis % p
+        assert torus_trace_counts(f, ext, tau) == np.bincount(traces, minlength=p).tolist()
+        assert kernel_orbits.pop() == over_orbits
+
+
+@pytest.mark.parametrize("p,m,k,n", WALK_CASES)
+def test_zeros_over_orbits(small_batches, kernel_orbits, p, m, k, n):
+    # the norm t1^((q^k - 1)/(q - 1)) = c (c != 0, 1) with the other
+    # coordinates tied to t1, whose zeros have t1 off the base field, and
+    # a random polynomial with its log-derivative system: count, first
+    # zero and first-only witness against the canonical brute-force scan
+    F = make_field(p, m)
+    ext = extension_field(F, k)
+    c = F.element([2 % p] + [1] * (m - 1))
+    assert c not in (F.zero(), F.one())
+    norm = (ext.q - 1) // (F.q - 1)
+    tied = [LaurentPoly(n, [(tuple(norm if i == 0 else 0 for i in range(n)), 1),
+                            ((0,) * n, -c)], F)]
+    for axis in range(1, n):
+        tied.append(LaurentPoly(n, [(tuple(int(i == axis) for i in range(n)), 1),
+                                    (tuple(int(i == axis - 1) for i in range(n)), -1)], F))
+    f = random_poly(F, n, 3, 7 * p + n)
+    systems = [tied, [f], [log_derivative(f, i) for i in range(1, n + 1)]]
+    for system in systems:
+        zeros = brute_zeros_in(system, ext)
+        first = zeros[0] if zeros else None
+        assert torus_zeros(system, ext) == (len(zeros), first)
+        assert torus_zeros(system, ext, first_only=True) == (min(len(zeros), 1), first)
+        assert kernel_orbits[-2:] == [True, True]
+        if system is tied:  # the first zero lies over an orbit of size > 1
+            assert first is not None and first[0] ** F.q != first[0]
