@@ -6,6 +6,12 @@ assembly, and the flat-structure conditions.
 Matrices of rational functions represent connection forms; everything
 is decided exactly over the rationals.  Variable 0 is t, variables
 1..m are the base coordinates.
+
+One evaluator, `_entries`, computes every matrix identity: a linear
+combination of matrices, their partial derivatives and matrix products,
+entry by entry, each entry one `RatFunc.dot`; no matrix of partial
+results is built.  A verdict (`_vanishes`) stops at the first nonzero entry,
+and `curvature` assembles its components from the same entries.
 """
 
 from __future__ import annotations
@@ -75,16 +81,6 @@ def _mneg(a: RMat) -> RMat:
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _mmul(a: RMat, b: RMat) -> RMat:
-    cols = list(zip(*b))
-    return tuple(tuple(RatFunc.dot(zip(row, col)) for col in cols)
-                 for row in a)
-
-
-def _mcomm(a: RMat, b: RMat) -> RMat:
-    return _msub(_mmul(a, b), _mmul(b, a))
-
-
 def _mtrans(a: RMat) -> RMat:
     return tuple(zip(*a))
 
@@ -101,13 +97,45 @@ def _meq(a: RMat, b: RMat) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _mpartial(a: RMat, i: int) -> RMat:
-    return _mmap(lambda x: x.partial(i), a)
+def _entries(plain=(), products=()):
+    """The entries, row by row, of sum s * d_i M + sum s * X Y.
+
+    plain holds terms (s, M, i), with i the variable M is differentiated
+    by, or None for M itself; products holds terms (s, X, Y); every sign
+    s is 1 or -1.  Each entry is one RatFunc.dot: a plain term pairs its
+    entry with the constant s, and a product's minus sign negates X once
+    per matrix.  Entries are made lazily, one per step.
+    """
+    first = (plain or products)[0][1]
+    size, nvars = len(first), first[0][0].nvars
+    const = {s: RatFunc.const(nvars, s) for s in (1, -1)}
+    plain = [(M, i, const[s]) for s, M, i in plain]
+    products = [(X if s == 1 else _mneg(X), tuple(zip(*Y)))
+                for s, X, Y in products]
+    for r in range(size):
+        for c in range(size):
+            pairs = [(M[r][c] if i is None else M[r][c].partial(i), k)
+                     for M, i, k in plain]
+            for X, cols in products:
+                pairs.extend(zip(X[r], cols[c]))
+            yield RatFunc.dot(pairs)
 
 
-def _curl(X: RMat, Y: RMat, a: int, b: int) -> RMat:
-    """d_a Y - d_b X + [X, Y]: the dz_a^dz_b part of d + X dz_a + Y dz_b."""
-    return _madd(_msub(_mpartial(Y, a), _mpartial(X, b)), _mcomm(X, Y))
+def _vanishes(plain=(), products=()) -> bool:
+    """Whether the combination of _entries is zero; False at the first
+    nonzero entry, with no later entry computed."""
+    return not any(_entries(plain, products))
+
+
+def _comm(X: RMat, Y: RMat) -> list:
+    """The product terms of [X, Y] = XY - YX."""
+    return [(1, X, Y), (-1, Y, X)]
+
+
+def _curl(X: RMat, Y: RMat, a: int, b: int) -> tuple:
+    """The terms of d_a Y - d_b X + [X, Y]: the dz_a^dz_b part of
+    d + X dz_a + Y dz_b."""
+    return [(1, Y, a), (-1, X, b)], _comm(X, Y)
 
 
 class MatForm:
@@ -178,10 +206,25 @@ def curvature(A: MatForm) -> MatForm:
     """
     if A.degree != 1:
         raise InputError("curvature needs a degree-1 form")
+    n = A.size
+    comps = {}
+    for key, terms in _curls(A):
+        entries = list(_entries(*terms))
+        comps[key] = [entries[k:k + n] for k in range(0, n * n, n)]
+    return MatForm(A.nvars, 2, comps, n)
+
+
+def _curls(A: MatForm):
+    """((a, b), terms of the dz_a^dz_b curvature component) for a < b."""
     parts = [A.component((a,)) for a in range(A.nvars)]
-    comps = {(a, b): _curl(parts[a], parts[b], a, b)
-             for a in range(A.nvars) for b in range(a + 1, A.nvars)}
-    return MatForm(A.nvars, 2, comps, A.size)
+    for a in range(A.nvars):
+        for b in range(a + 1, A.nvars):
+            yield (a, b), _curl(parts[a], parts[b], a, b)
+
+
+def _flat(A: MatForm) -> bool:
+    """Whether curvature(A) vanishes; False at its first nonzero entry."""
+    return all(_vanishes(*terms) for _, terms in _curls(A))
 
 
 def poincare_rank(A: MatForm) -> int:
@@ -315,7 +358,7 @@ def verify_connection(A: MatForm) -> ConnectionReport:
     """Curvature and Poincare rank of A, then, on a flat form, the
     restriction data of its poles at t = 0 and t = oo, with the
     identities flatness implies re-verified."""
-    flat = curvature(A).is_zero
+    flat = _flat(A)
     rank = poincare_rank(A)
     if not flat:
         return ConnectionReport(flat, rank)
@@ -324,10 +367,10 @@ def verify_connection(A: MatForm) -> ConnectionReport:
     if rank <= 0:
         omegas = [_t0_part(A.component((i,))) for i in range(1, m + 1)]
         residue = _t0_part(A.component((0,)), 1)
-        restr_ok = all(_mzero(_curl(omegas[i], omegas[j], i + 1, j + 1))
+        restr_ok = all(_vanishes(*_curl(omegas[i], omegas[j], i + 1, j + 1))
                        for i in range(m) for j in range(i + 1, m))
         horiz_ok = all(
-            _meq(_mpartial(residue, i + 1), _mcomm(residue, omegas[i]))
+            _vanishes([(1, residue, i + 1)], _comm(omegas[i], residue))
             for i in range(m))
         if not (restr_ok and horiz_ok):  # pragma: no cover - implied by flatness
             raise VerificationError("restriction identities fail on a flat form")
@@ -335,9 +378,9 @@ def verify_connection(A: MatForm) -> ConnectionReport:
     elif rank == 1:
         higgs = tuple(_t0_part(A.component((i,)), 1) for i in range(1, m + 1))
         r0 = _t0_part(A.component((0,)), 2)
-        squares = all(_mzero(_mcomm(higgs[i], higgs[j]))
+        squares = all(_vanishes((), _comm(higgs[i], higgs[j]))
                       for i in range(m) for j in range(i + 1, m))
-        commutes = all(_mzero(_mcomm(r0, higgs[i])) for i in range(m))
+        commutes = all(_vanishes((), _comm(r0, higgs[i])) for i in range(m))
         if not (squares and commutes):  # pragma: no cover - implied by flatness
             raise VerificationError("Higgs identities fail on a flat form")
         data.update(higgs=higgs, r0=r0, higgs_squares_zero=squares,
@@ -372,44 +415,39 @@ def verify_fts(T: FTSTuple) -> FTSReport:
     """Check the six structure conditions one by one, and independently
     check flatness of the assembled one-parameter family.
 
-    The two verdicts are equivalent by construction; computing them by
-    disjoint code paths and comparing is the point of the exercise, and
-    a divergence raises immediately.
+    The two verdicts are equivalent by construction; deciding them from
+    different identities (six on the base, one curvature on the
+    (t, x)-chart) and comparing is the point of the exercise, and a
+    divergence raises immediately.
     """
-    m = T.m
+    m, A, phi, r0, rinf = T.m, T.A, T.phi, T.r0, T.rinf
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
 
     cond: dict[str, bool] = {}
     cond["base_connection_flat"] = all(
-        _mzero(_curl(T.A[i], T.A[j], i + 1, j + 1))
-        for i in range(m) for j in range(i + 1, m))
+        _vanishes(*_curl(A[i], A[j], i + 1, j + 1)) for i, j in pairs)
 
     cond["rinf_horizontal"] = all(
-        _mzero(_madd(_mpartial(T.rinf, i + 1), _mcomm(T.A[i], T.rinf)))
-        for i in range(m))
+        _vanishes([(1, rinf, i + 1)], _comm(A[i], rinf)) for i in range(m))
 
     cond["higgs_wedge_zero"] = all(
-        _mzero(_mcomm(T.phi[i], T.phi[j]))
-        for i in range(m) for j in range(i + 1, m))
+        _vanishes((), _comm(phi[i], phi[j])) for i, j in pairs)
 
     cond["higgs_commutes_r0"] = all(
-        _mzero(_mcomm(T.phi[i], T.r0)) for i in range(m))
+        _vanishes((), _comm(phi[i], r0)) for i in range(m))
 
-    ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = _madd(_msub(_mpartial(T.phi[j], i + 1), _mpartial(T.phi[i], j + 1)),
-                      _msub(_mcomm(T.A[i], T.phi[j]), _mcomm(T.A[j], T.phi[i])))
-            ok = ok and _mzero(c)
-    cond["higgs_horizontal"] = ok
+    cond["higgs_horizontal"] = all(
+        _vanishes([(1, phi[j], i + 1), (-1, phi[i], j + 1)],
+                  _comm(A[i], phi[j]) + _comm(phi[i], A[j]))
+        for i, j in pairs)
 
     cond["r0_transport"] = all(
-        _mzero(_msub(_madd(_madd(_mpartial(T.r0, i + 1), _mcomm(T.A[i], T.r0)),
-                           T.phi[i]),
-                     _mcomm(T.phi[i], T.rinf)))
+        _vanishes([(1, r0, i + 1), (1, phi[i], None)],
+                  _comm(A[i], r0) + _comm(rinf, phi[i]))
         for i in range(m))
 
     all_ok = all(cond.values())
-    flat = curvature(assemble_nabla(T)).is_zero
+    flat = _flat(assemble_nabla(T))
     if all_ok != flat:
         raise VerificationError(
             "six-condition verdict and assembled flatness disagree: "
@@ -447,11 +485,15 @@ def verify_metric(T: FTSTuple) -> MetricReport:
     if _det(T.g).is_zero:
         raise InputError("pairing matrix has zero determinant")
     g = T.g
-    higgs_sa = all(_meq(_mmul(_mtrans(T.phi[i]), g), _mmul(g, T.phi[i]))
-                   for i in range(T.m))
-    r0_sa = _meq(_mmul(_mtrans(T.r0), g), _mmul(g, T.r0))
-    rinf_sk = _meq(_mmul(_mtrans(T.rinf), g), _mneg(_mmul(g, T.rinf)))
-    flat = all(_meq(_mpartial(g, i + 1),
-                    _madd(_mmul(_mtrans(T.A[i]), g), _mmul(g, T.A[i])))
-               for i in range(T.m))
+
+    def adjoint(X: RMat, sign: int) -> bool:
+        """X^T g + sign * g X vanishes."""
+        return _vanishes((), [(1, _mtrans(X), g), (sign, g, X)])
+
+    higgs_sa = all(adjoint(phi, -1) for phi in T.phi)
+    r0_sa = adjoint(T.r0, -1)
+    rinf_sk = adjoint(T.rinf, 1)
+    flat = all(_vanishes([(1, g, i + 1)],
+                         [(-1, _mtrans(A), g), (-1, g, A)])
+               for i, A in enumerate(T.A))
     return MetricReport(higgs_sa, r0_sa, rinf_sk, flat)

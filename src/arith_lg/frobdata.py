@@ -272,12 +272,12 @@ def monodromy_filtration(Nmat) -> Filtration:
     d = len(N)
     if d == 0 or any(len(row) != d for row in N):
         raise InputError("need a nonempty square matrix")
-    powers = [identity(d)]
-    for _ in range(d):
+    powers = [identity(d)]  # N^0 .. N^e, stopping at the first zero power
+    while any(any(row) for row in powers[-1]):
+        if len(powers) > d:
+            raise InputError(f"matrix is not nilpotent: N^{d} != 0")
         powers.append(mat_mul(powers[-1], N))
-    if any(any(row) for row in powers[d]):
-        raise InputError(f"matrix is not nilpotent: N^{d} != 0")
-    e = next(i for i in range(d + 1) if not any(any(row) for row in powers[i]))
+    e = len(powers) - 1
 
     kernels = [subspace_basis(nullspace(powers[i])) for i in range(e + 1)]
 

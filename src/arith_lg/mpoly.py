@@ -20,7 +20,10 @@ per surviving term.  `MPoly * MPoly` is its one-pair case, and
 `RatFunc.dot` calls it once per denominator group of a sum of
 rational-function products.  A product with the constant 1 is the other
 operand itself (polynomials are immutable), and a rational function
-whose denominator is the constant 1 is already normalized.
+whose denominator is the constant 1 is already normalized.  A partial
+derivative by a variable the denominator does not involve keeps the
+denominator and differentiates the numerator (the quotient rule with
+d' = 0); only the others square the denominator.
 """
 
 from __future__ import annotations
@@ -459,6 +462,8 @@ class RatFunc:
 
     def partial(self, i: int) -> "RatFunc":
         n, d = self.num, self.den
+        if not d.involves(i):  # the quotient rule with d' = 0
+            return RatFunc(n.partial(i), d)
         return RatFunc(n.partial(i) * d - n * d.partial(i), d * d)
 
     def involves(self, i: int) -> bool:

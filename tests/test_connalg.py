@@ -45,6 +45,111 @@ def mats_equal(a, b):
     return all(u == v for ra, rb in zip(a, b) for u, v in zip(ra, rb))
 
 
+# --- reference: compose each identity as a whole matrix, then test it -------
+#
+# connalg decides an identity entry by entry, one RatFunc.dot per entry, and
+# stops at the first nonzero entry.  The reference builds every intermediate
+# matrix in full, from sequential sums of products and the full quotient
+# rule, and tests the finished matrix.
+
+def _quotient_rule(f, i):
+    n, d = f.num, f.den
+    return RatFunc(n.partial(i) * d - n * d.partial(i), d * d)
+
+
+def _madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _msub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _mneg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def _mmul(a, b):
+    zero = RatFunc.const(a[0][0].nvars, 0)
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), zero)
+                       for col in zip(*b)) for row in a)
+
+
+def _mtrans(a):
+    return tuple(zip(*a))
+
+
+def _mcomm(a, b):
+    return _msub(_mmul(a, b), _mmul(b, a))
+
+
+def _mpartial(a, i):
+    return tuple(tuple(_quotient_rule(x, i) for x in row) for row in a)
+
+
+def _mzero(a):
+    return all(x.is_zero for row in a for x in row)
+
+
+def _meq(a, b):
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def _curl(X, Y, a, b):
+    return _madd(_msub(_mpartial(Y, a), _mpartial(X, b)), _mcomm(X, Y))
+
+
+def reference_curvature(A):
+    """Every dz_a^dz_b component (a < b) of dA + A^A, zero ones included."""
+    parts = [A.component((a,)) for a in range(A.nvars)]
+    return {(a, b): _curl(parts[a], parts[b], a, b)
+            for a in range(A.nvars) for b in range(a + 1, A.nvars)}
+
+
+def reference_flat(A):
+    return all(_mzero(F) for F in reference_curvature(A).values())
+
+
+def reference_conditions(T):
+    m, A, phi, r0, rinf = T.m, T.A, T.phi, T.r0, T.rinf
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    return {
+        "base_connection_flat": all(
+            _mzero(_curl(A[i], A[j], i + 1, j + 1)) for i, j in pairs),
+        "rinf_horizontal": all(
+            _mzero(_madd(_mpartial(rinf, i + 1), _mcomm(A[i], rinf)))
+            for i in range(m)),
+        "higgs_wedge_zero": all(_mzero(_mcomm(phi[i], phi[j])) for i, j in pairs),
+        "higgs_commutes_r0": all(_mzero(_mcomm(phi[i], r0)) for i in range(m)),
+        "higgs_horizontal": all(
+            _mzero(_madd(_msub(_mpartial(phi[j], i + 1), _mpartial(phi[i], j + 1)),
+                         _msub(_mcomm(A[i], phi[j]), _mcomm(A[j], phi[i]))))
+            for i, j in pairs),
+        "r0_transport": all(
+            _mzero(_msub(_madd(_madd(_mpartial(r0, i + 1), _mcomm(A[i], r0)), phi[i]),
+                         _mcomm(phi[i], rinf)))
+            for i in range(m)),
+    }
+
+
+def reference_metric(T):
+    """(higgs_self_adjoint, r0_self_adjoint, rinf_skew_adjoint, pairing_flat)"""
+    g = T.g
+    return (
+        all(_meq(_mmul(_mtrans(p), g), _mmul(g, p)) for p in T.phi),
+        _meq(_mmul(_mtrans(T.r0), g), _mmul(g, T.r0)),
+        _meq(_mmul(_mtrans(T.rinf), g), _mneg(_mmul(g, T.rinf))),
+        all(_meq(_mpartial(g, i + 1), _madd(_mmul(_mtrans(A), g), _mmul(g, A)))
+            for i, A in enumerate(T.A)),
+    )
+
+
+def assert_curvature_matches(A):
+    F = curvature(A)
+    for key, expected in reference_curvature(A).items():
+        assert mats_equal(F.component(key), expected), key
+
+
 class TestMatForm:
     def test_zero_components_dropped(self):
         A = MatForm(NV, 1, {(1,): ZERO2, (2,): E12}, 2)
@@ -265,14 +370,19 @@ class TestRank1Restriction:
 
 
 class TestConnectionReport:
-    def test_one_curvature_per_report(self, monkeypatch):
+    def test_one_flatness_pass_per_report(self, monkeypatch):
         calls = []
+        real = connalg._flat
 
         def counted(A):
             calls.append(A)
-            return curvature(A)
+            return real(A)
 
-        monkeypatch.setattr(connalg, "curvature", counted)
+        def no_curvature(A):
+            raise AssertionError("the report builds no curvature form")
+
+        monkeypatch.setattr(connalg, "_flat", counted)
+        monkeypatch.setattr(connalg, "curvature", no_curvature)
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 1]])
         assert verify_connection(assemble_nabla(T)).flat
         assert len(calls) == 1
@@ -472,19 +582,21 @@ def assembled_pairing_flat(T):
     """
     A = assemble_nabla(T)
     g = T.g
-    mul, trans = connalg._mmul, connalg._mtrans
 
     def minus_t(poly):
         return MPoly(poly.nvars, [(e, -c if e[0] % 2 else c) for e, c in poly.terms.items()])
 
-    flip = lambda mat: connalg._mmap(lambda v: RatFunc(minus_t(v.num), minus_t(v.den)), mat)
+    def flip(mat):
+        return tuple(tuple(RatFunc(minus_t(v.num), minus_t(v.den)) for v in row)
+                     for row in mat)
+
     for i in range(1, T.m + 1):
         Ai = A.component((i,))
-        rhs = connalg._madd(mul(trans(Ai), g), mul(g, flip(Ai)))
-        if not connalg._meq(connalg._mpartial(g, i), rhs):
+        rhs = _madd(_mmul(_mtrans(Ai), g), _mmul(g, flip(Ai)))
+        if not _meq(_mpartial(g, i), rhs):
             return False
     At = A.component((0,))
-    return connalg._meq(mul(trans(At), g), mul(g, flip(At)))
+    return _meq(_mmul(_mtrans(At), g), _mmul(g, flip(At)))
 
 
 class TestVerifyMetric:
@@ -539,3 +651,132 @@ class TestVerifyMetric:
         assert assembled_pairing_flat(T)
         T2 = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=ZERO2, g=I2)
         assert not assembled_pairing_flat(T2)
+
+
+# --- the entry-wise evaluator against the reference --------------------------
+
+def t_free_denominator(nv):
+    """1 + 2 x_1 + x_m^2: free of t and not a monomial, so RatFunc.partial
+    keeps it by t and applies the quotient rule by the base variables."""
+    one, x1, xm = MPoly.const(nv, 1), MPoly.variable(nv, 1), MPoly.variable(nv, nv - 1)
+    return one + 2 * x1 + xm * xm
+
+
+def random_pairing(rng, size, nv):
+    """P^T D P: symmetric with determinant prod(D); P is unipotent upper
+    triangular, constant for about half the tuples."""
+    base = [MPoly.const(nv, 1)] if rng.random() < 0.5 else \
+        [MPoly.const(nv, 1), MPoly.variable(nv, 1), MPoly.variable(nv, nv - 1)]
+    P = as_rf_matrix([[1 if i == j else rng.randint(-1, 1) * rng.choice(base) if i < j else 0
+                       for j in range(size)] for i in range(size)], nv)
+    D = as_rf_matrix([[rng.choice((1, -1, 2)) if i == j else 0 for j in range(size)]
+                      for i in range(size)], nv)
+    return _mmul(_mmul(_mtrans(P), D), P)
+
+
+@pytest.fixture(scope="module")
+def reference_sample():
+    """120 seeded tuples of acceptance's generator, flat and not, each with
+    a pairing; every third one has its base connection divided by a t-free,
+    non-monomial denominator."""
+    rng = random.Random(20261019)
+    out = []
+    for k in range(120):
+        T = _random_structure_tuple(rng)
+        nv = T.nvars
+        A = T.A
+        if k % 3 == 2:
+            h = RatFunc(MPoly.const(nv, 1), t_free_denominator(nv))
+            A = [[[v * h for v in row] for row in mat] for mat in A]
+        out.append(FTSTuple(T.size, T.m, A, T.phi, T.r0, T.rinf,
+                            g=random_pairing(rng, T.size, nv)))
+    return out
+
+
+class TestAgainstReference:
+    def test_conditions_and_assembled_flatness(self, reference_sample):
+        flats = set()
+        for T in reference_sample:
+            rep = verify_fts(T)
+            assert rep.conditions == reference_conditions(T)
+            assert rep.assembled_flat == reference_flat(assemble_nabla(T))
+            flats.add(rep.assembled_flat)
+        assert flats == {True, False}
+
+    def test_metric_flags(self, reference_sample):
+        seen = set()
+        for T in reference_sample:
+            rep = verify_metric(T)
+            flags = (rep.higgs_self_adjoint, rep.r0_self_adjoint,
+                     rep.rinf_skew_adjoint, rep.pairing_flat)
+            assert flags == reference_metric(T)
+            seen.update(enumerate(flags))
+        # every flag takes both values over the sample
+        assert seen == {(k, v) for k in range(4) for v in (True, False)}
+
+    def test_curvature_entry_by_entry(self, reference_sample):
+        for T in reference_sample:
+            assert_curvature_matches(assemble_nabla(T))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rational_connection_forms(self, seed):
+        # entries over 1, t, t^2, h and t h with h t-free and not a monomial;
+        # the first form is arbitrary, the second flat by construction:
+        # A = E12 df + I dg, for rational f and g
+        rng = random.Random(seed)
+        h = t_free_denominator(NV)
+        dens = [c(1), t, t * t, h, t * h]
+
+        def rand_rf():
+            p = MPoly(NV, [((rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)),
+                            rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))])
+            return RatFunc(p, rng.choice(dens))
+
+        free = MatForm(NV, 1, {(a,): [[rand_rf() for _ in range(2)] for _ in range(2)]
+                               for a in range(NV)}, 2)
+        f, g = rand_rf(), rand_rf()
+        flat = MatForm(NV, 1, {(a,): [[g.partial(a), f.partial(a)], [0, g.partial(a)]]
+                               for a in range(NV)}, 2)
+        for A in (free, flat):
+            assert_curvature_matches(A)
+            assert connalg._flat(A) == reference_flat(A) == curvature(A).is_zero
+        assert connalg._flat(flat)
+
+
+class TestEarlyStop:
+    @pytest.fixture
+    def dots(self, monkeypatch):
+        calls = []
+        real = RatFunc.dot
+
+        def counting(pairs):
+            calls.append(pairs)
+            return real(pairs)
+
+        monkeypatch.setattr(RatFunc, "dot", staticmethod(counting))
+        return calls
+
+    @staticmethod
+    def entries(A):
+        return A.nvars * (A.nvars - 1) // 2 * A.size ** 2
+
+    def test_curved_form_stops_at_the_first_nonzero_entry(self, dots):
+        # doubling the diagonal of rinf breaks r0_transport; the dt^dx
+        # curvature is -E12 dt^dx / t^2, nonzero in entry (0, 1)
+        T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 2]])
+        A = assemble_nabla(T)
+        assert not connalg._flat(A)
+        assert len(dots) == 2 < self.entries(A)
+
+    def test_curved_report_stops_early(self, dots):
+        M, N = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+        A = MatForm(NV, 1, {(1,): M, (2,): N}, 2)
+        assert not verify_connection(A).flat
+        assert 0 < len(dots) < self.entries(A)
+
+    def test_flat_form_makes_one_call_per_entry(self, dots):
+        T = FTSTuple(2, 2, A=[ZERO2, ZERO2], phi=[E12, [[0, 2], [0, 0]]],
+                     r0=[[3, 0], [0, 3]], rinf=[[0, 0], [0, 1]])
+        A = assemble_nabla(T)
+        assert connalg._flat(A)
+        assert len(dots) == self.entries(A) == 12

@@ -402,6 +402,30 @@ class TestMonodromyFiltration:
         with pytest.raises(InputError, match="matrix is not nilpotent"):
             monodromy_filtration([[1, 0], [0, 0]])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 18])
+    def test_not_nilpotent_message(self, d):
+        # a single Jordan block closed into a cycle: N^d = I
+        N = jordan([d])
+        N[d - 1][0] = 1
+        with pytest.raises(InputError, match=rf"^matrix is not nilpotent: N\^{d} != 0$"):
+            monodromy_filtration(N)
+
+    def test_powers_stop_at_the_first_zero(self, monkeypatch):
+        # N = J(4) + J(4) + J(3) + ... has N^4 = 0 at dimension 18: the
+        # powers N^1 .. N^4 take four products with N, not eighteen
+        N = to_fractions(jordan([4, 4, 3, 3, 2, 1, 1]))
+        calls = []
+
+        def counting(a, b):
+            if b == N:
+                calls.append(a)
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(frobdata, "mat_mul", counting)
+        filt = monodromy_filtration(N)
+        assert len(calls) == 4
+        assert [filt.gr_dimension(k) for k in (-3, 3)] == [2, 2]
+
     def test_not_square(self):
         with pytest.raises(InputError):
             monodromy_filtration([[0, 1]])

@@ -361,6 +361,28 @@ class TestSumsOfProducts:
         assert total == expected
 
 
+class TestPartial:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_partial_is_the_full_quotient_rule(self, seed):
+        # H is free of t and involves x and y: RatFunc.partial keeps it by
+        # t and applies the quotient rule by x and y
+        rng = random.Random(seed)
+        for den in DENS:
+            f = RatFunc(random_poly(rng), den)
+            n, d = f.num, f.den
+            for i in range(NV):
+                df = f.partial(i)
+                assert df == RatFunc(n.partial(i) * d - n * d.partial(i), d * d)
+                assert_canonical(df.num)
+                assert_canonical(df.den)
+
+    def test_denominator_free_of_the_variable_is_kept(self):
+        f = RatFunc(x * x * t, H)
+        assert f.partial(0).den == H
+        assert f.partial(0) == RatFunc(x * x, H)
+        assert f.partial(1) == RatFunc((2 * x * H - x * x * H.partial(1)) * t, H * H)
+
+
 class TestPublicConstructorValidates:
     @pytest.mark.parametrize("terms", [
         [((1, 0), 1)],                       # wrong arity

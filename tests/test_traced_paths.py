@@ -5,10 +5,11 @@ module that bound it, and counts polynomial products by wrapping
 `MPoly.__mul__`.  Those counts only mean something if the layers built
 on them still reach them: the subspace functions through the module
 global `rref`, and single rational-function operations through
-`MPoly.__mul__`.  Matrix products do not: each entry of `connalg._mmul`
-is one `RatFunc.dot`, which makes one `mpoly._sum_products` call per
-denominator group and adds only the group sums, so `MPoly.__mul__`
-sees the denominator products and those additions, not every product.
+`MPoly.__mul__`.  Matrix identities do not: connalg evaluates each entry
+of a combination of matrices and matrix products as one `RatFunc.dot`,
+which makes one `mpoly._sum_products` call per denominator group and
+adds only the group sums, so `MPoly.__mul__` sees the denominator
+products and those additions, not every product.
 A subspace is its canonical RREF basis, so the subspace functions get
 canonical bases here, and containment takes no elimination at all.
 The tau-sum cross-check is pinned to one torus sum: one kernel call per
@@ -117,7 +118,8 @@ def dot_calls(monkeypatch):
 
 
 ONE = MPoly.const(3, 1)
-ROW = ((RatFunc(X + 1), RatFunc(X * Fraction(1, 2)), RatFunc(T + 2)),)
+ZERO = RatFunc(MPoly(3))
+ROW = (RatFunc(X + 1), RatFunc(X * Fraction(1, 2)), RatFunc(T + 2))
 
 
 @pytest.mark.parametrize("dens, groups", [
@@ -126,14 +128,18 @@ ROW = ((RatFunc(X + 1), RatFunc(X * Fraction(1, 2)), RatFunc(T + 2)),)
     ((ONE, T, T * T), [1, 1, 1]),
 ], ids=["one-group", "two-groups", "three-groups"])
 def test_matrix_entry_is_one_kernel_call_per_denominator(dot_calls, dens, groups):
-    # ROW is over 1, so the denominator products take the shortcut and
-    # every kernel call outside an addition sums one group
-    col = tuple((RatFunc(X - k, d),) for k, d in enumerate(dens))
-    expected = sum(a * b[0] for a, b in zip(ROW[0], col))
+    # the (0, 0) entry of a 3x3 product whose first row is ROW and whose
+    # first column has the given denominators; ROW is over 1, so the
+    # denominator products take the shortcut and every kernel call outside
+    # an addition sums one group
+    col = [RatFunc(X - k, d) for k, d in enumerate(dens)]
+    left = (ROW, (ZERO,) * 3, (ZERO,) * 3)
+    right = tuple((v, ZERO, ZERO) for v in col)
+    expected = sum(a * b for a, b in zip(ROW, col))
     kernel, adds = dot_calls
     kernel.clear()
     adds.clear()
-    (entry,), = connalg._mmul(ROW, col)
+    entry = next(connalg._entries((), [(1, left, right)]))
     assert sorted(kernel) == groups
     assert len(adds) == len(groups) - 1
     assert entry == expected
