@@ -34,8 +34,8 @@ from .exactla import (identity, mat_mul, mat_vec, nullspace, subspace_basis,
                       subspace_contains, subspace_sum, subspace_intersect,
                       transpose)
 from .errors import VerificationError, frozen
-from .expsum import extension_field, family_sum, gkz_sum
-from .ffield import enumerate_torus, make_field
+from .expsum import family_sum, gkz_sum
+from .ffield import enumerate_torus, extension_field, make_field
 from .frobdata import family_l_function, frobenius_report, monodromy_filtration
 from .laurent import Deformation, LaurentPoly, evaluate, monomial_table, phi_map
 from .mpoly import MPoly

@@ -24,7 +24,8 @@ from .connalg import verify_connection, verify_fts, verify_metric
 from .cyclotomic import all_embeddings
 from .errors import (ArithLGError, BudgetExceeded, InputError,
                      VerificationError)
-from .expsum import extension_field, family_sum
+from .expsum import family_sum
+from .ffield import extension_field
 from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
     monodromy_filtration
 from .laurent import check_nondegenerate, specialize
@@ -50,9 +51,10 @@ def _check_threads(args) -> None:
 
 
 def _scope(args, pf: pio.ProblemFile):
-    """One budget scope for the command: flag, then file, then env/default."""
+    """One budget scope for the command, at the budget parse_problem
+    resolved (else ARITH_LG_BUDGET or the default)."""
     _check_threads(args)
-    return scope(args.budget if args.budget is not None else pf.budget)
+    return scope(pf.budget)
 
 
 def _point(args, pf: pio.ProblemFile):

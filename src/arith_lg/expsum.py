@@ -11,9 +11,9 @@ field, and the walks lift it, and twist it by tau, themselves.
 
 Each sum charges its torus points ("torus sum") to the current budget
 scope before the walk starts.  The walk then visits them in canonical
-order, all of them or, when F_x and tau lie in a proper subfield, the
+order, all of them or, when tau F_x lies over a proper subfield, the
 fibres over one first coordinate per Frobenius orbit, each counted
-once per point of its orbit (laurent's torus walks).
+once per point of its orbit (ffarray's torus kernel).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .laurent import (Deformation, LaurentPoly, MonomialTable, lift_into,
                       specialize, torus_trace_counts, torus_zeros)
 
 __all__ = [
-    "extension_field",
     "family_sum",
     "gkz_sum",
     "zero_count",

@@ -1,5 +1,5 @@
 """Power tables of finite-field elements on byte lanes, and the torus
-kernel and the embedding root search that run on them, in pure Python.
+kernel that runs on them, in pure Python.
 
 Lanes
 -----
@@ -39,22 +39,25 @@ the strided copy by one slice.  The rows of all terms are added as ints
 in batches of about BATCH lanes, whole rows each, from the first point
 of the torus to the last, and then
 
-* window_counts reduces the trace column's sums mod p and counts each
+* trace_counts reduces the trace column's sums mod p and counts each
   value (the trace is additive, so the terms' traces are summed);
-* zero_flags reduces each coordinate column's sums mod p (several
-  coordinates share a byte when a sum fits in a few bits) and flags the
-  points where every coordinate of every polynomial is zero.
+* common_zeros reduces each coordinate column's sums mod p (several
+  coordinates share a byte when a sum fits in a few bits), flags the
+  points where every coordinate of every polynomial is zero, and counts
+  them and decodes the first into its exponent vector.
 
-Given orbits, a map from some first-axis exponents to weights (n >= 2),
-a walk visits only the fibres over those exponents, ascending: the rows
+Each works out its own walk from the logs it is given (_first_axis):
+when n >= 2 and a power of the Frobenius, short of the identity on the
+exponents, fixes every coefficient, it visits only the fibres over the
+least exponent of each orbit on the first axis, ascending (the rows
 over them when a row spans fewer than n axes, else their blocks of the
-one row's exponent pattern.  window_counts counts each point of the
-fibre over e orbits[e] times, and zero_flags yields pieces over
-exponents of one weight, for its caller to weight.  The whole torus is
-the case of all N exponents, of weight 1.
+one row's exponent pattern), and counts each point of a fibre once per
+point of its orbit (_weighted).  The whole torus is the case of all N
+exponents, of weight 1.  Lanes, batches, pieces and weights stay in
+this module: both reductions return answers.
 
-laurent's torus walks drive both, and _roots_in is the zero search of a
-modulus over the powers of the generator of a subfield's units.
+laurent's torus walks drive both, and ffield's embedding root search
+runs common_zeros on the power table of a subfield's unit generator.
 ffield reaches this module at call time, when it builds a table or
 searches for embedding roots, and charges that work to the budget.
 """
@@ -65,10 +68,10 @@ import math
 import sys
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .ffield import FieldSpec, FqElem, _basis_traces, multiplicative_generator
+from .ffield import FieldSpec, FqElem, _basis_traces, frobenius_orbits
 
 # lanes per batch: table chunks, log searches and the rows of one kernel
 # sum (one row when a row is longer)
@@ -125,31 +128,17 @@ def _pattern(N: int, tail: tuple[int, ...], first: Sequence[int]) -> bytes:
                     for s in (tail[0] * d % N for d in first))
 
 
-def _runs(N: int, n: int, orbits: Mapping[int, int] | None
-          ) -> tuple[Sequence[int], list[tuple[int, int, int]]]:
-    """The first-axis values a walk visits, ascending, and their runs
-    (index of the first value, index past the last, weight) of
-    consecutive values of one weight: all N values of weight 1 when
-    orbits is None, else each value of orbits alone."""
-    if orbits is None:
-        return range(N), [(0, N, 1)]
-    if n < 2:
-        raise InputError("a walk over orbits of the first axis needs a second axis")
-    first = tuple(orbits)
-    return first, [(i, i + 1, orbits[e]) for i, e in enumerate(first)]
-
-
-def _weighted(pieces: Sequence[tuple[int, int, int, int]]) -> Iterator[tuple[int, int, int]]:
+def _weighted(pieces: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
     """(weight, a, b): lane ranges of a batch whose counts, times their
     weights, add up to the pieces' weighted counts.  The whole batch comes
     at the weight that covers most of it, then each piece of another
     weight with the difference."""
     cover = Counter()
-    for _, a, b, w in pieces:
+    for a, b, w in pieces:
         cover[w] += b - a
     common = cover.most_common(1)[0][0]
-    yield common, 0, pieces[-1][2]
-    for _, a, b, w in pieces:
+    yield common, 0, pieces[-1][1]
+    for a, b, w in pieces:
         if w != common:
             yield w - common, a, b
 
@@ -305,14 +294,36 @@ class PowerTable:
     # ----------------------------------------------------------------------
     # the torus kernel
 
-    def _batches(self, n: int, first: Sequence[int], runs: Sequence[Sequence[int]]
-                 ) -> Iterator[tuple[int, int, list[tuple[int, int, int, int]]]]:
+    def _first_axis(self, n: int, logs: Iterable[int]
+                    ) -> tuple[Sequence[int], list[tuple[int, int, int]]]:
+        """The first-axis exponents a walk of (F_q^*)^n visits, ascending,
+        and their runs (index of the first, index past the last, weight).
+
+        Let r = p^s mod N for the least s >= 1 with h^(r l) = h^l for
+        every log l, that is G (r - 1) = 0 mod N, G = gcd(N, logs): the
+        p^s-power Frobenius fixes every coefficient, so it maps the fibre
+        over t_1 onto the fibre over t_1^(p^s) and keeps the trace and the
+        zero set.  When n >= 2 and r != 1, the walk visits the least
+        exponent of each orbit of e -> r e alone, weighted by the orbit's
+        size; otherwise all N exponents, of weight 1.
+        """
+        N, p = self.order, self.field.p
+        G, r = math.gcd(N, *logs), p % N
+        while G * (r - 1) % N:
+            r = r * p % N
+        if n < 2 or r == 1 % N:
+            return range(N), [(0, N, 1)]
+        orbits = frobenius_orbits(N, r)
+        return tuple(orbits), [(i, i + 1, w) for i, w in enumerate(orbits.values())]
+
+    def _batches(self, n: int, runs: Sequence[tuple[int, int, int]]
+                 ) -> Iterator[tuple[int, int, list[tuple[int, int, int]]]]:
         """Runs of whole rows covering the fibres of (F_q^*)^n over the
-        first-axis values `first`, in order: (rows, lanes, pieces).  A
-        piece (its first point in the canonical order, its lanes a:b in
-        the batch, its weight) is where the batch meets one of the runs."""
+        first-axis values the runs index, in order: (rows, lanes, pieces).
+        A piece (its lanes a:b in the batch, its weight) is where the
+        batch meets one of the runs."""
         fibre = self.order ** (n - 1)
-        lanes = len(first) * fibre
+        lanes = runs[-1][1] * fibre
         axes = self._axes(n)
         R = self.order ** axes if axes < n else lanes
         step, j = max(1, BATCH // R) * R, 0
@@ -321,8 +332,8 @@ class PowerTable:
             pieces = []
             while True:
                 i0, i1, weight = runs[j]
-                a, b = max(lo, i0 * fibre), min(hi, i1 * fibre)
-                pieces.append((first[i0] * fibre + a - i0 * fibre, a - lo, b - lo, weight))
+                b = min(hi, i1 * fibre)
+                pieces.append((max(lo, i0 * fibre) - lo, b - lo, weight))
                 if b == i1 * fibre:
                     j += 1
                 if b == hi:
@@ -349,20 +360,17 @@ class PowerTable:
             acc, bound = self._add(acc, bound, value, term_bound, count)
         return acc, bound
 
-    def window_counts(self, n: int, logs: Sequence[int], weights: Sequence[Sequence[int]],
-                      orbits: Mapping[int, int] | None = None) -> list[int]:
+    def trace_counts(self, n: int, logs: Sequence[int],
+                     weights: Sequence[Sequence[int]]) -> list[int]:
         """How often Tr(sum_j h^logs[j] t^weights[j]) takes each value of
-        F_p on the torus (F_q^*)^n.  Given orbits (n >= 2), the walk
-        visits only the fibres over its first-axis values and counts each
-        point orbits[t_1] times; the orbits must partition the first axis
-        into fibres of equal counts."""
+        F_p on the torus (F_q^*)^n."""
         p, W = self.field.p, self.width
         counts = [0] * p
         if logs:
-            first, runs = _runs(self.order, n, orbits)
+            first, runs = self._first_axis(n, logs)
             terms = _Terms(self, n, logs, weights, first)
             builders = terms.builders(self.trace_column())
-            for nrows, count, pieces in self._batches(n, first, runs):
+            for nrows, count, pieces in self._batches(n, runs):
                 acc, bound = self._row_sum(builders, terms.take(nrows), count, p - 1)
                 data = self._reduce(acc, count, bound).to_bytes(count * W, _ORDER)
                 lanes = memoryview(data).cast(_FORMATS[W]) if W > 1 else None
@@ -376,16 +384,19 @@ class PowerTable:
         counts[0] = self.order ** n - sum(counts[1:])
         return counts
 
-    def zero_flags(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
-                   orbits: Mapping[int, int] | None = None) -> Iterator[tuple[int, bytes]]:
+    def common_zeros(self, n: int, polys: Sequence[tuple[Sequence[int], Sequence[Sequence[int]]]],
+                     *, first_only: bool = False) -> tuple[int, tuple[int, ...] | None]:
         """The common zeros of polys (each (logs, weights), at least one
-        term) on (F_q^*)^n, in pieces: (lo, flags) with flags[i] == 0
-        exactly where every poly vanishes at point lo + i.  Given orbits
-        (n >= 2), the walk visits only the fibres over its first-axis
-        values, ascending, and each piece lies over values of one
-        weight."""
-        p, m = self.field.p, self.field.m
-        first, runs = _runs(self.order, n, orbits)
+        term) on (F_q^*)^n: their number and the exponent vector of the
+        first of them in the canonical order, or (0, None).  With
+        first_only the walk stops at the first zero and counts 1.
+
+        A walk over orbits still meets the first zero first: it lies over
+        the least exponent of its orbit, and the walk visits those in
+        ascending order.
+        """
+        p, m, N = self.field.p, self.field.m, self.order
+        first, runs = self._first_axis(n, [lg for logs, _ in polys for lg in logs])
         systems = []
         for logs, weights in polys:
             terms = _Terms(self, n, logs, weights, first)
@@ -397,20 +408,29 @@ class PowerTable:
                 columns, table = self._packed(bits, slots), _flag_table(p, bits, slots)
                 bound = (p - 1) * sum(1 << bits * i for i in range(slots))
             systems.append((terms, [terms.builders(c) for c in columns], table, bound))
-        for nrows, count, pieces in self._batches(n, first, runs):
+        count, found, lo = 0, None, 0
+        for nrows, lanes, pieces in self._batches(n, runs):
             nonzero = 0
             for terms, groups, table, bound in systems:
                 offsets = terms.take(nrows)
                 for builders in groups:
-                    acc, b = self._row_sum(builders, offsets, count, bound)
+                    acc, b = self._row_sum(builders, offsets, lanes, bound)
                     if self.width == 1:
-                        acc = int.from_bytes(acc.to_bytes(count, _ORDER).translate(table), _ORDER)
+                        acc = int.from_bytes(acc.to_bytes(lanes, _ORDER).translate(table), _ORDER)
                     else:
-                        acc = self._reduce(acc, count, b)
+                        acc = self._reduce(acc, lanes, b)
                     nonzero |= acc
-            flags = self._flags(nonzero, count)
-            for lo, a, b, _ in pieces:
-                yield lo, flags[a:b]
+            flags = self._flags(nonzero, lanes)
+            pos = -1 if found is not None else flags.find(0)
+            if pos >= 0:
+                i, x = divmod(lo + pos, N ** (n - 1))
+                index = first[i] * N ** (n - 1) + x
+                found = tuple(index // N ** (n - 1 - axis) % N for axis in range(n))
+                if first_only:
+                    return 1, found
+            count += sum(w * flags.count(0, a, b) for w, a, b in _weighted(pieces))
+            lo += lanes
+        return count, found
 
     def _packed(self, bits: int, slots: int) -> list[bytes]:
         """The coordinate columns `slots` to a byte, `bits` bits each."""
@@ -526,28 +546,3 @@ def _strided(lanes: memoryview, s: int, u: int, count: int) -> bytes:
         s, count = stop % N, count - run
     return b"".join(parts)
 
-
-def _roots_in(modulus: tuple[int, ...], source_degree: int,
-              target: FieldSpec) -> list[FqElem]:
-    """All roots of the monic irreducible modulus (F_p coefficients, degree
-    a = source_degree >= 2) inside the target field, in the order of the
-    powers of w = g^((q - 1) / (p^a - 1)), g the target's generator.
-
-    The roots lie in the subfield of order p^a and are units, so they are
-    among the powers w^0 .. w^(p^a - 2) of the generator w of that
-    subfield's units; so are the modulus's nonzero coefficients, which
-    lie in F_p.  The roots are the zeros of sum_k c_k t^k on the powers
-    of w, found by the torus kernel on w's power table.
-    """
-    count = target.p ** source_degree - 1
-    w = multiplicative_generator(target) ** ((target.q - 1) // count)
-    table = PowerTable(target, w, count)
-    logs = [table.log(target.from_int(c)) for c in modulus if c]
-    weights = [(k,) for k, c in enumerate(modulus) if c]
-    roots = []
-    for lo, flags in table.zero_flags(1, [(logs, weights)]):
-        pos = flags.find(0)
-        while pos >= 0:
-            roots.append(table.elem(lo + pos))
-            pos = flags.find(0, pos + 1)
-    return roots

@@ -23,11 +23,13 @@ Conventions
   is part of the contract: the torus kernel walks it, and a search's
   first zero is the first in it.
 * The byte-lane layer (power tables of one element by coordinate
-  columns, the discrete-log tables among them, the torus kernel and the
-  root search behind embed) lives in ffarray, which is imported at call
-  time by discrete_table and by the embedding root search; both charge
-  their work to the budget here, and discrete_table refuses a table the
-  machine's memory cannot hold.
+  columns, the discrete-log tables among them, and the torus kernel)
+  lives in ffarray, which is imported at call time by discrete_table and
+  by the embedding root search _roots, one first-only common_zeros on a
+  power table; both charge their work to the budget here, and
+  discrete_table refuses a table the machine's memory cannot hold.
+  frobenius_orbits gives the kernel the orbits it compresses its walks
+  by.
 """
 
 from __future__ import annotations
@@ -426,13 +428,26 @@ def trace_to_prime(a: FqElem) -> int:
 
 def _roots(modulus: tuple[int, ...], source_degree: int,
            target: FieldSpec) -> list[FqElem]:
-    """The roots of the (degree source_degree >= 2, irreducible) modulus in
-    the target, in no order callers rely on: they sort them or pick the
-    one that fits.  Charged to the budget as p^source_degree subfield
-    elements."""
+    """The roots of the (degree a = source_degree >= 2, irreducible)
+    modulus in the target, in no order callers rely on: they sort them or
+    pick the one that fits.  Charged to the budget as p^a subfield
+    elements.
+
+    The roots are units of the subfield of order p^a, so powers of the
+    generator w = g^((q - 1) / (p^a - 1)) of its units; so are the
+    modulus's nonzero coefficients, which lie in F_p.  The first zero w^e
+    of sum_k c_k t^k on w's power table is one root, and its conjugates
+    w^(e p^i), i < a, are the others.
+    """
     charge("subfield enumeration for embedding", target.p ** source_degree)
-    from .ffarray import _roots_in
-    return _roots_in(modulus, source_degree, target)
+    from .ffarray import PowerTable
+    count = target.p ** source_degree - 1
+    w = multiplicative_generator(target) ** ((target.q - 1) // count)
+    table = PowerTable(target, w, count)
+    logs = [table.log(target.from_int(c)) for c in modulus if c]
+    weights = [(k,) for k, c in enumerate(modulus) if c]
+    _, (e,) = table.common_zeros(1, [(logs, weights)], first_only=True)
+    return [table.elem(e * target.p ** i) for i in range(source_degree)]
 
 
 def _apply_hom(a: FqElem, image_powers: Sequence[FqElem]) -> FqElem:

@@ -11,17 +11,14 @@ the same torus zero set as the plain partials.
 
 The torus walks live here too, the only code that drives the torus
 kernel of ffarray.PowerTable: torus_trace_counts (how often Tr(tau f(t))
-takes each value of F_p, for expsum's sums; window_counts) and
+takes each value of F_p, for expsum's sums; trace_counts) and
 torus_zeros (the common zeros of a list of polynomials, for zero counts
-and the degeneracy search; zero_flags).  Both walk an extension on
+and the degeneracy search; common_zeros).  Both walk an extension on
 polynomials over its subfields: _kernel_input alone lifts coefficients
 into it (lift_into), twists them by tau and takes their logs.  Each
-walk is one kernel call, in the order of ffield.enumerate_torus.  When
-n >= 2 and the coefficients and tau lie in one proper subfield F_q of
-the extension, the walk visits only the fibres over the least element
-of each orbit of the q-power Frobenius on the first axis, each weighted
-by its orbit's size (_orbits); otherwise it visits the whole torus.
-Either way it answers for the whole torus.  The walks charge nothing;
+walk is one kernel call, in the order of ffield.enumerate_torus, and
+the kernel answers for the whole torus, whether it walks all of it or
+one first coordinate per Frobenius orbit.  The walks charge nothing;
 their callers charge the whole torus, (q^k - 1)^n points, first.
 """
 
@@ -29,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .budget import charge
 from .errors import InputError, frozen
-from .ffield import (FieldSpec, FqElem, discrete_table, embed, extension_field,
-                     frobenius_orbits)
+from .ffield import FieldSpec, FqElem, discrete_table, embed, extension_field
 from .polytope import (Face, Polytope, face_contains, faces_not_containing_origin,
                        newton_polyhedron)
 
@@ -179,8 +175,7 @@ def log_derivative(f: LaurentPoly, i: int) -> LaurentPoly:
 
 
 # --------------------------------------------------------------------------
-# torus walks: the two reductions of the torus kernel, each one pass over
-# the torus or over the Frobenius orbits of its first axis
+# torus walks: the two reductions of the torus kernel
 
 def lift_into(value, ext: FieldSpec) -> FqElem:
     """value (an element of a subfield of ext, or an integer) as an element of ext."""
@@ -197,32 +192,12 @@ def _kernel_input(f: LaurentPoly, ext: FieldSpec, table, tau=1) -> tuple[list[in
     return [table.log(tau * lift_into(c, ext)) for c in f.terms.values()], list(f.terms)
 
 
-def _orbits(n: int, fields: set, ext: FieldSpec, tau=1) -> Mapping[int, int] | None:
-    """The Frobenius orbits a walk on (ext^*)^n visits its first axis by,
-    or None for the whole axis.
-
-    When the coefficients and tau lie in one field F_q, t -> t^q maps the
-    fibre over t_1 onto the fibre over t_1^q and keeps Tr(tau f(t)) and
-    the zero set, so one t_1 per orbit of e -> q e on its exponents,
-    weighted by the orbit's size, gives the same counts.  On one axis the
-    whole walk is cheaper than the orbits, and a tau outside F_q needs
-    the whole torus.
-    """
-    if n < 2 or len(fields) != 1:
-        return None
-    (field,) = fields
-    tau = lift_into(tau, ext)
-    if field.q == ext.q or tau ** field.q != tau:
-        return None
-    return frobenius_orbits(ext.q - 1, field.q)
-
-
 def torus_trace_counts(f: LaurentPoly, ext: FieldSpec, tau) -> list[int]:
     """Number of points of (ext^*)^n at which Tr(tau * f(t)) takes each
     value 0 .. p - 1; f's coefficients and tau lie in subfields of ext."""
     table = discrete_table(ext)
     logs, weights = _kernel_input(f, ext, table, tau)
-    return table.window_counts(f.n, logs, weights, _orbits(f.n, {f.field}, ext, tau))
+    return table.trace_counts(f.n, logs, weights)
 
 
 def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
@@ -232,28 +207,15 @@ def torus_zeros(polys: Sequence[LaurentPoly], ext: FieldSpec, *,
     of ffield.enumerate_torus, or (0, None).
 
     An identically zero poly vanishes everywhere.  With first_only the
-    walk stops at the first zero and reports a count of 1.  Over orbits,
-    the least zero lies over the least element of its orbit, so the
-    ascending walk still meets it first.
+    walk stops at the first zero and reports a count of 1.
     """
     n = polys[0].n
-    Q = ext.q - 1
     table = discrete_table(ext)
     live = [_kernel_input(f, ext, table) for f in polys if f]
     if not live:
-        return (1 if first_only else Q ** n), (ext.one(),) * n
-    orbits = _orbits(n, {f.field for f in polys}, ext)
-    count, first = 0, None
-    for lo, flags in table.zero_flags(n, live, orbits):
-        found = flags.count(0)
-        if found and first is None:
-            index = lo + flags.find(0)
-            first = tuple(table.elem(index // Q ** (n - 1 - axis) % Q)
-                          for axis in range(n))
-            if first_only:
-                return 1, first
-        count += found * (orbits[lo // Q ** (n - 1)] if orbits else 1)
-    return count, first
+        return (1 if first_only else (ext.q - 1) ** n), (ext.one(),) * n
+    count, first = table.common_zeros(n, live, first_only=first_only)
+    return count, None if first is None else tuple(map(table.elem, first))
 
 
 @frozen

@@ -136,17 +136,19 @@ def _parse_terms(v, n: int, field: FieldSpec, path: str) -> LaurentPoly:
 
 @frozen
 class ProblemFile:
-    """A parsed family: base field and deformation.
-
-    budget and tolerance are file-level defaults; command-line flags
-    override the former.  An explicit monomial table is validated and
-    not kept: no command reads one.
+    """A parsed family: its deformation, the command's budget (the
+    command line's, else the file's, else None) and the file's
+    tolerance.  An explicit monomial table is validated and not kept: no
+    command reads one.
     """
 
-    field: FieldSpec
     deformation: Deformation
     budget: int | None
     tolerance: float | None
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.deformation.base.field
 
     @property
     def n(self) -> int:
@@ -158,17 +160,18 @@ class ProblemFile:
 
 
 def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFile:
-    """The family in obj.  The base field is parsed under the command's
-    budget: `budget` (the command line's), else the file's, else
-    ARITH_LG_BUDGET or the default."""
+    """The family in obj, with the command's budget: `budget` (the command
+    line's), else the file's.  The base field is parsed under it, else
+    under ARITH_LG_BUDGET or the default."""
     _check_keys(obj, path, ["field", "n", "f"],
                 ["deformations", "kind", "table", "budget", "tolerance"])
-    file_budget = None
     if "budget" in obj:
         file_budget = _decimal(obj["budget"], f"{path}.budget")
         if file_budget <= 0:
             raise ParseError(f"{path}.budget", "budget must be positive")
-    with scope(budget if budget is not None else file_budget):
+        if budget is None:
+            budget = file_budget
+    with scope(budget):
         field = parse_field(obj["field"], f"{path}.field")
     n = _plain_int(obj["n"], f"{path}.n", minimum=1)
     f = _parse_terms(obj["f"], n, field, f"{path}.f")
@@ -206,7 +209,7 @@ def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFil
             raise ParseError(f"{path}.tolerance", f"not a number: {t!r}") from None
         if not 0 < tolerance < float("inf"):  # nan fails both comparisons
             raise ParseError(f"{path}.tolerance", "tolerance must be positive and finite")
-    return ProblemFile(field, D, file_budget, tolerance)
+    return ProblemFile(D, budget, tolerance)
 
 
 # --- symbolic side: polynomials in t, x1..xm ----------------------------

@@ -177,8 +177,9 @@ WALKS = {
 def meter(monkeypatch):
     """Charges by description, and the lanes the kernel walks, each
     weighted by the size of its first coordinate's Frobenius orbit (1 on
-    a walk over the whole torus): in the torus walks (window_counts and
-    zero_flags) and in the embedding root search."""
+    a walk over the whole torus), metered at PowerTable._batches: in the
+    torus walks (trace_counts and common_zeros) and in the embedding root
+    search (ffield._roots)."""
     charged, lanes = Counter(), Counter()
     real_charge = budget.charge
 
@@ -190,9 +191,9 @@ def meter(monkeypatch):
         if name.startswith("arith_lg") and getattr(module, "charge", None) is real_charge:
             monkeypatch.setattr(module, "charge", charge)
     searching = []
-    real_roots, real_batches = ffarray._roots_in, ffarray.PowerTable._batches
+    real_roots, real_batches = ffield._roots, ffarray.PowerTable._batches
 
-    def roots_in(*args):
+    def roots(*args):
         searching.append(True)
         try:
             return real_roots(*args)
@@ -202,10 +203,10 @@ def meter(monkeypatch):
     def batches(self, *args):
         walk = "roots" if searching else "torus"
         for nrows, count, pieces in real_batches(self, *args):
-            lanes[walk] += sum((b - a) * weight for _, a, b, weight in pieces)
+            lanes[walk] += sum((b - a) * weight for a, b, weight in pieces)
             yield nrows, count, pieces
 
-    monkeypatch.setattr(ffarray, "_roots_in", roots_in)
+    monkeypatch.setattr(ffield, "_roots", roots)
     monkeypatch.setattr(ffarray.PowerTable, "_batches", batches)
     ffield._image_powers.cache_clear()  # so that embeddings search their roots here
     return charged, lanes

@@ -18,7 +18,7 @@ from arith_lg.ffield import (_is_irreducible, _minus_x, _pgcd, _ppowmod, _prime_
                              _is_prime, discrete_table, embed, enumerate_torus,
                              field_from_modulus, make_field, multiplicative_generator,
                              torus_size, trace_to_prime)
-from test_torus_kernel import kernel_values
+from test_torus_kernel import check_level_sets
 
 
 def poly_eval_mod(coeffs, x, p):
@@ -479,12 +479,13 @@ class TestDiscreteTable:
         assert tab.log(F.zero()) is None
 
     def test_two_term_sums_oracle(self):
-        # g^e1 + g^e2 is the two-term polynomial t1 + t2 at (g^e1, g^e2)
+        # g^e1 + g^e2 is the two-term polynomial t1 + t2 at (g^e1, g^e2):
+        # the kernel's level sets of t1 + t2 are those of these values
         F = make_field(3, 2)
         tab = discrete_table(F)
         g = multiplicative_generator(F)
-        got = kernel_values(tab, 2, [0, 0], [(1, 0), (0, 1)])
-        assert got == [g ** e1 + g ** e2 for e1, e2 in itertools.product(range(8), repeat=2)]
+        check_level_sets(tab, 2, [0, 0], [(1, 0), (0, 1)],
+                         [g ** e1 + g ** e2 for e1, e2 in itertools.product(range(8), repeat=2)])
 
     def test_trace_by_exp(self):
         # the trace column, on byte lanes and on 2- and 4-byte lanes
@@ -505,10 +506,10 @@ class TestDiscreteTable:
         g = multiplicative_generator(F)
         logs = [0, 3, 5]
         weights = [(1, 2), (2, 1), (1, 1)]
-        got = kernel_values(tab, 2, logs, weights)
-        assert got == [sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
-                            for lg, ws in zip(logs, weights)), F.zero())
-                       for e in itertools.product(range(8), repeat=2)]
+        check_level_sets(tab, 2, logs, weights,
+                         [sum((g ** ((lg + sum(w * x for w, x in zip(ws, e))) % 8)
+                               for lg, ws in zip(logs, weights)), F.zero())
+                          for e in itertools.product(range(8), repeat=2)])
 
     @pytest.mark.parametrize("p,m,width", [(2, 3, 1), (127, 1, 1), (131, 1, 2),
                                            (181, 1, 2), (191, 1, 4), (257, 1, 4)])

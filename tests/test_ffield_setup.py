@@ -3,8 +3,9 @@ searches, and the embedding coordinates they lead to.
 
 ffarray.PowerTable builds the coordinate columns of the powers of one
 element by doubling in chunks of BATCH lanes; the discrete-log table is
-the power table of the generator, and _roots_in searches the power
-table of a subfield's unit generator with the torus kernel.  All three
+the power table of the generator, and ffield._roots finds one root with
+a first-only common_zeros on the power table of a subfield's unit
+generator and the others as its Frobenius conjugates.  All three
 are checked against plain FqElem arithmetic, with BATCH shrunk so that
 chunk boundaries fall mid-range.  The embedding pins hold the
 coordinates embed gives in a fresh process, and the same coordinates
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from arith_lg import ffarray
+from arith_lg import ffarray, ffield
 from arith_lg.errors import InputError
 from arith_lg.ffarray import PowerTable
 from arith_lg.ffield import (discrete_table, embed, field_from_modulus, make_field,
@@ -97,7 +98,7 @@ def test_roots_in_matches_brute_force(monkeypatch, p, a, L, batch):
         monkeypatch.setattr(ffarray, "BATCH", batch)
     modulus = make_field(p, a).modulus
     target = make_field(p, L) if isinstance(L, int) else field_from_modulus(p, L)
-    roots = ffarray._roots_in(modulus, a, target)
+    roots = ffield._roots(modulus, a, target)
     assert sorted(r.coords for r in roots) == sorted(r.coords for r in brute_roots(modulus, target))
     assert len(roots) == a
     assert set(roots) == {roots[0] ** (p ** i) for i in range(a)}

@@ -418,25 +418,29 @@ def test_witness_is_first_common_zero(p, terms):
 @pytest.fixture
 def searches(monkeypatch):
     """Each zero search (the points of the torus it walks, the polynomials
-    it searched, the lanes its caller took, each weighted by the size of
-    its first coordinate's Frobenius orbit) and each "torus search"
+    it searched, the lanes its batches covered, each weighted by the size
+    of its first coordinate's Frobenius orbit) and each "torus search"
     charge."""
     calls, charged = [], []
-    real, real_charge = ffarray.PowerTable.zero_flags, laurent.charge
+    real_zeros, real_batches = ffarray.PowerTable.common_zeros, ffarray.PowerTable._batches
+    real_charge = laurent.charge
 
-    def counting(self, n, polys, orbits=None):
-        call = {"points": self.order ** n, "polys": len(polys), "lanes": 0}
-        calls.append(call)
-        for lo, flags in real(self, n, polys, orbits):
-            call["lanes"] += len(flags) * (orbits[lo // self.order ** (n - 1)] if orbits else 1)
-            yield lo, flags
+    def common_zeros(self, n, polys, **kwargs):
+        calls.append({"points": self.order ** n, "polys": len(polys), "lanes": 0})
+        return real_zeros(self, n, polys, **kwargs)
+
+    def batches(self, n, runs):
+        for nrows, count, pieces in real_batches(self, n, runs):
+            calls[-1]["lanes"] += sum((b - a) * w for a, b, w in pieces)
+            yield nrows, count, pieces
 
     def charge(description, required):
         if description == "torus search":
             charged.append(required)
         real_charge(description, required)
 
-    monkeypatch.setattr(ffarray.PowerTable, "zero_flags", counting)
+    monkeypatch.setattr(ffarray.PowerTable, "common_zeros", common_zeros)
+    monkeypatch.setattr(ffarray.PowerTable, "_batches", batches)
     monkeypatch.setattr(laurent, "charge", charge)
     return calls, charged
 

@@ -3,7 +3,7 @@ build the tables and run the kernel's root search, only laurent's torus
 walks may name the discrete-log table or the kernel's entry points.
 
 A name is an AST name, attribute or imported name, so a module that
-imports discrete_table, or calls table.window_counts on a table it got
+imports discrete_table, or calls table.trace_counts on a table it got
 elsewhere, is caught alike.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arith_lg"
 
-KERNEL = {"discrete_table", "PowerTable", "window_counts", "zero_flags"}
+KERNEL = {"discrete_table", "PowerTable", "trace_counts", "common_zeros"}
 ALLOWED = {"ffield", "ffarray", "laurent"}
 
 
@@ -33,10 +33,10 @@ def kernel_names(source: str) -> set[str]:
 
 def test_the_scan_sees_names_attributes_and_imports():
     assert kernel_names("from .ffield import discrete_table as dt\n") == {"discrete_table"}
-    assert kernel_names("t.window_counts(1, [], [])\n") == {"window_counts"}
+    assert kernel_names("t.trace_counts(1, [], [])\n") == {"trace_counts"}
     assert kernel_names("x = PowerTable\n") == {"PowerTable"}
-    assert kernel_names("zero_flags = 'a string is no reference'\n") == {"zero_flags"}
-    assert kernel_names("'zero_flags'\n") == set()
+    assert kernel_names("common_zeros = 'a string is no reference'\n") == {"common_zeros"}
+    assert kernel_names("'common_zeros'\n") == set()
 
 
 def test_only_laurent_drives_the_kernel():
@@ -45,4 +45,4 @@ def test_only_laurent_drives_the_kernel():
     drivers = {name: sorted(kernel_names(source)) for name, source in modules.items()
                if name not in ALLOWED and kernel_names(source)}
     assert drivers == {}
-    assert {"window_counts", "zero_flags"} <= kernel_names(modules["laurent"])
+    assert {"trace_counts", "common_zeros"} <= kernel_names(modules["laurent"])

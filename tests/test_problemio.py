@@ -106,9 +106,20 @@ class TestParseProblem:
         obj = dict(KLOOSTERMAN, budget="1000")
         assert parse_problem(obj).budget == 1000
 
+    def test_command_line_budget_comes_first(self):
+        # the command's budget is resolved once: the flag, else the file's
+        assert parse_problem(dict(KLOOSTERMAN, budget="1000"), budget=7).budget == 7
+        assert parse_problem(KLOOSTERMAN, budget=7).budget == 7
+
     def test_budget_positive(self):
         with pytest.raises(ParseError):
             parse_problem(dict(KLOOSTERMAN, budget="0"))
+        with pytest.raises(ParseError):  # checked even when a flag overrides it
+            parse_problem(dict(KLOOSTERMAN, budget="0"), budget=7)
+
+    def test_field_is_the_base_field(self):
+        pf = parse_problem({"field": {"p": "5", "m": 2}, "n": 1, "f": KLOOSTERMAN["f"]})
+        assert pf.field is pf.deformation.base.field and pf.field.q == 25
 
     def test_tolerance(self):
         obj = dict(KLOOSTERMAN, tolerance="1e-9")

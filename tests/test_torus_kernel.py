@@ -1,36 +1,39 @@
 """The byte-lane torus kernel and the torus walks against brute-force
 evaluation.
 
-PowerTable.window_counts (the trace counts) and PowerTable.zero_flags
-(the zero set) each walk a whole torus.  They are checked against f's
-value at every point of it: the trace histogram, the zero flag at each
-point and, over small fields, the value at each point (the c for which
-f - c is flagged zero).  The values come from the definition of the
-canonical order, f(g^e_1, ..., g^e_n) = sum_j c_j g^<w_j, e>, with each
-c_j g^k tabulated once by field arithmetic, and agree with
-laurent.evaluate at every point of a small torus and, on a large one,
-at its first and last points and around the carry into every axis.
-The batch constant is shrunk so that a walk crosses batch boundaries and
-odometer carries, with batches of one row or a few.  The fields cover
-byte lanes, byte lanes whose sums need a reduction between terms
-(J (p - 1) >= 256), and wider lanes (p = 131, p = 257).
-laurent.torus_zeros is checked on one polynomial and on its system of
-logarithmic derivatives, count and first zero, and expsum.family_sum
-against a brute-force sum over an extension.
+PowerTable.trace_counts (the trace counts) and PowerTable.common_zeros
+(the number of common zeros and the first of them) are checked against
+f's value at every point of the whole torus: the trace histogram, the
+zero count, first zero and first-only walk of f and, over small fields,
+of f - c for every field element c (so the count and the first point of
+every level set).  The values come from the definition of the canonical
+order, f(g^e_1, ..., g^e_n) = sum_j c_j g^<w_j, e>, with each c_j g^k
+tabulated once by field arithmetic, and agree with laurent.evaluate at
+every point of a small torus and, on a large one, at its first and last
+points and around the carry into every axis.  The batch constant is
+shrunk so that a walk crosses batch boundaries and odometer carries,
+with batches of one row or a few.  The fields cover byte lanes, byte
+lanes whose sums need a reduction between terms (J (p - 1) >= 256), and
+wider lanes (p = 131, p = 257).  laurent.torus_zeros is checked on one
+polynomial and on its system of logarithmic derivatives, count and first
+zero, and expsum.family_sum against a brute-force sum over an extension.
+Walks the kernel compresses by a Frobenius are checked the same way, and
+the lanes they walk are metered at PowerTable._batches.
 """
 
+import itertools
 import random
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from arith_lg import ffarray
 from arith_lg.cyclotomic import CycloNum
-from arith_lg.expsum import extension_field, family_sum
-from arith_lg.errors import InputError
-from arith_lg.ffield import (discrete_table, embed, enumerate_torus, frobenius_orbits,
-                             make_field, multiplicative_generator, trace_to_prime)
+from arith_lg.expsum import family_sum
+from arith_lg.ffarray import PowerTable
+from arith_lg.ffield import (discrete_table, embed, enumerate_torus, extension_field,
+                             frobenius_orbits, make_field, multiplicative_generator,
+                             trace_to_prime)
 from arith_lg.laurent import (Deformation, LaurentPoly, evaluate, log_derivative,
                               specialize, torus_trace_counts, torus_zeros)
 
@@ -41,8 +44,23 @@ def small_batches(monkeypatch):
     # the kernel reads the patched constant: the 16 points of (F_5^*)^2
     # come as rows of 4 points, one a batch
     table = discrete_table(make_field(5, 1))
-    batches = [(lo, len(flags)) for lo, flags in table.zero_flags(2, [([0], [(1, 0)])])]
-    assert batches == [(0, 4), (4, 4), (8, 4), (12, 4)]
+    assert [lanes for _, lanes, _ in table._batches(2, [(0, 4, 1)])] == [4, 4, 4, 4]
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The lanes each kernel walk covers, one entry a walk, metered at
+    PowerTable._batches."""
+    lanes = []
+    real = ffarray.PowerTable._batches
+
+    def batches(self, n, runs):
+        lanes.append(0)
+        for nrows, count, pieces in real(self, n, runs):
+            lanes[-1] += count
+            yield nrows, count, pieces
+    monkeypatch.setattr(ffarray.PowerTable, "_batches", batches)
+    return lanes
 
 
 def random_poly(field, n, nterms, seed, span=3):
@@ -86,47 +104,53 @@ def torus_values(f):
     return values
 
 
-def kernel_values(table, n, logs, weights):
-    """The value of sum_j g^logs[j] t^weights[j] at each point of the
-    torus, read off the zero flags of the sum minus each field element."""
+def histogram(values, field):
+    """How often the trace takes each value of F_p, given the coordinates
+    of the values at the points of a torus, one row a point."""
+    basis = np.array([trace_to_prime(field.element([int(i == j) for j in range(field.m)]))
+                      for i in range(field.m)])
+    traces = values.astype(np.int64) @ basis % field.p
+    return np.bincount(traces, minlength=field.p).tolist()
+
+
+def check_kernel_zeros(table, n, system, zero):
+    """table.common_zeros of a kernel system against `zero`, whether the
+    system vanishes at each point of the torus in canonical order: the
+    count, the first zero's exponents and the first-only walk."""
+    N = table.order
+    hits = np.flatnonzero(np.asarray(zero, dtype=bool))
+    first = None
+    if len(hits):
+        first = tuple(int(hits[0]) // N ** (n - 1 - i) % N for i in range(n))
+    assert table.common_zeros(n, system) == (len(hits), first)
+    assert table.common_zeros(n, system, first_only=True) == (min(len(hits), 1), first)
+
+
+def check_level_sets(table, n, logs, weights, values):
+    """The level sets of sum_j h^logs[j] t^weights[j], given its value at
+    each point of the torus: for each field element c, the common zeros
+    of the sum minus c against the points where the value is c."""
     field = table.field
-    values = [None] * table.order ** n
     for enc in range(field.q):
         c = field.element([enc // field.p ** i % field.p for i in range(field.m)])
         if c:
             system = [(list(logs) + [table.log(-c)], list(weights) + [(0,) * n])]
         else:
             system = [(logs, weights)]
-        for lo, flags in table.zero_flags(n, system):
-            for i, flag in enumerate(flags):
-                if not flag:
-                    assert values[lo + i] is None
-                    values[lo + i] = c
-    return values
+        check_kernel_zeros(table, n, system, [v == c for v in values])
 
 
 def check(f):
-    """Both reductions of f over its whole torus against its values."""
+    """Both reductions of f over its torus against its values."""
     F = f.field
     table = discrete_table(F)
     logs = [table.log(c) for c in f.terms.values()]
     weights = list(f.terms)
     values = torus_values(f)
-    basis = np.array([trace_to_prime(F.element([int(i == j) for j in range(F.m)]))
-                      for i in range(F.m)])
-    traces = values.astype(np.int64) @ basis % F.p
-    counts = table.window_counts(f.n, logs, weights)
-    assert counts == np.bincount(traces, minlength=F.p).tolist()
-    batches, lo = [], 0
-    for first, batch in table.zero_flags(f.n, [(logs, weights)]):
-        assert first == lo and 0 < len(batch) <= max(ffarray.BATCH, table.order)
-        batches.append(batch)
-        lo += len(batch)
-    flags = np.frombuffer(b"".join(batches), dtype=np.uint8)
-    assert np.array_equal(flags == 0, ~values.any(axis=1))
+    assert table.trace_counts(f.n, logs, weights) == histogram(values, F)
+    check_kernel_zeros(table, f.n, [(logs, weights)], ~values.any(axis=1))
     if F.q <= 32:
-        got = kernel_values(table, f.n, logs, weights)
-        assert [v.coords for v in got] == [tuple(row) for row in values.tolist()]
+        check_level_sets(table, f.n, logs, weights, [F.element(v) for v in values.tolist()])
 
 
 def brute_zeros(polys, field):
@@ -221,7 +245,7 @@ def test_cancelling_sums(small_batches, p, m, n, terms, want_zeros):
 
 def test_no_terms_is_zero_everywhere(small_batches):
     table = discrete_table(make_field(5, 1))
-    assert table.window_counts(2, [], []) == [16, 0, 0, 0, 0]
+    assert table.trace_counts(2, [], []) == [16, 0, 0, 0, 0]
     F5 = make_field(5, 1)
     zero, f = LaurentPoly(2, [], F5), LaurentPoly(2, [((1, 0), 1)], F5)
     first = (F5.one(), F5.one())
@@ -257,43 +281,33 @@ def test_family_sum_matches_brute_force(small_batches, p, m, k):
 # --------------------------------------------------------------------------
 # walks over Frobenius orbits of the first axis
 #
-# A walk over the orbits of e -> q e on the first axis visits the fibres
-# over each orbit's least element only, ascending; window_counts weights
-# each point by its orbit's size and zero_flags' pieces lie over orbits
-# of one size.  Every check below is against f's value at every point of
-# the whole torus.
+# When n >= 2 and a power of the Frobenius, short of the identity on the
+# table's exponents, fixes every coefficient, the kernel visits only the
+# fibres over the least element of each of its orbits on the first axis,
+# ascending, and weights each by its orbit's size.  Every check below is
+# against the values at every point of the whole torus, and the lanes
+# walked against the orbits of the least subfield that holds the
+# coefficients, found by field arithmetic.
 
 def lifted(f, ext, tau=1):
     """tau f, its coefficients embedded in ext."""
     return LaurentPoly(f.n, [(w, embed(c, ext) * tau) for w, c in f.terms.items()], ext)
 
 
-def check_orbit_walk(f, orbits):
-    """Both reductions of f over orbits of its torus's first axis against
-    its values on the whole torus; returns the lanes walked."""
-    F, n = f.field, f.n
-    table = discrete_table(F)
-    logs, weights = [table.log(c) for c in f.terms.values()], list(f.terms)
-    values = torus_values(f)
-    basis = np.array([trace_to_prime(F.element([int(i == j) for j in range(F.m)]))
-                      for i in range(F.m)])
-    traces = values.astype(np.int64) @ basis % F.p
-    counts = table.window_counts(n, logs, weights, orbits)
-    assert counts == np.bincount(traces, minlength=F.p).tolist()
-    zero, fibre = ~values.any(axis=1), table.order ** (n - 1)
-    walked = []
-    for lo, flags in table.zero_flags(n, [(logs, weights)], orbits):
-        first, last = lo // fibre, (lo + len(flags) - 1) // fibre
-        assert {orbits[e] for e in range(first, last + 1)} == {orbits[first]}
-        assert np.array_equal(np.frombuffer(flags, dtype=np.uint8) == 0,
-                              zero[lo:lo + len(flags)])
-        walked.extend(range(lo, lo + len(flags)))
-    assert walked == [e * fibre + x for e in orbits for x in range(fibre)]
-    return len(walked)
+def expected_lanes(coeffs, ext, n):
+    """The lanes a walk of (ext^*)^n with these coefficients (elements of
+    ext) covers: when n >= 2 and F_{p^d}, the least subfield that holds
+    them, is proper, the fibres over one first coordinate per orbit of the
+    p^d-power Frobenius; else the whole torus."""
+    p, N = ext.p, ext.q - 1
+    d = next(d for d in range(1, ext.m + 1) if all(c ** p ** d == c for c in coeffs))
+    if n < 2 or d == ext.m:
+        return N ** n
+    return len(frobenius_orbits(N, p ** d)) * N ** (n - 1)
 
 
 # (p, m, k, n): f over F_{p^m}, walked on the torus of its degree-k
-# extension over the orbits of the q-power Frobenius, q = p^m
+# extension over the orbits of the Frobenius of its coefficients' field
 ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 3, 3), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2, 2),
                (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 2, 2),
                # rows along the last axis only (N > 256)
@@ -302,39 +316,59 @@ ORBIT_CASES = [(2, 1, 4, 2), (2, 1, 3, 3), (3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2,
 
 @pytest.mark.parametrize("batch", [7, 300, 1 << 16], ids=["axis-rows", "two-axis-rows", "whole-rows"])
 @pytest.mark.parametrize("p,m,k,n", ORBIT_CASES)
-def test_orbit_walks_match_brute_force(monkeypatch, batch, p, m, k, n):
+def test_orbit_walks_match_brute_force(monkeypatch, walked, batch, p, m, k, n):
     # 7-lane batches: rows of one axis, lead axes >= 1; 300: rows of two
     # axes when they fit, so (F_16^*)^2 is one row; 2^16: whole-torus
     # rows (lead 0), the orbits' pattern blocks joined, up to N^n = 6400
     monkeypatch.setattr(ffarray, "BATCH", batch)
     F = make_field(p, m)
     ext = extension_field(F, k)
-    orbits = frobenius_orbits(ext.q - 1, F.q)
-    assert len(orbits) < ext.q - 1
     for seed in (0, 1):
         f = lifted(random_poly(F, n, 4, seed), ext)
-        walked = check_orbit_walk(f, orbits)
-        assert walked == len(orbits) * (ext.q - 1) ** (n - 1)
+        want = expected_lanes(f.terms.values(), ext, n)
+        assert want < (ext.q - 1) ** n
+        walked.clear()
+        check(f)
+        # the trace counts and the whole zero walk
+        assert walked[:2] == [want, want]
 
 
-def test_wide_lanes_over_orbits(small_batches):
-    # F_131 on 2-byte lanes: f is fixed by t -> t^-1, so the orbits of
-    # e -> -e mod 130 ({0}, {65} and pairs) partition its first axis
-    # into fibres of equal counts
-    F = make_field(131, 1)
-    terms = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 3), ((0, -1), 3), ((2, 1), 5), ((-2, -1), 5)]
-    f = LaurentPoly(2, terms, F)
-    orbits = frobenius_orbits(130, 129)
-    assert sorted(set(orbits.values())) == [1, 2] and len(orbits) == 66
-    check_orbit_walk(f, orbits)
-    g = f + LaurentPoly(2, [((0, 0), 7)], F)  # with a constant, so that it has zeros
-    check_orbit_walk(g, orbits)
+def test_wide_lanes_over_orbits(small_batches, walked):
+    # 2-byte lanes: the power table of h of order 66 in F_{131^2}.  The
+    # 131-power Frobenius maps h^e to h^(131 e) = h^-e and fixes the
+    # coefficients 1 = h^0 and -1 = h^33, so the walks visit the first
+    # axis by the orbits {0}, {33} and the 32 pairs {e, -e}: weights 1
+    # and 2
+    F = make_field(131, 2)
+    h = multiplicative_generator(F) ** ((F.q - 1) // 66)
+    table = PowerTable(F, h, 66)
+    assert table.width == 2
+    powers = [F.one()]
+    while len(powers) < 66:
+        powers.append(powers[-1] * h)
+    # t1 + t1^-1 - t2 - t2^-1 vanishes where t1 = t2 or t1 t2 = 1; then
+    # with t1 t2^2 added
+    f = [(0, (1, 0)), (0, (-1, 0)), (33, (0, 1)), (33, (0, -1))]
+    for terms in (f, f + [(0, (1, 2))]):
+        logs, weights = [lg for lg, _ in terms], [w for _, w in terms]
+        values = [sum((powers[(lg + w1 * e1 + w2 * e2) % 66] for lg, (w1, w2) in terms),
+                      F.zero()) for e1, e2 in itertools.product(range(66), repeat=2)]
+        counts = [0] * 131
+        for v in values:
+            counts[trace_to_prime(v)] += 1
+        walked.clear()
+        assert table.trace_counts(2, logs, weights) == counts
+        check_kernel_zeros(table, 2, [(logs, weights)], [not v for v in values])
+        assert walked[:2] == [34 * 66] * 2
 
 
-def test_orbit_walks_need_a_second_axis():
-    table = discrete_table(make_field(2, 4))
-    with pytest.raises(InputError, match="second axis"):
-        table.window_counts(1, [0], [(1,)], frobenius_orbits(15, 2))
+def test_orbit_walks_need_a_second_axis(walked):
+    # the coefficients lie in F_2, but on one axis the whole walk is
+    # cheaper than the orbits: it visits all 15 exponents
+    F = make_field(2, 4)
+    f = LaurentPoly(1, [((1,), 1), ((3,), 1), ((0,), 1)], F)
+    check(f)
+    assert walked[:2] == [15, 15]
 
 
 def test_frobenius_orbits():
@@ -346,20 +380,6 @@ def test_frobenius_orbits():
     assert all(e == min(e * 3 ** j % 80 for j in range(4)) for e in orbits)
     assert list(orbits) == sorted(orbits)
     assert {e: s for e, s in orbits.items() if s < 4} == {0: 1, 10: 2, 20: 2, 40: 1, 50: 2}
-
-
-@pytest.fixture
-def kernel_orbits(monkeypatch):
-    """Whether each kernel call walked over orbits."""
-    calls = []
-    for name in ("zero_flags", "window_counts"):
-        real = getattr(ffarray.PowerTable, name)
-
-        def recording(self, n, *args, real=real):
-            calls.append(isinstance(args[-1], Mapping))
-            return real(self, n, *args)
-        monkeypatch.setattr(ffarray.PowerTable, name, recording)
-    return calls
 
 
 def brute_zeros_in(polys, ext):
@@ -374,28 +394,33 @@ def brute_zeros_in(polys, ext):
             for L in np.flatnonzero(zero).tolist()]
 
 
+def trace_histogram(f, ext, tau):
+    """How often Tr(tau f) takes each value on the torus of ext, from the
+    values at every point."""
+    return histogram(torus_values(lifted(f, ext, tau)), ext)
+
+
 # (p, m, k, n) with k >= 2 and a base field of at least 3 elements
 WALK_CASES = [(3, 1, 2, 2), (3, 1, 3, 2), (5, 1, 2, 3), (2, 2, 2, 2), (2, 2, 2, 3), (3, 2, 2, 2)]
 
 
 @pytest.mark.parametrize("p,m,k,n", WALK_CASES)
-def test_trace_counts_over_orbits(small_batches, kernel_orbits, p, m, k, n):
-    # tau in the base field: one walk over orbits; tau only in the
+def test_trace_counts_over_orbits(small_batches, walked, p, m, k, n):
+    # tau in the base field: a walk over orbits; tau a generator of the
     # extension: the whole torus
     F = make_field(p, m)
     ext = extension_field(F, k)
     f = random_poly(F, n, 4, p + n)
-    basis = np.array([trace_to_prime(ext.element([int(i == j) for j in range(ext.m)]))
-                      for i in range(ext.m)])
-    for tau, over_orbits in ((embed(F.element([1] * m), ext), True),
-                             (multiplicative_generator(ext), False)):
-        traces = torus_values(lifted(f, ext, tau)).astype(np.int64) @ basis % p
-        assert torus_trace_counts(f, ext, tau) == np.bincount(traces, minlength=p).tolist()
-        assert kernel_orbits.pop() == over_orbits
+    for tau, compressed in ((embed(F.element([1] * m), ext), True),
+                            (multiplicative_generator(ext), False)):
+        assert torus_trace_counts(f, ext, tau) == trace_histogram(f, ext, tau)
+        want = expected_lanes([tau * embed(c, ext) for c in f.terms.values()], ext, n)
+        assert walked.pop() == want
+        assert (want < (ext.q - 1) ** n) == compressed
 
 
 @pytest.mark.parametrize("p,m,k,n", WALK_CASES)
-def test_zeros_over_orbits(small_batches, kernel_orbits, p, m, k, n):
+def test_zeros_over_orbits(small_batches, walked, p, m, k, n):
     # the norm t1^((q^k - 1)/(q - 1)) = c (c != 0, 1) with the other
     # coordinates tied to t1, whose zeros have t1 off the base field, and
     # a random polynomial with its log-derivative system: count, first
@@ -417,6 +442,77 @@ def test_zeros_over_orbits(small_batches, kernel_orbits, p, m, k, n):
         first = zeros[0] if zeros else None
         assert torus_zeros(system, ext) == (len(zeros), first)
         assert torus_zeros(system, ext, first_only=True) == (min(len(zeros), 1), first)
-        assert kernel_orbits[-2:] == [True, True]
+        want = expected_lanes([embed(c, ext) for g in system for c in g.terms.values()], ext, n)
+        assert want < (ext.q - 1) ** n
+        assert walked[-2] == want and walked[-1] <= want
         if system is tied:  # the first zero lies over an orbit of size > 1
             assert first is not None and first[0] ** F.q != first[0]
+
+
+def test_tau_outside_the_family_field(walked):
+    # t1 + t2 + 1/(t1 t2) over F_3 at k = 6, twisted by tau in F_9 \ F_3:
+    # the 9-power Frobenius fixes every twisted coefficient, so the walk
+    # visits the 248 orbits of e -> 9e on the 728 exponents, about a
+    # third of the torus
+    F3 = make_field(3, 1)
+    ext = extension_field(F3, 6)
+    f = LaurentPoly(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], F3)
+    tau = embed(make_field(3, 2).element((0, 1)), ext)
+    assert tau ** 3 != tau and tau ** 9 == tau
+    want = trace_histogram(f, ext, tau)
+    walked.clear()
+    assert torus_trace_counts(f, ext, tau) == want
+    assert walked == [248 * 728]
+    assert len(frobenius_orbits(728, 9)) == 248
+
+
+def test_coefficients_in_a_subfield_of_the_family_field(walked):
+    # the same polynomial over F_9 at k = 1: its coefficients lie in F_3,
+    # so the walks visit the orbits {0}, {1, 3}, {2, 6}, {4}, {5, 7} of
+    # e -> 3e on the 8 exponents, 40 of the 64 points
+    F9 = make_field(3, 2)
+    f = LaurentPoly(2, [((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], F9)
+    D = Deformation(f, (LaurentPoly(2, [((0, 0), 1)], F9),), "subdiagram")
+    for x in (F9.zero(), F9.one()):
+        want = brute_family_sum(D, 1, F9.one(), (x,))
+        walked.clear()
+        assert family_sum(D, 1, F9.one(), (x,)) == want
+        assert walked == [40]
+    Fx = specialize(D, (F9.one(),))
+    want = brute_zeros([Fx], F9)
+    walked.clear()
+    assert torus_zeros([Fx], F9) == (len(want), want[0] if want else None)
+    assert walked == [40]
+    check_zeros([Fx], F9)
+
+
+def test_first_zero_in_a_later_batch_of_mixed_weights(monkeypatch, walked):
+    # over F_4 the 2-power Frobenius fixes coefficients in F_2, so a walk
+    # of (F_4^*)^3 visits the fibres over t1 = 1 (weight 1) and t1 = g
+    # (the orbit {g, g^2}, weight 2).  With 7-lane batches the rows are
+    # 3 lanes and a batch two rows, so the middle batch ends the first
+    # fibre and starts the second.  t1^2 + t1 + 1, t2 + 1 and t3 + t1
+    # vanish together at (g, 1, g) and (g^2, 1, g^2) only: the first zero
+    # lies in the middle batch, in its weight-2 piece, and counts twice
+    monkeypatch.setattr(ffarray, "BATCH", 7)
+    F4 = make_field(2, 2)
+    system = [LaurentPoly(3, [((2, 0, 0), 1), ((1, 0, 0), 1), ((0, 0, 0), 1)], F4),
+              LaurentPoly(3, [((0, 1, 0), 1), ((0, 0, 0), 1)], F4),
+              LaurentPoly(3, [((0, 0, 1), 1), ((1, 0, 0), 1)], F4)]
+    pieces = []
+    real = ffarray.PowerTable._batches
+
+    def batches(self, n, runs):
+        for batch in real(self, n, runs):
+            pieces.append(batch[2])
+            yield batch
+    monkeypatch.setattr(ffarray.PowerTable, "_batches", batches)
+    g = multiplicative_generator(F4)
+    first = (g, F4.one(), g)
+    assert brute_zeros(system, F4) == [first, (g ** 2, F4.one(), g ** 2)]
+    assert torus_zeros(system, F4) == (2, first)
+    assert torus_zeros(system, F4, first_only=True) == (1, first)
+    # the whole walk, then the first-only walk stopping in the middle batch
+    assert pieces == [[(0, 6, 1)], [(0, 3, 1), (3, 6, 2)], [(0, 6, 2)],
+                      [(0, 6, 1)], [(0, 3, 1), (3, 6, 2)]]
+    assert walked == [18, 12]

@@ -153,15 +153,15 @@ def kernel_calls(monkeypatch):
     def recording(name):
         real = getattr(ffarray.PowerTable, name)
 
-        def counting(self, n, *args):
+        def counting(self, n, *args, **kwargs):
             calls.append((name, n))
-            return real(self, n, *args)
+            return real(self, n, *args, **kwargs)
         return counting
 
     def no_family_sum(*args, **kwargs):
         raise AssertionError("family_sum called from tau_summed_trace")
 
-    for name in ("zero_flags", "window_counts"):
+    for name in ("common_zeros", "trace_counts"):
         monkeypatch.setattr(ffarray.PowerTable, name, recording(name))
     monkeypatch.setattr(expsum, "family_sum", no_family_sum)
     return calls
@@ -180,4 +180,4 @@ def test_tau_sum_cross_check_is_one_torus_sum(kernel_calls, monkeypatch, k):
     expsum.tau_summed_trace(D, k, (F5.from_int(3),))
     # one kernel call per walk: the zero count searches the n = 1 torus,
     # the cross-check counts traces on the n = 2 torus
-    assert kernel_calls == [("zero_flags", 1), ("window_counts", 2)]
+    assert kernel_calls == [("common_zeros", 1), ("trace_counts", 2)]
