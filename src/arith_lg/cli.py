@@ -9,12 +9,17 @@ except for the generated_at stamp.
 Exit codes: 0 all requested checks pass, 1 a verification failed,
 2 bad input (message carries the location), 3 budget exhausted (the
 work budget, or memory).
+
+`main(argv)` is the in-process API; `run()` is the process entry for
+`python -m arith_lg.cli` and `arith-lg`, and freezes the heap once the
+command is done so that the shutdown collection does not walk it.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import sys
 
@@ -31,7 +36,7 @@ from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
 from .laurent import check_nondegenerate, specialize
 from .polytope import all_proper_faces, is_convenient, normalized_volume
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -354,5 +359,16 @@ def _render_error(args, out, kind, message):
         out.write(f"error ({kind}): {message}\n")
 
 
+def run() -> int:
+    """Process entry: main on sys.argv, then gc.freeze(), so that the
+    shutdown collection does not walk every object the process is about
+    to drop.  Output, exit code, atexit hooks and stdio flushing are
+    unchanged."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import resource
@@ -6,11 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+import tomllib
 
-from arith_lg import acceptance, expsum, ffield
+from arith_lg import acceptance, cli, expsum, ffield
 from arith_lg.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 KLOOSTERMAN5 = {
     "field": {"p": "5"},
@@ -586,12 +592,11 @@ class TestOutOfMemory:
         def limit_child():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         run = subprocess.run(
             [sys.executable, "-m", "arith_lg.cli", "expsum", str(path), "--tau", "1",
              "--k", "24"],
-            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_child)
+            capture_output=True, text=True, env=CHILD_ENV, timeout=120,
+            preexec_fn=limit_child)
         assert run.returncode == 3, run.stdout + run.stderr
         lines = run.stdout.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error (budget): "), run.stdout
@@ -606,6 +611,62 @@ class TestOutOfMemory:
             3, "error (budget): out of memory\n")
         assert run_json(capsys, "expsum", files["k5"], "--tau", "1") == (
             3, {"error": {"kind": "budget", "message": "out of memory"}})
+
+
+class TestProcessEntry:
+    """`python -m arith_lg.cli` and `arith-lg` start through cli.run, which
+    freezes the heap after the command; in-process main never does."""
+
+    REQUESTS = [
+        (["expsum", "k5", "--tau", "1"], 0),
+        (["verify-fts", "fts_bad"], 1),
+        (["analyze-polytope", "broken"], 2),
+        (["expsum", "k5", "--tau", "1", "--budget", "1"], 3),
+    ]
+
+    @pytest.mark.parametrize("argv, code", REQUESTS,
+                             ids=[f"exit-{c}" for _, c in REQUESTS])
+    def test_fresh_process_matches_in_process(self, files, capsys, argv, code):
+        args = [files.get(a, a) for a in argv] + ["--json"]
+        child = subprocess.run([sys.executable, "-m", "arith_lg.cli", *args],
+                               capture_output=True, text=True, env=CHILD_ENV,
+                               timeout=120)
+        assert child.returncode == code, child.stdout + child.stderr
+        assert child.stderr == ""
+        got = json.loads(child.stdout)  # the whole of stdout is one document
+        want_code, want = run_json(capsys, *args)
+        assert want_code == code
+        got.pop("generated_at", None)
+        want.pop("generated_at", None)
+        assert got == want
+
+    def test_main_never_freezes(self, files, capsys):
+        before = gc.get_freeze_count()
+        for argv, code in self.REQUESTS:
+            assert run(capsys, *[files.get(a, a) for a in argv])[0] == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, code", [(["expsum", "k5", "--tau", "1"], 0),
+                                            (["expsum", "k5", "--tau", "0"], 2)])
+    def test_run_freezes_after_main(self, files, capsys, monkeypatch, argv, code):
+        calls = []
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append(
+            capsys.readouterr().out))
+        monkeypatch.setattr(sys, "argv", ["arith-lg", *[files.get(a, a) for a in argv]])
+        assert cli.run() == code
+        assert len(calls) == 1 and calls[0]  # once, after the report
+
+    def test_both_entries_reach_run(self):
+        tree = ast.parse((ROOT / "src" / "arith_lg" / "cli.py").read_text())
+        guard = [node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert len(guard) == 1
+        called = {ast.unparse(node.func) for node in ast.walk(guard[0])
+                  if isinstance(node, ast.Call)}
+        assert "run" in called and "main" not in called
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"arith-lg": "arith_lg.cli:run"}
 
 
 class TestAcceptanceCommand:
