@@ -118,7 +118,7 @@ def _cmd_expsum(args):
     r = normalized_volume(base.newton())
     q = pf.field.q
     bound = r * float(q) ** (args.k * base.n / 2)
-    tol = pf.tolerance if pf.tolerance is not None else 1e-6
+    tol = pf.tolerance if pf.tolerance is not None else PURITY_TOL
     embeddings = all_embeddings(S)
     amax = max((abs(e) for e in embeddings), default=0.0)
     payload = {

@@ -392,16 +392,6 @@ def verify_connection(A: MatForm) -> ConnectionReport:
     return ConnectionReport(flat, rank, **data)
 
 
-CONDITION_NAMES = (
-    "base_connection_flat",
-    "rinf_horizontal",
-    "higgs_wedge_zero",
-    "higgs_commutes_r0",
-    "higgs_horizontal",
-    "r0_transport",
-)
-
-
 @frozen
 class FTSReport:
     """Per-condition verdicts plus the assembled-flatness verdict."""

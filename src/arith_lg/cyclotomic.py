@@ -8,9 +8,16 @@ characteristic polynomials of Frobenius and reconstructed L-functions.
 
 For p = 2 the field degenerates to Q and zeta = -1, so psi becomes the
 sign character (-1)^{Tr(a)}; nothing special-cases on p = 2 beyond the
-basis having length one.  Rational values are transparent across
-different p: mixed-p arithmetic is allowed exactly when one side is
-rational.
+basis having length one.
+
+A value enters Q(zeta_p) one of two ways: _lift takes a rational (an
+int, a Fraction, or a rational CycloNum of any p) to its element, and
+_from_zeta_powers reduces sum acc[i] zeta^i to the power basis.  The
+public constructors only check p and coerce to Fraction.  _lift is the
+one place values cross fields: a rational crosses freely, an irrational
+value of another p raises InputError.  Arithmetic works in the field of
+its irrational operand, else of its left one; reconstruction in that of
+the first irrational trace sum, else of the first CycloNum, else Q.
 
 CycloPoly, polynomials over Q(zeta_p), has one division.  Rational
 function reconstruction of an L-function from its trace sums is one
@@ -47,8 +54,7 @@ class CycloNum:
     __slots__ = ("p", "coords")
 
     def __init__(self, p: int, coords: Sequence[Fraction | int]):
-        if not _is_prime(p):
-            raise InputError(f"{p} is not prime")
+        _prime(p)
         if len(coords) != p - 1:
             raise InputError(f"expected {p - 1} coordinates, got {len(coords)}")
         self.p = p
@@ -58,7 +64,7 @@ class CycloNum:
 
     @classmethod
     def zero(cls, p: int) -> "CycloNum":
-        return cls(p, (0,) * (p - 1))
+        return cls.from_rational(p, 0)
 
     @classmethod
     def one(cls, p: int) -> "CycloNum":
@@ -66,42 +72,31 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, p: int, r) -> "CycloNum":
-        coords = [Fraction(0)] * (p - 1)
-        coords[0] = Fraction(r)
-        return cls(p, coords)
+        return _rational(_prime(p), Fraction(r))
 
     @classmethod
     def zeta(cls, p: int, e: int) -> "CycloNum":
         """zeta_p^e, reduced to the canonical basis."""
-        e %= p
-        if e < p - 1:
-            coords = [Fraction(0)] * (p - 1)
-            coords[e] = Fraction(1)
-            return cls(p, coords)
-        return cls(p, (Fraction(-1),) * (p - 1))
+        acc = [Fraction(0)] * _prime(p)
+        acc[e % p] = Fraction(1)
+        return _from_zeta_powers(p, acc)
 
     @classmethod
     def from_zeta_powers(cls, p: int, acc: Sequence) -> "CycloNum":
         """sum_{i < p} acc[i] zeta^i, an element of Q[zeta]/(zeta^p - 1),
         reduced to the power basis by subtracting acc[p - 1]."""
-        top = acc[p - 1]
-        return cls(p, tuple(acc[i] - top for i in range(p - 1)))
+        return _from_zeta_powers(_prime(p), [Fraction(a) for a in acc])
 
     # -- coercion -----------------------------------------------------
 
     def _pair(self, other):
-        """Lift self and other into one cyclotomic field, or None."""
-        if isinstance(other, (int, Fraction)):
-            return self, _rational(self.p, Fraction(other))
-        if not isinstance(other, CycloNum):
+        """Self and other in one cyclotomic field, or None: other's field
+        when other alone is irrational, else self's."""
+        if not isinstance(other, (int, Fraction, CycloNum)):
             return None
-        if other.p == self.p:
-            return self, other
-        if other.is_rational:
-            return self, _rational(self.p, other.coords[0])
-        if self.is_rational:
-            return _rational(other.p, self.coords[0]), other
-        raise InputError(f"mixed cyclotomic fields p={self.p} and p={other.p}")
+        if isinstance(other, CycloNum) and other.p != self.p and not other.is_rational:
+            return _lift(other.p, self), other
+        return self, _lift(self.p, other)
 
     # -- predicates ---------------------------------------------------
 
@@ -228,6 +223,13 @@ def _cyclo(p: int, coords: tuple[Fraction, ...]) -> CycloNum:
     return z
 
 
+def _prime(p: int) -> int:
+    """p, once checked prime."""
+    if not _is_prime(p):
+        raise InputError(f"{p} is not prime")
+    return p
+
+
 def _rational(p: int, r: Fraction) -> CycloNum:
     return _cyclo(p, (r,) + (Fraction(0),) * (p - 2))
 
@@ -236,6 +238,19 @@ def _from_zeta_powers(p: int, acc: Sequence[Fraction]) -> CycloNum:
     """CycloNum.from_zeta_powers on Fraction sums, unchecked."""
     top = acc[p - 1]
     return _cyclo(p, tuple(acc[i] - top for i in range(p - 1)))
+
+
+def _lift(p: int, v) -> CycloNum:
+    """v in Q(zeta_p), p already checked prime: v itself when it is a
+    CycloNum of p, else the rational it stands for, anything Fraction()
+    accepts or a rational CycloNum of any p."""
+    if isinstance(v, CycloNum):
+        if v.p == p:
+            return v
+        if not v.is_rational:
+            raise InputError(f"mixed cyclotomic fields p={v.p} and p={p}")
+        return _rational(p, v.coords[0])
+    return _rational(p, Fraction(v))
 
 
 # --------------------------------------------------------------------------
@@ -291,17 +306,8 @@ class CycloPoly:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs):
-        lifted = []
-        for c in coeffs:
-            if isinstance(c, CycloNum):
-                if c.p == p:
-                    lifted.append(c)
-                elif c.is_rational:
-                    lifted.append(CycloNum.from_rational(p, c.rational_value()))
-                else:
-                    raise InputError("coefficient from a different cyclotomic field")
-            else:
-                lifted.append(CycloNum.from_rational(p, c))
+        _prime(p)
+        lifted = [_lift(p, c) for c in coeffs]
         while lifted and not lifted[-1]:
             lifted.pop()
         self.p = p
@@ -323,7 +329,7 @@ class CycloPoly:
     def coefficient(self, i: int) -> CycloNum:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return CycloNum.zero(self.p)
+        return _rational(self.p, Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CycloPoly) and self.p == other.p
@@ -404,7 +410,7 @@ class CycloPoly:
         return q.monic()
 
     def __call__(self, x: CycloNum) -> CycloNum:
-        acc = CycloNum.zero(self.p)
+        acc = _rational(self.p, Fraction(0))
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -428,9 +434,9 @@ def _exp_series(c: Sequence[CycloNum], p: int) -> list[CycloNum]:
     The recurrence n e_n = sum_{k=1..n} c_k e_{n-k} only ever divides by
     the integers 1..len(c), so it is exact over Q(zeta_p).
     """
-    ell = [CycloNum.one(p)]
+    ell = [_rational(p, Fraction(1))]
     for n in range(1, len(c) + 1):
-        acc = CycloNum.zero(p)
+        acc = _rational(p, Fraction(0))
         for k in range(1, n + 1):
             acc = acc + c[k - 1] * ell[n - k]
         ell.append(acc / n)
@@ -506,8 +512,8 @@ def _pade_at_order(ell: list[CycloNum], K: int, p: int):
 
 def _berlekamp_massey(seq: list[CycloNum], p: int) -> CycloPoly:
     """Monic characteristic polynomial of the minimal LFSR for seq."""
-    one = CycloNum.one(p)
-    zero = CycloNum.zero(p)
+    one = _rational(p, Fraction(1))
+    zero = _rational(p, Fraction(0))
     C = [one]
     B = [one]
     L = 0
@@ -555,24 +561,10 @@ def linear_recurrence_reconstruct(c: Sequence) -> RationalFunctionFit:
     values = list(c)
     if len(values) < 2:
         raise InputError("need at least two trace sums")
-    p = None
-    for v in values:
-        if isinstance(v, CycloNum) and not v.is_rational:
-            p = v.p
-            break
-    if p is None:
-        for v in values:
-            if isinstance(v, CycloNum):
-                p = v.p
-                break
-    if p is None:
-        p = 2  # all-rational input: Q(zeta_2) = Q
-    lifted = []
-    for v in values:
-        if isinstance(v, CycloNum):
-            lifted.append(v if v.p == p else CycloNum.from_rational(p, v.rational_value()))
-        else:
-            lifted.append(CycloNum.from_rational(p, v))
+    fields = [v for v in values if isinstance(v, CycloNum)]
+    # Q(zeta_2) = Q for all-rational input
+    p = next((v.p for v in fields if not v.is_rational), fields[0].p if fields else 2)
+    lifted = [_lift(p, v) for v in values]
     K = len(lifted)
     ell = _exp_series(lifted, p)
     fit = _pade_at_order(ell, K, p)

@@ -227,6 +227,14 @@ class TestTolerance:
         assert code == 2
         assert out == f"error (input): {path}.tolerance: tolerance must be positive and finite\n"
 
+    @pytest.mark.parametrize("command", ["expsum", "frobenius"])
+    def test_default_is_purity_tol(self, files, capsys, monkeypatch, command):
+        # a file without a tolerance gets frobdata.PURITY_TOL in every
+        # archimedean check, and -inf fails every one of them
+        monkeypatch.setattr(cli, "PURITY_TOL", float("-inf"))
+        code, _ = run(capsys, command, files["k5"], "--tau", "1")
+        assert code == 1
+
 
 class TestCommandBudget:
     """The budget caps the work of a whole command, not of each charge."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,9 @@ from arith_lg.ffield import enumerate_torus, make_field
 
 def rat(p, v):
     return CycloNum.from_rational(p, v)
+
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
 
 
 @st.composite
@@ -73,6 +77,33 @@ class TestCycloNum:
     def test_mixed_irrational_fields_raise(self):
         with pytest.raises(InputError):
             CycloNum.zeta(5, 1) + CycloNum.zeta(3, 1)
+        for op in ARITHMETIC:
+            with pytest.raises(InputError, match="mixed cyclotomic fields"):
+                op(CycloNum.zeta(5, 1), CycloNum.zeta(3, 1))
+
+    @pytest.mark.parametrize("op", ARITHMETIC)
+    def test_mixed_rationals_land_in_the_left_field(self, op):
+        a, b = rat(5, 2), rat(3, Fraction(1, 2))
+        assert op(a, b).p == 5
+        assert op(b, a).p == 3
+        assert op(a, b) == op(2, Fraction(1, 2))
+
+    @pytest.mark.parametrize("op", ARITHMETIC)
+    def test_a_rational_of_another_field_lifts_into_an_irrational_one(self, op):
+        z, r = CycloNum.zeta(5, 1) + 1, rat(3, 2)
+        assert op(z, r).p == op(r, z).p == 5
+        assert op(z, r) == op(z, 2)
+        assert op(r, z) == op(2, z)
+
+    @pytest.mark.parametrize("make", [
+        CycloNum.zero, CycloNum.one, lambda p: CycloNum.from_rational(p, 2),
+        lambda p: CycloNum.zeta(p, 1), lambda p: CycloNum.from_zeta_powers(p, [1] * p),
+        lambda p: CycloNum(p, [0] * max(p - 1, 0))],
+        ids=["zero", "one", "from_rational", "zeta", "from_zeta_powers", "init"])
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_every_constructor_checks_p(self, make, p):
+        with pytest.raises(InputError, match=f"^{p} is not prime"):
+            make(p)
 
     def test_int_coercion(self):
         z = CycloNum.zeta(5, 1)
@@ -257,6 +288,20 @@ class TestCycloPoly:
         P = CycloPoly(5, [z, 1])
         assert P.conj_coeffs(2) == CycloPoly(5, [CycloNum.zeta(5, 2), 1])
 
+    def test_coefficients_lift_into_its_field(self):
+        z = CycloNum.zeta(5, 1)
+        P = CycloPoly(5, [rat(3, 2), z, "1/2"])
+        assert P == CycloPoly(5, [2, z, Fraction(1, 2)])
+        assert {c.p for c in P.coeffs} == {5}
+        with pytest.raises(InputError, match="mixed cyclotomic fields"):
+            CycloPoly(5, [1, CycloNum.zeta(3, 1)])
+
+    @pytest.mark.parametrize("coeffs", [[], [1], [CycloNum.zeta(5, 1)]],
+                             ids=["empty", "rational", "cyclotomic"])
+    def test_p_is_checked_prime(self, coeffs):
+        with pytest.raises(InputError, match="^4 is not prime"):
+            CycloPoly(4, coeffs)
+
 
 class TestNewtonIdentities:
     def test_two_integer_roots(self):
@@ -370,6 +415,31 @@ class TestReconstruction:
         fit = linear_recurrence_reconstruct(c)
         assert fit.numerator == CycloPoly(5, [CycloNum.one(5), -alpha])
         assert fit.denominator == CycloPoly(5, [1])
+
+    def test_rational_sums_of_one_field_stay_in_it(self):
+        fit = linear_recurrence_reconstruct([rat(3, -(1 + (-3) ** k)) for k in range(1, 9)])
+        assert fit.numerator.p == fit.denominator.p == 3
+        assert fit.numerator == CycloPoly(3, [1, 2, -3])
+        assert fit.denominator == CycloPoly(3, [1])
+
+    @pytest.mark.parametrize("c, numerator", [
+        # c_k = -zeta^k, with c_5 = -1 given over p = 3: L = 1 - zeta T
+        ([rat(3, -1) if k == 5 else -CycloNum.zeta(5, k) for k in range(1, 9)],
+         [1, -CycloNum.zeta(5, 1)]),
+        # roots zeta and -zeta: c_k = 0 for odd k, given over p = 3, so the
+        # first value is a rational of another field; L = 1 - zeta^2 T^2
+        ([rat(3, 0) if k % 2 else -2 * CycloNum.zeta(5, k) for k in range(1, 9)],
+         [1, 0, -CycloNum.zeta(5, 2)]),
+    ], ids=["rational-later", "rational-first"])
+    def test_the_first_irrational_sum_picks_the_field(self, c, numerator):
+        fit = linear_recurrence_reconstruct(c)
+        assert fit.numerator.p == fit.denominator.p == 5
+        assert fit.numerator == CycloPoly(5, numerator)
+        assert fit.denominator == CycloPoly(5, [1])
+
+    def test_irrational_sums_of_two_fields_raise(self):
+        with pytest.raises(InputError):
+            linear_recurrence_reconstruct([CycloNum.zeta(5, 1), CycloNum.zeta(3, 1)])
 
     def test_too_short_raises(self):
         with pytest.raises(InputError, match="need at least two trace sums"):
