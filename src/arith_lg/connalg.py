@@ -16,11 +16,10 @@ and `curvature` assembles its components from the same entries.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputError, VerificationError, frozen
-from .mpoly import MPoly, RatFunc
+from .mpoly import RatFunc, _lift
 
 __all__ = [
     "MatForm",
@@ -40,27 +39,16 @@ __all__ = [
 RMat = tuple  # tuple of tuples of RatFunc
 
 
-def _entry(v, nvars: int) -> RatFunc:
-    if isinstance(v, RatFunc):
-        if v.nvars != nvars:
-            raise InputError("entry has the wrong variable count")
-        return v
-    if isinstance(v, MPoly):
-        if v.nvars != nvars:
-            raise InputError("entry has the wrong variable count")
-        return RatFunc(v)
-    if isinstance(v, (int, Fraction, str)):
-        return RatFunc.const(nvars, v)
-    raise InputError(f"cannot use {type(v).__name__} as a matrix entry")
-
-
 def _mat(rows, nvars: int, size: int | None = None) -> RMat:
-    out = tuple(tuple(_entry(v, nvars) for v in row) for row in rows)
+    out = tuple(tuple(_lift(nvars, v) for v in row) for row in rows)
     n = len(out)
     if n == 0 or any(len(r) != n for r in out):
         raise InputError("matrix must be square and nonempty")
     if size is not None and n != size:
         raise InputError(f"expected size {size}, got {n}")
+    if any(v is None for row in out for v in row):
+        raise InputError("matrix entries must be rational functions, "
+                         "polynomials or constants")
     return out
 
 

@@ -84,8 +84,12 @@ class CycloNum:
     @classmethod
     def from_zeta_powers(cls, p: int, acc: Sequence) -> "CycloNum":
         """sum_{i < p} acc[i] zeta^i, an element of Q[zeta]/(zeta^p - 1),
-        reduced to the power basis by subtracting acc[p - 1]."""
-        return _from_zeta_powers(_prime(p), [Fraction(a) for a in acc])
+        reduced to the power basis by subtracting acc[p - 1]; acc holds
+        exactly p sums."""
+        _prime(p)
+        if len(acc) != p:
+            raise InputError(f"need {p} zeta-power sums, got {len(acc)}")
+        return _from_zeta_powers(p, [Fraction(a) for a in acc])
 
     # -- coercion -----------------------------------------------------
 

@@ -8,13 +8,19 @@ and `subspace_intersect`; every subspace argument must be a value one
 of them returned, and nothing here reduces it again.  Everything here
 is small and dense; callers stay at desk scale.
 
-Fraction is the boundary type only.  Inside, `rref` eliminates
-fraction-free: each row is scaled to a primitive integer row (integers
-with gcd 1), row operations are integer cross-multiplications with the
-new row's gcd content divided out, and each pivot row is divided by its
-pivot once, at the end.  `mat_mul` and `mat_vec` lift each operand to an
-integer matrix over one common denominator.  The results are the same
-Fractions as elimination over Q, since the RREF is unique.
+Integers are the working representation; Fraction is the boundary type
+of the public functions, which are thin wrappers over integer kernels
+on lists of integer rows.  `_lift` puts a Fraction matrix over one
+common denominator.  `_echelon` eliminates fraction-free: each row is
+scaled to a primitive integer row (integers with gcd 1), row operations
+are integer cross-multiplications with the new row's gcd content
+divided out, and the result is the reduced echelon form with primitive
+rows, each zero in every other row's pivot column.  Its span is a
+subspace; `_reduces` decides membership by one integer reduction of
+the vector against those rows, `_kernel` gives a primitive integer
+basis of the right kernel, and `_dots` multiplies.  `_fractions` makes
+the RREF by dividing each row by its pivot once, at the end; it is the
+same Fractions as elimination over Q, since the RREF is unique.
 """
 
 from __future__ import annotations
@@ -63,9 +69,10 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [v // g for v in row]
 
 
-def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows = [_primitive(row) for row in _lift(mat)[0]]
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """The reduced echelon form of integer rows, primitive and with zero
+    rows dropped, plus the pivot columns.  The input is not modified."""
+    rows = [_primitive(list(row)) for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
@@ -87,9 +94,51 @@ def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
         r += 1
         if r == nrows:
             break
-    red = tuple(tuple(_frac(v, rows[i][c]) for v in rows[i])
-                for i, c in enumerate(pivots))
-    return red, tuple(pivots)
+    return rows[:r], pivots
+
+
+def _fractions(rows: list[list[int]], pivots: Sequence[int]) -> Mat:
+    """The RREF of reduced echelon rows: each row divided by its pivot."""
+    return tuple(tuple(_frac(v, row[c]) for v in row) for row, c in zip(rows, pivots))
+
+
+def _reduces(rows: list[list[int]], pivots: Sequence[int], v: Sequence[int]) -> bool:
+    """Whether v lies in the span of reduced echelon rows: v reduced at
+    each row's pivot is zero."""
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            p = row[c]
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            v = _primitive([a * x - b * w for x, w in zip(v, row)])
+    return not any(v)
+
+
+def _kernel(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """A primitive integer basis of the right kernel of reduced echelon
+    rows, one vector per free column."""
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        used = [(row, c) for row, c in zip(rows, pivots) if row[fc]]
+        m = lcm(*[row[c] for row, c in used])
+        v = [0] * ncols
+        v[fc] = m
+        for row, c in used:
+            v[c] = -row[fc] * (m // row[c])
+        basis.append(_primitive(v))
+    return basis
+
+
+def _dots(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer product a * b^T: every row of a dotted with every row of b."""
+    return [[sum(map(mul, row, col)) for col in b] for row in a]
+
+
+def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
+    rows, pivots = _echelon(_lift(mat)[0])
+    return _fractions(rows, pivots), tuple(pivots)
 
 
 def rank(mat: Mat) -> int:
@@ -126,16 +175,14 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     ia, da = _lift(a)
     ib, db = _lift(b)
     den = da * db
-    cols = list(zip(*ib))
-    return tuple(tuple(_frac(sum(map(mul, row, col)), den) for col in cols)
-                 for row in ia)
+    return tuple(tuple(_frac(x, den) for x in row) for row in _dots(ia, list(zip(*ib))))
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
     ia, da = _lift(a)
     (iv,), dv = _lift(to_fractions((v,)))
     den = da * dv
-    return tuple(_frac(sum(map(mul, row, iv)), den) for row in ia)
+    return tuple(_frac(x, den) for x in _dots((iv,), ia)[0])
 
 
 def subspace_basis(vectors: Iterable[Sequence]) -> Mat:
@@ -165,11 +212,9 @@ def subspace_intersect(b1: Mat, b2: Mat) -> Mat:
 
 
 def subspace_contains(basis: Mat, v: Sequence) -> bool:
-    """v reduced at the pivot (first nonzero entry, a 1) of each basis
-    row is zero."""
-    rest = to_fractions((v,))[0]
-    for row in basis:
-        f = rest[next(i for i, x in enumerate(row) if x)]
-        if f:
-            rest = tuple(a - f * b for a, b in zip(rest, row))
-    return not any(rest)
+    """Whether v reduces to zero against the basis rows, lifted to
+    integers; each row's pivot is its first nonzero entry."""
+    rows, _ = _lift(basis)
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
+    (iv,), _ = _lift(to_fractions((v,)))
+    return _reduces(rows, pivots, iv)

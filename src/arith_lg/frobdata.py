@@ -17,8 +17,8 @@ from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
 from .errors import InputError, VerificationError, frozen
-from .exactla import (Mat, identity, mat_mul, nullspace, subspace_basis,
-                      subspace_contains, subspace_sum, to_fractions, transpose)
+from .exactla import (Mat, _dots, _echelon, _fractions, _kernel, _lift, _reduces,
+                      to_fractions)
 from .expsum import family_sum, tau_summed_trace
 from .laurent import Deformation, check_nondegenerate, specialize
 from .polytope import normalized_volume
@@ -265,57 +265,57 @@ def monodromy_filtration(Nmat) -> Filtration:
     Built as M_k = sum over j >= max(0, -k) of N^j ker(N^{k+2j+1}),
     whose pieces are the terms ker(N^{k+j+1}) intersect im(N^j) of the
     convolution formula; both defining properties are then re-verified
-    on the result.  Vectors are rows, so N^j maps a whole basis by one
-    product with its transpose.
+    on the result.  N is lifted once to an integer matrix Z = c * N:
+    scaling N changes no kernel and no image of its powers, so powers,
+    kernels, the spans M_k (as reduced integer echelon rows) and every
+    re-verification run on integers, and only `Filtration.levels` is
+    made of Fractions.  Vectors are rows, so N^j maps a whole set of
+    vectors by one product with its transpose.
     """
     N = to_fractions(Nmat)
     d = len(N)
     if d == 0 or any(len(row) != d for row in N):
         raise InputError("need a nonempty square matrix")
-    powers = [identity(d)]  # N^0 .. N^e, stopping at the first zero power
-    while any(any(row) for row in powers[-1]):
+    Z = _lift(N)[0]
+    Zt = list(zip(*Z))
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]  # Z^0 .. Z^e
+    while any(any(row) for row in powers[-1]):  # stop at the first zero power
         if len(powers) > d:
             raise InputError(f"matrix is not nilpotent: N^{d} != 0")
-        powers.append(mat_mul(powers[-1], N))
+        powers.append(_dots(powers[-1], Zt))
     e = len(powers) - 1
 
-    kernels = [subspace_basis(nullspace(powers[i])) for i in range(e + 1)]
+    kernels = [_kernel(*_echelon(P), d) for P in powers]
+    spans = {k: _echelon([row for j in range(max(0, -k), e)
+                          for row in _dots(kernels[min(k + 2 * j + 1, e)], powers[j])])
+             for k in range(-e, e)}
 
-    def M(k: int) -> Mat:
-        return subspace_basis(
-            row for j in range(max(0, -k), e)
-            for row in mat_mul(kernels[min(k + 2 * j + 1, e)], transpose(powers[j])))
+    def level(k: int) -> tuple[list, list]:
+        return spans.get(k, ([], []))
 
-    levels = tuple((k, M(k)) for k in range(-e, e))
-    filtration = Filtration(d, levels)
+    def dim(k: int) -> int:
+        return len(level(k)[0])
 
     # re-verify: increasing and exhaustive
-    prev: Mat = ()
-    for k, basis in levels:
-        for v in prev:
-            if not subspace_contains(basis, v):  # pragma: no cover
-                raise VerificationError("filtration is not increasing")
-        prev = basis
-    if levels[0][1]:  # pragma: no cover
+    for k in range(1 - e, e):
+        if not all(_reduces(*spans[k], v) for v in spans[k - 1][0]):  # pragma: no cover
+            raise VerificationError("filtration is not increasing")
+    if dim(-e):  # pragma: no cover
         raise VerificationError("filtration does not start at zero")
-    if len(levels[-1][1]) != d:  # pragma: no cover
+    if dim(e - 1) != d:  # pragma: no cover
         raise VerificationError("filtration does not exhaust the space")
     # re-verify: N lowers by two
-    for k, basis in levels:
-        lower = filtration.level(k - 2)
-        for v in mat_mul(basis, transpose(N)):
-            if not subspace_contains(lower, v):  # pragma: no cover
-                raise VerificationError("N does not lower the filtration by two")
+    for k in range(-e, e):
+        if not all(_reduces(*level(k - 2), v)
+                   for v in _dots(spans[k][0], Z)):  # pragma: no cover
+            raise VerificationError("N does not lower the filtration by two")
     # re-verify: N^k induces gr_k ~ gr_{-k}
     for k in range(1, e):
-        gk = filtration.gr_dimension(k)
-        gmk = filtration.gr_dimension(-k)
-        if gk != gmk:  # pragma: no cover
+        gk = dim(k) - dim(k - 1)
+        if gk != dim(-k) - dim(-k - 1):  # pragma: no cover
             raise VerificationError("graded pieces fail the symmetry")
-        mk = filtration.level(k)
-        mapped = subspace_basis(mat_mul(mk, transpose(powers[k])))
-        below = filtration.level(-k - 1)
-        induced = len(subspace_sum(mapped, below)) - len(below)
+        below = level(-k - 1)[0]
+        induced = len(_echelon(_dots(spans[k][0], powers[k]) + below)[0]) - len(below)
         if induced != gk:  # pragma: no cover
             raise VerificationError("N^k does not induce an isomorphism of gradeds")
-    return filtration
+    return Filtration(d, tuple((k, _fractions(*spans[k])) for k in range(-e, e)))

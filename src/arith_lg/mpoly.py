@@ -9,27 +9,35 @@ pole orders along t = 0 are plain valuation arithmetic and no
 polynomial gcd is ever required.  Reduction is normalization of sign,
 content, and the shared monomial factor.
 
-Stored coefficients are always Fractions.  The public `MPoly(...)`
-validates every term; arithmetic results, whose term dicts are already
-canonical (exponent tuples of the right arity, no zero coefficients),
-go through the private `_poly` constructor instead.  One kernel,
-`_sum_products`, multiplies: it lifts every factor to integer
-coefficients, scales each pair's products to one common denominator,
-sums all terms in a single exponent -> int dict, and makes one Fraction
-per surviving term.  `MPoly * MPoly` is its one-pair case, and
-`RatFunc.dot` calls it once per denominator group of a sum of
-rational-function products.  A product with the constant 1 is the other
-operand itself (polynomials are immutable), and a rational function
-whose denominator is the constant 1 is already normalized.  A partial
-derivative by a variable the denominator does not involve keeps the
-denominator and differentiates the numerator (the quotient rule with
-d' = 0); only the others square the denominator.
+An MPoly stores integer coefficients over one positive common
+denominator, with the gcd of the coefficients coprime to it, so the
+stored form is canonical and equality is equality of the stored parts.
+Fraction is the boundary type: the public `MPoly(...)` validates and
+lifts Fraction terms, and `terms` is a derived Fraction view that output
+and evaluation read.  Arithmetic results go through the private `_poly`
+constructor, after `_reduced` divides out the common factor of content
+and denominator where one can arise.  One kernel, `_sum_products`,
+multiplies: it scales each pair's integer products to the lcm of the
+pairs' denominators and sums all terms in a single exponent -> int dict.
+`MPoly * MPoly` is its one-pair case, and `RatFunc.dot` calls it once
+per denominator group of a sum of rational-function products.  Scaling
+by a constant maps the coefficients and calls no kernel.  A product
+with the constant 1 is the other operand itself (polynomials are
+immutable), and a rational function whose denominator is the constant
+1 is already normalized; results known to be normalized (negation,
+constants) go through the trusted `_ratfunc` constructor, over one
+cached constant 1 per variable count.  A partial derivative by a
+variable the denominator does not involve keeps the denominator and
+differentiates the numerator (the quotient rule with d' = 0); only the
+others square the denominator.  `_lift` is the one way a value enters
+Q(t, x) as a rational function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping
 
@@ -44,60 +52,75 @@ def _as_fraction(c) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"cannot read {c!r} as a rational number") from None
     raise InputError(f"cannot use {type(c).__name__} as a coefficient")
 
 
-def _poly(nvars: int, terms: dict) -> "MPoly":
-    """An MPoly on a term dict that is already canonical; not validated."""
+def _poly(nvars: int, coeffs: dict, denom: int = 1) -> "MPoly":
+    """An MPoly on integer coefficients over denom that are already
+    canonical (exponent tuples of the right arity, no zero coefficients,
+    content coprime to denom > 0); not validated."""
     p = object.__new__(MPoly)
     object.__setattr__(p, "nvars", nvars)
-    object.__setattr__(p, "terms", terms)
+    object.__setattr__(p, "coeffs", coeffs)
+    object.__setattr__(p, "denom", denom)
     return p
 
 
-def _is_one(terms: dict) -> bool:
-    """True iff the term dict is the constant polynomial 1."""
-    if len(terms) != 1:
+def _reduced(nvars: int, coeffs: dict, denom: int) -> "MPoly":
+    """coeffs / denom with the common factor of content and denom
+    divided out; coeffs holds no zero, denom > 0."""
+    if denom != 1:
+        g = gcd(denom, *coeffs.values())
+        if g != 1:
+            coeffs = {e: c // g for e, c in coeffs.items()}
+            denom //= g
+    return _poly(nvars, coeffs, denom)
+
+
+@lru_cache(maxsize=None)
+def _one(nvars: int) -> "MPoly":
+    """The constant polynomial 1, shared (polynomials are immutable)."""
+    return _poly(nvars, {(0,) * nvars: 1})
+
+
+def _is_one(p: "MPoly") -> bool:
+    """True iff p is the constant polynomial 1."""
+    if p.denom != 1 or len(p.coeffs) != 1:
         return False
-    (e, c), = terms.items()
+    (e, c), = p.coeffs.items()
     return c == 1 and not any(e)
 
 
-def _lift(terms: dict) -> tuple[list, int]:
-    """(exponent, integer) pairs over one common denominator."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    return [(e, c.numerator * (den // c.denominator))
-            for e, c in terms.items()], den
-
-
 def _sum_products(nvars: int, pairs: list) -> "MPoly":
-    """The polynomial sum of p * q over pairs (p, q) of term dicts.
+    """The polynomial sum of p * q over pairs (p, q) of polynomials.
 
     Each pair's integer products are scaled to the lcm of all the pairs'
     denominators, so every term accumulates as one integer.
     """
-    lifted = [(_lift(p), _lift(q)) for p, q in pairs]
-    den = lcm(*[d1 * d2 for (_, d1), (_, d2) in lifted])
+    den = lcm(*[p.denom * q.denom for p, q in pairs])
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for (left, d1), (right, d2) in lifted:
-        scale = den // (d1 * d2)
-        for e1, c1 in left:
+    for p, q in pairs:
+        scale = den // (p.denom * q.denom)
+        right = q.coeffs.items()
+        for e1, c1 in p.coeffs.items():
             c1 *= scale
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 s = get(e)
                 acc[e] = c1 * c2 if s is None else s + c1 * c2
-    if den == 1:
-        return _poly(nvars, {e: Fraction(c) for e, c in acc.items() if c})
-    return _poly(nvars, {e: Fraction(c, den) for e, c in acc.items() if c})
+    return _reduced(nvars, {e: c for e, c in acc.items() if c}, den)
 
 
 class MPoly:
-    """Polynomial over the rationals with a fixed number of variables."""
+    """Polynomial over the rationals with a fixed number of variables:
+    integer coefficients `coeffs` over the positive integer `denom`."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "coeffs", "denom")
 
     def __init__(self, nvars: int, terms=()):
         if nvars < 1:
@@ -122,8 +145,13 @@ class MPoly:
                     acc[e] = s
                 else:
                     del acc[e]
+        # over the lcm of the reduced denominators the content is coprime
+        # to the denominator already
+        denom = lcm(*[c.denominator for c in acc.values()])
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "coeffs", {e: c.numerator * (denom // c.denominator)
+                                            for e, c in acc.items()})
+        object.__setattr__(self, "denom", denom)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -133,7 +161,9 @@ class MPoly:
         if nvars < 1:
             raise InputError("need at least one variable")
         c = _as_fraction(c)
-        return _poly(nvars, {(0,) * nvars: c} if c else {})
+        if not c:
+            return _poly(nvars, {})
+        return _poly(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "MPoly":
@@ -141,24 +171,31 @@ class MPoly:
             raise InputError(f"variable index {i} out of range")
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, [(tuple(e), 1)])
+        return _poly(nvars, {tuple(e): 1})
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions, by exponent."""
+        d = self.denom
+        return {e: Fraction(c, d) for e, c in self.coeffs.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = MPoly.const(self.nvars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self.denom == other.denom
+                and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -173,8 +210,11 @@ class MPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        acc = dict(self.terms)
-        for e, c in o.terms.items():
+        den = lcm(self.denom, o.denom)
+        s1, s2 = den // self.denom, den // o.denom
+        acc = dict(self.coeffs) if s1 == 1 else {e: c * s1 for e, c in self.coeffs.items()}
+        for e, c in o.coeffs.items():
+            c *= s2
             prev = acc.get(e)
             if prev is None:
                 acc[e] = c
@@ -184,12 +224,12 @@ class MPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-        return _poly(self.nvars, acc)
+        return _reduced(self.nvars, acc, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.coeffs.items()}, self.denom)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -204,21 +244,30 @@ class MPoly:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a term-wise map, no kernel call
+            c = Fraction(other)
+            if c == 1:
+                return self
+            if not c:
+                return _poly(self.nvars, {})
+            a = c.numerator
+            return _reduced(self.nvars, {e: v * a for e, v in self.coeffs.items()},
+                            self.denom * c.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if _is_one(o.terms):
+        if _is_one(o):
             return self
-        if _is_one(self.terms):
+        if _is_one(self):
             return o
-        return _sum_products(self.nvars, [(self.terms, o.terms)])
+        return _sum_products(self.nvars, [(self, o)])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise InputError("negative power of a polynomial")
-        out = MPoly.const(self.nvars, 1)
+        out = _one(self.nvars)
         base = self
         while k:
             if k & 1:
@@ -232,56 +281,56 @@ class MPoly:
         if not 0 <= i < self.nvars:
             raise InputError(f"variable index {i} out of range")
         acc = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             if e[i] == 0:
                 continue
             e2 = list(e)
             e2[i] -= 1
             acc[tuple(e2)] = c * e[i]
-        return _poly(self.nvars, acc)
+        return _reduced(self.nvars, acc, self.denom)
 
     def min_deg(self, i: int) -> int:
         """Valuation in variable i; 0 for the zero polynomial."""
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self.coeffs)
 
     def max_deg(self, i: int) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.coeffs)
 
     def involves(self, i: int) -> bool:
-        return any(e[i] for e in self.terms)
+        return any(e[i] for e in self.coeffs)
 
     def shift_out(self, i: int, k: int) -> "MPoly":
         """Divide by variable i to the k-th power; requires min_deg >= k."""
         if k == 0:
             return self
         acc = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             if e[i] < k:
                 raise InputError("not divisible by the requested power")
             e2 = list(e)
             e2[i] -= k
             acc[tuple(e2)] = c
-        return _poly(self.nvars, acc)
+        return _poly(self.nvars, acc, self.denom)
 
     def subs_zero(self, i: int) -> "MPoly":
         """Set variable i to zero."""
-        return _poly(self.nvars,
-                     {e: c for e, c in self.terms.items() if e[i] == 0})
+        return _reduced(self.nvars,
+                        {e: c for e, c in self.coeffs.items() if e[i] == 0}, self.denom)
 
     def reverse_in(self, i: int, depth: int) -> "MPoly":
         """exponent e_i -> depth - e_i; requires depth >= max_deg(i)."""
         if depth < self.max_deg(i):
             raise InputError("reversal depth below the degree")
         acc = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             e2 = list(e)
             e2[i] = depth - e[i]
             acc[tuple(e2)] = c
-        return _poly(self.nvars, acc)
+        return _poly(self.nvars, acc, self.denom)
 
     def eval(self, values: Iterable) -> Fraction:
         vals = [_as_fraction(v) for v in values]
@@ -297,17 +346,18 @@ class MPoly:
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Lexicographically largest exponent and its coefficient."""
-        if not self.terms:
+        if not self.coeffs:
             raise InputError("zero polynomial has no leading term")
-        e = max(self.terms)
-        return e, self.terms[e]
+        e = max(self.coeffs)
+        return e, Fraction(self.coeffs[e], self.denom)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "MPoly(0)"
+        terms = self.terms
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, reverse=True):
+            c = terms[e]
             mono = "*".join(f"v{i}^{k}" for i, k in enumerate(e) if k)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "MPoly(" + " + ".join(bits) + ")"
@@ -316,8 +366,30 @@ class MPoly:
 def _t_factored(den: MPoly) -> bool:
     """True iff den = t^k * h with h free of t: all terms share one
     t-exponent."""
-    exps = {e[0] for e in den.terms}
+    exps = {e[0] for e in den.coeffs}
     return len(exps) == 1
+
+
+def _ratfunc(num: MPoly, den: MPoly) -> "RatFunc":
+    """A RatFunc on a pair that is already normalized; not validated."""
+    f = object.__new__(RatFunc)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+    return f
+
+
+def _lift(nvars: int, v) -> "RatFunc | None":
+    """v as a rational function in nvars variables: a RatFunc, an MPoly,
+    or a constant (int, Fraction, or a string Fraction reads).  None for
+    any other type; a RatFunc or MPoly in another number of variables
+    raises InputError."""
+    if isinstance(v, (RatFunc, MPoly)):
+        if v.nvars != nvars:
+            raise InputError("mixed variable counts")
+        return v if isinstance(v, RatFunc) else RatFunc(v)
+    if isinstance(v, (int, Fraction, str)):
+        return RatFunc.const(nvars, v)
+    return None
 
 
 class RatFunc:
@@ -331,14 +403,14 @@ class RatFunc:
         if not isinstance(num, MPoly):
             raise InputError("numerator must be a polynomial")
         if den is None:
-            den = MPoly.const(num.nvars, 1)
+            den = _one(num.nvars)
         if not isinstance(den, MPoly) or den.nvars != num.nvars:
             raise InputError("denominator must match the numerator")
         if den.is_zero:
             raise InputError("zero denominator")
         if num.is_zero:
-            den = MPoly.const(num.nvars, 1)
-        elif not _is_one(den.terms):  # over the constant 1 it is normalized
+            den = _one(num.nvars)
+        elif not _is_one(den):  # over the constant 1 it is normalized
             # cancel the shared monomial factor
             for i in range(num.nvars):
                 k = min(num.min_deg(i), den.min_deg(i))
@@ -346,9 +418,9 @@ class RatFunc:
                     num = num.shift_out(i, k)
                     den = den.shift_out(i, k)
             # make the denominator's leading coefficient 1
-            _, lc = den.leading()
-            if lc != 1:
-                inv = Fraction(1) / lc
+            lc = den.coeffs[max(den.coeffs)]
+            if lc != den.denom:
+                inv = Fraction(den.denom, lc)
                 num = num * inv
                 den = den * inv
         object.__setattr__(self, "num", num)
@@ -359,7 +431,7 @@ class RatFunc:
 
     @classmethod
     def const(cls, nvars: int, c) -> "RatFunc":
-        return cls(MPoly.const(nvars, c))
+        return _ratfunc(MPoly.const(nvars, c), _one(nvars))
 
     @property
     def nvars(self) -> int:
@@ -372,19 +444,8 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            if other.nvars != self.nvars:
-                raise InputError("mixed variable counts")
-            return other
-        if isinstance(other, MPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.const(self.nvars, other)
-        return None
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den
@@ -396,7 +457,7 @@ class RatFunc:
         return hash(("RatFunc", self.nvars))
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -404,22 +465,22 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         return RatFunc(self.num * o.num, self.den * o.den)
@@ -443,9 +504,8 @@ class RatFunc:
                 nvars = x.nvars
             if x.nvars != nvars or y.nvars != nvars:
                 raise InputError("mixed variable counts")
-            if x.num.terms and y.num.terms:
-                groups.setdefault(x.den * y.den, []).append(
-                    (x.num.terms, y.num.terms))
+            if x.num.coeffs and y.num.coeffs:
+                groups.setdefault(x.den * y.den, []).append((x.num, y.num))
         if nvars is None:
             raise InputError("an empty dot product has no variable count")
         parts = [RatFunc(_sum_products(nvars, group), den)
@@ -453,7 +513,7 @@ class RatFunc:
         return sum(parts[1:], parts[0]) if parts else RatFunc.const(nvars, 0)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _lift(self.nvars, other)
         if o is None:
             return NotImplemented
         if o.is_zero:
@@ -489,12 +549,12 @@ class RatFunc:
         """Restriction to t = 0, as a t-free rational function."""
         o = self.t_order()
         if o is None:
-            return RatFunc(MPoly(self.nvars))
+            return RatFunc.const(self.nvars, 0)
         if o < 0:
             raise InputError("pole along t = 0")
         a, b = self.num.min_deg(0), self.den.min_deg(0)
         if a - b > 0:
-            return RatFunc(MPoly(self.nvars))
+            return RatFunc.const(self.nvars, 0)
         return RatFunc(self.num.shift_out(0, a).subs_zero(0),
                        self.den.shift_out(0, b).subs_zero(0))
 
@@ -521,6 +581,6 @@ class RatFunc:
         return self.num.eval(values) / d
 
     def __repr__(self) -> str:
-        if self.den == MPoly.const(self.nvars, 1):
+        if _is_one(self.den):
             return f"RatFunc({self.num!r})"
         return f"RatFunc({self.num!r} / {self.den!r})"

@@ -413,8 +413,9 @@ def _var_name(i: int) -> str:
 
 def _mpoly_terms(p: MPoly):
     out = []
-    for exps in sorted(p.terms):
-        c = p.terms[exps]
+    terms = p.terms  # a view built per access
+    for exps in sorted(terms):
+        c = terms[exps]
         deg = {_var_name(i): e for i, e in enumerate(exps) if e}
         term = {"c": str(c)}
         if deg:

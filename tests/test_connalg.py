@@ -2,6 +2,7 @@
 and the structure-condition checks."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -176,6 +177,18 @@ class TestMatForm:
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
             MatForm(NV, 1, {(1,): [[0, 1]]})
+
+    def test_entries_are_lifted_by_the_one_mpoly_lift(self):
+        # RatFunc, MPoly, int, Fraction and str entries all enter Q(t, x);
+        # a polynomial or rational function of another variable count and
+        # a value of any other type are input errors
+        A = MatForm(NV, 1, {(1,): [[RatFunc(x, t), x], [Fraction(1, 2), "3/4"]]}, 2)
+        assert A.component((1,))[1][1] == RatFunc.const(NV, Fraction(3, 4))
+        for bad in (MPoly.const(NV + 1, 1), RatFunc(MPoly.variable(2, 1)), 0.5, None):
+            with pytest.raises(InputError):
+                MatForm(NV, 1, {(1,): [[bad]]}, 1)
+        with pytest.raises(InputError, match="mixed variable counts"):
+            connalg._mat([[MPoly.const(3, 1)]], 2)
 
     def test_equality_ignores_representation(self):
         A = MatForm(NV, 1, {(1,): [[RatFunc(t, t * t), 0], [0, 0]]}, 2)

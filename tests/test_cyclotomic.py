@@ -105,6 +105,17 @@ class TestCycloNum:
         with pytest.raises(InputError, match=f"^{p} is not prime"):
             make(p)
 
+    @pytest.mark.parametrize("acc", [[0] * 7 + [1], [1, 2], [], [0] * 4])
+    def test_zeta_powers_need_exactly_p_sums(self, acc):
+        # a longer list would drop zeta^7 = zeta^2 silently, a shorter one
+        # would index past its end
+        with pytest.raises(InputError, match="^need 5 zeta-power sums, got "):
+            CycloNum.from_zeta_powers(5, acc)
+
+    def test_zeta_powers_reduce_to_the_power_basis(self):
+        # 3 + 2 zeta^2 + zeta^4 = (3 - 1) + 2 zeta^2 - (zeta + zeta^2 + zeta^3)
+        assert CycloNum.from_zeta_powers(5, [3, 0, 2, 0, 1]) == CycloNum(5, [2, -1, 1, -1])
+
     def test_int_coercion(self):
         z = CycloNum.zeta(5, 1)
         assert (1 + z) - z == 1

@@ -412,16 +412,20 @@ class TestMonodromyFiltration:
 
     def test_powers_stop_at_the_first_zero(self, monkeypatch):
         # N = J(4) + J(4) + J(3) + ... has N^4 = 0 at dimension 18: the
-        # powers N^1 .. N^4 take four products with N, not eighteen
-        N = to_fractions(jordan([4, 4, 3, 3, 2, 1, 1]))
+        # powers N^1 .. N^4 take four integer products with N, not
+        # eighteen; a product with N is a _dots call (a * b^T) whose b
+        # is the transpose of N
+        N = jordan([4, 4, 3, 3, 2, 1, 1])
+        Nt = [list(col) for col in zip(*N)]
         calls = []
+        real = frobdata._dots
 
         def counting(a, b):
-            if b == N:
+            if [list(row) for row in b] == Nt:
                 calls.append(a)
-            return mat_mul(a, b)
+            return real(a, b)
 
-        monkeypatch.setattr(frobdata, "mat_mul", counting)
+        monkeypatch.setattr(frobdata, "_dots", counting)
         filt = monodromy_filtration(N)
         assert len(calls) == 4
         assert [filt.gr_dimension(k) for k in (-3, 3)] == [2, 2]

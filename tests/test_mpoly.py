@@ -107,6 +107,20 @@ class TestMPoly:
 
 
 class TestRatFunc:
+    def test_operands_share_the_entry_lift(self):
+        # the operators take what a connection matrix entry takes:
+        # polynomials, ints, Fractions and strings Fraction reads
+        f = RatFunc(x, t)
+        assert f + "1/2" == f + Fraction(1, 2) == Fraction(1, 2) + f
+        assert f * x == f * RatFunc(x)
+        assert RatFunc.const(NV, 2) == "2" and f != "2"
+        with pytest.raises(InputError, match="mixed variable counts"):
+            f + MPoly.const(NV + 1, 1)
+        with pytest.raises(InputError, match="cannot read 'x' as a rational number"):
+            f + "x"
+        with pytest.raises(TypeError):
+            f + 0.5
+
     def test_monomial_cancellation(self):
         f = RatFunc(t * t * x, t * x * x)
         assert f.num == t
@@ -356,7 +370,7 @@ class TestSumsOfProducts:
         expected = MPoly(NV, [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
                               for p, q in pairs for e1, c1 in p.terms.items()
                               for e2, c2 in q.terms.items()])
-        total = mpoly._sum_products(NV, [(p.terms, q.terms) for p, q in pairs])
+        total = mpoly._sum_products(NV, pairs)
         assert_canonical(total)
         assert total == expected
 
