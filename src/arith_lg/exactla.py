@@ -146,21 +146,19 @@ def rank(mat: Mat) -> int:
 
 
 def nullspace(mat: Mat) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column."""
+    """Basis of the right kernel, one vector per free column, with 1 at
+    its free column and 0 at the others: the integer kernel vector
+    divided by its (positive) entry there.  The elimination is `rref`'s,
+    so a traced run counts it; its rows over one denominator are reduced
+    echelon rows for `_kernel`."""
     m = to_fractions(mat)
     if not m:
         return []
     ncols = len(m[0])
     red, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(_frac(x, v[fc]) for x in v)
+            for fc, v in zip(free, _kernel(_lift(red)[0], pivots, ncols))]
 
 
 def identity(n: int) -> Mat:

@@ -286,35 +286,31 @@ def monodromy_filtration(Nmat) -> Filtration:
     e = len(powers) - 1
 
     kernels = [_kernel(*_echelon(P), d) for P in powers]
-    spans = {k: _echelon([row for j in range(max(0, -k), e)
-                          for row in _dots(kernels[min(k + 2 * j + 1, e)], powers[j])])
-             for k in range(-e, e)}
-
-    def level(k: int) -> tuple[list, list]:
-        return spans.get(k, ([], []))
-
-    def dim(k: int) -> int:
-        return len(level(k)[0])
+    spans = {k: ([], []) for k in (-e - 2, -e - 1)}  # M_k = 0 below -e
+    spans.update({k: _echelon([row for j in range(max(0, -k), e)
+                               for row in _dots(kernels[min(k + 2 * j + 1, e)], powers[j])])
+                  for k in range(-e, e)})
+    dim = {k: len(rows) for k, (rows, _) in spans.items()}
 
     # re-verify: increasing and exhaustive
     for k in range(1 - e, e):
         if not all(_reduces(*spans[k], v) for v in spans[k - 1][0]):  # pragma: no cover
             raise VerificationError("filtration is not increasing")
-    if dim(-e):  # pragma: no cover
+    if dim[-e]:  # pragma: no cover
         raise VerificationError("filtration does not start at zero")
-    if dim(e - 1) != d:  # pragma: no cover
+    if dim[e - 1] != d:  # pragma: no cover
         raise VerificationError("filtration does not exhaust the space")
     # re-verify: N lowers by two
     for k in range(-e, e):
-        if not all(_reduces(*level(k - 2), v)
+        if not all(_reduces(*spans[k - 2], v)
                    for v in _dots(spans[k][0], Z)):  # pragma: no cover
             raise VerificationError("N does not lower the filtration by two")
     # re-verify: N^k induces gr_k ~ gr_{-k}
     for k in range(1, e):
-        gk = dim(k) - dim(k - 1)
-        if gk != dim(-k) - dim(-k - 1):  # pragma: no cover
+        gk = dim[k] - dim[k - 1]
+        if gk != dim[-k] - dim[-k - 1]:  # pragma: no cover
             raise VerificationError("graded pieces fail the symmetry")
-        below = level(-k - 1)[0]
+        below = spans[-k - 1][0]
         induced = len(_echelon(_dots(spans[k][0], powers[k]) + below)[0]) - len(below)
         if induced != gk:  # pragma: no cover
             raise VerificationError("N^k does not induce an isomorphism of gradeds")

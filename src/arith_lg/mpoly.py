@@ -445,7 +445,12 @@ class RatFunc:
         return not self.num.is_zero
 
     def __eq__(self, other) -> bool:
-        o = _lift(self.nvars, other)
+        try:
+            o = _lift(self.nvars, other)
+        except InputError:
+            if not isinstance(other, str):
+                raise
+            return NotImplemented  # a string that reads as no number
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den

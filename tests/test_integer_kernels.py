@@ -5,7 +5,8 @@ The oracles are the Fraction versions: polynomials as exponent ->
 Fraction term dicts with every product and sum made term by term over
 Q, rational functions normalized as before (shared monomial factor
 cancelled, denominator's leading coefficient made 1), and the monodromy
-filtration built from the public Fraction API of exactla.  The integer
+filtration built as before, its products, eliminations, kernels and
+membership tests made here over Q with no exactla kernel.  The integer
 code must give the same Fractions term for term, the same normalized
 numerator and denominator, the same canonical level bases, and the same
 errors.
@@ -20,9 +21,7 @@ import pytest
 
 from arith_lg import frobdata
 from arith_lg.errors import InputError, VerificationError
-from arith_lg.exactla import (identity, mat_mul, nullspace, subspace_basis,
-                              subspace_contains, subspace_sum, to_fractions,
-                              transpose)
+from arith_lg.exactla import to_fractions
 from arith_lg.frobdata import Filtration, monodromy_filtration
 from arith_lg.mpoly import MPoly, RatFunc
 
@@ -167,44 +166,88 @@ def test_dot_matches_oracle(seed):
 
 # --- oracle: the monodromy filtration over Q -----------------------------------
 
+def oracle_rref(rows) -> tuple:
+    """The RREF basis of the span of rows, by elimination over Q."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+def oracle_kernel(m) -> list:
+    """One right-kernel vector per free column of m."""
+    red = oracle_rref(m)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in red]
+    basis = []
+    for fc in (c for c in range(len(m[0])) if c not in pivots):
+        v = [Fraction(0)] * len(m[0])
+        v[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def oracle_apply(vectors, m) -> list:
+    """The row vectors times m."""
+    return [[sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
+            for v in vectors]
+
+
+def oracle_contains(basis, v) -> bool:
+    return len(oracle_rref(basis + (tuple(v),))) == len(basis)
+
+
 def oracle_filtration(Nmat) -> Filtration:
     N = to_fractions(Nmat)
     d = len(N)
     if d == 0 or any(len(row) != d for row in N):
         raise InputError("need a nonempty square matrix")
-    powers = [identity(d)]
+    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
     while any(any(row) for row in powers[-1]):
         if len(powers) > d:
             raise InputError(f"matrix is not nilpotent: N^{d} != 0")
-        powers.append(mat_mul(powers[-1], N))
+        powers.append(oracle_apply(powers[-1], N))
     e = len(powers) - 1
-    kernels = [subspace_basis(nullspace(powers[i])) for i in range(e + 1)]
+    kernels = [oracle_kernel(P) for P in powers]
 
     def M(k):
-        return subspace_basis(
-            row for j in range(max(0, -k), e)
-            for row in mat_mul(kernels[min(k + 2 * j + 1, e)], transpose(powers[j])))
+        # vectors are rows, so N^j maps v to v (N^j)^T
+        return oracle_rref([row for j in range(max(0, -k), e)
+                            for row in oracle_apply(kernels[min(k + 2 * j + 1, e)],
+                                                    list(zip(*powers[j])))])
 
     levels = tuple((k, M(k)) for k in range(-e, e))
     filtration = Filtration(d, levels)
     prev = ()
     for k, basis in levels:
-        if not all(subspace_contains(basis, v) for v in prev):
+        if not all(oracle_contains(basis, v) for v in prev):
             raise VerificationError("filtration is not increasing")
         prev = basis
     if levels[0][1] or len(levels[-1][1]) != d:
         raise VerificationError("filtration does not start at zero or exhaust")
+    Nt = list(zip(*N))
     for k, basis in levels:
         lower = filtration.level(k - 2)
-        if not all(subspace_contains(lower, v) for v in mat_mul(basis, transpose(N))):
+        if not all(oracle_contains(lower, v) for v in oracle_apply(basis, Nt)):
             raise VerificationError("N does not lower the filtration by two")
     for k in range(1, e):
         gk = filtration.gr_dimension(k)
         if gk != filtration.gr_dimension(-k):
             raise VerificationError("graded pieces fail the symmetry")
-        mapped = subspace_basis(mat_mul(filtration.level(k), transpose(powers[k])))
         below = filtration.level(-k - 1)
-        if len(subspace_sum(mapped, below)) - len(below) != gk:
+        mapped = oracle_apply(filtration.level(k), list(zip(*powers[k])))
+        if len(oracle_rref(mapped + list(below))) - len(below) != gk:
             raise VerificationError("N^k does not induce an isomorphism of gradeds")
     return filtration
 

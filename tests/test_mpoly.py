@@ -114,6 +114,9 @@ class TestRatFunc:
         assert f + "1/2" == f + Fraction(1, 2) == Fraction(1, 2) + f
         assert f * x == f * RatFunc(x)
         assert RatFunc.const(NV, 2) == "2" and f != "2"
+        # comparison never raises on a string: one that reads as no
+        # number is unequal, as for MPoly and CycloNum
+        assert not (f == "x") and f != "x" and f not in ["x", "1/0"]
         with pytest.raises(InputError, match="mixed variable counts"):
             f + MPoly.const(NV + 1, 1)
         with pytest.raises(InputError, match="cannot read 'x' as a rational number"):
