@@ -11,30 +11,47 @@ Exit codes: 0 all requested checks pass, 1 a verification failed,
 work budget, or memory).
 
 `main(argv)` is the in-process API; `run()` is the process entry for
-`python -m arith_lg.cli` and `arith-lg`, and freezes the heap once the
-command is done so that the shutdown collection does not walk it.
+`python -m arith_lg.cli` and `arith-lg`.  Once the command is done it
+runs the atexit callbacks, flushes stdout and stderr and leaves through
+os._exit, so the process skips the interpreter's teardown of its heap.
+Start-up is kept small too: the collector is paused while this module's
+imports run, the generated_at stamp is formatted from time.time_ns()
+without importing datetime, and the parser adds arguments only to the
+subcommand that is asked for.
 """
 
 from __future__ import annotations
 
-import argparse
-import datetime
 import gc
-import json
-import sys
 
-from . import problemio as pio
-from .budget import scope
-from .connalg import verify_connection, verify_fts, verify_metric
-from .cyclotomic import all_embeddings
-from .errors import (ArithLGError, BudgetExceeded, InputError,
-                     VerificationError)
-from .expsum import family_sum
-from .ffield import extension_field
-from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
-    monodromy_filtration
-from .laurent import check_nondegenerate, specialize
-from .polytope import all_proper_faces, is_convenient, normalized_volume
+# the imports below allocate many long-lived objects and no cycles worth
+# collecting, so the collector is paused across them
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import atexit
+    import json
+    import os
+    import sys
+    import time
+    from typing import NoReturn
+
+    from . import problemio as pio
+    from .budget import scope
+    from .connalg import verify_connection, verify_fts, verify_metric
+    from .cyclotomic import all_embeddings
+    from .errors import (ArithLGError, BudgetExceeded, InputError,
+                         VerificationError)
+    from .expsum import family_sum
+    from .ffield import extension_field
+    from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
+        monodromy_filtration
+    from .laurent import check_nondegenerate, specialize
+    from .polytope import all_proper_faces, is_convenient, normalized_volume
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 __all__ = ["main", "run"]
 
@@ -226,11 +243,21 @@ def _render_text(payload, out):
         out.write(f"{key}: {json.dumps(payload[key], sort_keys=True)}\n")
 
 
+def _utc_stamp(ns: int) -> str:
+    """The UTC time ns nanoseconds after the epoch, as
+    datetime.now(timezone.utc).isoformat() writes it: microseconds
+    (truncated) only when nonzero, then "+00:00"."""
+    s, us = divmod(ns // 1000, 1_000_000)
+    tm = time.gmtime(s)
+    return (f"{tm.tm_year:04d}-{tm.tm_mon:02d}-{tm.tm_mday:02d}"
+            f"T{tm.tm_hour:02d}:{tm.tm_min:02d}:{tm.tm_sec:02d}"
+            + (f".{us:06d}" if us else "") + "+00:00")
+
+
 def _render(payload, args, out):
     payload = pio.jsonable(payload)
     if args.json:
-        payload["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc).isoformat()
+        payload["generated_at"] = _utc_stamp(time.time_ns())
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _render_text(payload, out)
@@ -256,79 +283,97 @@ def _add_torus(sp):
                     help="enumeration budget override")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arith-lg",
-        description="Exponential sums, Frobenius eigenvalue reports, and "
-                    "exact flat-connection verification.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = sub.add_parser("analyze-polytope",
-                        help="Newton polytope report for the base polynomial")
-    _add_common(sp)
-    sp.set_defaults(handler=_cmd_analyze_polytope)
-
-    sp = sub.add_parser("check-nondegenerate",
-                        help="face-by-face nondegeneracy of a specialization")
+def _args_check_nondegenerate(sp):
     _add_torus(sp)
     sp.add_argument("--x", default=None, help="specialization point, e.g. 0,2")
     sp.add_argument("--depth", type=int, default=None, metavar="K",
                     help="search extensions up to degree K")
-    sp.set_defaults(handler=_cmd_check_nondegenerate)
 
-    sp = sub.add_parser("expsum", help="one exponential sum S_k(tau, x)")
+
+def _args_expsum(sp):
     _add_torus(sp)
     sp.add_argument("--k", type=int, default=1, help="extension degree")
     sp.add_argument("--tau", required=True, help="twist, e.g. 3 or 1:2")
     sp.add_argument("--x", default=None, help="specialization point")
     sp.add_argument("--psi-power", type=int, default=1, dest="psi_power",
                     help="replace psi by its a-th power")
-    sp.set_defaults(handler=_cmd_expsum)
 
-    sp = sub.add_parser("frobenius",
-                        help="characteristic polynomial of Frobenius with "
-                             "purity, determinant, and duality checks")
+
+def _args_frobenius(sp):
     _add_torus(sp)
     sp.add_argument("--tau", required=True)
     sp.add_argument("--x", default=None)
-    sp.set_defaults(handler=_cmd_frobenius)
 
-    sp = sub.add_parser("l-function",
-                        help="L-function of the tau-summed family over the torus")
+
+def _args_l_function(sp):
     _add_torus(sp)
     sp.add_argument("--x", default=None)
     sp.add_argument("--kmax", type=int, default=None,
                     help="number of trace sums to reconstruct from")
-    sp.set_defaults(handler=_cmd_l_function)
 
-    sp = sub.add_parser("verify-connection",
-                        help="flatness and pole structure of a connection form")
-    sp.add_argument("connection", help="connection JSON file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_cmd_verify_connection)
 
-    sp = sub.add_parser("verify-fts",
-                        help="the six flatness conditions for a structure tuple")
-    sp.add_argument("tuple", help="tuple JSON file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_cmd_verify_fts)
+def _args_input(dest, summary):
+    """The arguments of a command on one input file that is no problem file."""
+    def add(sp):
+        sp.add_argument(dest, help=summary)
+        sp.add_argument("--json", action="store_true")
+    return add
 
-    sp = sub.add_parser("monodromy",
-                        help="weight filtration of a nilpotent matrix")
-    sp.add_argument("matrix", help="matrix JSON file")
-    sp.add_argument("--json", action="store_true")
-    sp.set_defaults(handler=_cmd_monodromy)
 
-    sp = sub.add_parser("acceptance", help="run the full acceptance suite")
+def _args_acceptance(sp):
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
-    sp.set_defaults(handler=_cmd_acceptance)
 
+
+# subcommand -> (handler, help, adds its arguments), in the order --help lists them
+_SUBCOMMANDS = {
+    "analyze-polytope": (_cmd_analyze_polytope,
+                         "Newton polytope report for the base polynomial", _add_common),
+    "check-nondegenerate": (_cmd_check_nondegenerate,
+                            "face-by-face nondegeneracy of a specialization",
+                            _args_check_nondegenerate),
+    "expsum": (_cmd_expsum, "one exponential sum S_k(tau, x)", _args_expsum),
+    "frobenius": (_cmd_frobenius,
+                  "characteristic polynomial of Frobenius with "
+                  "purity, determinant, and duality checks", _args_frobenius),
+    "l-function": (_cmd_l_function,
+                   "L-function of the tau-summed family over the torus", _args_l_function),
+    "verify-connection": (_cmd_verify_connection,
+                          "flatness and pole structure of a connection form",
+                          _args_input("connection", "connection JSON file")),
+    "verify-fts": (_cmd_verify_fts, "the six flatness conditions for a structure tuple",
+                   _args_input("tuple", "tuple JSON file")),
+    "monodromy": (_cmd_monodromy, "weight filtration of a nilpotent matrix",
+                  _args_input("matrix", "matrix JSON file")),
+    "acceptance": (_cmd_acceptance, "run the full acceptance suite", _args_acceptance),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The arith-lg parser, with every subcommand and its help.
+
+    When `command` names a subcommand (main passes the first argument,
+    which argparse dispatches on), only that subcommand gets its
+    arguments, since no other one can parse; otherwise every one does,
+    so --help, a misspelt subcommand or a leading option parse as with
+    the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="arith-lg",
+        description="Exponential sums, Frobenius eigenvalue reports, and "
+                    "exact flat-connection verification.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, summary, add_arguments) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if command not in _SUBCOMMANDS or command == name:
+            add_arguments(sp)
+        sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     out = sys.stdout
     try:
         payload, ok = args.handler(args)
@@ -359,16 +404,28 @@ def _render_error(args, out, kind, message):
         out.write(f"error ({kind}): {message}\n")
 
 
-def run() -> int:
-    """Process entry: main on sys.argv, then gc.freeze(), so that the
-    shutdown collection does not walk every object the process is about
-    to drop.  Output, exit code, atexit hooks and stdio flushing are
-    unchanged."""
+def run() -> NoReturn:
+    """Process entry: main on sys.argv, then a hard exit.
+
+    Once main returns, or argparse exits after --help or a usage error,
+    the registered atexit callbacks run, stdout and stderr are flushed,
+    in the order interpreter shutdown would take, and os._exit ends the
+    process with main's code.  What is skipped is the rest of the
+    shutdown: module teardown and the last collection, which would walk
+    every object loaded at start-up.  An exception that escapes main
+    takes the usual traceback path and a normal interpreter exit.
+    """
     try:
-        return main()
-    finally:
-        gc.freeze()
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):  # not argparse's: exit as usual
+            raise
+        code = exc.code
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -304,7 +304,8 @@ class MPoly:
         return any(e[i] for e in self.coeffs)
 
     def shift_out(self, i: int, k: int) -> "MPoly":
-        """Divide by variable i to the k-th power; requires min_deg >= k."""
+        """Divide by variable i to the k-th power; requires min_deg >= k.
+        A negative k multiplies by variable i to the -k-th power."""
         if k == 0:
             return self
         acc = {}
@@ -564,11 +565,20 @@ class RatFunc:
                        self.den.shift_out(0, b).subs_zero(0))
 
     def mul_t_power(self, k: int) -> "RatFunc":
-        """Multiply by t^k (k may be negative)."""
-        t = MPoly.variable(self.nvars, 0)
-        if k >= 0:
-            return RatFunc(self.num * t ** k, self.den)
-        return RatFunc(self.num, self.den * t ** (-k))
+        """Multiply by t^k (k may be negative).
+
+        A shift of t-exponents: the result's t-valuation v goes to the
+        numerator if v >= 0, else to the denominator, and the other side
+        keeps t-valuation 0.  The pair stays normalized, since a shift in
+        t moves no other variable's valuation and keeps the denominator's
+        leading term leading.
+        """
+        num, den = self.num, self.den
+        if not k or not num.coeffs:
+            return self
+        a, b = num.min_deg(0), den.min_deg(0)
+        v = a - b + k
+        return _ratfunc(num.shift_out(0, a - max(v, 0)), den.shift_out(0, b - max(-v, 0)))
 
     def subs_t_inverse(self) -> "RatFunc":
         """The chart change t -> 1/s, with s taking over variable 0."""

@@ -6,6 +6,8 @@ arithmetic: facets are found by brute force over affinely independent
 n-subsets of generators (n <= 4 keeps that cheap), the face lattice is
 the closure of the facet generator-sets under intersection, and the
 normalized volume n!*vol is assembled from a pulling triangulation.
+Ranks and facet normals come from exactla's integer echelon form and
+kernel, with no Fraction made.
 
 Facet convention: a pair (normal, offset) with primitive integer inward
 normal a and offset c means the polytope satisfies <a, x> >= c, with
@@ -17,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError, frozen
-from .exactla import nullspace, rank, to_fractions
+from .exactla import _echelon, _kernel
 
 LatticePoint = tuple[int, ...]
 
@@ -74,30 +75,17 @@ class Polytope:
                 f"polytope spans less than {self.dim} dimensions")
 
 
-def _primitive(vec: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return vec
-    return tuple(v // g for v in vec)
-
-
 def _integer_normal(points: list[LatticePoint]) -> tuple[int, ...] | None:
     """Primitive normal of the hyperplane through affinely independent
-    points, or None if they are affinely dependent."""
+    points, or None if they are affinely dependent: the integer kernel
+    of the difference rows, whose one vector is positive at its free
+    column."""
     base = points[0]
     rows = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
     if not rows:
         return (1,) if len(base) == 1 else None
-    kern = nullspace(to_fractions(rows))
-    if len(kern) != 1:
-        return None
-    denoms = [f.denominator for f in kern[0]]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    return _primitive(tuple(int(f * lcm) for f in kern[0]))
+    kern = _kernel(*_echelon(rows), len(base))
+    return tuple(kern[0]) if len(kern) == 1 else None
 
 
 def newton_polyhedron(support) -> Polytope:
@@ -121,7 +109,7 @@ def newton_polyhedron(support) -> Polytope:
     origin = (0,) * n
     generators = tuple(sorted(set(pts) | {origin}))
 
-    if rank(to_fractions(generators)) < n:
+    if len(_echelon(generators)[0]) < n:
         # span through 0: with 0 a generator, affine rank == linear rank
         return Polytope(n, generators, (), (), True)
 
@@ -142,7 +130,7 @@ def newton_polyhedron(support) -> Polytope:
     for g in generators:
         active = [a for a, c in facet_list
                   if sum(x * y for x, y in zip(a, g)) == c]
-        if active and rank(to_fractions(active)) == n:
+        if len(_echelon(active)[0]) == n:
             vertices.append(g)
     return Polytope(n, generators, tuple(vertices), facet_list, False)
 
@@ -162,7 +150,7 @@ def _facet_generators(P: Polytope, facet: tuple[LatticePoint, int]) -> tuple[Lat
 def _face_dim(gens: tuple[LatticePoint, ...]) -> int:
     base = gens[0]
     rows = [tuple(x - b for x, b in zip(g, base)) for g in gens[1:]]
-    return rank(to_fractions(rows)) if rows else 0
+    return len(_echelon(rows)[0])
 
 
 def all_proper_faces(P: Polytope) -> list[Face]:

@@ -1,10 +1,14 @@
+import argparse
 import ast
+import atexit
 import gc
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -15,8 +19,11 @@ from arith_lg.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
-CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+# a child's stdout is block-buffered, as under a user's shell, so a request
+# that does not flush its report before exit loses it
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+CHILD_ENV["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 KLOOSTERMAN5 = {
     "field": {"p": "5"},
@@ -623,7 +630,8 @@ class TestOutOfMemory:
 
 class TestProcessEntry:
     """`python -m arith_lg.cli` and `arith-lg` start through cli.run, which
-    freezes the heap after the command; in-process main never does."""
+    runs the atexit callbacks, flushes stdio and leaves through os._exit
+    after the command; in-process main only returns its code."""
 
     REQUESTS = [
         (["expsum", "k5", "--tau", "1"], 0),
@@ -654,15 +662,114 @@ class TestProcessEntry:
             assert run(capsys, *[files.get(a, a) for a in argv])[0] == code
         assert gc.get_freeze_count() == before
 
+    class Exited(Exception):
+        pass
+
+    class Stream(io.StringIO):
+        """A stdio stand-in that logs each flush with what it holds."""
+
+        def __init__(self, name, log):
+            super().__init__()
+            self.name, self.log = name, log
+
+        def flush(self):
+            self.log.append((f"flush {self.name}", self.getvalue()))
+            super().flush()
+
+    # the last two end in argparse's SystemExit: --help, a usage error
     @pytest.mark.parametrize("argv, code", [(["expsum", "k5", "--tau", "1"], 0),
-                                            (["expsum", "k5", "--tau", "0"], 2)])
-    def test_run_freezes_after_main(self, files, capsys, monkeypatch, argv, code):
-        calls = []
-        monkeypatch.setattr(gc, "freeze", lambda: calls.append(
-            capsys.readouterr().out))
-        monkeypatch.setattr(sys, "argv", ["arith-lg", *[files.get(a, a) for a in argv]])
-        assert cli.run() == code
-        assert len(calls) == 1 and calls[0]  # once, after the report
+                                            (["expsum", "k5", "--tau", "0"], 2),
+                                            (["--help"], 0),
+                                            (["expsum", "k5"], 2)])
+    def test_run_exits_hard_after_main(self, files, monkeypatch, argv, code):
+        argv = [files.get(a, a) for a in argv]
+        log = []
+
+        def exit_(status):
+            log.append(("exit", status))
+            raise self.Exited
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: log.append(("atexit",)))
+        monkeypatch.setattr(sys, "stdout", self.Stream("stdout", log))
+        monkeypatch.setattr(sys, "stderr", self.Stream("stderr", log))
+        monkeypatch.setattr(sys, "argv", ["arith-lg", *argv])
+        with pytest.raises(self.Exited):
+            cli.run()
+        # what main writes when called in process, for comparison
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        try:
+            assert main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
+        assert out or err
+        # atexit first, as interpreter shutdown orders it, then both
+        # streams flushed whole, then one exit with main's code
+        assert [entry[0] for entry in log] == ["atexit", "flush stdout", "flush stderr",
+                                               "exit"]
+        assert log[3] == ("exit", code)
+        assert (log[1][1], log[2][1]) == (out, err)
+
+    HOOKED = """
+import atexit, sys
+atexit.register(print, "hook ran")
+from arith_lg import cli
+sys.argv = ["arith-lg", *sys.argv[1:]]
+cli.run()
+"""
+
+    def test_fresh_process_runs_atexit_hooks(self, files, capsys):
+        child = subprocess.run([sys.executable, "-c", self.HOOKED, "monodromy",
+                                files["jordan3"], "--json"], capture_output=True,
+                               text=True, env=CHILD_ENV, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        doc, hook = child.stdout.rsplit("}\n", 1)
+        assert hook == "hook ran\n"  # after the report: the hook ran at exit
+        want_code, want = run_json(capsys, "monodromy", files["jordan3"])
+        got = json.loads(doc + "}")
+        got.pop("generated_at")
+        want.pop("generated_at")
+        assert (want_code, got) == (0, want)
+
+    # dt = (C0 + C1 t) / t^2 with constant 8 x 8 matrices and no dx part:
+    # flat, with a Poincare rank 1 pole whose report is about 8 KB
+    FLAT8 = {"m": 1, "size": 8, "dt": [[{
+        "num": [{"c": f"{(3 * i + 5 * j + k) % 7 - 3}/{i + j + k + 2}", "deg": {"t": k}}
+                for k in range(2)],
+        "den": [{"c": "1", "deg": {"t": 2}}]} for j in range(8)] for i in range(8)]}
+
+    def test_fresh_process_writes_a_whole_document_to_a_pipe(self, tmp_path, capsys):
+        path = tmp_path / "flat8.json"
+        path.write_text(json.dumps(self.FLAT8))
+        args = ["verify-connection", str(path), "--json"]
+        child = subprocess.run([sys.executable, "-m", "arith_lg.cli", *args],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               env=CHILD_ENV, timeout=120)
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert len(child.stdout) > 7000  # more than one pipe block
+        assert child.stdout.endswith(b"}\n")
+        got = json.loads(child.stdout)
+        want_code, want = run_json(capsys, *args[:-1])
+        got.pop("generated_at")
+        want.pop("generated_at")
+        assert (want_code, got) == (0, want)
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["expsum", "--help"], 0),
+                                            (["expsum", "k5"], 2), (["bogus"], 2)])
+    def test_fresh_process_argparse_exits(self, files, capsys, monkeypatch, argv, code):
+        argv = [files.get(a, a) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")  # help wraps to the same width
+        child = subprocess.run([sys.executable, "-m", "arith_lg.cli", *argv],
+                               capture_output=True, text=True,
+                               env=dict(CHILD_ENV, COLUMNS="80"), timeout=120)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        want = capsys.readouterr()
+        assert exc.value.code == code
+        assert (child.returncode, child.stdout, child.stderr) == (code, want.out, want.err)
+        assert (want.out if code == 0 else want.err).startswith("usage: arith-lg")
 
     def test_both_entries_reach_run(self):
         tree = ast.parse((ROOT / "src" / "arith_lg" / "cli.py").read_text())
@@ -675,6 +782,87 @@ class TestProcessEntry:
         with open(ROOT / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"arith-lg": "arith_lg.cli:run"}
+
+
+class TestParser:
+    """main builds the parser for its first argument: every subcommand is
+    registered, but only the named one gets its arguments.  On every argv
+    that parser must act as the one with all subcommands populated."""
+
+    ARGV = [
+        ["--help"],
+        *[[name, "--help"] for name in cli._SUBCOMMANDS],
+        [],
+        ["bogus", "p.json"],                              # unknown subcommand
+        ["expsm", "p.json", "--tau", "1"],                # a typo
+        ["expsum", "p.json"],                             # missing --tau
+        ["frobenius", "p.json", "--x", "0"],              # missing --tau
+        ["expsum", "p.json", "--tau", "1", "--bogus"],    # unknown option
+        ["monodromy", "m.json", "--tau", "1"],            # another command's option
+        ["--", "expsum", "p.json", "--tau", "1"],         # starts with --
+        ["--json", "monodromy", "m.json"],                # starts with an option
+        ["expsum", "p.json", "--tau", "1:2", "--k", "2", "--json"],
+        ["check-nondegenerate", "p.json", "--depth", "3", "--threads", "2"],
+        ["l-function", "p.json", "--kmax", "8", "--budget", "10"],
+        ["monodromy", "m.json", "--json"],
+        ["acceptance", "--threads", "2"],
+    ]
+
+    @staticmethod
+    def parse(parser, argv, capsys):
+        """(exit code or None, stdout, stderr, parsed namespace or None)."""
+        try:
+            ns, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            ns, code = None, exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err, ns
+
+    @pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "empty" for a in ARGV])
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = self.parse(cli.build_parser(argv[0] if argv else None), argv, capsys)
+        want = self.parse(cli.build_parser(), argv, capsys)
+        assert got == want
+        assert got[0] is not None or got[3]["handler"] is cli._SUBCOMMANDS[argv[0]][0]
+
+    def test_main_parses_like_the_full_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["expsum", "p.json", "--tau", "1", "--bogus"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = (exc.value.code, *capsys.readouterr())
+        assert got == self.parse(cli.build_parser(), argv, capsys)[:3]
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        sub, = [a for a in cli.build_parser("expsum")._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        populated = sorted(name for name, sp in sub.choices.items()
+                           if len(sp._actions) > 1)  # more than -h
+        assert populated == ["expsum"]
+        assert list(sub.choices) == list(cli._SUBCOMMANDS)
+
+
+class TestGeneratedAt:
+    """The --json stamp is datetime.now(timezone.utc).isoformat() without
+    datetime: microseconds truncated, and left out when they are 0."""
+
+    @pytest.mark.parametrize("s", [0, 59, 86399, 951782400, 1700000000,
+                                   4102444799, -1])
+    @pytest.mark.parametrize("us", [0, 1, 500000, 999999])
+    def test_matches_isoformat(self, s, us):
+        want = datetime.fromtimestamp(s, timezone.utc).replace(microsecond=us)
+        for sub_us in (0, 999):  # nanoseconds below a microsecond are dropped
+            got = cli._utc_stamp(s * 10**9 + us * 1000 + sub_us)
+            assert got == want.isoformat()
+            assert datetime.fromisoformat(got) == want
+
+    def test_document_stamp_is_now(self, files, capsys):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
+        code, doc = run_json(capsys, "monodromy", files["jordan3"])
+        after = datetime.now(timezone.utc)
+        assert code == 0
+        assert before <= datetime.fromisoformat(doc["generated_at"]) <= after
 
 
 class TestAcceptanceCommand:

@@ -9,7 +9,10 @@ over a field whose coefficients are embedded), `l-function` and
 `check-nondegenerate` leave numpy unloaded, and `frobenius` loads it.
 The one numpy import in the package is the call-time import in
 `frobdata._all_root_moduli`.  The records are `errors.frozen` classes,
-so no command loads `dataclasses`, and only numpy loads `inspect`.
+so no command loads `dataclasses`, and only numpy loads `inspect`.  The
+CLI stamps its documents from time.time_ns(), so no command loads
+`datetime` either.  Importing the CLI pauses the cyclic collector while
+its imports run and leaves it as it found it.
 """
 
 import ast
@@ -56,19 +59,23 @@ import json, sys
 from arith_lg import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
 sys.stdout.flush()
-loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime")
+          if name in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
 
 
+def child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_fresh(*argv):
     """Exit code of cli.main on argv (None: import only) in a fresh
-    interpreter, and which of numpy, dataclasses and inspect were loaded
-    by the end."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    interpreter, and which of numpy, dataclasses, inspect and datetime
+    were loaded by the end."""
     run = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv], capture_output=True,
-                         text=True, env=env, timeout=120, check=True)
+                         text=True, env=child_env(), timeout=120, check=True)
     doc = json.loads(run.stderr.splitlines()[-1])
     return doc["code"], doc["loaded"]
 
@@ -81,6 +88,22 @@ def write(tmp_path, doc):
 
 def test_cli_import_leaves_numpy_unloaded():
     assert run_fresh() == (None, [])
+
+
+GC_SCRIPT = """
+import gc, sys
+if sys.argv[1] == "off":
+    gc.disable()
+import arith_lg.cli
+print(gc.isenabled())
+"""
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+def test_cli_import_leaves_the_collector_as_it_found_it(state):
+    run = subprocess.run([sys.executable, "-c", GC_SCRIPT, state], capture_output=True,
+                         text=True, env=child_env(), timeout=120, check=True)
+    assert run.stdout == f"{state == 'on'}\n"
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))

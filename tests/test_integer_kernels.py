@@ -10,16 +10,24 @@ membership tests made here over Q with no exactla kernel.  The integer
 code must give the same Fractions term for term, the same normalized
 numerator and denominator, the same canonical level bases, and the same
 errors.
+
+`RatFunc.mul_t_power` shifts t-exponents; its oracle is the product by
+t^k it replaced, and the stored parts must agree.  `polytope` takes its
+ranks and facet normals from the integer echelon kernels; its oracle is
+the Fraction path it replaced, with the ranks and kernels of the
+elimination over Q here.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from arith_lg import frobdata
+from arith_lg import frobdata, mpoly, polytope
 from arith_lg.errors import InputError, VerificationError
 from arith_lg.exactla import to_fractions
 from arith_lg.frobdata import Filtration, monodromy_filtration
@@ -162,6 +170,44 @@ def test_dot_matches_oracle(seed):
         pairs.append((x, y))
     f = RatFunc.dot([(as_ratfunc(x), as_ratfunc(y)) for x, y in pairs])
     assert (f.num.terms, f.den.terms) == oracle_dot(pairs)
+
+
+def old_mul_t_power(f: RatFunc, k: int) -> RatFunc:
+    """The product-based body mul_t_power had: multiply by t^k as a
+    polynomial, then normalize."""
+    t = MPoly.variable(f.nvars, 0)
+    if k >= 0:
+        return RatFunc(f.num * t ** k, f.den)
+    return RatFunc(f.num, f.den * t ** (-k))
+
+
+def stored(f: RatFunc) -> tuple:
+    return (f.num.coeffs, f.num.denom, f.den.coeffs, f.den.denom)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_mul_t_power_matches_the_product(seed, monkeypatch):
+    rng = random.Random(seed)
+    num, den = random_terms(rng), random_den(rng)
+    f = as_ratfunc((num, den))
+    cases = [(k, old_mul_t_power(f, k)) for k in range(-4, 5)]
+    # the shift multiplies no polynomials
+    monkeypatch.setattr(mpoly, "_sum_products", None)
+    for k, want in cases:
+        got = f.mul_t_power(k)
+        assert stored(got) == stored(want)
+        t_k = {(k, 0, 0): Fraction(1)} if k >= 0 else {(-k, 0, 0): Fraction(1)}
+        oracle = (oracle_ratfunc(oracle_mul(num, t_k), den) if k >= 0
+                  else oracle_ratfunc(num, oracle_mul(den, t_k)))
+        assert (got.num.terms, got.den.terms) == oracle_ratfunc(*oracle)
+
+
+def test_mul_t_power_edge_cases():
+    one, t = MPoly.const(NV, 1), MPoly.variable(NV, 0)
+    for f in [RatFunc.const(NV, 0), RatFunc.const(NV, Fraction(-2, 3)), RatFunc(t * t),
+              RatFunc(one, t * t), RatFunc(MPoly.variable(NV, 1), t + one)]:
+        for k in (-3, -2, -1, 0, 1, 2, 7):
+            assert stored(f.mul_t_power(k)) == stored(old_mul_t_power(f, k))
 
 
 # --- oracle: the monodromy filtration over Q -----------------------------------
@@ -334,3 +380,99 @@ def test_the_filtration_builds_no_fraction_before_its_levels(monkeypatch):
     monkeypatch.setattr(frobdata, "_fractions", recording)
     filt = monodromy_filtration(conjugated(random.Random(0), jordan([3, 2]), Fraction(1, 3)))
     assert calls == [len(b) for _, b in filt.levels]
+
+
+# --- polytope on the integer kernels, against the old Fraction path -----------
+
+def oracle_rank(rows) -> int:
+    return len(oracle_rref(rows))
+
+
+def oracle_normal(points) -> tuple | None:
+    """The Fraction normal: the one kernel vector over Q, cleared of
+    denominators and made primitive."""
+    base = points[0]
+    rows = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
+    if not rows:
+        return (1,) if len(base) == 1 else None
+    kern = oracle_kernel(rows)
+    if len(kern) != 1:
+        return None
+    den = lcm(*[f.denominator for f in kern[0]])
+    v = [int(f * den) for f in kern[0]]
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def oracle_hull(support) -> tuple:
+    """(generators, vertices, facets, degenerate) as newton_polyhedron
+    found them with Fraction ranks and normals."""
+    n = len(support[0])
+    generators = tuple(sorted(set(map(tuple, support)) | {(0,) * n}))
+    if oracle_rank(generators) < n:
+        return generators, (), (), True
+    facets = set()
+    for subset in itertools.combinations(generators, n):
+        normal = oracle_normal(list(subset))
+        if normal is None:
+            continue
+        c = sum(a * x for a, x in zip(normal, subset[0]))
+        values = [sum(a * x for a, x in zip(normal, g)) for g in generators]
+        if all(v >= c for v in values):
+            facets.add((normal, c))
+        elif all(v <= c for v in values):
+            facets.add((tuple(-a for a in normal), -c))
+    facets = tuple(sorted(facets))
+    vertices = tuple(g for g in generators
+                     if oracle_rank([a for a, c in facets
+                                     if sum(x * y for x, y in zip(a, g)) == c]) == n)
+    return generators, vertices, facets, False
+
+
+def random_support(rng, n) -> list:
+    """A few small lattice points; sometimes all in a hyperplane through
+    0, or on one line, so that subsets and whole hulls are degenerate."""
+    pts = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 3))]
+    kind = rng.choice(["free", "free", "hyperplane", "line"])
+    if kind == "hyperplane" and n > 1:
+        pts = [p[:-1] + (0,) for p in pts]
+    elif kind == "line":
+        d = tuple(rng.randint(-2, 2) for _ in range(n))
+        pts = [tuple(rng.randint(-2, 2) * v for v in d) for _ in pts] + [d]
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_polytope_matches_the_fraction_path(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    support = random_support(rng, n)
+    P = polytope.newton_polyhedron(support)
+    assert (P.generators, P.vertices, P.facets, P.degenerate) == oracle_hull(support)
+    # every n-subset, affinely dependent ones included
+    for subset in itertools.combinations(P.generators, min(n, len(P.generators))):
+        assert polytope._integer_normal(list(subset)) == oracle_normal(list(subset))
+        rows = [tuple(x - b for x, b in zip(p, subset[0])) for p in subset[1:]]
+        assert polytope._face_dim(subset) == oracle_rank(rows)
+    if not P.degenerate:
+        for face in polytope.all_proper_faces(P):
+            base = face.generators[0]
+            assert face.dim == oracle_rank([tuple(x - b for x, b in zip(g, base))
+                                            for g in face.generators[1:]])
+
+
+def test_polytope_supports_reach_every_case():
+    # the seeded supports above give full-dimensional hulls in every
+    # dimension, degenerate hulls, and affinely dependent n-subsets
+    full, degenerate, dependent = set(), 0, 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        P = polytope.newton_polyhedron(random_support(rng, n))
+        if P.degenerate:
+            degenerate += 1
+        else:
+            full.add(n)
+        dependent += any(oracle_normal(list(s)) is None
+                         for s in itertools.combinations(P.generators, n))
+    assert full == {1, 2, 3, 4} and degenerate and dependent

@@ -84,6 +84,7 @@ class TestMPoly:
     def test_shift_out(self):
         p = t * t * x + t * t * t
         assert p.shift_out(0, 2) == x + t
+        assert p.shift_out(0, -1) == p * t  # a negative power multiplies
         with pytest.raises(InputError):
             p.shift_out(0, 3)
 
