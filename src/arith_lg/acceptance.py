@@ -488,6 +488,7 @@ def _filtration_oracle(N):
             break
         lattice |= new
     ordered = sorted(lattice, key=lambda b: (len(b), b))
+    images = {cand: _apply_operator(N, cand) for cand in ordered}
 
     # chain positions are k = -e .. e-1; ends pinned to 0 and V
     hits = []
@@ -495,7 +496,7 @@ def _filtration_oracle(N):
     def extend(chain):
         pos = len(chain)
         if pos == 2 * e:
-            if chain[-1] == full and _graded_symmetry(N, chain, e):
+            if chain[-1] == full and _graded_symmetry(powers, chain, e):
                 hits.append(tuple(chain))
             return
         prev = chain[-1]
@@ -505,7 +506,7 @@ def _filtration_oracle(N):
                 continue
             if pos == 2 * e - 1 and cand != full:
                 continue
-            if not _contains(below, _apply_operator(N, cand)):
+            if not _contains(below, images[cand]):
                 continue
             extend(chain + [cand])
 
@@ -517,8 +518,8 @@ def _filtration_oracle(N):
     return levels, 1
 
 
-def _graded_symmetry(N, chain, e):
-    # N^k must induce an isomorphism gr_k -> gr_-k for every k >= 1
+def _graded_symmetry(powers, chain, e):
+    # N^k (powers[k]) must induce an isomorphism gr_k -> gr_-k for every k >= 1
     def level(k):
         if k < -e:
             return ()
@@ -527,10 +528,7 @@ def _graded_symmetry(N, chain, e):
         return chain[k + e]
 
     for k in range(1, e):
-        Nk = identity(len(N))
-        for _ in range(k):
-            Nk = mat_mul(Nk, N)
-        image = _apply_operator(Nk, level(k))
+        image = _apply_operator(powers[k], level(k))
         target = subspace_sum(image, level(-k - 1))
         if target != level(-k):
             return False

@@ -1,26 +1,26 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in two layers.
 
-Matrices are tuples of row tuples of Fraction.  A subspace of Q^n is
-its reduced-row-echelon basis, which is canonical: two subspaces are
-equal iff their bases are (==), the dimension is len, and the basis is
-hashable.  That form is built once, by `subspace_basis`, `subspace_sum`
-and `subspace_intersect`; every subspace argument must be a value one
-of them returned, and nothing here reduces it again.  Everything here
-is small and dense; callers stay at desk scale.
-
-Integers are the working representation; Fraction is the boundary type
-of the public functions, which are thin wrappers over integer kernels
-on lists of integer rows.  `_lift` puts a Fraction matrix over one
-common denominator.  `_echelon` eliminates fraction-free: each row is
-scaled to a primitive integer row (integers with gcd 1), row operations
-are integer cross-multiplications with the new row's gcd content
-divided out, and the result is the reduced echelon form with primitive
-rows, each zero in every other row's pivot column.  Its span is a
-subspace; `_reduces` decides membership by one integer reduction of
+The integer kernels, on lists of integer rows, are what the monodromy
+filtration and `polytope` run on.  `_lift` puts a Fraction matrix over
+one common denominator.  `_echelon` eliminates fraction-free: each row
+is scaled to a primitive integer row (integers with gcd 1), row
+operations are integer cross-multiplications with the new row's gcd
+content divided out, and the result is the reduced echelon form with
+primitive rows, each zero in every other row's pivot column.
+`_reduces` decides membership in its span by one integer reduction of
 the vector against those rows, `_kernel` gives a primitive integer
 basis of the right kernel, and `_dots` multiplies.  `_fractions` makes
-the RREF by dividing each row by its pivot once, at the end; it is the
-same Fractions as elimination over Q, since the RREF is unique.
+the RREF by dividing each row by its pivot once, at the end.
+
+The public functions are the reference that checks them (acceptance
+criterion 8, the tests): Gauss-Jordan elimination over Fraction that
+shares no code with the kernels.  Since the RREF is unique, both give
+the same Fractions.  A subspace of Q^n is its RREF basis, which is
+canonical: two subspaces are equal iff their bases are (==), the
+dimension is len, and the basis is hashable.  That form is built once,
+by `subspace_basis`, `subspace_sum` and `subspace_intersect`; every
+subspace argument must be a value one of them returned, and nothing
+here reduces it again.  Everything here is small and dense.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 __all__ = [
-    "to_fractions", "rref", "rank", "nullspace",
+    "to_fractions", "rref", "nullspace",
     "identity", "transpose", "mat_mul", "mat_vec",
     "subspace_basis", "subspace_sum", "subspace_intersect", "subspace_contains",
 ]
@@ -47,6 +47,8 @@ def to_fractions(rows: Iterable[Sequence]) -> Mat:
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
+
+# --- the integer kernels -------------------------------------------------------
 
 def _frac(n: int, den: int) -> Fraction:
     """n / den; the common values 0 and 1 are shared (Fraction is immutable)."""
@@ -135,31 +137,7 @@ def _dots(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[i
     return [[sum(map(mul, row, col)) for col in b] for row in a]
 
 
-def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows, pivots = _echelon(_lift(mat)[0])
-    return _fractions(rows, pivots), tuple(pivots)
-
-
-def rank(mat: Mat) -> int:
-    return len(rref(to_fractions(mat))[0])
-
-
-def nullspace(mat: Mat) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, with 1 at
-    its free column and 0 at the others: the integer kernel vector
-    divided by its (positive) entry there.  The elimination is `rref`'s,
-    so a traced run counts it; its rows over one denominator are reduced
-    echelon rows for `_kernel`."""
-    m = to_fractions(mat)
-    if not m:
-        return []
-    ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    return [tuple(_frac(x, v[fc]) for x in v)
-            for fc, v in zip(free, _kernel(_lift(red)[0], pivots, ncols))]
-
+# --- the reference: Gauss-Jordan elimination over Q ----------------------------
 
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
@@ -169,26 +147,56 @@ def transpose(mat: Mat) -> Mat:
     return tuple(zip(*mat)) if mat else ()
 
 
+def rref(mat: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form with zero rows dropped, plus pivot
+    columns: each pivot row is divided by its pivot, and that multiple
+    of it is subtracted from every other row."""
+    rows = [list(row) for row in to_fractions(mat)]
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        prow = rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [v - f * w for v, w in zip(row, prow)]
+        pivots.append(c)
+    return tuple(tuple(row) for row in rows[:len(pivots)]), tuple(pivots)
+
+
+def nullspace(mat: Mat) -> list[Vec]:
+    """Basis of the right kernel, one vector per free column: 1 there,
+    0 at the other free columns, and minus that column's RREF entries
+    at the pivots."""
+    red, pivots = rref(mat)
+    ncols = len(mat[0]) if mat else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
+        for row, c in zip(red, pivots):
+            v[c] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    ia, da = _lift(a)
-    ib, db = _lift(b)
-    den = da * db
-    return tuple(tuple(_frac(x, den) for x in row) for row in _dots(ia, list(zip(*ib))))
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col), _ZERO) for col in cols) for row in a)
 
 
 def mat_vec(a: Mat, v: Sequence) -> Vec:
-    ia, da = _lift(a)
-    (iv,), dv = _lift(to_fractions((v,)))
-    den = da * dv
-    return tuple(_frac(x, den) for x in _dots((iv,), ia)[0])
+    (v,) = to_fractions((v,))
+    return tuple(sum(map(mul, row, v), _ZERO) for row in a)
 
 
 def subspace_basis(vectors: Iterable[Sequence]) -> Mat:
     """Canonical (RREF) basis of the span of the given row vectors."""
-    m = to_fractions(vectors)
-    if not m:
-        return ()
-    return rref(m)[0]
+    return rref(vectors)[0]
 
 
 def subspace_sum(b1: Mat, b2: Mat) -> Mat:
@@ -210,9 +218,12 @@ def subspace_intersect(b1: Mat, b2: Mat) -> Mat:
 
 
 def subspace_contains(basis: Mat, v: Sequence) -> bool:
-    """Whether v reduces to zero against the basis rows, lifted to
-    integers; each row's pivot is its first nonzero entry."""
-    rows, _ = _lift(basis)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rows]
-    (iv,), _ = _lift(to_fractions((v,)))
-    return _reduces(rows, pivots, iv)
+    """Whether v reduces to zero against the RREF basis rows: each row's
+    pivot is its first nonzero entry, 1, and no other row has an entry
+    there, so one pass subtracts each row once."""
+    (v,) = to_fractions((v,))
+    for row in basis:
+        f = v[next(i for i, x in enumerate(row) if x)]
+        if f:
+            v = [x - f * w for x, w in zip(v, row)]
+    return not any(v)

@@ -8,7 +8,7 @@ criterion's own details string, which names the frozen values it checked.
 
 import pytest
 
-from arith_lg import acceptance
+from arith_lg import acceptance, exactla, frobdata
 from arith_lg.acceptance import CRITERIA, run_all
 
 NAMES = (
@@ -66,3 +66,20 @@ def test_determinism_sees_the_other_process(monkeypatch, child, failed):
     r = acceptance.criterion_9()
     assert not r.ok
     assert failed in r.details
+
+
+def test_weight_filtration_oracle_catches_a_kernel_fault(monkeypatch):
+    # every level basis the filtration makes comes out doubled, so no
+    # longer the RREF; the filtration's own re-verification runs before
+    # `_fractions` and cannot see it, so criterion 8's oracle must
+    real = exactla._fractions
+
+    def doubled(rows, pivots):
+        return tuple(tuple(2 * x for x in row) for row in real(rows, pivots))
+
+    monkeypatch.setattr(exactla, "_fractions", doubled)
+    monkeypatch.setattr(frobdata, "_fractions", doubled)  # bound by name there
+    r = acceptance.criterion_8()
+    assert not r.ok
+    assert "494 mismatches" in r.details
+    assert r.payload["mismatches"] == r.payload["tested"] == 494

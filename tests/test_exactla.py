@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rank, rref,
+from arith_lg.exactla import (identity, mat_mul, mat_vec, nullspace, rref,
                               subspace_basis, subspace_contains,
                               subspace_intersect, subspace_sum, to_fractions,
                               transpose)
@@ -28,8 +28,8 @@ class TestRref:
         assert piv == (0,)
 
     def test_rank(self):
-        assert rank(M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
-        assert rank(M([[0, 0], [0, 0]])) == 0
+        assert len(rref(M([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))[0]) == 2
+        assert rref(M([[0, 0], [0, 0]])) == ((), ())
 
 
 class TestSolveNullspace:
@@ -44,7 +44,7 @@ class TestSolveNullspace:
     @settings(deadline=None, max_examples=40)
     def test_rank_nullity(self, rows):
         m = M(rows)
-        assert rank(m) + len(nullspace(m)) == 3
+        assert len(rref(m)[0]) + len(nullspace(m)) == 3
 
 
 class TestMatrixOps:

@@ -6,16 +6,17 @@ Fraction term dicts with every product and sum made term by term over
 Q, rational functions normalized as before (shared monomial factor
 cancelled, denominator's leading coefficient made 1), and the monodromy
 filtration built as before, its products, eliminations, kernels and
-membership tests made here over Q with no exactla kernel.  The integer
-code must give the same Fractions term for term, the same normalized
-numerator and denominator, the same canonical level bases, and the same
-errors.
+membership tests made by exactla's public Fraction functions, the
+plain-Q reference that shares no code with the integer kernels.  The
+integer code must give the same Fractions term for term, the same
+normalized numerator and denominator, the same canonical level bases,
+and the same errors.
 
 `RatFunc.mul_t_power` shifts t-exponents; its oracle is the product by
 t^k it replaced, and the stored parts must agree.  `polytope` takes its
 ranks and facet normals from the integer echelon kernels; its oracle is
-the Fraction path it replaced, with the ranks and kernels of the
-elimination over Q here.
+the Fraction path it replaced, with its ranks and kernels from the
+same reference.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import pytest
 
 from arith_lg import frobdata, mpoly, polytope
 from arith_lg.errors import InputError, VerificationError
-from arith_lg.exactla import to_fractions
+from arith_lg.exactla import (identity, mat_mul, nullspace, rref, subspace_basis,
+                              subspace_contains, to_fractions, transpose)
 from arith_lg.frobdata import Filtration, monodromy_filtration
 from arith_lg.mpoly import MPoly, RatFunc
 
@@ -210,90 +212,47 @@ def test_mul_t_power_edge_cases():
             assert stored(f.mul_t_power(k)) == stored(old_mul_t_power(f, k))
 
 
-# --- oracle: the monodromy filtration over Q -----------------------------------
-
-def oracle_rref(rows) -> tuple:
-    """The RREF basis of the span of rows, by elimination over Q."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-    return tuple(tuple(row) for row in rows[:r])
-
-
-def oracle_kernel(m) -> list:
-    """One right-kernel vector per free column of m."""
-    red = oracle_rref(m)
-    pivots = [next(c for c, v in enumerate(row) if v) for row in red]
-    basis = []
-    for fc in (c for c in range(len(m[0])) if c not in pivots):
-        v = [Fraction(0)] * len(m[0])
-        v[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
-def oracle_apply(vectors, m) -> list:
-    """The row vectors times m."""
-    return [[sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
-            for v in vectors]
-
-
-def oracle_contains(basis, v) -> bool:
-    return len(oracle_rref(basis + (tuple(v),))) == len(basis)
-
+# --- oracle: the monodromy filtration on exactla's plain-Q reference -----------
 
 def oracle_filtration(Nmat) -> Filtration:
     N = to_fractions(Nmat)
     d = len(N)
     if d == 0 or any(len(row) != d for row in N):
         raise InputError("need a nonempty square matrix")
-    powers = [[[Fraction(int(i == j)) for j in range(d)] for i in range(d)]]
+    powers = [identity(d)]
     while any(any(row) for row in powers[-1]):
         if len(powers) > d:
             raise InputError(f"matrix is not nilpotent: N^{d} != 0")
-        powers.append(oracle_apply(powers[-1], N))
+        powers.append(mat_mul(powers[-1], N))
     e = len(powers) - 1
-    kernels = [oracle_kernel(P) for P in powers]
+    kernels = [nullspace(P) for P in powers]
 
     def M(k):
         # vectors are rows, so N^j maps v to v (N^j)^T
-        return oracle_rref([row for j in range(max(0, -k), e)
-                            for row in oracle_apply(kernels[min(k + 2 * j + 1, e)],
-                                                    list(zip(*powers[j])))])
+        return subspace_basis([row for j in range(max(0, -k), e)
+                               for row in mat_mul(kernels[min(k + 2 * j + 1, e)],
+                                                  transpose(powers[j]))])
 
     levels = tuple((k, M(k)) for k in range(-e, e))
     filtration = Filtration(d, levels)
     prev = ()
     for k, basis in levels:
-        if not all(oracle_contains(basis, v) for v in prev):
+        if not all(subspace_contains(basis, v) for v in prev):
             raise VerificationError("filtration is not increasing")
         prev = basis
     if levels[0][1] or len(levels[-1][1]) != d:
         raise VerificationError("filtration does not start at zero or exhaust")
-    Nt = list(zip(*N))
     for k, basis in levels:
         lower = filtration.level(k - 2)
-        if not all(oracle_contains(lower, v) for v in oracle_apply(basis, Nt)):
+        if not all(subspace_contains(lower, v) for v in mat_mul(basis, transpose(N))):
             raise VerificationError("N does not lower the filtration by two")
     for k in range(1, e):
         gk = filtration.gr_dimension(k)
         if gk != filtration.gr_dimension(-k):
             raise VerificationError("graded pieces fail the symmetry")
         below = filtration.level(-k - 1)
-        mapped = oracle_apply(filtration.level(k), list(zip(*powers[k])))
-        if len(oracle_rref(mapped + list(below))) - len(below) != gk:
+        mapped = mat_mul(filtration.level(k), transpose(powers[k]))
+        if len(subspace_basis(mapped + below)) - len(below) != gk:
             raise VerificationError("N^k does not induce an isomorphism of gradeds")
     return filtration
 
@@ -384,8 +343,8 @@ def test_the_filtration_builds_no_fraction_before_its_levels(monkeypatch):
 
 # --- polytope on the integer kernels, against the old Fraction path -----------
 
-def oracle_rank(rows) -> int:
-    return len(oracle_rref(rows))
+def rank(rows) -> int:
+    return len(rref(rows)[0])
 
 
 def oracle_normal(points) -> tuple | None:
@@ -395,7 +354,7 @@ def oracle_normal(points) -> tuple | None:
     rows = [tuple(x - b for x, b in zip(p, base)) for p in points[1:]]
     if not rows:
         return (1,) if len(base) == 1 else None
-    kern = oracle_kernel(rows)
+    kern = nullspace(rows)
     if len(kern) != 1:
         return None
     den = lcm(*[f.denominator for f in kern[0]])
@@ -409,7 +368,7 @@ def oracle_hull(support) -> tuple:
     found them with Fraction ranks and normals."""
     n = len(support[0])
     generators = tuple(sorted(set(map(tuple, support)) | {(0,) * n}))
-    if oracle_rank(generators) < n:
+    if rank(generators) < n:
         return generators, (), (), True
     facets = set()
     for subset in itertools.combinations(generators, n):
@@ -424,7 +383,7 @@ def oracle_hull(support) -> tuple:
             facets.add((tuple(-a for a in normal), -c))
     facets = tuple(sorted(facets))
     vertices = tuple(g for g in generators
-                     if oracle_rank([a for a, c in facets
+                     if rank([a for a, c in facets
                                      if sum(x * y for x, y in zip(a, g)) == c]) == n)
     return generators, vertices, facets, False
 
@@ -453,11 +412,11 @@ def test_polytope_matches_the_fraction_path(seed):
     for subset in itertools.combinations(P.generators, min(n, len(P.generators))):
         assert polytope._integer_normal(list(subset)) == oracle_normal(list(subset))
         rows = [tuple(x - b for x, b in zip(p, subset[0])) for p in subset[1:]]
-        assert polytope._face_dim(subset) == oracle_rank(rows)
+        assert polytope._face_dim(subset) == rank(rows)
     if not P.degenerate:
         for face in polytope.all_proper_faces(P):
             base = face.generators[0]
-            assert face.dim == oracle_rank([tuple(x - b for x, b in zip(g, base))
+            assert face.dim == rank([tuple(x - b for x, b in zip(g, base))
                                             for g in face.generators[1:]])
 
 

@@ -2,16 +2,19 @@
 
 A traced run counts eliminations by rebinding `exactla.rref` in every
 module that bound it, and counts polynomial products by wrapping
-`MPoly.__mul__`.  Those counts only mean something if the layers built
-on them still reach them: the subspace functions through the module
-global `rref`, and single rational-function operations through
-`MPoly.__mul__`.  Matrix identities do not: connalg evaluates each entry
+`MPoly.__mul__`.  `rref` is the plain-Q reference: the package's own
+eliminations run on exactla's integer kernels, so only callers of the
+reference, such as acceptance criterion 8's oracle, are counted.  Those counts
+only mean something if the layers built on them still reach them: the
+reference's subspace functions through the module global `rref`, and
+single rational-function operations through `MPoly.__mul__`.  Matrix identities do not: connalg evaluates each entry
 of a combination of matrices and matrix products as one `RatFunc.dot`,
 which makes one `mpoly._sum_products` call per denominator group and
 adds only the group sums, so `MPoly.__mul__` sees the denominator
 products and those additions, not every product.
 A subspace is its canonical RREF basis, so the subspace functions get
-canonical bases here, and containment takes no elimination at all.
+canonical bases here, and containment and products take no elimination
+at all.
 The tau-sum cross-check is pinned to one torus sum: one kernel call per
 walk, and no `family_sum` per tau.
 """
@@ -46,7 +49,7 @@ def rref_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, args, expected", [
-    ("rank", (M,), 1),
+    ("mat_mul", (M, exactla.transpose(M)), 0),
     ("nullspace", (M,), 1),
     ("subspace_contains", (U, [1, 3, 1]), 0),
     ("subspace_basis", (M,), 1),
