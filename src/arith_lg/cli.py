@@ -16,8 +16,8 @@ runs the atexit callbacks, flushes stdout and stderr and leaves through
 os._exit, so the process skips the interpreter's teardown of its heap.
 Start-up is kept small too: the collector is paused while this module's
 imports run, the generated_at stamp is formatted from time.time_ns()
-without importing datetime, and the parser adds arguments only to the
-subcommand that is asked for.
+without importing datetime, and the parser holds only the subcommand
+that is asked for.
 """
 
 from __future__ import annotations
@@ -350,23 +350,25 @@ _SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The arith-lg parser, with every subcommand and its help.
+    """The arith-lg parser.
 
     When `command` names a subcommand (main passes the first argument,
-    which argparse dispatches on), only that subcommand gets its
-    arguments, since no other one can parse; otherwise every one does,
-    so --help, a misspelt subcommand or a leading option parse as with
-    the full parser.
+    which argparse dispatches on), only that subcommand is added, since
+    no other one can parse, under a metavar that lists them all as the
+    full parser does; otherwise every one is, so --help, a misspelt
+    subcommand or a leading option parse as with the full parser.
     """
     parser = argparse.ArgumentParser(
         prog="arith-lg",
         description="Exponential sums, Frobenius eigenvalue reports, and "
                     "exact flat-connection verification.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (handler, summary, add_arguments) in _SUBCOMMANDS.items():
+    full = command not in _SUBCOMMANDS
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=None if full else "{" + ",".join(_SUBCOMMANDS) + "}")
+    for name in _SUBCOMMANDS if full else [command]:
+        handler, summary, add_arguments = _SUBCOMMANDS[name]
         sp = sub.add_parser(name, help=summary)
-        if command not in _SUBCOMMANDS or command == name:
-            add_arguments(sp)
+        add_arguments(sp)
         sp.set_defaults(handler=handler)
     return parser
 

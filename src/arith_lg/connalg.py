@@ -11,7 +11,9 @@ One evaluator, `_entries`, computes every matrix identity: a linear
 combination of matrices, their partial derivatives and matrix products,
 entry by entry, each entry one `RatFunc.dot`; no matrix of partial
 results is built.  A verdict (`_vanishes`) stops at the first nonzero entry,
-and `curvature` assembles its components from the same entries.
+and `curvature` assembles its components from the same entries.  The
+pairing's determinant is certified nonzero by its rank at one integer
+point, with the cofactor expansion as the exact fallback.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import InputError, VerificationError, frozen
+from .exactla import _echelon, _lift as _lift_rows
 from .mpoly import RatFunc, _lift
 
 __all__ = [
@@ -442,6 +445,22 @@ def _det(mat: RMat) -> RatFunc:
         for j, x in enumerate(mat[0]))
 
 
+def _nonsingular(mat: RMat) -> bool:
+    """Whether det mat is not identically zero.
+
+    A certificate first: if mat at the integer point (1, 2, ..., nvars)
+    has full rank, its determinant is nonzero there, so not zero as a
+    function.  A singular value, or a pole at the point, decides
+    nothing, and the cofactor expansion `_det` decides exactly.
+    """
+    point = tuple(range(1, mat[0][0].nvars + 1))
+    try:
+        value = [[x.eval(point) for x in row] for row in mat]
+    except InputError:  # a denominator vanishes at the point
+        return not _det(mat).is_zero
+    return len(_echelon(_lift_rows(value)[0])[0]) == len(mat) or not _det(mat).is_zero
+
+
 @frozen
 class MetricReport:
     higgs_self_adjoint: bool
@@ -460,7 +479,7 @@ def verify_metric(T: FTSTuple) -> MetricReport:
     of g under the base connection."""
     if T.g is None:
         raise InputError("tuple carries no pairing matrix")
-    if _det(T.g).is_zero:
+    if not _nonsingular(T.g):
         raise InputError("pairing matrix has zero determinant")
     g = T.g
 

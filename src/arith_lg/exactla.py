@@ -9,8 +9,9 @@ content divided out, and the result is the reduced echelon form with
 primitive rows, each zero in every other row's pivot column.
 `_reduces` decides membership in its span by one integer reduction of
 the vector against those rows, `_kernel` gives a primitive integer
-basis of the right kernel, and `_dots` multiplies.  `_fractions` makes
-the RREF by dividing each row by its pivot once, at the end.
+basis of the right kernel, and `_dots` multiplies, skipping zero
+entries.  `_fractions` makes the RREF by dividing each row by its pivot
+once, at the end.
 
 The public functions are the reference that checks them (acceptance
 criterion 8, the tests): Gauss-Jordan elimination over Fraction that
@@ -26,8 +27,9 @@ here reduces it again.  Everything here is small and dense.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -133,8 +135,16 @@ def _kernel(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> list[li
 
 
 def _dots(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer product a * b^T: every row of a dotted with every row of b."""
-    return [[sum(map(mul, row, col)) for col in b] for row in a]
+    """The integer product a * b^T, row i summing x * (column k of b) over
+    the nonzero x = a[i][k] only (x = 1 unscaled): most entries are 0 or 1."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        acc = [0] * len(b)
+        for x, col in compress(zip(row, cols), row):
+            acc = list(map(add, acc, col)) if x == 1 else [s + x * c for s, c in zip(acc, col)]
+        out.append(acc)
+    return out
 
 
 # --- the reference: Gauss-Jordan elimination over Q ----------------------------

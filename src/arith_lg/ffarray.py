@@ -136,7 +136,7 @@ def _weighted(pieces: Sequence[tuple[int, int, int]]) -> Iterator[tuple[int, int
     cover = Counter()
     for a, b, w in pieces:
         cover[w] += b - a
-    common = cover.most_common(1)[0][0]
+    common = max(cover, key=cover.__getitem__)  # the first of the largest, no heapq
     yield common, 0, pieces[-1][1]
     for a, b, w in pieces:
         if w != common:

@@ -13,8 +13,9 @@ An MPoly stores integer coefficients over one positive common
 denominator, with the gcd of the coefficients coprime to it, so the
 stored form is canonical and equality is equality of the stored parts.
 Fraction is the boundary type: the public `MPoly(...)` validates and
-lifts Fraction terms, and `terms` is a derived Fraction view that output
-and evaluation read.  Arithmetic results go through the private `_poly`
+lifts Fraction terms (integer terms need no lift), and `terms` is a
+derived Fraction view that output reads; evaluation runs on the stored
+integers.  Arithmetic results go through the private `_poly`
 constructor, after `_reduced` divides out the common factor of content
 and denominator where one can arise.  One kernel, `_sum_products`,
 multiplies: it scales each pair's integer products to the lcm of the
@@ -35,11 +36,11 @@ Q(t, x) as a rational function.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -125,15 +126,16 @@ class MPoly:
     def __init__(self, nvars: int, terms=()):
         if nvars < 1:
             raise InputError("need at least one variable")
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, c in items:
-            e = tuple(int(v) for v in exps)
+            e = tuple(map(int, exps))
             if len(e) != nvars:
                 raise InputError(f"exponent {e} has wrong arity")
-            if any(v < 0 for v in e):
+            if min(e) < 0:
                 raise InputError("polynomial exponents must be nonnegative")
-            c = _as_fraction(c)
+            if type(c) is not int:  # an int needs no lift to Fraction
+                c = _as_fraction(c)
             if not c:
                 continue
             prev = acc.get(e)
@@ -334,16 +336,23 @@ class MPoly:
         return _poly(self.nvars, acc, self.denom)
 
     def eval(self, values: Iterable) -> Fraction:
-        vals = [_as_fraction(v) for v in values]
+        """The value at a point as one integer sum: over the values' common
+        denominator D, each term is scaled up to the top total degree."""
+        vals = [v if type(v) is int else _as_fraction(v) for v in values]
         if len(vals) != self.nvars:
             raise InputError("wrong number of values")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
-                term *= v ** k
-            total += term
-        return total
+        D = lcm(*[v.denominator for v in vals])
+        nums = [v.numerator * (D // v.denominator) for v in vals]
+        top = max(map(sum, self.coeffs), default=0) if D > 1 else 0
+        total = 0
+        for e, c in self.coeffs.items():
+            if top:
+                c *= D ** (top - sum(e))
+            for v, k in zip(nums, e):
+                if k:
+                    c *= v ** k
+            total += c
+        return Fraction(total, self.denom * D ** top)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Lexicographically largest exponent and its coefficient."""
@@ -590,6 +599,9 @@ class RatFunc:
         return RatFunc(num, den).mul_t_power(dd - dn)
 
     def eval(self, values: Iterable) -> Fraction:
+        values = tuple(values)
+        if _is_one(self.den):
+            return self.num.eval(values)
         d = self.den.eval(values)
         if not d:
             raise InputError("evaluation hits the denominator's zero locus")

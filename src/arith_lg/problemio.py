@@ -7,7 +7,10 @@ counts, exponent vectors, polynomial degrees, matrix sizes - are plain
 JSON integers.  On output every integer is a decimal string, structural
 ones included, except the exponents in a polynomial term's "deg" map.
 Parsing is strict: unknown keys are rejected, and every error names the
-path of the offending value.
+path of the offending value.  A decimal polynomial coefficient is read
+as an int, which MPoly takes as it is, and a polynomial's terms build
+their paths only for an error; a rational string "a/b" is read as a
+Fraction, and a zero denominator is a parse error.
 
 The serializers at the bottom are the single place library values turn
 into JSON-compatible structures.  jsonable runs once per document: on
@@ -68,7 +71,10 @@ def _decimal(v, path: str) -> int:
 def _fraction(v, path: str) -> Fraction:
     if not isinstance(v, str) or not _FRACTION.match(v):
         raise ParseError(path, f'expected a rational string like "3/2", got {v!r}')
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ParseError(path, f"zero denominator in {v!r}") from None
 
 
 def _plain_int(v, path: str, minimum: int | None = None) -> int:
@@ -215,6 +221,7 @@ def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFil
 # --- symbolic side: polynomials in t, x1..xm ----------------------------
 
 _VAR = re.compile(r"(t|x[1-9][0-9]*)\Z")
+_TERM_KEYS = frozenset(("c", "deg"))
 
 
 def _parse_mpoly(v, m: int, path: str) -> MPoly:
@@ -224,21 +231,27 @@ def _parse_mpoly(v, m: int, path: str) -> MPoly:
     nvars = m + 1
     terms = []
     for i, term in enumerate(v):
-        tp = f"{path}[{i}]"
-        _check_keys(term, tp, ["c"], ["deg"])
-        c = _fraction(term["c"], f"{tp}.c")
+        if not (type(term) is dict and "c" in term and term.keys() <= _TERM_KEYS):
+            _check_keys(term, f"{path}[{i}]", ["c"], ["deg"])
+        c = term["c"]
+        if type(c) is str and _DECIMAL.match(c):
+            c = int(c)
+        else:
+            c = _fraction(c, f"{path}[{i}].c")
         exps = [0] * nvars
         deg = term.get("deg", {})
         if not isinstance(deg, dict):
-            raise ParseError(f"{tp}.deg", "expected an object of variable degrees")
+            raise ParseError(f"{path}[{i}].deg", "expected an object of variable degrees")
         for name, d in deg.items():
             if not _VAR.match(name):
-                raise ParseError(f"{tp}.deg.{name}", "unknown variable")
+                raise ParseError(f"{path}[{i}].deg.{name}", "unknown variable")
             idx = 0 if name == "t" else int(name[1:])
             if idx > m:
-                raise ParseError(f"{tp}.deg.{name}",
+                raise ParseError(f"{path}[{i}].deg.{name}",
                                  f"variable out of range for m = {m}")
-            exps[idx] = _plain_int(d, f"{tp}.deg.{name}", minimum=0)
+            if type(d) is not int or d < 0:
+                _plain_int(d, f"{path}[{i}].deg.{name}", minimum=0)
+            exps[idx] = d
         terms.append((tuple(exps), c))
     return MPoly(nvars, terms)
 

@@ -497,6 +497,18 @@ class TestMonodromy:
         code, out = run(capsys, "monodromy", str(p))
         assert code == 2
 
+    def test_fresh_process_zero_denominator_is_an_input_error(self, tmp_path):
+        # "1/0" passes the rational-string pattern; it must not escape as
+        # a ZeroDivisionError traceback with the verification exit code
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"matrix": [["0", "1/0"], ["0", "0"]]}))
+        child = subprocess.run([sys.executable, "-m", "arith_lg.cli", "monodromy",
+                                str(p), "--json"], capture_output=True, text=True,
+                               env=CHILD_ENV, timeout=120)
+        assert (child.returncode, child.stderr) == (2, "")
+        message = f"{p}.matrix[0][1]: zero denominator in '1/0'"
+        assert json.loads(child.stdout) == {"error": {"kind": "input", "message": message}}
+
 
 class TestInputErrors:
     def test_malformed_json_carries_position(self, files, capsys):
@@ -572,6 +584,9 @@ INPUT_ERROR_PATHS = {
                         [], "pairing matrix has zero determinant"),
     "kmax-too-small": ("l-function", KLOOSTERMAN5, ["--kmax", "1"],
                        "need at least 6 trace sums for rank 2"),
+    "zero-denominator-term": ("verify-fts", dict(fts_tuple("1"), r0=[[[{"c": "0"}], [{"c": "0"}]],
+                                                                 [[{"c": "1/0"}], [{"c": "0"}]]]),
+                              [], "{path}.r0[1][0][0].c: zero denominator in '1/0'"),
 }
 
 
@@ -785,9 +800,9 @@ cli.run()
 
 
 class TestParser:
-    """main builds the parser for its first argument: every subcommand is
-    registered, but only the named one gets its arguments.  On every argv
-    that parser must act as the one with all subcommands populated."""
+    """main builds the parser for its first argument: when it names a
+    subcommand, only that one is registered.  On every argv that parser
+    must act as the one with all subcommands populated."""
 
     ARGV = [
         ["--help"],
@@ -840,7 +855,7 @@ class TestParser:
         populated = sorted(name for name, sp in sub.choices.items()
                            if len(sp._actions) > 1)  # more than -h
         assert populated == ["expsum"]
-        assert list(sub.choices) == list(cli._SUBCOMMANDS)
+        assert list(sub.choices) == ["expsum"]
 
 
 class TestGeneratedAt:

@@ -1,6 +1,7 @@
 """Connection forms: curvature, pole ranks, restrictions, assembly,
 and the structure-condition checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -664,6 +665,88 @@ class TestVerifyMetric:
         assert assembled_pairing_flat(T)
         T2 = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=ZERO2, g=I2)
         assert not assembled_pairing_flat(T2)
+
+
+# --- the pairing's determinant: a certificate at one point, else cofactors ----
+
+def leibniz_det(mat):
+    """The determinant as the signed sum over permutations of RatFunc
+    products, shared with neither the certificate nor connalg._det."""
+    n = len(mat)
+    total = RatFunc.const(mat[0][0].nvars, 0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = RatFunc.const(mat[0][0].nvars, -1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+X1 = MPoly.variable(2, 1)  # the base coordinate of an m = 1 tuple, 2 at the point (1, 2)
+
+
+def pairing(g):
+    return FTSTuple(2, 1, A=[ZERO2], phi=[ZERO2], r0=ZERO2, rinf=ZERO2, g=g).g
+
+
+class TestPairingCertificate:
+    """_nonsingular decides det g != 0 by the rank of g at (1, 2, ...),
+    and by connalg._det only when that value is singular or a pole."""
+
+    @pytest.fixture
+    def det_calls(self, monkeypatch):
+        calls = []
+        real = connalg._det
+
+        def counting(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(connalg, "_det", counting)
+        return calls
+
+    @pytest.mark.parametrize("name, g, nonsingular, fallback", [
+        ("regular", [[1, X1], [X1, 0]], True, False),
+        ("singular-at-the-point", [[X1 - 2, 0], [0, 1]], True, True),
+        ("identically-singular", [[X1, X1], [X1, X1]], False, True),
+        ("pole-at-the-point", [[RatFunc(MPoly.const(2, 1), X1 - 2), 0], [0, 1]],
+         True, True),
+    ])
+    def test_each_path(self, det_calls, name, g, nonsingular, fallback):
+        g = pairing(g)
+        assert connalg._nonsingular(g) is nonsingular
+        assert (leibniz_det(g) != 0) is nonsingular
+        assert bool(det_calls) is fallback  # _det recurses: any call is a fallback
+
+    def test_fallback_accepts_a_pairing_singular_at_the_point(self, det_calls):
+        T = FTSTuple(2, 1, A=[ZERO2], phi=[ZERO2], r0=ZERO2, rinf=ZERO2,
+                     g=[[X1 - 2, 0], [0, 1]])
+        verify_metric(T)
+        assert det_calls
+
+    def test_identically_singular_pairing_is_refused(self):
+        T = FTSTuple(2, 1, A=[ZERO2], phi=[ZERO2], r0=ZERO2, rinf=ZERO2,
+                     g=[[X1, X1], [X1, X1]])
+        with pytest.raises(InputError, match="pairing matrix has zero determinant"):
+            verify_metric(T)
+
+    def test_random_pairings(self):
+        rng = random.Random(11)
+        nv = 3
+        seen = set()
+        for _ in range(40):
+            size = rng.randint(1, 4)
+            g = random_pairing(rng, size, nv)
+            if rng.random() < 0.3:  # make one row a multiple of another
+                i, j = rng.sample(range(size), 2) if size > 1 else (0, 0)
+                rows = [list(row) for row in g]
+                rows[i] = [v * 2 for v in rows[j]]
+                g = tuple(tuple(row) for row in rows)
+            verdict = connalg._nonsingular(g)
+            assert verdict == (leibniz_det(g) != 0)
+            seen.add(verdict)
+        assert seen == {True, False}
 
 
 # --- the entry-wise evaluator against the reference --------------------------

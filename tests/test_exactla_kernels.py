@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,42 @@ def test_mat_vec_matches_oracle(av):
     out = mat_vec(a, v)
     assert out == tuple(Fraction(x, da * dv) for x in _dots((iv,), ia)[0])
     assert all(type(x) is Fraction for x in out)
+
+
+def dense_dots(a, b):
+    """a * b^T, every product taken: the sparse kernel's own oracle."""
+    return [[sum(map(mul, r, c)) for c in b] for r in a]
+
+
+INT_ENTRY = st.one_of(st.just(0), st.just(1), st.integers(-40, 40))
+
+
+@st.composite
+def int_products(draw):
+    """(a, b) with a k columns and b k columns: zero rows, all-zero and
+    dense rows, negative entries, every shape including an empty a."""
+    k = draw(st.integers(1, 7))
+    a = draw(st.lists(st.lists(INT_ENTRY, min_size=k, max_size=k), max_size=7))
+    b = draw(st.lists(st.lists(INT_ENTRY, min_size=k, max_size=k), min_size=1, max_size=7))
+    if a and draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] = [0] * k
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_products())
+def test_dots_matches_every_product(ab):
+    a, b = ab
+    assert _dots(a, b) == dense_dots(a, b)
+
+
+def test_dots_edge_shapes():
+    b = [[1, -2, 0], [3, 0, -1]]
+    cases = [[], [[0, 0, 0]], [[0, 0, 0], [0, 0, 0]], [[-5, 7, 2]], [[1, 1, 1], [0, 1, 0]]]
+    for a in cases:
+        assert _dots(a, b) == dense_dots(a, b)
+    assert _dots([[0, 0, 0]], b) == [[0, 0]]
+    assert _dots([[2, 0], [0, -1]], [[1, 2], [3, 4], [5, 6]]) == [[2, 6, 10], [-2, -4, -6]]
 
 
 def test_mat_vec_converts_plain_numbers():

@@ -11,8 +11,10 @@ The one numpy import in the package is the call-time import in
 `frobdata._all_root_moduli`.  The records are `errors.frozen` classes,
 so no command loads `dataclasses`, and only numpy loads `inspect`.  The
 CLI stamps its documents from time.time_ns(), so no command loads
-`datetime` either.  Importing the CLI pauses the cyclic collector while
-its imports run and leaves it as it found it.
+`datetime` either, and the torus kernel picks its most common weight
+with max, so no command short of `frobenius` loads `heapq`.  Importing
+the CLI pauses the cyclic collector while its imports run and leaves it
+as it found it.
 """
 
 import ast
@@ -59,7 +61,7 @@ import json, sys
 from arith_lg import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
 sys.stdout.flush()
-loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime")
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime", "heapq")
           if name in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
@@ -72,8 +74,8 @@ def child_env():
 
 def run_fresh(*argv):
     """Exit code of cli.main on argv (None: import only) in a fresh
-    interpreter, and which of numpy, dataclasses, inspect and datetime
-    were loaded by the end."""
+    interpreter, and which of numpy, dataclasses, inspect, datetime and
+    heapq were loaded by the end."""
     run = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv], capture_output=True,
                          text=True, env=child_env(), timeout=120, check=True)
     doc = json.loads(run.stderr.splitlines()[-1])

@@ -102,6 +102,22 @@ class TestMPoly:
         p = t * x + y * y
         assert p.eval([2, 3, 4]) == 22
 
+    def test_eval_matches_fraction_evaluation(self):
+        # eval sums on the stored integers; the oracle sums Fractions term
+        # by term over the Fraction view
+        rng = random.Random(5)
+        values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+        for _ in range(200):
+            p = MPoly(NV, [((rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 8)))
+                           for _ in range(rng.randint(0, 5))])
+            point = [rng.choice(values) for _ in range(NV)]
+            want = sum((c * point[0] ** e[0] * point[1] ** e[1] * point[2] ** e[2]
+                        for e, c in p.terms.items()), Fraction(0))
+            got = p.eval(point)
+            assert got == want and type(got) is Fraction
+            assert p.eval([str(v) for v in point]) == want
+
     def test_leading_is_lex(self):
         p = t * y + x * x
         assert p.leading() == ((1, 0, 1), Fraction(1))
@@ -223,6 +239,8 @@ class TestRatFunc:
     def test_eval(self):
         f = RatFunc(x + 1, t)
         assert f.eval([2, 3, 0]) == 2
+        assert f.eval(iter([2, 3, 0])) == 2  # the point is read once
+        assert RatFunc(x + 1).eval(iter([2, Fraction(1, 2), 0])) == Fraction(3, 2)
         with pytest.raises(InputError):
             f.eval([0, 1, 1])
 

@@ -249,6 +249,61 @@ class TestParseFtsTuple:
         assert "rinf" in str(e.value)
 
 
+def entry(*terms, m=1):
+    """A one-entry connection whose dx entry is the given term list."""
+    return {"m": m, "size": 1, "dx": [[[list(terms)]]]}
+
+
+# a bad polynomial entry and the whole ParseError message it gets
+TERM_ERRORS = {
+    "entry-type": ({"m": 1, "size": 1, "dx": [[["x"]]]},
+                   "$.dx[0][0][0]: expected a term list or {num, den}"),
+    "num-type": ({"m": 1, "size": 1, "dx": [[[{"num": 5}]]]},
+                 "$.dx[0][0][0].num: expected a list of terms"),
+    "term-type": (entry(5), "$.dx[0][0][0][0]: expected an object, got int"),
+    "term-list": (entry([]), "$.dx[0][0][0][0]: expected an object, got list"),
+    "missing-c": (entry({"deg": {}}), "$.dx[0][0][0][0]: missing required key 'c'"),
+    "unknown-key": (entry({"c": "1", "e": 1}), "$.dx[0][0][0][0].e: unknown key"),
+    "c-int": (entry({"c": 1}),
+              '$.dx[0][0][0][0].c: expected a rational string like "3/2", got 1'),
+    "c-decimal-point": (entry({"c": "1", "deg": {}}, {"c": "1.5"}),
+                        '$.dx[0][0][0][1].c: expected a rational string like "3/2", got \'1.5\''),
+    "c-zero-denominator": (entry({"c": "1/0"}), "$.dx[0][0][0][0].c: zero denominator in '1/0'"),
+    "deg-type": (entry({"c": "1", "deg": [1]}),
+                 "$.dx[0][0][0][0].deg: expected an object of variable degrees"),
+    "unknown-variable": (entry({"c": "1", "deg": {"x0": 1}}),
+                         "$.dx[0][0][0][0].deg.x0: unknown variable"),
+    "variable-out-of-range": (entry({"c": "1", "deg": {"x2": 1}}),
+                              "$.dx[0][0][0][0].deg.x2: variable out of range for m = 1"),
+    "negative-degree": (entry({"c": "1", "deg": {"t": -1}}),
+                        "$.dx[0][0][0][0].deg.t: expected an integer >= 0, got -1"),
+    "string-degree": (entry({"c": "1", "deg": {"x1": "1"}}),
+                      "$.dx[0][0][0][0].deg.x1: expected an integer, got '1'"),
+    "bool-degree": (entry({"c": "1", "deg": {"x1": True}}),
+                    "$.dx[0][0][0][0].deg.x1: expected an integer, got True"),
+    "zero-den": ({"m": 1, "size": 1, "dx": [[[{"num": [{"c": "1"}], "den": [{"c": "-0"}]}]]]},
+                 "$.dx[0][0][0].den: denominator is zero"),
+}
+
+
+class TestParseErrorMessages:
+    """Each bad polynomial entry is refused with its whole message pinned."""
+
+    @pytest.mark.parametrize("case", list(TERM_ERRORS))
+    def test_message(self, case):
+        obj, message = TERM_ERRORS[case]
+        with pytest.raises(ParseError) as e:
+            parse_connection(obj)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("c, value", [("-0", 0), ("007", 7), ("-12", -12),
+                                          ("3/6", Fraction(1, 2)), ("-0/5", 0)])
+    def test_coefficient_values(self, c, value):
+        x = MPoly.variable(2, 1)
+        A = parse_connection(entry({"c": c, "deg": {"x1": 1}}, {"c": "1"}))
+        assert A.component((1,))[0][0] == RatFunc(x * value + 1)
+
+
 class TestParseNilpotentMatrix:
     def test_happy(self):
         N = parse_nilpotent_matrix({"matrix": [["0", "1/2"], ["0", "0"]]})
@@ -263,6 +318,16 @@ class TestParseNilpotentMatrix:
         with pytest.raises(ParseError) as e:
             parse_nilpotent_matrix({"matrix": [["0", "a"], ["0", "0"]]})
         assert "[0][1]" in path_of(e)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError) as e:
+            parse_nilpotent_matrix({"matrix": [["0", "1/0"], ["0", "0"]]})
+        assert str(e.value) == "$.matrix[0][1]: zero denominator in '1/0'"
+
+    def test_entry_values(self):
+        N = parse_nilpotent_matrix({"matrix": [["-0", "007"], ["3/6", "-4/8"]]})
+        assert N == ((0, 7), (Fraction(1, 2), Fraction(-1, 2)))
+        assert all(type(x) is Fraction for row in N for x in row)
 
 
 class TestElementArgs:
