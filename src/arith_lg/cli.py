@@ -16,8 +16,13 @@ runs the atexit callbacks, flushes stdout and stderr and leaves through
 os._exit, so the process skips the interpreter's teardown of its heap.
 Start-up is kept small too: the collector is paused while this module's
 imports run, the generated_at stamp is formatted from time.time_ns()
-without importing datetime, and the parser holds only the subcommand
-that is asked for.
+without importing datetime, and a well-formed command line is read
+without argparse: `_parse_direct` takes each option from the same
+`_args_*` functions that build the parser, and declines anything it
+does not read exactly as argparse would (--help, an abbreviation, a
+missing or malformed value, a misspelt subcommand), which then goes to
+argparse, so help text, usage errors and exit code 2 are argparse's
+own.  That parser holds only the subcommand that is asked for.
 """
 
 from __future__ import annotations
@@ -29,13 +34,13 @@ import gc
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    import argparse
     import atexit
     import json
     import os
     import sys
     import time
-    from typing import NoReturn
+    from types import SimpleNamespace
+    from typing import TYPE_CHECKING, NoReturn
 
     from . import problemio as pio
     from .budget import scope
@@ -52,6 +57,9 @@ try:
 finally:
     if _gc_was_enabled:
         gc.enable()
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "run"]
 
@@ -349,6 +357,63 @@ _SUBCOMMANDS = {
 }
 
 
+class _Recorder:
+    """Stands in for a subparser: records what an `_args_*` function adds."""
+
+    def __init__(self):
+        self.positionals = []  # dests, in order
+        self.options = {}      # flag -> (dest, keywords)
+
+    def add_argument(self, flag, **kw):
+        if flag.startswith("-"):
+            self.options[flag] = kw.get("dest", flag.lstrip("-").replace("-", "_")), kw
+        else:
+            self.positionals.append(flag)
+
+
+def _parse_direct(argv):
+    """What vars(build_parser().parse_args(argv)) holds, read without
+    argparse, or None for argparse to decide: when argv[0] is no
+    subcommand, a token starting with "-" is no exact option of it (so
+    -h, an abbreviation, --opt=v, -- or a negative number), an option
+    value is missing or starts with "-", a type conversion raises, a
+    required option is missing or the positionals do not fit."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    handler, _, add_arguments = _SUBCOMMANDS[argv[0]]
+    spec = _Recorder()
+    add_arguments(spec)
+    ns = {"subcommand": argv[0], "handler": handler}
+    for dest, kw in spec.options.values():
+        ns[dest] = kw.get("default", False if "action" in kw else None)
+    positionals, given = [], set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        if token not in spec.options:
+            return None
+        dest, kw = spec.options[token]
+        if "action" in kw:  # store_true
+            ns[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines as one starting with "-"
+        if value.startswith("-"):
+            return None
+        try:
+            ns[dest] = kw.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        given.add(dest)
+    if (len(positionals) != len(spec.positionals)
+            or any(kw.get("required") and dest not in given
+                   for dest, kw in spec.options.values())):
+        return None
+    ns.update(zip(spec.positionals, positionals))
+    return SimpleNamespace(**ns)
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The arith-lg parser.
 
@@ -357,7 +422,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     no other one can parse, under a metavar that lists them all as the
     full parser does; otherwise every one is, so --help, a misspelt
     subcommand or a leading option parse as with the full parser.
+    argparse is imported here, so a request that `_parse_direct` reads
+    never loads it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="arith-lg",
         description="Exponential sums, Frobenius eigenvalue reports, and "
@@ -375,7 +444,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = (_parse_direct(argv)
+            or build_parser(argv[0] if argv else None).parse_args(argv))
     out = sys.stdout
     try:
         payload, ok = args.handler(args)

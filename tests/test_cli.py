@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -800,9 +801,12 @@ cli.run()
 
 
 class TestParser:
-    """main builds the parser for its first argument: when it names a
-    subcommand, only that one is registered.  On every argv that parser
-    must act as the one with all subcommands populated."""
+    """main reads a well-formed argv with cli._parse_direct, without
+    argparse; on what that declines it builds the parser for its first
+    argument: when it names a subcommand, only that one is registered.
+    On every argv that parser must act as the one with all subcommands
+    populated, and every namespace the direct parse returns must be the
+    full parser's."""
 
     ARGV = [
         ["--help"],
@@ -848,6 +852,79 @@ class TestParser:
             main(argv)
         got = (exc.value.code, *capsys.readouterr())
         assert got == self.parse(cli.build_parser(), argv, capsys)[:3]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "empty" for a in ARGV])
+    def test_direct_parse_matches_the_full_parser(self, capsys, argv):
+        got = cli._parse_direct(argv)
+        if got is not None:
+            assert self.parse(cli.build_parser(), argv, capsys) == (None, "", "", vars(got))
+
+    # the options of every subcommand; then abbreviated, joined to a value,
+    # and the other tokens argparse reads as options
+    EXACT = ["--json", "--threads", "--budget", "--x", "--depth", "--k", "--tau",
+             "--psi-power", "--kmax"]
+    FLAGS = EXACT + ["--js", "--thr", "--ta", "--psi", "--km", "--tau=1", "--k=2", "--",
+                     "-h", "--help", "-x", "-"]
+    VALUES = ["1", "2", "0", "-1", "", " 3", "1_0", "3.5", "1:2", "0,2", "p.json", "x"]
+
+    @staticmethod
+    def actions(name):
+        """The argparse actions of subcommand `name`, -h included."""
+        sub, = [a for a in cli.build_parser(name)._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices[name]._actions
+
+    @classmethod
+    def random_argv(cls, rng, flags):
+        """A well-formed-looking argv, then up to two mutations of it."""
+        name = rng.choice([*cli._SUBCOMMANDS, "expsm", "--json", ""])
+        argv = [] if name == "acceptance" else [rng.choice(cls.VALUES)]
+        own = flags.get(name, [])
+        for flag in rng.sample(own if rng.random() < 0.8 else cls.EXACT,
+                               rng.randint(0, min(4, len(own)))):
+            value = rng.choice(["1", "2", rng.choice(cls.VALUES)])
+            argv[rng.randint(0, len(argv)):0] = [flag] if flag == "--json" else [flag, value]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if argv and rng.random() < 0.3:
+                del argv[rng.randrange(len(argv))]
+            else:
+                argv.insert(rng.randint(0, len(argv)),
+                            rng.choice(cls.FLAGS + cls.VALUES))
+        return [name, *argv]
+
+    def test_direct_parse_matches_the_full_parser_on_random_argvs(self):
+        rng = random.Random(20261020)
+        parser = cli.build_parser()
+        flags = {name: [a.option_strings[0] for a in self.actions(name)[1:]
+                        if a.option_strings] for name in cli._SUBCOMMANDS}
+        accepted = 0
+        for _ in range(12_000):
+            argv = self.random_argv(rng, flags)
+            got = cli._parse_direct(argv)
+            if got is not None:
+                assert vars(parser.parse_args(argv)) == vars(got), argv
+                accepted += 1
+        assert 2_000 < accepted < 10_000  # the corpus reaches both paths
+
+    @pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+    def test_every_subcommand_and_option_takes_the_direct_path(self, name):
+        items = []
+        for action in self.actions(name):
+            if not action.option_strings:
+                items.append(["in.json"])
+            elif action.nargs != 0:
+                items.append([action.option_strings[0],
+                              "2" if action.type is int else "1:2"])
+            elif action.dest != "help":
+                items.append([action.option_strings[0]])
+        rng = random.Random(name)
+        for _ in range(6):
+            rng.shuffle(items)
+            argv = [name, *[token for item in items for token in item]]
+            got = cli._parse_direct(argv)
+            assert got is not None, argv
+            assert vars(got) == vars(cli.build_parser().parse_args(argv))
+            assert got.handler is cli._SUBCOMMANDS[name][0]
 
     def test_only_the_named_subcommand_gets_arguments(self):
         sub, = [a for a in cli.build_parser("expsum")._actions

@@ -12,9 +12,11 @@ The one numpy import in the package is the call-time import in
 so no command loads `dataclasses`, and only numpy loads `inspect`.  The
 CLI stamps its documents from time.time_ns(), so no command loads
 `datetime` either, and the torus kernel picks its most common weight
-with max, so no command short of `frobenius` loads `heapq`.  Importing
-the CLI pauses the cyclic collector while its imports run and leaves it
-as it found it.
+with max, so no command short of `frobenius` loads `heapq`.  A
+well-formed command line is read without argparse, so no such command
+loads `argparse` or the `gettext` behind its messages; `--help` and a
+usage error still go through argparse.  Importing the CLI pauses the
+cyclic collector while its imports run and leaves it as it found it.
 """
 
 import ast
@@ -59,9 +61,13 @@ TORUS_COMMANDS = {
 RUN_SCRIPT = """
 import json, sys
 from arith_lg import cli
-code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+try:
+    code = cli.main(sys.argv[1:]) if sys.argv[1:] else None
+except SystemExit as exc:  # argparse's, after --help or a usage error
+    code = exc.code
 sys.stdout.flush()
-loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime", "heapq")
+loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime", "heapq",
+                            "argparse", "gettext")
           if name in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
@@ -73,9 +79,10 @@ def child_env():
 
 
 def run_fresh(*argv):
-    """Exit code of cli.main on argv (None: import only) in a fresh
-    interpreter, and which of numpy, dataclasses, inspect, datetime and
-    heapq were loaded by the end."""
+    """Exit code of cli.main on argv (None: import only; argparse's
+    exit code after --help or a usage error) in a fresh interpreter, and
+    which of numpy, dataclasses, inspect, datetime, heapq, argparse and
+    gettext were loaded by the end."""
     run = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv], capture_output=True,
                          text=True, env=child_env(), timeout=120, check=True)
     doc = json.loads(run.stderr.splitlines()[-1])
@@ -125,6 +132,15 @@ def test_frobenius_loads_numpy(tmp_path):
     # loads inspect
     code, loaded = run_fresh("frobenius", write(tmp_path, KLOOSTERMAN5), "--tau", "1")
     assert (code, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["expsum", "--help"], 0),
+                                        (["expsum", "{path}"], 2),        # no --tau
+                                        (["monodromy", "{path}", "--bogus"], 2)])
+def test_help_and_usage_errors_load_argparse(tmp_path, argv, code):
+    path = write(tmp_path, KLOOSTERMAN5)
+    got, loaded = run_fresh(*[a.format(path=path) for a in argv])
+    assert (got, {"argparse", "gettext"} <= set(loaded)) == (code, True)
 
 
 def numpy_imports(tree):
