@@ -7,22 +7,28 @@ Matrices of rational functions represent connection forms; everything
 is decided exactly over the rationals.  Variable 0 is t, variables
 1..m are the base coordinates.
 
-One evaluator, `_entries`, computes every matrix identity: a linear
-combination of matrices, their partial derivatives and matrix products,
-entry by entry, each entry one `RatFunc.dot`; no matrix of partial
-results is built.  A verdict (`_vanishes`) stops at the first nonzero entry,
-and `curvature` assembles its components from the same entries.  The
-pairing's determinant is certified nonzero by its rank at one integer
-point, with the cofactor expansion as the exact fallback.
+Every matrix identity is a linear combination of matrices, their
+partial derivatives and matrix products, and one term builder, `_groups`,
+yields its terms entry by entry, grouped by denominator as pairs of
+numerators; no matrix of partial results is built.  Two reductions use
+it.  A verdict (`_vanishes`) decides each entry on numerators alone, one
+integer kernel call per group plus one cross-multiplied sum when there
+are several, and stops at the first nonzero entry; the only rational
+functions it builds are the partial derivatives of plain terms.
+`curvature` turns the same groups into rational functions (`_entries`),
+as `RatFunc.dot` does.  The pairing's determinant is certified nonzero
+by its rank at one integer point, with the cofactor expansion as the
+exact fallback.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import InputError, VerificationError, frozen
 from .exactla import _echelon, _lift as _lift_rows
-from .mpoly import RatFunc, _lift
+from .mpoly import RatFunc, _group_sum, _lift, _one, _sum_products
 
 __all__ = [
     "MatForm",
@@ -68,10 +74,6 @@ def _msub(a: RMat, b: RMat) -> RMat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _mneg(a: RMat) -> RMat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def _mtrans(a: RMat) -> RMat:
     return tuple(zip(*a))
 
@@ -88,34 +90,74 @@ def _meq(a: RMat, b: RMat) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def _entries(plain=(), products=()):
-    """The entries, row by row, of sum s * d_i M + sum s * X Y.
+def _nvars(plain, products) -> int:
+    return (plain or products)[0][1][0][0].nvars
+
+
+def _groups(plain=(), products=()):
+    """The terms, row by row, of each entry of sum s * d_i M + sum s * X Y,
+    grouped by denominator: one dict {den: [(num_x, num_y), ...]} per
+    entry, which is the sum over den of sum(num_x * num_y) / den.
 
     plain holds terms (s, M, i), with i the variable M is differentiated
     by, or None for M itself; products holds terms (s, X, Y); every sign
-    s is 1 or -1.  Each entry is one RatFunc.dot: a plain term pairs its
-    entry with the constant s, and a product's minus sign negates X once
-    per matrix.  Entries are made lazily, one per step.
+    s is 1 or -1 and goes onto num_x.  A plain term's entry, derived once,
+    is paired with the constant 1; a product's denominators are
+    multiplied only when neither is the shared constant 1.  Zero terms
+    are skipped, and entries are made lazily, one per step.
     """
-    first = (plain or products)[0][1]
-    size, nvars = len(first), first[0][0].nvars
-    const = {s: RatFunc.const(nvars, s) for s in (1, -1)}
-    plain = [(M, i, const[s]) for s, M, i in plain]
-    products = [(X if s == 1 else _mneg(X), tuple(zip(*Y)))
-                for s, X, Y in products]
+    size, one = len((plain or products)[0][1]), _one(_nvars(plain, products))
+    cols = [tuple(zip(*Y)) for _, _, Y in products]
     for r in range(size):
+        # row r of each X, signed once per row
+        rows = [[(x.num if s == 1 else -x.num, x.den) if x.num.coeffs else None
+                 for x in X[r]] for s, X, _ in products]
         for c in range(size):
-            pairs = [(M[r][c] if i is None else M[r][c].partial(i), k)
-                     for M, i, k in plain]
-            for X, cols in products:
-                pairs.extend(zip(X[r], cols[c]))
-            yield RatFunc.dot(pairs)
+            groups: dict = {}
+            for s, M, i in plain:
+                f = M[r][c] if i is None else M[r][c].partial(i)
+                if f.num.coeffs:
+                    groups.setdefault(f.den, []).append((f.num if s == 1 else -f.num, one))
+            for row, col in zip(rows, cols):
+                for x, y in zip(row, col[c]):
+                    if x is not None and y.num.coeffs:
+                        num, dx = x
+                        dy = y.den
+                        den = dy if dx is one else dx if dy is one else dx * dy
+                        groups.setdefault(den, []).append((num, y.num))
+            yield groups
+
+
+def _entries(plain=(), products=()):
+    """The entries, row by row, of sum s * d_i M + sum s * X Y, as
+    rational functions built from `_groups`, as `RatFunc.dot` would."""
+    nvars = _nvars(plain, products)
+    for groups in _groups(plain, products):
+        yield _group_sum(nvars, groups)
 
 
 def _vanishes(plain=(), products=()) -> bool:
-    """Whether the combination of _entries is zero; False at the first
-    nonzero entry, with no later entry computed."""
-    return not any(_entries(plain, products))
+    """Whether sum s * d_i M + sum s * X Y is zero, decided entry by entry
+    on numerators; False at the first nonzero entry, with no later entry
+    computed.
+
+    With S_g the numerator sum of the group over d_g, an entry
+    sum_g S_g / d_g is zero iff sum_g S_g * prod_{h != g} d_h is, since
+    no d_h is zero.  Groups with S_g = 0 drop out first, so one group left
+    decides at once.
+    """
+    nvars = _nvars(plain, products)
+    for groups in _groups(plain, products):
+        sums = [(S, den) for den, pairs in groups.items()
+                if (S := _sum_products(nvars, pairs)).coeffs]
+        if len(sums) == 1:
+            return False
+        if len(sums) > 1:
+            dens = [den for _, den in sums]
+            cross = [(S, prod(dens[:g] + dens[g + 1:])) for g, (S, _) in enumerate(sums)]
+            if _sum_products(nvars, cross).coeffs:
+                return False
+    return True
 
 
 def _comm(X: RMat, Y: RMat) -> list:

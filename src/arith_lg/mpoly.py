@@ -20,18 +20,19 @@ constructor, after `_reduced` divides out the common factor of content
 and denominator where one can arise.  One kernel, `_sum_products`,
 multiplies: it scales each pair's integer products to the lcm of the
 pairs' denominators and sums all terms in a single exponent -> int dict.
-`MPoly * MPoly` is its one-pair case, and `RatFunc.dot` calls it once
-per denominator group of a sum of rational-function products.  Scaling
-by a constant maps the coefficients and calls no kernel.  A product
-with the constant 1 is the other operand itself (polynomials are
-immutable), and a rational function whose denominator is the constant
-1 is already normalized; results known to be normalized (negation,
-constants) go through the trusted `_ratfunc` constructor, over one
-cached constant 1 per variable count.  A partial derivative by a
-variable the denominator does not involve keeps the denominator and
-differentiates the numerator (the quotient rule with d' = 0); only the
-others square the denominator.  `_lift` is the one way a value enters
-Q(t, x) as a rational function.
+`MPoly * MPoly` is its one-pair case, and `_group_sum` (behind
+`RatFunc.dot` and connalg's curvature) calls it once per denominator
+group of a sum of rational-function products.  Scaling by a constant
+maps the coefficients and calls no kernel.  A product with the constant
+1 is the other operand itself (polynomials are immutable), and a
+rational function whose denominator is the constant 1 is already
+normalized; results known to be normalized (negation, constants, a
+partial derivative over the constant 1) go through the trusted
+`_ratfunc` constructor, over one cached constant 1 per variable count.
+A partial derivative by a variable the denominator does not involve
+keeps the denominator and differentiates the numerator (the quotient
+rule with d' = 0); only the others square the denominator.  `_lift` is
+the one way a value enters Q(t, x) as a rational function.
 """
 
 from __future__ import annotations
@@ -402,6 +403,14 @@ def _lift(nvars: int, v) -> "RatFunc | None":
     return None
 
 
+def _group_sum(nvars: int, groups: dict) -> "RatFunc":
+    """The sum over den of sum(p * q for p, q in pairs) / den, for groups
+    {den: pairs}: one kernel call per group, and only the group sums are
+    added as rational functions."""
+    parts = [RatFunc(_sum_products(nvars, pairs), den) for den, pairs in groups.items()]
+    return sum(parts[1:], parts[0]) if parts else RatFunc.const(nvars, 0)
+
+
 class RatFunc:
     """Quotient of two MPolys, normalized by sign, content, and the
     shared monomial factor.  Equality is exact via cross-multiplication.
@@ -523,9 +532,7 @@ class RatFunc:
                 groups.setdefault(x.den * y.den, []).append((x.num, y.num))
         if nvars is None:
             raise InputError("an empty dot product has no variable count")
-        parts = [RatFunc(_sum_products(nvars, group), den)
-                 for den, group in groups.items()]
-        return sum(parts[1:], parts[0]) if parts else RatFunc.const(nvars, 0)
+        return _group_sum(nvars, groups)
 
     def __truediv__(self, other):
         o = _lift(self.nvars, other)
@@ -537,6 +544,8 @@ class RatFunc:
 
     def partial(self, i: int) -> "RatFunc":
         n, d = self.num, self.den
+        if _is_one(d):  # over the constant 1 it is normalized
+            return _ratfunc(n.partial(i), d)
         if not d.involves(i):  # the quotient rule with d' = 0
             return RatFunc(n.partial(i), d)
         return RatFunc(n.partial(i) * d - n * d.partial(i), d * d)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from arith_lg import connalg
+from arith_lg import connalg, mpoly
 from arith_lg.acceptance import _random_structure_tuple
 from arith_lg.connalg import (FTSTuple, MatForm, assemble_nabla, curvature,
                               poincare_rank, to_infinity_chart, verify_connection,
@@ -49,8 +49,10 @@ def mats_equal(a, b):
 
 # --- reference: compose each identity as a whole matrix, then test it -------
 #
-# connalg decides an identity entry by entry, one RatFunc.dot per entry, and
-# stops at the first nonzero entry.  The reference builds every intermediate
+# connalg decides an identity entry by entry on numerators: it sums each
+# entry's terms per denominator, cross-multiplies the group sums, and stops
+# at the first nonzero entry; curvature builds each entry as one rational
+# function from the same groups.  The reference builds every intermediate
 # matrix in full, from sequential sums of products and the full quotient
 # rule, and tests the finished matrix.
 
@@ -839,40 +841,201 @@ class TestAgainstReference:
         assert connalg._flat(flat)
 
 
+# --- the numerator reduction against the reference ----------------------------
+#
+# Each identity below is zero or not by construction and by the reference;
+# `_vanishes` must agree.  The zero ones need every part of the reduction:
+# groups that cancel only after cross-multiplication, both signs, and the
+# plain terms.
+
+H1, H2 = x + 1, x + 2
+
+
+def rf_mat(entries, size=2):
+    """A size x size matrix with the given entries in its first row, then
+    zeros: an identity on it reduces to its first row."""
+    zero = RatFunc.const(NV, 0)
+    row = tuple(entries) + (zero,) * (size - len(entries))
+    return (row,) + ((zero,) * size,) * (size - 1)
+
+
+def shifted(a, k):
+    return tuple(tuple(v.mul_t_power(k) for v in row) for row in a)
+
+
+def gauge_tuple(rng, size, broken):
+    """A flat tuple in the gauge G = D U, or one broken in r0_transport.
+
+    Before the gauge: A = 0, Phi_i = d_i f * N with N the nilpotent shift,
+    R_0 = a + b N, R_inf = diag(0, ..., size - 1), so [Phi_i, R_inf] =
+    Phi_i; broken adds a constant with a nonzero bottom-left entry to
+    Phi_1.  D = diag((1 + x)^k) puts non-monomial denominators into every
+    transformed matrix, U is unipotent upper triangular and polynomial.
+    """
+    m, nv = 2, NV
+    N = as_rf_matrix([[1 if j == i + 1 else 0 for j in range(size)]
+                      for i in range(size)])
+    f = MPoly(nv, [((0, rng.randint(0, 2), rng.randint(0, 2)), rng.randint(1, 3)),
+                   ((0, 1, 1), rng.randint(1, 3))])
+    phi = [tuple(tuple(RatFunc(f.partial(i + 1)) * v for v in row) for row in N)
+           for i in range(m)]
+    if broken:
+        phi[0] = _madd(phi[0], as_rf_matrix([[1 if (i, j) == (size - 1, 0) else 0
+                                              for j in range(size)] for i in range(size)]))
+    a, b = rng.randint(-2, 2), rng.randint(1, 2)
+    r0 = _madd(as_rf_matrix([[a if i == j else 0 for j in range(size)]
+                             for i in range(size)]),
+               tuple(tuple(v * b for v in row) for row in N))
+    rinf = as_rf_matrix([[i if i == j else 0 for j in range(size)] for i in range(size)])
+    D = as_rf_matrix([[RatFunc(H1 ** i) if i == j else 0 for j in range(size)]
+                      for i in range(size)])
+    Dinv = as_rf_matrix([[RatFunc(c(1), H1 ** i) if i == j else 0 for j in range(size)]
+                         for i in range(size)])
+    W = as_rf_matrix([[rng.choice((0, 1, -1)) * rng.choice((c(1), x, y)) if i < j else 0
+                       for j in range(size)] for i in range(size)])  # U - 1, nilpotent
+    I = as_rf_matrix([[1 if i == j else 0 for j in range(size)] for i in range(size)])
+    U, Uinv, power = _madd(I, W), I, I
+    for _ in range(size - 1):
+        power = _mneg(_mmul(power, W))
+        Uinv = _madd(Uinv, power)
+    G, Ginv = _mmul(D, U), _mmul(Uinv, Dinv)
+
+    def conj(X):
+        return _mmul(_mmul(Ginv, X), G)
+
+    A = [_mmul(Ginv, _mpartial(G, i + 1)) for i in range(m)]
+    return FTSTuple(size, m, A, [conj(X) for X in phi], conj(r0), conj(rinf))
+
+
+class TestNumeratorReduction:
+    def test_groups_cancel_only_after_cross_multiplication(self):
+        # 1/(x+1) - (x+2)/((x+1)(x+2)): neither group sums to zero alone
+        one, other = RatFunc(c(1), H1), RatFunc(H2, H1 * H2)
+        M, N = rf_mat([one]), rf_mat([other])
+        groups = next(connalg._groups([(1, M, None), (-1, N, None)]))
+        assert len(groups) == 2 and all(
+            not mpoly._sum_products(NV, pairs).is_zero for pairs in groups.values())
+        assert _mzero(_msub(M, N))
+        assert connalg._vanishes([(1, M, None), (-1, N, None)])
+        assert not connalg._vanishes([(1, M, None), (1, N, None)])
+        assert not connalg._vanishes(
+            [(1, M, None), (-1, rf_mat([RatFunc(x + 3, H1 * H2)]), None)])
+
+    def test_product_denominators_cancel_across_groups(self):
+        # (x+2)/(x+1) * 1/(x+2) + 1/(x+1) * (-1): one group over the
+        # product (x+1)(x+2), the other over x+1
+        X = rf_mat([RatFunc(H2, H1), RatFunc(c(1), H1)])
+        Y = as_rf_matrix([[RatFunc(c(1), H2), 0], [-1, 0]])
+        assert _mzero(_mmul(X, Y))
+        assert connalg._vanishes((), [(1, X, Y)])
+        assert not connalg._vanishes((), [(1, X, as_rf_matrix([[Y[0][0], 0], [1, 0]]))])
+
+    def test_a_verdict_on_products_builds_no_rational_function(self, monkeypatch):
+        X = rf_mat([RatFunc(H2, H1), RatFunc(c(1), H1)])
+        Y = as_rf_matrix([[RatFunc(c(1), H2), 0], [-1, 0]])
+
+        def refuse(*args):
+            raise AssertionError("a RatFunc was built or added")
+
+        for name in ("__init__", "__add__", "__radd__", "__neg__", "__mul__"):
+            monkeypatch.setattr(RatFunc, name, refuse)
+        monkeypatch.setattr(mpoly, "_ratfunc", refuse)
+        assert connalg._vanishes((), [(1, X, Y), (-1, Y, X), (1, Y, X)])
+        assert not connalg._vanishes((), [(1, X, X)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_signed_products_against_their_expansion(self, seed):
+        # s XY - s Z with Z = XY expanded by the reference over other
+        # denominators, for both signs s
+        rng = random.Random(seed)
+        dens = [c(1), H1, H1 * H2, t_free_denominator(NV)]
+
+        def rand_rf():
+            p = MPoly(NV, [((0, rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-3, 3))
+                           for _ in range(rng.randint(1, 3))])
+            return RatFunc(p, rng.choice(dens))
+
+        X, Y = ([[rand_rf() for _ in range(3)] for _ in range(3)] for _ in range(2))
+        X, Y = as_rf_matrix(X), as_rf_matrix(Y)
+        Z = _mmul(X, Y)
+        for s in (1, -1):
+            assert connalg._vanishes([(-s, Z, None)], [(s, X, Y)])
+            assert connalg._vanishes([(-s, Z, None)], [(s, X, Y), (1, Y, X), (-1, Y, X)])
+            assert connalg._vanishes((), [(s, X, Y), (-s, X, Y)])
+        if not _mzero(Z):
+            assert not connalg._vanishes([(1, Z, None)], [(1, X, Y)])
+        if not _mzero(_mcomm(X, Y)):
+            assert not connalg._vanishes((), connalg._comm(X, Y))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_t_derivatives_of_assembled_entries(self, seed):
+        # d_t (Phi/t) = -Phi/t^2 and d_t (R_0/t^2 - R_inf/t) =
+        # -2 R_0/t^3 + R_inf/t^2: the derivative's denominator t^4 h^2
+        # against the pieces' t^3 h and t^2 h
+        T = gauge_tuple(random.Random(seed), 2 + seed % 2, broken=False)
+        B = assemble_nabla(T)
+        At = B.component((0,))
+        r0, rinf = shifted(T.r0, -3), shifted(T.rinf, -2)
+        expected = [(1, r0, None), (1, r0, None), (-1, rinf, None)]
+        assert connalg._vanishes([(1, At, 0)] + expected)
+        assert _mzero(_madd(_madd(_mpartial(At, 0), _madd(r0, r0)), _mneg(rinf)))
+        assert not connalg._vanishes([(1, At, 0)] + expected[1:])
+        for i in range(T.m):
+            Ax, phi = B.component((i + 1,)), shifted(T.phi[i], -2)
+            assert connalg._vanishes([(1, Ax, 0), (1, phi, None)])
+            assert connalg._vanishes([(1, Ax, 0)]) == _mzero(phi)
+            assert connalg._vanishes([(1, Ax, 0), (-1, phi, None)]) == _mzero(phi)
+            assert connalg._vanishes([(1, Ax, 0), (-1, _mpartial(Ax, 0), None)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("broken", [False, True], ids=["flat", "broken"])
+    def test_gauge_transformed_tuples(self, seed, broken):
+        T = gauge_tuple(random.Random(seed), 2 + seed % 2, broken)
+        expected = reference_conditions(T)
+        assert expected["r0_transport"] is not broken
+        assert all(expected.values()) is not broken
+        rep = verify_fts(T)
+        assert rep.conditions == expected
+        assert rep.assembled_flat is not broken
+        assert rep.assembled_flat == reference_flat(assemble_nabla(T))
+
+
 class TestEarlyStop:
     @pytest.fixture
-    def dots(self, monkeypatch):
-        calls = []
-        real = RatFunc.dot
+    def decided(self, monkeypatch):
+        """The entries a verdict decides: each one `connalg._groups` yields."""
+        decided = []
+        real = connalg._groups
 
-        def counting(pairs):
-            calls.append(pairs)
-            return real(pairs)
+        def counting(*terms):
+            for groups in real(*terms):
+                decided.append(groups)
+                yield groups
 
-        monkeypatch.setattr(RatFunc, "dot", staticmethod(counting))
-        return calls
+        monkeypatch.setattr(connalg, "_groups", counting)
+        return decided
 
     @staticmethod
     def entries(A):
         return A.nvars * (A.nvars - 1) // 2 * A.size ** 2
 
-    def test_curved_form_stops_at_the_first_nonzero_entry(self, dots):
+    def test_curved_form_stops_at_the_first_nonzero_entry(self, decided):
         # doubling the diagonal of rinf breaks r0_transport; the dt^dx
         # curvature is -E12 dt^dx / t^2, nonzero in entry (0, 1)
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 2]])
         A = assemble_nabla(T)
         assert not connalg._flat(A)
-        assert len(dots) == 2 < self.entries(A)
+        assert len(decided) == 2 < self.entries(A)
 
-    def test_curved_report_stops_early(self, dots):
+    def test_curved_report_stops_early(self, decided):
         M, N = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
         A = MatForm(NV, 1, {(1,): M, (2,): N}, 2)
         assert not verify_connection(A).flat
-        assert 0 < len(dots) < self.entries(A)
+        assert 0 < len(decided) < self.entries(A)
 
-    def test_flat_form_makes_one_call_per_entry(self, dots):
+    def test_flat_form_makes_one_call_per_entry(self, decided):
         T = FTSTuple(2, 2, A=[ZERO2, ZERO2], phi=[E12, [[0, 2], [0, 0]]],
                      r0=[[3, 0], [0, 3]], rinf=[[0, 0], [0, 1]])
         A = assemble_nabla(T)
         assert connalg._flat(A)
-        assert len(dots) == self.entries(A) == 12
+        assert len(decided) == self.entries(A) == 12

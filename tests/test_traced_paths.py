@@ -7,11 +7,13 @@ eliminations run on exactla's integer kernels, so only callers of the
 reference, such as acceptance criterion 8's oracle, are counted.  Those counts
 only mean something if the layers built on them still reach them: the
 reference's subspace functions through the module global `rref`, and
-single rational-function operations through `MPoly.__mul__`.  Matrix identities do not: connalg evaluates each entry
-of a combination of matrices and matrix products as one `RatFunc.dot`,
-which makes one `mpoly._sum_products` call per denominator group and
-adds only the group sums, so `MPoly.__mul__` sees the denominator
-products and those additions, not every product.
+single rational-function operations through `MPoly.__mul__`.  Matrix
+identities do not: connalg groups each entry of a combination of
+matrices and matrix products by denominator and makes one
+`mpoly._sum_products` call per group.  Curvature adds only the group
+sums as rational functions, and a verdict multiplies only denominators,
+so `MPoly.__mul__` sees the denominator products and curvature's
+additions, not every product.
 A subspace is its canonical RREF basis, so the subspace functions get
 canonical bases here, and containment and products take no elimination
 at all.
