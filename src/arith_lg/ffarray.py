@@ -21,9 +21,16 @@ as m columns, one lane per exponent.  They are built in place by
 doubling: the powers h^s .. h^(2s - 1) are the powers h^0 .. h^(s - 1)
 times h^s, a linear map over F_p on coordinates, applied in chunks of
 BATCH lanes (scaled by bytes.translate or by int products, summed as
-ints).  The discrete-log table of a field (ffield.discrete_table) is the
-power table of its generator g, order q - 1, plus a trace column
-Tr(g^e), built on first use.
+ints).  The map's rows, the coordinates of h^s X^j for j < m, come from
+companion shifts (shift up, subtract the top coordinate times the
+modulus), so each doubling step makes one field product, the squaring
+that gives the next h^s.  The discrete-log table of a field
+(ffield.discrete_table) is the power table of its generator g, order
+q - 1, plus a trace column Tr(g^e), built on first use.  log compares
+coordinate columns against the element, and looks in the subfields
+first: with order N = p^s - 1, an element of F_{p^d} (d | s) sits at a
+multiple of N / (p^d - 1), so those exponents are tried for each d,
+ascending, and all N exponents last.
 
 The torus kernel
 ----------------
@@ -149,6 +156,19 @@ def _ones(count: int, width: int) -> int:
     return int.from_bytes((1).to_bytes(width, _ORDER) * count, _ORDER)
 
 
+@lru_cache(maxsize=None)
+def _subfield_strides(N: int, p: int) -> tuple[int, ...]:
+    """N / (p^d - 1) for the degrees d | s, ascending, when N = p^s - 1:
+    the spacing of the units of F_{p^d} among the exponents of a generator
+    of the units of F_{p^s}.  Otherwise (1,)."""
+    s = 1
+    while p ** s - 1 < N:
+        s += 1
+    if p ** s - 1 != N:
+        return (1,)
+    return tuple(N // (p ** d - 1) for d in range(1, s + 1) if s % d == 0)
+
+
 class PowerTable:
     """The powers h^0 .. h^(order - 1) of one element h of a field, by
     coordinate columns, and the torus kernel on them.
@@ -173,15 +193,16 @@ class PowerTable:
         self._packs: dict[int, list[bytes]] = {}
         cols = [bytearray(order * W) for _ in range(m)]
         cols[0][:W] = (1).to_bytes(W, _ORDER)
-        x = field.element([0, 1] + [0] * (m - 2)) if m > 1 else None
+        modulus = field.modulus
         filled, step = 1, h
         while filled < order:
-            # coordinate i of (sum_j c_j X^j) * step is sum_j c_j images[j][i]
-            images, img = [], step
-            for _ in range(m):
-                images.append(img.coords)
-                if x is not None:
-                    img = img * x
+            # coordinate i of (sum_j c_j X^j) * step is sum_j c_j images[j][i];
+            # images[j + 1] = images[j] * X shifts up and subtracts top * modulus
+            images = [step.coords]
+            for _ in range(m - 1):
+                img = images[-1]
+                images.append(tuple((lo - img[-1] * f) % p
+                                    for lo, f in zip((0,) + img[:-1], modulus)))
             size = min(filled, order - filled)
             for lo in range(0, size, BATCH):
                 hi = min(lo + BATCH, size)
@@ -191,7 +212,8 @@ class PowerTable:
                     col[(filled + lo) * W:(filled + hi) * W] = self._combine(
                         chunks, values, [img[i] for img in images], hi - lo)
             filled += size
-            step = step * step
+            if filled < order:
+                step = step * step
         self.columns = cols
 
     # ----------------------------------------------------------------------
@@ -250,22 +272,38 @@ class PowerTable:
     # elements
 
     def log(self, a: FqElem) -> int | None:
-        """The exponent e with h^e = a, None for zero."""
+        """The exponent e with h^e = a, None for zero.
+
+        When the order is N = p^s - 1, h generates the units of the
+        subfield of order p^s, and an element of its subfield F_{p^d}
+        (d | s) sits at a multiple of N / (p^d - 1): the search tries those
+        p^d - 1 exponents for each d, ascending, before all N (d = s)."""
         if a.field != self.field:
             raise InputError("element from a different field")
         if not a:
             return None
-        W = self.width
-        for lo in range(0, self.order, BATCH):
-            hi = min(lo + BATCH, self.order)
+        for stride in _subfield_strides(self.order, self.field.p):
+            e = self._find(a.coords, stride)
+            if e is not None:
+                return e
+        raise InputError(f"{a!r} is not a power of the table's element")
+
+    def _find(self, coords: Sequence[int], stride: int) -> int | None:
+        """The first exponent e, a multiple of stride, whose coordinates are
+        coords, or None."""
+        W, count = self.width, self.order // stride
+        for lo in range(0, count, BATCH):
+            hi = min(lo + BATCH, count)
             ones = _ones(hi - lo, W)
             diff = 0
-            for col, c in zip(self.columns, a.coords):
-                diff |= int.from_bytes(col[lo * W:hi * W], _ORDER) ^ c * ones
+            for col, c in zip(self.columns, coords):
+                lanes = (col if W == 1 else memoryview(col).cast(_FORMATS[W]))[
+                    lo * stride:hi * stride:stride]
+                diff |= int.from_bytes(lanes, _ORDER) ^ c * ones
             pos = self._flags(diff, hi - lo).find(0)
             if pos >= 0:
-                return lo + pos
-        raise InputError(f"{a!r} is not a power of the table's element")
+                return (lo + pos) * stride
+        return None
 
     def elem(self, e: int | None) -> FqElem:
         if e is None:

@@ -102,33 +102,35 @@ def _pnorm(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(c)
 
 
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _pmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of a * b as integers, not yet reduced mod p."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pnorm(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return out
 
 
 def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> tuple[int, ...]:
-    """a mod f, f monic."""
-    a = list(a)
+    """a mod f, f monic: each leading coefficient is reduced mod p as it
+    is cancelled, through f's nonzero lower coefficients only, and the
+    remainder once at the end."""
     df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1] % p
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
-    return _pnorm(a)
+    if len(a) > df:
+        a = list(a)
+        taps = [(i, c) for i, c in enumerate(f[:df]) if c]
+        for top in range(len(a) - 1, df - 1, -1):
+            lead = a[top] % p
+            if lead:
+                for i, c in taps:
+                    a[top - df + i] -= lead * c
+        del a[df:]
+    return _pnorm([c % p for c in a])
 
 
 def _pmulmod(a, b, f, p) -> tuple[int, ...]:
-    return _pmod(_pmul(a, b, p), f, p)
+    return _pmod(_pmul(a, b), f, p)
 
 
 def _ppowmod(a, e: int, f, p) -> tuple[int, ...]:
@@ -251,7 +253,8 @@ def make_field(p: int, m: int) -> FieldSpec:
             coeffs.append(c % p)
             c //= p
         candidate = tuple(coeffs) + (1,)
-        if _is_irreducible(candidate, p):
+        # f(0) = 0 or f(1) = 0 gives f a linear factor, a proper one as m >= 2
+        if candidate[0] and sum(candidate) % p and _is_irreducible(candidate, p):
             return FieldSpec(p, m, candidate)
     raise InputError("no irreducible polynomial found")  # pragma: no cover
 
@@ -342,10 +345,13 @@ class FqElem:
         return o - self
 
     def __mul__(self, other):
+        f = self.field
+        if isinstance(other, int):  # an F_p scalar scales the coordinates
+            p = f.p
+            return FqElem(f, tuple(a * other % p for a in self.coords))
         o = self._lift(other)
         if o is NotImplemented:
             return o
-        f = self.field
         if f.m == 1:
             return FqElem(f, (self.coords[0] * o.coords[0] % f.p,))
         prod = _pmulmod(self.coords, o.coords, f.modulus, f.p)
@@ -451,13 +457,15 @@ def _roots(modulus: tuple[int, ...], source_degree: int,
 
 
 def _apply_hom(a: FqElem, image_powers: Sequence[FqElem]) -> FqElem:
-    """Apply the ring hom sending the source generator to image_powers[1]."""
-    target_field = image_powers[0].field
-    acc = target_field.zero()
+    """Apply the ring hom sending the source generator to image_powers[1]:
+    sum_i a_i image_powers[i], coordinate by coordinate, reduced once."""
+    target = image_powers[0].field
+    acc = [0] * target.m
     for c, pw in zip(a.coords, image_powers):
         if c:
-            acc = acc + pw * c
-    return acc
+            for j, v in enumerate(pw.coords):
+                acc[j] += c * v
+    return FqElem(target, tuple(v % target.p for v in acc))
 
 
 def _gen_powers(field_m: int, image: FqElem) -> tuple[FqElem, ...]:

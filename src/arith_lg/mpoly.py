@@ -122,7 +122,7 @@ class MPoly:
     """Polynomial over the rationals with a fixed number of variables:
     integer coefficients `coeffs` over the positive integer `denom`."""
 
-    __slots__ = ("nvars", "coeffs", "denom")
+    __slots__ = ("nvars", "coeffs", "denom", "_hash")
 
     def __init__(self, nvars: int, terms=()):
         if nvars < 1:
@@ -198,7 +198,13 @@ class MPoly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
+        # computed on first use and kept: the polynomial never changes
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, self.denom, frozenset(self.coeffs.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def _coerce(self, other):
         if isinstance(other, MPoly):

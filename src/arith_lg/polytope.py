@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, frozen
 from .exactla import _echelon, _kernel
@@ -106,9 +107,14 @@ def newton_polyhedron(support) -> Polytope:
         raise InputError("ambient dimension must be at least 1")
     if any(len(w) != n for w in pts):
         raise InputError("support points of mixed dimension")
-    origin = (0,) * n
-    generators = tuple(sorted(set(pts) | {origin}))
+    return _hull(tuple(sorted(set(pts) | {(0,) * n})))
 
+
+@lru_cache(maxsize=256)
+def _hull(generators: tuple[LatticePoint, ...]) -> Polytope:
+    """The polytope of sorted generators, the origin among them: built
+    once per generator set, which the frozen Polytope lets callers share."""
+    n = len(generators[0])
     if len(_echelon(generators)[0]) < n:
         # span through 0: with 0 a generator, affine rank == linear rank
         return Polytope(n, generators, (), (), True)

@@ -10,6 +10,9 @@ are checked against plain FqElem arithmetic, with BATCH shrunk so that
 chunk boundaries fall mid-range.  The embedding pins hold the
 coordinates embed gives in a fresh process, and the same coordinates
 come out step by step along fixed tower sequences in one process.
+PowerTable.log is checked against brute force on every element of
+small fields, scalar products and _apply_hom against field products,
+and a count of field products bounds the work of a table build.
 """
 
 import json
@@ -248,3 +251,98 @@ def test_embedding_searches_only_subfields_of_the_target():
     # closure over every degree touched would search inside F_{2^24}
     images = run_fresh(BUDGET_SCRIPT, 1000)
     assert images[:3] == [EMBED_PINS[(2, 2, b)] for b in (4, 6, 8)]
+
+
+def every_element(field):
+    """All q elements of the field, zero first."""
+    p, m = field.p, field.m
+    return [field.element([enc // p ** i % p for i in range(m)]) for enc in range(field.q)]
+
+
+LOG_FIELDS = [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 6)] + [(13, 2)]
+
+
+@pytest.mark.parametrize("batch", [None, 7])
+@pytest.mark.parametrize("p,m", LOG_FIELDS)
+def test_log_is_the_brute_force_exponent(monkeypatch, p, m, batch):
+    # every element, zero included; an element of the subfield F_{p^d}
+    # sits at a multiple of (q - 1) / (p^d - 1), d its least such degree
+    if batch is not None:
+        monkeypatch.setattr(ffarray, "BATCH", batch)
+    field = make_field(p, m)
+    g = multiplicative_generator(field)
+    table = PowerTable(field, g, field.q - 1)
+    exponent, cur = {}, field.one()
+    for e in range(field.q - 1):
+        exponent[cur.coords] = e
+        cur = cur * g
+    degrees = set()
+    for a in every_element(field):
+        e = table.log(a)
+        assert e == exponent.get(a.coords)
+        if a:
+            d = next(d for d in range(1, m + 1) if a ** (p ** d) == a)
+            assert e % ((field.q - 1) // (p ** d - 1)) == 0
+            degrees.add(d)
+    assert degrees == {d for d in range(1, m + 1) if m % d == 0}
+    with pytest.raises(InputError, match="different field"):
+        table.log(make_field(p, m + 1).one())
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 4, 8), (3, 2, 4), (2, 3, 6)])
+def test_log_on_a_subfield_unit_table(p, a, b):
+    # the table ffield._roots searches: order p^a - 1 inside F_{p^b}
+    target = make_field(p, b)
+    g = multiplicative_generator(target)
+    count = p ** a - 1
+    w = g ** ((target.q - 1) // count)
+    table = PowerTable(target, w, count)
+    for e in range(count):
+        assert table.log(w ** e) == e
+    assert table.log(target.zero()) is None
+    with pytest.raises(InputError, match="not a power"):
+        table.log(g)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (2, 5), (13, 2)])
+def test_scalar_products_scale_the_coordinates(p, m):
+    field = make_field(p, m)
+    for x in every_element(field)[:40]:
+        for c in (0, 1, 3, -1, p + 2):
+            assert x * c == x * field.from_int(c) == c * x
+
+
+def products_oracle(a, image_powers):
+    """sum_i a_i image_powers[i], one field product per coordinate."""
+    target = image_powers[0].field
+    acc = target.zero()
+    for c, pw in zip(a.coords, image_powers):
+        if c:
+            acc = acc + pw * target.from_int(c)
+    return acc
+
+
+@pytest.mark.parametrize("p,a,b", [(2, 4, 8), (3, 2, 6), (5, 2, 4), (2, 3, 12)])
+def test_apply_hom_is_the_sum_of_products(p, a, b):
+    source, target = make_field(p, a), make_field(p, b)
+    powers = ffield._image_powers(source, target)
+    for x in every_element(source):
+        assert ffield._apply_hom(x, powers) == products_oracle(x, powers)
+
+
+@pytest.mark.parametrize("p,m", [(3, 9), (2, 10), (13, 4)])
+def test_power_table_takes_logarithmically_many_field_products(monkeypatch, p, m):
+    # the images step * X^j come from shifts of the coordinates; only
+    # the doubling steps' squarings are field products
+    field = make_field(p, m)
+    g = multiplicative_generator(field)
+    calls, product = [], ffield._pmulmod
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(ffield, "_pmulmod", counted)
+    table = PowerTable(field, g, field.q - 1)
+    assert len(calls) <= field.q.bit_length()
+    assert table.elem(field.q - 2) == g ** (field.q - 2)
