@@ -17,12 +17,12 @@ os._exit, so the process skips the interpreter's teardown of its heap.
 Start-up is kept small too: the collector is paused while this module's
 imports run, the generated_at stamp is formatted from time.time_ns()
 without importing datetime, and a well-formed command line is read
-without argparse: `_parse_direct` takes each option from the same
-`_args_*` functions that build the parser, and declines anything it
-does not read exactly as argparse would (--help, an abbreviation, a
+without argparse.  Each subcommand's arguments are declared once, as
+data in `_SUBCOMMANDS`: `build_parser` hands those entries to argparse,
+and `_parse_direct` reads the same entries itself.  It declines anything
+it does not read exactly as argparse would (--help, an abbreviation, a
 missing or malformed value, a misspelt subcommand), which then goes to
-argparse, so help text, usage errors and exit code 2 are argparse's
-own.  That parser holds only the subcommand that is asked for.
+argparse, so help text, usage errors and exit code 2 are argparse's own.
 """
 
 from __future__ import annotations
@@ -273,102 +273,56 @@ def _render(payload, args, out):
 
 # --- argument parsing -------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("problem", help="problem JSON file")
-    sp.add_argument("--json", action="store_true",
-                    help="emit a machine-readable JSON report")
+# a subcommand's arguments: (name, add_argument keywords), in --help order
+_JSON = ("--json", {"action": "store_true"})
+_PROBLEM = [
+    ("problem", {"help": "problem JSON file"}),
+    ("--json", {"action": "store_true", "help": "emit a machine-readable JSON report"}),
+]
+_THREADS = ("--threads", {"type": int, "default": 1, "metavar": "N",
+                          "help": "accepted for compatibility; has no effect (N >= 1)"})
+# a problem-file command that enumerates tori under one work scope
+_TORUS = [*_PROBLEM, _THREADS,
+          ("--budget", {"type": int, "metavar": "POINTS",
+                        "help": "enumeration budget override"})]
 
-
-_THREADS_HELP = "accepted for compatibility; has no effect (N >= 1)"
-
-
-def _add_torus(sp):
-    """A problem-file command that enumerates tori under one work scope."""
-    _add_common(sp)
-    sp.add_argument("--threads", type=int, default=1, metavar="N",
-                    help=_THREADS_HELP)
-    sp.add_argument("--budget", type=int, default=None, metavar="POINTS",
-                    help="enumeration budget override")
-
-
-def _args_check_nondegenerate(sp):
-    _add_torus(sp)
-    sp.add_argument("--x", default=None, help="specialization point, e.g. 0,2")
-    sp.add_argument("--depth", type=int, default=None, metavar="K",
-                    help="search extensions up to degree K")
-
-
-def _args_expsum(sp):
-    _add_torus(sp)
-    sp.add_argument("--k", type=int, default=1, help="extension degree")
-    sp.add_argument("--tau", required=True, help="twist, e.g. 3 or 1:2")
-    sp.add_argument("--x", default=None, help="specialization point")
-    sp.add_argument("--psi-power", type=int, default=1, dest="psi_power",
-                    help="replace psi by its a-th power")
-
-
-def _args_frobenius(sp):
-    _add_torus(sp)
-    sp.add_argument("--tau", required=True)
-    sp.add_argument("--x", default=None)
-
-
-def _args_l_function(sp):
-    _add_torus(sp)
-    sp.add_argument("--x", default=None)
-    sp.add_argument("--kmax", type=int, default=None,
-                    help="number of trace sums to reconstruct from")
-
-
-def _args_input(dest, summary):
-    """The arguments of a command on one input file that is no problem file."""
-    def add(sp):
-        sp.add_argument(dest, help=summary)
-        sp.add_argument("--json", action="store_true")
-    return add
-
-
-def _args_acceptance(sp):
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--threads", type=int, default=1, metavar="N", help=_THREADS_HELP)
-
-
-# subcommand -> (handler, help, adds its arguments), in the order --help lists them
+# subcommand -> (handler, help, arguments), in the order --help lists them
 _SUBCOMMANDS = {
     "analyze-polytope": (_cmd_analyze_polytope,
-                         "Newton polytope report for the base polynomial", _add_common),
+                         "Newton polytope report for the base polynomial", _PROBLEM),
     "check-nondegenerate": (_cmd_check_nondegenerate,
-                            "face-by-face nondegeneracy of a specialization",
-                            _args_check_nondegenerate),
-    "expsum": (_cmd_expsum, "one exponential sum S_k(tau, x)", _args_expsum),
+                            "face-by-face nondegeneracy of a specialization", [
+        *_TORUS,
+        ("--x", {"help": "specialization point, e.g. 0,2"}),
+        ("--depth", {"type": int, "metavar": "K",
+                     "help": "search extensions up to degree K"}),
+    ]),
+    "expsum": (_cmd_expsum, "one exponential sum S_k(tau, x)", [
+        *_TORUS,
+        ("--k", {"type": int, "default": 1, "help": "extension degree"}),
+        ("--tau", {"required": True, "help": "twist, e.g. 3 or 1:2"}),
+        ("--x", {"help": "specialization point"}),
+        ("--psi-power", {"type": int, "default": 1, "help": "replace psi by its a-th power"}),
+    ]),
     "frobenius": (_cmd_frobenius,
                   "characteristic polynomial of Frobenius with "
-                  "purity, determinant, and duality checks", _args_frobenius),
-    "l-function": (_cmd_l_function,
-                   "L-function of the tau-summed family over the torus", _args_l_function),
+                  "purity, determinant, and duality checks", [
+        *_TORUS, ("--tau", {"required": True}), ("--x", {}),
+    ]),
+    "l-function": (_cmd_l_function, "L-function of the tau-summed family over the torus", [
+        *_TORUS,
+        ("--x", {}),
+        ("--kmax", {"type": int, "help": "number of trace sums to reconstruct from"}),
+    ]),
     "verify-connection": (_cmd_verify_connection,
                           "flatness and pole structure of a connection form",
-                          _args_input("connection", "connection JSON file")),
+                          [("connection", {"help": "connection JSON file"}), _JSON]),
     "verify-fts": (_cmd_verify_fts, "the six flatness conditions for a structure tuple",
-                   _args_input("tuple", "tuple JSON file")),
+                   [("tuple", {"help": "tuple JSON file"}), _JSON]),
     "monodromy": (_cmd_monodromy, "weight filtration of a nilpotent matrix",
-                  _args_input("matrix", "matrix JSON file")),
-    "acceptance": (_cmd_acceptance, "run the full acceptance suite", _args_acceptance),
+                  [("matrix", {"help": "matrix JSON file"}), _JSON]),
+    "acceptance": (_cmd_acceptance, "run the full acceptance suite", [_JSON, _THREADS]),
 }
-
-
-class _Recorder:
-    """Stands in for a subparser: records what an `_args_*` function adds."""
-
-    def __init__(self):
-        self.positionals = []  # dests, in order
-        self.options = {}      # flag -> (dest, keywords)
-
-    def add_argument(self, flag, **kw):
-        if flag.startswith("-"):
-            self.options[flag] = kw.get("dest", flag.lstrip("-").replace("-", "_")), kw
-        else:
-            self.positionals.append(flag)
 
 
 def _parse_direct(argv):
@@ -380,21 +334,24 @@ def _parse_direct(argv):
     required option is missing or the positionals do not fit."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    handler, _, add_arguments = _SUBCOMMANDS[argv[0]]
-    spec = _Recorder()
-    add_arguments(spec)
+    handler, _, arguments = _SUBCOMMANDS[argv[0]]
+    wanted = [name for name, _ in arguments if not name.startswith("-")]
+    options = {}  # flag -> (dest, keywords)
     ns = {"subcommand": argv[0], "handler": handler}
-    for dest, kw in spec.options.values():
-        ns[dest] = kw.get("default", False if "action" in kw else None)
+    for name, kw in arguments:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = dest, kw
+            ns[dest] = kw.get("default", False if "action" in kw else None)
     positionals, given = [], set()
     tokens = iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             positionals.append(token)
             continue
-        if token not in spec.options:
+        if token not in options:
             return None
-        dest, kw = spec.options[token]
+        dest, kw = options[token]
         if "action" in kw:  # store_true
             ns[dest] = True
             continue
@@ -406,46 +363,35 @@ def _parse_direct(argv):
         except (TypeError, ValueError):
             return None
         given.add(dest)
-    if (len(positionals) != len(spec.positionals)
+    if (len(positionals) != len(wanted)
             or any(kw.get("required") and dest not in given
-                   for dest, kw in spec.options.values())):
+                   for dest, kw in options.values())):
         return None
-    ns.update(zip(spec.positionals, positionals))
+    ns.update(zip(wanted, positionals))
     return SimpleNamespace(**ns)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The arith-lg parser.
-
-    When `command` names a subcommand (main passes the first argument,
-    which argparse dispatches on), only that subcommand is added, since
-    no other one can parse, under a metavar that lists them all as the
-    full parser does; otherwise every one is, so --help, a misspelt
-    subcommand or a leading option parse as with the full parser.
-    argparse is imported here, so a request that `_parse_direct` reads
-    never loads it.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The arith-lg parser, built from `_SUBCOMMANDS`.  argparse is
+    imported here, so a request that `_parse_direct` reads never loads it."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="arith-lg",
         description="Exponential sums, Frobenius eigenvalue reports, and "
                     "exact flat-connection verification.")
-    full = command not in _SUBCOMMANDS
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar=None if full else "{" + ",".join(_SUBCOMMANDS) + "}")
-    for name in _SUBCOMMANDS if full else [command]:
-        handler, summary, add_arguments = _SUBCOMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (handler, summary, arguments) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=summary)
-        add_arguments(sp)
+        for arg, kw in arguments:
+            sp.add_argument(arg, **kw)
         sp.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = (_parse_direct(argv)
-            or build_parser(argv[0] if argv else None).parse_args(argv))
+    args = _parse_direct(argv) or build_parser().parse_args(argv)
     out = sys.stdout
     try:
         payload, ok = args.handler(args)

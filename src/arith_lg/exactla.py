@@ -7,6 +7,8 @@ is scaled to a primitive integer row (integers with gcd 1), row
 operations are integer cross-multiplications with the new row's gcd
 content divided out, and the result is the reduced echelon form with
 primitive rows, each zero in every other row's pivot column.
+`_det` is Bareiss's fraction-free determinant of a square integer
+matrix, for `polytope.normalized_volume`.
 `_reduces` decides membership in its span by one integer reduction of
 the vector against those rows, `_kernel` gives a primitive integer
 basis of the right kernel, and `_dots` multiplies, skipping zero
@@ -99,6 +101,30 @@ def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]
         if r == nrows:
             break
     return rows[:r], pivots
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of a square integer matrix, by Bareiss's
+    fraction-free elimination: each entry after a step is a minor of the
+    input, so each division by the previous pivot is exact.  The input
+    is not modified."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n):
+        sel = next((r for r in range(c, n) if m[r][c]), None)
+        if sel is None:
+            return 0
+        if sel != c:
+            m[c], m[sel] = m[sel], m[c]
+            sign = -sign
+        prow = m[c]
+        p = prow[c]
+        for r in range(c + 1, n):
+            f = m[r][c]
+            m[r] = [(p * v - f * w) // prev for v, w in zip(m[r], prow)]
+        prev = p
+    return sign * prev
 
 
 def _fractions(rows: list[list[int]], pivots: Sequence[int]) -> Mat:

@@ -1,13 +1,13 @@
 """Newton polytopes of Laurent polynomial supports, at desk scale.
 
 The polytope of a support set S in Z^n is conv(S united with {0}); the
-origin is always a generator.  Everything is exact integer or rational
-arithmetic: facets are found by brute force over affinely independent
-n-subsets of generators (n <= 4 keeps that cheap), the face lattice is
-the closure of the facet generator-sets under intersection, and the
-normalized volume n!*vol is assembled from a pulling triangulation.
-Ranks and facet normals come from exactla's integer echelon form and
-kernel, with no Fraction made.
+origin is always a generator.  Everything is exact integer arithmetic:
+facets are found by brute force over affinely independent n-subsets of
+generators (n <= 4 keeps that cheap), the face lattice is the closure
+of the facet generator-sets under intersection, and the normalized
+volume n!*vol is assembled from a pulling triangulation.  Ranks and
+facet normals come from exactla's integer echelon form and kernel, and
+simplex volumes from its Bareiss determinant, with no Fraction made.
 
 Facet convention: a pair (normal, offset) with primitive integer inward
 normal a and offset c means the polytope satisfies <a, x> >= c, with
@@ -18,11 +18,10 @@ is strictly negative, which is the "convenient" test.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, frozen
-from .exactla import _echelon, _kernel
+from .exactla import _det, _echelon, _kernel
 
 LatticePoint = tuple[int, ...]
 
@@ -228,26 +227,6 @@ def _pull_triangulate(gens: tuple[LatticePoint, ...], dim: int,
     return out
 
 
-def _det(rows: list[tuple[int, ...]]) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(n):
-        sel = next((r for r in range(c, n) if m[r][c]), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-    return det
-
-
 def normalized_volume(P: Polytope) -> int:
     """n! times the Euclidean volume, an exact integer.
 
@@ -256,10 +235,9 @@ def normalized_volume(P: Polytope) -> int:
     |det| of its edge matrix.
     """
     P._require_full_dim()
-    n = P.dim
     faces = all_proper_faces(P)
     by_gens = {frozenset(f.generators): f for f in faces}
-    total = Fraction(0)
+    total = 0
     for facet in P.facets:
         a, c = facet
         if c == 0:
@@ -269,8 +247,5 @@ def normalized_volume(P: Polytope) -> int:
         subfaces = [(g.generators, g.dim) for g in faces
                     if g.dim < face.dim and set(g.generators) <= set(fgens)]
         for simplex in _pull_triangulate(face.generators, face.dim, subfaces):
-            rows = [tuple(x for x in v) for v in simplex]
-            total += abs(_det(list(rows)))
-    if total.denominator != 1:  # pragma: no cover
-        raise InputError("triangulation produced a non-integer volume")
-    return int(total)
+            total += abs(_det(simplex))
+    return total

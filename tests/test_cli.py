@@ -1,6 +1,7 @@
 import argparse
 import ast
 import atexit
+import doctest
 import gc
 import io
 import json
@@ -13,7 +14,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-import tomllib
 
 from arith_lg import acceptance, cli, expsum, ffield
 from arith_lg.cli import main
@@ -795,6 +795,7 @@ cli.run()
         called = {ast.unparse(node.func) for node in ast.walk(guard[0])
                   if isinstance(node, ast.Call)}
         assert "run" in called and "main" not in called
+        import tomllib  # 3.11+; the package itself supports 3.10
         with open(ROOT / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"arith-lg": "arith_lg.cli:run"}
@@ -802,11 +803,9 @@ cli.run()
 
 class TestParser:
     """main reads a well-formed argv with cli._parse_direct, without
-    argparse; on what that declines it builds the parser for its first
-    argument: when it names a subcommand, only that one is registered.
-    On every argv that parser must act as the one with all subcommands
-    populated, and every namespace the direct parse returns must be the
-    full parser's."""
+    argparse, and hands what that declines to cli.build_parser().  Both
+    read the one argument table, cli._SUBCOMMANDS; every namespace the
+    direct parse returns must be the parser's."""
 
     ARGV = [
         ["--help"],
@@ -837,14 +836,6 @@ class TestParser:
         out = capsys.readouterr()
         return code, out.out, out.err, ns
 
-    @pytest.mark.parametrize("argv", ARGV, ids=[" ".join(a) or "empty" for a in ARGV])
-    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        got = self.parse(cli.build_parser(argv[0] if argv else None), argv, capsys)
-        want = self.parse(cli.build_parser(), argv, capsys)
-        assert got == want
-        assert got[0] is not None or got[3]["handler"] is cli._SUBCOMMANDS[argv[0]][0]
-
     def test_main_parses_like_the_full_parser(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         argv = ["expsum", "p.json", "--tau", "1", "--bogus"]
@@ -870,7 +861,7 @@ class TestParser:
     @staticmethod
     def actions(name):
         """The argparse actions of subcommand `name`, -h included."""
-        sub, = [a for a in cli.build_parser(name)._actions
+        sub, = [a for a in cli.build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)]
         return sub.choices[name]._actions
 
@@ -926,14 +917,80 @@ class TestParser:
             assert vars(got) == vars(cli.build_parser().parse_args(argv))
             assert got.handler is cli._SUBCOMMANDS[name][0]
 
-    def test_only_the_named_subcommand_gets_arguments(self):
-        sub, = [a for a in cli.build_parser("expsum")._actions
-                if isinstance(a, argparse._SubParsersAction)]
-        populated = sorted(name for name, sp in sub.choices.items()
-                           if len(sp._actions) > 1)  # more than -h
-        assert populated == ["expsum"]
-        assert list(sub.choices) == ["expsum"]
 
+    # each subcommand's argparse actions, as the parser registered them
+    # before the arguments became one table: (flags, dest, type, default,
+    # required, metavar, help)
+    _HELP = (["-h", "--help"], "help", None, argparse.SUPPRESS, False, None,
+             "show this help message and exit")
+    _JSON = (["--json"], "json", None, False, False, None, None)
+    _PROBLEM = [_HELP, ([], "problem", None, None, True, None, "problem JSON file"),
+                (["--json"], "json", None, False, False, None,
+                 "emit a machine-readable JSON report")]
+    _THREADS = (["--threads"], "threads", int, 1, False, "N",
+                "accepted for compatibility; has no effect (N >= 1)")
+    _TORUS = [*_PROBLEM, _THREADS, (["--budget"], "budget", int, None, False, "POINTS",
+                                    "enumeration budget override")]
+    PINNED = {
+        "analyze-polytope": _PROBLEM,
+        "check-nondegenerate": [
+            *_TORUS,
+            (["--x"], "x", None, None, False, None, "specialization point, e.g. 0,2"),
+            (["--depth"], "depth", int, None, False, "K", "search extensions up to degree K"),
+        ],
+        "expsum": [
+            *_TORUS,
+            (["--k"], "k", int, 1, False, None, "extension degree"),
+            (["--tau"], "tau", None, None, True, None, "twist, e.g. 3 or 1:2"),
+            (["--x"], "x", None, None, False, None, "specialization point"),
+            (["--psi-power"], "psi_power", int, 1, False, None,
+             "replace psi by its a-th power"),
+        ],
+        "frobenius": [*_TORUS, (["--tau"], "tau", None, None, True, None, None),
+                      (["--x"], "x", None, None, False, None, None)],
+        "l-function": [
+            *_TORUS,
+            (["--x"], "x", None, None, False, None, None),
+            (["--kmax"], "kmax", int, None, False, None,
+             "number of trace sums to reconstruct from"),
+        ],
+        "verify-connection": [_HELP, ([], "connection", None, None, True, None,
+                                      "connection JSON file"), _JSON],
+        "verify-fts": [_HELP, ([], "tuple", None, None, True, None, "tuple JSON file"), _JSON],
+        "monodromy": [_HELP, ([], "matrix", None, None, True, None, "matrix JSON file"), _JSON],
+        "acceptance": [_HELP, _JSON, _THREADS],
+    }
+
+    def test_every_action_is_pinned(self):
+        assert list(cli._SUBCOMMANDS) == list(self.PINNED)
+        for name, want in self.PINNED.items():
+            got = [(a.option_strings, a.dest, a.type, a.default, a.required, a.metavar, a.help)
+                   for a in self.actions(name)]
+            assert got == want, name
+
+
+class TestReadmeTranscripts:
+    """README's `$ arith-lg ... kloosterman.json` transcripts, run on the
+    problem file README shows; `...` in a transcript matches anything."""
+
+    README = (ROOT / "README.md").read_text()
+    TRANSCRIPTS = [block for block in README.split("```text\n")[1:]
+                   if block.startswith("$ arith-lg ")
+                   and block.split("\n", 1)[0].split()[3] == "kloosterman.json"]
+
+    def test_the_three_transcripts_are_found(self):
+        assert [block.split("\n", 1)[0].split()[2] for block in self.TRANSCRIPTS] == [
+            "analyze-polytope", "expsum", "frobenius"]
+
+    @pytest.mark.parametrize("block", TRANSCRIPTS, ids=lambda b: b.split()[2])
+    def test_output_matches(self, block, tmp_path, monkeypatch, capsys):
+        problem = self.README.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "kloosterman.json").write_text(problem)
+        monkeypatch.chdir(tmp_path)
+        command, want = block.split("```", 1)[0].split("\n", 1)
+        assert main(command.split()[2:]) == 0
+        got = capsys.readouterr().out
+        assert doctest.OutputChecker().check_output(want, got, doctest.ELLIPSIS), got
 
 class TestGeneratedAt:
     """The --json stamp is datetime.now(timezone.utc).isoformat() without

@@ -12,6 +12,7 @@ entries only.
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -19,12 +20,13 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from arith_lg import acceptance, exactla
-from arith_lg.exactla import (_dots, _echelon, _fractions, _kernel, _lift, _reduces,
+from arith_lg.exactla import (_det, _dots, _echelon, _fractions, _kernel, _lift, _reduces,
                               mat_mul, mat_vec, nullspace, rref, subspace_basis,
                               subspace_contains, subspace_intersect, subspace_sum,
                               to_fractions)
 
-KERNELS = {"_lift", "_primitive", "_echelon", "_fractions", "_reduces", "_kernel", "_dots"}
+KERNELS = {"_lift", "_primitive", "_echelon", "_det", "_fractions", "_reduces", "_kernel",
+           "_dots"}
 
 
 def kernel_rref(m):
@@ -234,6 +236,53 @@ def named(node) -> set[str]:
             else n.name for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
 
+
+
+def fraction_det(rows):
+    """The determinant by Gaussian elimination over Fraction, as polytope
+    computed simplex volumes before exactla's Bareiss `_det`."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        sel = next((r for r in range(c, n) if m[r][c]), None)
+        if sel is None:
+            return Fraction(0)
+        if sel != c:
+            m[c], m[sel] = m[sel], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return det
+
+
+def test_det_matches_the_fraction_elimination():
+    """Seeded 1-4-dimensional integer matrices: a third with a zero in the
+    first pivot (a row swap), a third with the last row a combination of
+    the others (singular, when n > 1)."""
+    rng = random.Random(20261020)
+    swaps = singular = 0
+    for case in range(20_000):
+        n = case % 4 + 1
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if case % 3 == 1:
+            m[0][0] = 0
+            swaps += any(row[0] for row in m)
+        elif case % 3 == 2 and n > 1:
+            coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            m[-1] = [sum(a * row[j] for a, row in zip(coeffs, m)) for j in range(n)]
+        frozen = [row[:] for row in m]
+        want = fraction_det(m)
+        got = _det(m)
+        assert type(got) is int and got == want, m
+        assert m == frozen  # the input is not modified
+        singular += not want
+    assert swaps > 4_000 and singular > 4_000
+    assert _det([]) == 1
 
 def test_the_reference_names_no_kernel():
     tree = ast.parse(Path(exactla.__file__).read_text())

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_exactla_kernels import fraction_det
 
 from arith_lg import polytope
 from arith_lg.errors import InputError
@@ -154,6 +157,26 @@ class TestVolume:
         bigger = newton_polyhedron(pts + [extra])
         assert normalized_volume(bigger) >= normalized_volume(P)
 
+
+    def test_matches_the_fraction_determinant_on_seeded_hulls(self):
+        """The simplex volumes by the Fraction elimination polytope used
+        before exactla's Bareiss `_det` give the same total."""
+        rng = random.Random(20261020)
+        full = 0
+        for case in range(400):
+            n = case % 4 + 1
+            pts = [tuple(rng.randint(-3, 3) for _ in range(n))
+                   for _ in range(rng.randint(1, n + 3))]
+            P = newton_polyhedron(pts)
+            if P.degenerate:
+                continue
+            full += 1
+            got = normalized_volume(P)
+            with mock.patch.object(polytope, "_det", fraction_det):
+                want = normalized_volume(P)
+            assert type(got) is int and type(want) is Fraction
+            assert got == want, pts
+        assert full > 250
 
 class TestFaces:
     def test_segment_faces(self):
