@@ -9,7 +9,9 @@ Conventions
   degree m in the scan order "ascending integer encoding sum(c_i p^i)";
   equivalently coefficient vectors are compared highest degree first.
   For m = 1 the modulus is X (reduction sends X to 0) and arithmetic is
-  plain modular arithmetic.
+  plain modular arithmetic.  Fields with p^m <= 2^16 read both their
+  modulus and their generator (below) from a table the searches
+  produced, _CANONICAL; larger ones search.
 * Embeddings are deterministic and history-free: the image depends only
   on the two fields.  Canonical fields embed by one compatible-root rule
   on the maximal subfields of the target (a vectorised root search among
@@ -232,13 +234,67 @@ class FieldSpec:
         return f"GF({self.p}^{self.m})"
 
 
+# The canonical modulus and generator of every F_{p^m} with m >= 2 and
+# p^m <= 2^16, as codes: p maps to (modulus code, generator code)
+# for m = 2, 3, ... in turn.  A modulus code is the scan index
+# sum(c_i p^i) of _first_irreducible, a generator code the lex index of
+# _first_generator; _digits decodes both.  tests/test_ffield.py rebuilds
+# the table from the two searches.  Above 2^16 the searches run: there
+# the O(q) power-table build outweighs them.
+_CANONICAL = {
+    2: (3, 1, 3, 1, 3, 2, 5, 1, 3, 1, 3, 1, 27, 3, 3, 7, 9, 2, 5, 1, 9, 3, 27, 1, 33, 7,
+        3, 2, 43, 7),
+    3: (1, 4, 7, 2, 5, 1, 7, 2, 5, 1, 11, 2, 11, 12, 64, 2, 19, 34),
+    5: (2, 6, 6, 2, 2, 6, 21, 2, 7, 1), 7: (1, 9, 2, 24, 8, 13, 10, 5),
+    11: (1, 15, 15, 2, 13, 12), 13: (2, 16, 2, 14, 2, 15), 17: (3, 20, 20, 3),
+    19: (1, 22, 2, 20), 23: (1, 25, 26, 5), 29: (2, 30, 33, 3), 31: (1, 35, 3, 39),
+    37: (2, 40, 2, 38), 41: (3, 43), 43: (1, 45), 47: (1, 49), 53: (2, 54), 59: (1, 62),
+    61: (2, 66), 67: (1, 74), 71: (1, 79), 73: (5, 78), 79: (1, 85), 83: (1, 93),
+    89: (3, 92), 97: (5, 99), 101: (2, 102), 103: (1, 105), 107: (1, 109),
+    109: (2, 116), 113: (3, 118), 127: (1, 135), 131: (1, 134), 137: (3, 139),
+    139: (1, 143), 149: (2, 156), 151: (1, 160), 157: (2, 163), 163: (1, 170),
+    167: (1, 169), 173: (2, 174), 179: (1, 182), 181: (2, 190), 191: (1, 201),
+    193: (5, 200), 197: (2, 203), 199: (1, 212), 211: (1, 215), 223: (1, 225),
+    227: (1, 229), 229: (2, 235), 233: (3, 246), 239: (1, 247), 241: (7, 250),
+    251: (1, 256),
+}
+
+
+def _digits(code: int, p: int, m: int) -> tuple[int, ...]:
+    """The m base-p digits of code, lowest first."""
+    out = []
+    for _ in range(m):
+        code, digit = divmod(code, p)
+        out.append(digit)
+    return tuple(out)
+
+
+def _canonical_codes(p: int, m: int) -> tuple[int, ...]:
+    """The tabled (modulus code, generator code) of F_{p^m}, or () when
+    the field is not in the table."""
+    i = 2 * m - 4
+    return _CANONICAL.get(p, ())[i:i + 2] if m >= 2 else ()
+
+
+def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The first monic irreducible of degree m >= 2 over F_p in ascending
+    integer encoding sum(c_i p^i)."""
+    for code in range(p ** m):
+        candidate = _digits(code, p, m) + (1,)
+        # f(0) = 0 or f(1) = 0 gives f a linear factor, a proper one as m >= 2
+        if candidate[0] and sum(candidate) % p and _is_irreducible(candidate, p):
+            return candidate
+    raise InputError("no irreducible polynomial found")  # pragma: no cover
+
+
 @lru_cache(maxsize=None)
 def make_field(p: int, m: int) -> FieldSpec:
     """The canonical F_{p^m}: deterministic smallest irreducible modulus.
 
     The scan runs over monic degree-m polynomials in increasing integer
     encoding sum(c_i p^i), so for example make_field(3, 2) picks X^2 + 1
-    and make_field(2, 3) picks X^3 + X + 1.
+    and make_field(2, 3) picks X^3 + X + 1.  Fields with p^m <= 2^16
+    read the scan's result from _CANONICAL.
     """
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -246,17 +302,9 @@ def make_field(p: int, m: int) -> FieldSpec:
         raise InputError(f"extension degree must be >= 1, got {m}")
     if m == 1:
         return FieldSpec(p, 1, (0, 1))
-    for code in range(p ** m):
-        coeffs = []
-        c = code
-        for _ in range(m):
-            coeffs.append(c % p)
-            c //= p
-        candidate = tuple(coeffs) + (1,)
-        # f(0) = 0 or f(1) = 0 gives f a linear factor, a proper one as m >= 2
-        if candidate[0] and sum(candidate) % p and _is_irreducible(candidate, p):
-            return FieldSpec(p, m, candidate)
-    raise InputError("no irreducible polynomial found")  # pragma: no cover
+    codes = _canonical_codes(p, m)
+    return FieldSpec(p, m, _digits(codes[0], p, m) + (1,) if codes
+                     else _first_irreducible(p, m))
 
 
 def extension_field(base: FieldSpec, k: int) -> FieldSpec:
@@ -562,20 +610,30 @@ def embed(a: FqElem, target: FieldSpec) -> FqElem:
 # --------------------------------------------------------------------------
 # multiplicative generator and torus enumeration
 
-@lru_cache(maxsize=None)
-def multiplicative_generator(field: FieldSpec) -> FqElem:
-    """First element in coefficient-lex order generating F_q^*."""
+def _first_generator(field: FieldSpec) -> FqElem:
+    """First element in coefficient-lex order generating F_q^*, by search."""
     q = field.q
     factors = _prime_factors(q - 1)
     cofactors = [(q - 1) // ell for ell in factors]
-    p, m = field.p, field.m
     # lex order over (c0, c1, ...), c0 the top base-p digit of the code,
     # decoded one code at a time so that no field is materialised
     for code in range(1, q):
-        cand = field.element([code // p ** (m - 1 - i) % p for i in range(m)])
+        cand = field.element(_digits(code, field.p, field.m)[::-1])
         if all((cand ** cof) != 1 for cof in cofactors):
             return cand
     raise InputError("no generator found")  # pragma: no cover
+
+
+@lru_cache(maxsize=None)
+def multiplicative_generator(field: FieldSpec) -> FqElem:
+    """First element in coefficient-lex order generating F_q^*.  A tabled
+    field with its canonical modulus reads it from _CANONICAL; any other
+    field, a field_from_modulus field with another modulus included,
+    searches."""
+    codes = _canonical_codes(field.p, field.m)
+    if codes and field.modulus == make_field(field.p, field.m).modulus:
+        return field.element(_digits(codes[1], field.p, field.m)[::-1])
+    return _first_generator(field)
 
 
 def torus_size(field: FieldSpec, n: int) -> int:

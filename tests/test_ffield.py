@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,121 @@ class TestIrreducibility:
             a, b = rng.choice(polys), rng.choice(polys)
             common = [g for g in divisors if divides(g, a, p) and divides(g, b, p)]
             assert _pgcd(a, b, p) == max(common, key=len)
+
+
+# ffield._CANONICAL holds every canonical field with m >= 2 and q up to
+# this bound; TABLED lists them from the table's own layout
+TABLE_BOUND = 2 ** 16
+TABLED = [(p, m) for p, row in ffield._CANONICAL.items() for m in range(2, 2 + len(row) // 2)]
+
+
+def encode(digits, p):
+    """sum(d_i p^i) over the digits, lowest first: _digits's inverse."""
+    return sum(d * p ** i for i, d in enumerate(digits))
+
+
+def regenerated_table():
+    """_CANONICAL rebuilt by calling the two searches directly."""
+    rows = {}
+    for p in range(2, math.isqrt(TABLE_BOUND) + 1):
+        if _is_prime(p):
+            row, m = [], 2
+            while p ** m <= TABLE_BOUND:
+                modulus = ffield._first_irreducible(p, m)
+                g = ffield._first_generator(ffield.FieldSpec(p, m, modulus))
+                row += [encode(modulus[:-1], p), encode(g.coords[::-1], p)]
+                m += 1
+            rows[p] = tuple(row)
+    return rows
+
+
+def table_literal(rows, width=88):
+    """The _CANONICAL assignment as it stands in ffield.py: whole entries
+    packed into lines of at most width characters, an entry too long for
+    one line wrapped on lines of its own."""
+    lines, line = [], "   "
+    for p, codes in rows.items():
+        entry = f"{p}: ({', '.join(map(str, codes))}),"
+        if len(line) + 1 + len(entry) <= width:
+            line += " " + entry
+            continue
+        lines.append(line)
+        line, *rest = textwrap.wrap(entry, width, initial_indent="    ",
+                                    subsequent_indent="        ")
+        if rest:
+            lines += [line, *rest]
+            line = "   "
+    lines.append(line)
+    return "\n".join(["_CANONICAL = {", *(ln for ln in lines if ln.strip()), "}"])
+
+
+def counting(monkeypatch, *names):
+    """Calls to the named ffield functions from here on, by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(ffield, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ffield, name, counted)
+    return counts
+
+
+class TestCanonicalTable:
+    """make_field and multiplicative_generator read fields with
+    p^m <= TABLE_BOUND from _CANONICAL; above it, and for a
+    field_from_modulus field with another modulus, they search."""
+
+    def test_table_is_what_the_searches_find(self):
+        rows = regenerated_table()
+        assert (len(rows), sum(len(row) // 2 for row in rows.values())) == (54, 93)
+        assert ffield._CANONICAL == rows, (
+            "regenerated table, to paste into ffield.py:\n" + table_literal(rows))
+
+    def test_table_literal_reproduces_the_source(self):
+        source = Path(ffield.__file__).read_text()
+        assert table_literal(ffield._CANONICAL) + "\n" in source
+
+    @pytest.mark.parametrize("p,m", TABLED)
+    def test_tabled_fields_make_no_field_products(self, monkeypatch, p, m):
+        counts = counting(monkeypatch, "_pmulmod", "_is_irreducible")
+        field = make_field.__wrapped__(p, m)
+        g = multiplicative_generator.__wrapped__(field)
+        assert counts == {"_pmulmod": 0, "_is_irreducible": 0}
+        codes = ffield._canonical_codes(p, m)
+        assert (encode(field.modulus[:-1], p), encode(g.coords[::-1], p)) == codes
+
+    @pytest.mark.parametrize("p,m", [(2, 17), (3, 11), (257, 2)])
+    def test_fields_past_the_bound_search(self, monkeypatch, p, m):
+        assert p ** m > TABLE_BOUND and not ffield._canonical_codes(p, m)
+        counts = counting(monkeypatch, "_pmulmod", "_is_irreducible")
+        field = make_field.__wrapped__(p, m)
+        assert counts["_is_irreducible"] > 0
+        for code in itertools.count():
+            f = ffield._digits(code, p, m) + (1,)
+            if rabin_is_irreducible(f, p):
+                break
+        assert field.modulus == f
+        before = counts["_pmulmod"]
+        g = multiplicative_generator.__wrapped__(field)
+        assert counts["_pmulmod"] > before
+        assert all(g ** ((field.q - 1) // ell) != 1 for ell in _prime_factors(field.q - 1))
+
+    def test_other_moduli_search(self, monkeypatch):
+        K64 = field_from_modulus(2, (1, 0, 0, 0, 0, 1, 1))
+        assert ffield._canonical_codes(2, 6) and K64 != make_field(2, 6)
+        counts = counting(monkeypatch, "_pmulmod")
+        g = multiplicative_generator.__wrapped__(K64)
+        assert counts["_pmulmod"] > 0
+        assert g == ffield._first_generator(K64)
+
+    @pytest.mark.parametrize("p,m", [(2, 6), (3, 4), (251, 2)])
+    def test_canonical_modulus_given_explicitly_reads_the_table(self, monkeypatch, p, m):
+        field = field_from_modulus(p, make_field(p, m).modulus)
+        counts = counting(monkeypatch, "_pmulmod")
+        g = multiplicative_generator.__wrapped__(field)
+        assert counts["_pmulmod"] == 0
+        assert encode(g.coords[::-1], p) == ffield._canonical_codes(p, m)[1]
+        assert g == ffield._first_generator(field)
 
 
 coords9 = st.tuples(st.integers(0, 2), st.integers(0, 2))
@@ -424,21 +541,25 @@ class TestGenerator:
         assert len(seen) == q - 1
 
     def test_generator_is_first_in_lex_order(self):
-        F = make_field(3, 2)
-        g = multiplicative_generator(F)
-        q = F.q
-        for t in itertools.product(range(3), repeat=2):
-            if t == g.coords:
-                break
-            cand = F.element(t)
-            if not cand:
-                continue
-            order = 1
-            acc = cand
-            while acc != F.one():
-                acc = acc * cand
-                order += 1
-            assert order < q - 1, f"{t} generates but precedes {g.coords}"
+        # on every tabled field with q <= 2^10, element orders by repeated
+        # multiplication, not by the search's cofactor test
+        def order(x):
+            k, acc = 1, x
+            while acc != x.field.one():
+                acc, k = acc * x, k + 1
+            return k
+
+        small = [(p, m) for p, m in TABLED if p ** m <= 2 ** 10]
+        assert len(small) == 26
+        for p, m in small:
+            F = make_field(p, m)
+            g = multiplicative_generator(F)
+            assert order(g) == F.q - 1
+            for t in itertools.product(range(p), repeat=m):
+                if t == g.coords:
+                    break
+                if any(t):
+                    assert order(F.element(t)) < F.q - 1, f"{t} generates but precedes {g.coords}"
 
 
 class TestTorusEnumeration:

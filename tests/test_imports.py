@@ -16,7 +16,8 @@ with max, so no command short of `frobenius` loads `heapq`.  A
 well-formed command line is read without argparse, so no such command
 loads `argparse` or the `gettext` behind its messages; `--help` and a
 usage error still go through argparse.  Importing the CLI pauses the
-cyclic collector while its imports run and leaves it as it found it.
+cyclic collector while its imports run and leaves it as it found it, and
+loads no module beyond a pinned list.
 """
 
 import ast
@@ -97,6 +98,39 @@ def write(tmp_path, doc):
 
 def test_cli_import_leaves_numpy_unloaded():
     assert run_fresh() == (None, [])
+
+
+# every module that importing the CLI may add, as recorded under -S (no
+# site), where the interpreter starts with the fewest; field set-up reads
+# its tables from ffield itself, so the list holds no data module
+CLI_IMPORTS = {
+    "__future__", "_collections", "_collections_abc", "_contextvars", "_decimal",
+    "_functools", "_json", "_operator", "_sre", "_stat", "_typing", "arith_lg",
+    "arith_lg.budget", "arith_lg.cli", "arith_lg.connalg", "arith_lg.cyclotomic",
+    "arith_lg.errors", "arith_lg.exactla", "arith_lg.expsum", "arith_lg.ffield",
+    "arith_lg.frobdata", "arith_lg.laurent", "arith_lg.mpoly", "arith_lg.polytope",
+    "arith_lg.problemio", "atexit", "cmath", "collections", "collections.abc",
+    "contextlib", "contextvars", "copyreg", "decimal", "enum", "fractions", "functools",
+    "gc", "genericpath", "itertools", "json", "json.decoder", "json.encoder",
+    "json.scanner", "keyword", "math", "numbers", "operator", "os", "os.path",
+    "posixpath", "re", "re._casefix", "re._compiler", "re._constants", "re._parser",
+    "reprlib", "stat", "types", "typing", "typing.io", "typing.re", "warnings",
+}
+
+NEW_MODULES_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import arith_lg.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_import_loads_no_new_module():
+    run = subprocess.run([sys.executable, "-c", NEW_MODULES_SCRIPT], capture_output=True,
+                         text=True, env=child_env(), timeout=120, check=True)
+    added = set(json.loads(run.stdout))
+    assert "arith_lg.ffield" in added
+    assert added - CLI_IMPORTS == set()
 
 
 GC_SCRIPT = """
