@@ -21,6 +21,11 @@ DEFAULT_BUDGET = 10**9
 
 _ENV_VAR = "ARITH_LG_BUDGET"
 
+# check_power_room reports a count of at most this many bits in decimal
+# (about 1,230 digits, under Python's 4,300-digit cap on int-to-str
+# conversion) and a larger one as an expression
+_EXACT_BITS = 4096
+
 
 def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
@@ -65,6 +70,25 @@ def check_room(description: str, required: int) -> None:
     ledger = _SCOPE.get() or _Ledger(resolve_budget())
     if ledger.spent + required > ledger.limit:
         raise BudgetExceeded(description, required=ledger.spent + required,
+                             budget=ledger.limit)
+
+
+def check_power_room(description: str, base: int, exponent: int) -> None:
+    """check_room for base^exponent - 1 units, base >= 2, decided by size
+    first.  A count of up to _EXACT_BITS bits is checked as check_room
+    does.  A larger one is formed only when its least bit length,
+    exponent * (bits(base) - 1), is within the limit's; when refused, its
+    error's `required` is the string "base^exponent - 1" (after "spent + "
+    when the scope has spent something)."""
+    bits = base.bit_length()
+    if exponent * bits <= _EXACT_BITS:
+        check_room(description, base ** exponent - 1)
+        return
+    ledger = _SCOPE.get() or _Ledger(resolve_budget())
+    if (exponent * (bits - 1) > ledger.limit.bit_length()
+            or ledger.spent + base ** exponent - 1 > ledger.limit):
+        spent = f"{ledger.spent} + " if ledger.spent else ""
+        raise BudgetExceeded(description, required=f"{spent}{base}^{exponent} - 1",
                              budget=ledger.limit)
 
 

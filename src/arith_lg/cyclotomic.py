@@ -260,16 +260,10 @@ def _lift(p: int, v) -> CycloNum:
 # --------------------------------------------------------------------------
 # characters and Galois action
 
-def psi(a: FqElem, power: int = 1) -> CycloNum:
-    """Additive character value zeta_p^(power * Tr(a)).
-
-    power = 1 is the standard character; power = -1 (equivalently p - 1)
-    gives its inverse, used by the duality checks.
-    """
-    p = a.field.p
-    if power % p == 0:
-        raise InputError("character power must be a unit mod p")
-    return CycloNum.zeta(p, power * trace_to_prime(a))
+def psi(a: FqElem) -> CycloNum:
+    """Additive character value zeta_p^Tr(a); the inverse character's
+    value is its conjugate conj_sigma(psi(a), -1) = psi(-a)."""
+    return CycloNum.zeta(a.field.p, trace_to_prime(a))
 
 
 def conj_sigma(z: CycloNum, a: int) -> CycloNum:
@@ -447,17 +441,13 @@ def _exp_series(c: Sequence[CycloNum], p: int) -> list[CycloNum]:
     return ell
 
 
-def char_poly_from_power_sums(ps: Sequence[CycloNum], r: int | None = None) -> CycloPoly:
-    """Monic degree-r polynomial whose root power sums are ps[0..r-1]:
-    the reversal of prod (1 - a_i T) = exp(-sum p_k T^k / k)."""
-    if r is None:
-        r = len(ps)
-    if r < 1:
+def char_poly_from_power_sums(ps: Sequence[CycloNum]) -> CycloPoly:
+    """Monic polynomial of degree r = len(ps) whose root power sums are
+    ps: the reversal of prod (1 - a_i T) = exp(-sum p_k T^k / k)."""
+    if not ps:
         raise InputError("rank must be >= 1")
-    if len(ps) < r:
-        raise InputError(f"need {r} power sums, got {len(ps)}")
     p = ps[0].p
-    return CycloPoly(p, reversed(_exp_series([-s for s in ps[:r]], p)))
+    return CycloPoly(p, reversed(_exp_series([-s for s in ps], p)))
 
 
 def validate_power_sums(poly: CycloPoly, ps: Sequence[CycloNum]) -> bool:

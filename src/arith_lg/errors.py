@@ -112,10 +112,11 @@ class BudgetExceeded(ArithLGError):
     """An enumeration or search would exceed the configured budget.
 
     Carries the required count so callers can decide whether to retry
-    with a larger budget.
+    with a larger budget: an int, or for a count too large to form its
+    expression as a string (budget.check_power_room).
     """
 
-    def __init__(self, message: str, required: int, budget: int):
+    def __init__(self, message: str, required: int | str, budget: int):
         super().__init__(f"{message} (required {required}, budget {budget})")
         self.required = required
         self.budget = budget

@@ -38,12 +38,6 @@ __all__ = [
 DOUBLE_ENUM_CAP = 10 ** 7
 
 
-def _check_psi_power(psi_power: int, p: int) -> None:
-    """Refuse a character power that is not a unit mod p, before any work."""
-    if psi_power % p == 0:
-        raise InputError("character power must be a unit mod p")
-
-
 def _torus_sum(f: LaurentPoly, ext: FieldSpec, tau, psi_power: int) -> CycloNum:
     """Sum of psi^psi_power(tau * f(t)) over the torus of ext."""
     charge("torus sum", (ext.q - 1) ** f.n)
@@ -65,7 +59,8 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
     character.
     """
     ext = extension_field(D.base.field, k)
-    _check_psi_power(psi_power, ext.p)
+    if psi_power % ext.p == 0:  # refused before any work
+        raise InputError("character power must be a unit mod p")
     f = specialize(D, x)
     tau = lift_into(tau, ext)
     if not tau:
@@ -73,17 +68,15 @@ def family_sum(D: Deformation, k: int, tau, x: Sequence, *,
     return _torus_sum(f, ext, tau, psi_power)
 
 
-def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence, *,
-            psi_power: int = 1) -> CycloNum:
+def gkz_sum(table: MonomialTable, field: FieldSpec, k: int, y: Sequence) -> CycloNum:
     """Sum over the torus of F_{q^k}, F_q = field, of
     psi(sum_j y_j t^{w_j}) for the table's monomial list; the y entries
     lie in field or are integers, and zero entries drop out."""
     if len(y) != len(table.points):
         raise InputError(f"expected {len(table.points)} coefficients, got {len(y)}")
     ext = extension_field(field, k)
-    _check_psi_power(psi_power, ext.p)
     n = len(table.points[0]) if table.points else 0
-    return _torus_sum(LaurentPoly(n, zip(table.points, y), field), ext, 1, psi_power)
+    return _torus_sum(LaurentPoly(n, zip(table.points, y), field), ext, 1, 1)
 
 
 def zero_count(D: Deformation, k: int, x: Sequence) -> int:

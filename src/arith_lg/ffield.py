@@ -42,7 +42,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .budget import charge, check_room
+from .budget import charge, check_power_room
 from .errors import BudgetExceeded, InputError, frozen
 
 if TYPE_CHECKING:
@@ -313,14 +313,17 @@ def extension_field(base: FieldSpec, k: int) -> FieldSpec:
     Every exponential sum and point count reads its field through here
     first, so rational coefficients (base None) stop here.  Each charges
     at least the q^k - 1 units next, so when the budget scope has no room
-    for them the extension is refused before its modulus search."""
+    for them the extension is refused before its modulus search, and a
+    degree far past the room before q^k is even formed."""
     if base is None:
         raise InputError("this operation needs finite-field coefficients")
     if k < 1:
         raise InputError("extension degree must be at least 1")
-    if k > 1:
-        check_room(f"units of GF({base.p}^{base.m * k})", base.q ** k - 1)
-    return base if k == 1 else make_field(base.p, base.m * k)
+    if k == 1:
+        return base
+    e = base.m * k
+    check_power_room(f"units of GF({base.p}^{e})", base.p, e)
+    return make_field(base.p, e)
 
 
 def field_from_modulus(p: int, modulus: Sequence[int]) -> FieldSpec:

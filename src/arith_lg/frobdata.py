@@ -151,7 +151,7 @@ def frobenius_report(D: Deformation, x: Sequence, tau, *,
                     f"degenerate face found at search depth {verdict.witness_degree}")
 
     ps = stalk_power_sums(D, x, tau, r)
-    P = char_poly_from_power_sums(ps[:r], r)
+    P = char_poly_from_power_sums(ps[:r])
     consistency_ok = validate_power_sums(P, ps)
 
     q = base.q  # read after stalk_power_sums has checked the field

@@ -287,16 +287,6 @@ class MonomialTable:
         if len(set(self.points)) != len(self.points):
             raise InputError("duplicate lattice point in table")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def index(self, w: Sequence[int]) -> int:
-        w = tuple(int(x) for x in w)
-        try:
-            return self.points.index(w)
-        except ValueError:
-            raise InputError(f"lattice point {w} missing from table") from None
-
 
 def _lattice_points(P: Polytope) -> list[tuple[int, ...]]:
     lo = [min(g[i] for g in P.generators) for i in range(P.dim)]

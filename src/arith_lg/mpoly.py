@@ -361,13 +361,6 @@ class MPoly:
             total += c
         return Fraction(total, self.denom * D ** top)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Lexicographically largest exponent and its coefficient."""
-        if not self.coeffs:
-            raise InputError("zero polynomial has no leading term")
-        e = max(self.coeffs)
-        return e, Fraction(self.coeffs[e], self.denom)
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "MPoly(0)"

@@ -31,7 +31,7 @@ from .connalg import FTSTuple, MatForm
 from .cyclotomic import CycloNum, CycloPoly
 from .errors import InputError, ParseError, frozen
 from .ffield import FieldSpec, FqElem, extension_field, field_from_modulus, make_field
-from .laurent import Deformation, LaurentPoly, MonomialTable
+from .laurent import Deformation, LaurentPoly
 from .mpoly import MPoly, RatFunc
 
 __all__ = [
@@ -45,6 +45,9 @@ __all__ = [
     "parse_point_arg",
     "jsonable",
 ]
+
+# the most parameters x1..xm a connection or structure tuple file may have
+_MAX_M = 32
 
 _DECIMAL = re.compile(r"-?[0-9]+\Z")
 _FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
@@ -77,12 +80,15 @@ def _fraction(v, path: str) -> Fraction:
         raise ParseError(path, f"zero denominator in {v!r}") from None
 
 
-def _plain_int(v, path: str, minimum: int | None = None) -> int:
+def _plain_int(v, path: str, minimum: int | None = None,
+               maximum: int | None = None) -> int:
     # structural sizes only; bool is an int in Python, keep it out
     if not isinstance(v, int) or isinstance(v, bool):
         raise ParseError(path, f"expected an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ParseError(path, f"expected an integer >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise ParseError(path, f"expected an integer <= {maximum}, got {v}")
     return v
 
 
@@ -144,9 +150,7 @@ def _parse_terms(v, n: int, field: FieldSpec, path: str) -> LaurentPoly:
 class ProblemFile:
     """A parsed family: its deformation, the command's budget (the
     command line's, else the file's, else None) and the file's
-    tolerance.  An explicit monomial table is validated and not kept: no
-    command reads one.
-    """
+    tolerance."""
 
     deformation: Deformation
     budget: int | None
@@ -155,10 +159,6 @@ class ProblemFile:
     @property
     def field(self) -> FieldSpec:
         return self.deformation.base.field
-
-    @property
-    def n(self) -> int:
-        return self.deformation.base.n
 
     @property
     def m(self) -> int:
@@ -170,7 +170,7 @@ def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFil
     line's), else the file's.  The base field is parsed under it, else
     under ARITH_LG_BUDGET or the default."""
     _check_keys(obj, path, ["field", "n", "f"],
-                ["deformations", "kind", "table", "budget", "tolerance"])
+                ["deformations", "kind", "budget", "tolerance"])
     if "budget" in obj:
         file_budget = _decimal(obj["budget"], f"{path}.budget")
         if file_budget <= 0:
@@ -194,16 +194,6 @@ def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFil
         D = Deformation(f, directions, kind=kind)
     except InputError as exc:
         raise ParseError(path, str(exc)) from exc
-    if "table" in obj:
-        pts = obj["table"]
-        if not isinstance(pts, list):
-            raise ParseError(f"{path}.table", "expected a list of exponent vectors")
-        points = tuple(_exponent_vector(w, n, f"{path}.table[{i}]")
-                       for i, w in enumerate(pts))
-        try:
-            MonomialTable(points)
-        except InputError as exc:
-            raise ParseError(f"{path}.table", str(exc)) from exc
     tolerance = None
     if "tolerance" in obj:
         t = obj["tolerance"]
@@ -286,17 +276,16 @@ def _parse_matrix(v, m: int, size: int, path: str):
 def parse_connection(obj, path: str = "$") -> MatForm:
     """{"m": 1, "size": 2, "dt": [[...]], "dx": [[[...]]]} -> degree-1 form."""
     _check_keys(obj, path, ["m", "size"], ["dt", "dx"])
-    m = _plain_int(obj["m"], f"{path}.m", minimum=1)
+    m = _plain_int(obj["m"], f"{path}.m", minimum=1, maximum=_MAX_M)
     size = _plain_int(obj["size"], f"{path}.size", minimum=1)
+    mats = obj.get("dx", [])
+    if "dx" in obj and (not isinstance(mats, list) or len(mats) != m):
+        raise ParseError(f"{path}.dx", f"expected {m} matrices")
     comps = {}
     if "dt" in obj:
         comps[(0,)] = _parse_matrix(obj["dt"], m, size, f"{path}.dt")
-    if "dx" in obj:
-        mats = obj["dx"]
-        if not isinstance(mats, list) or len(mats) != m:
-            raise ParseError(f"{path}.dx", f"expected {m} matrices")
-        for i, mat in enumerate(mats):
-            comps[(i + 1,)] = _parse_matrix(mat, m, size, f"{path}.dx[{i}]")
+    for i, mat in enumerate(mats):
+        comps[(i + 1,)] = _parse_matrix(mat, m, size, f"{path}.dx[{i}]")
     return MatForm(size=size, nvars=m + 1, degree=1, comps=comps)
 
 
@@ -304,7 +293,7 @@ def parse_fts_tuple(obj, path: str = "$") -> FTSTuple:
     """Mirror of the FTSTuple constructor; entries must not involve t."""
     _check_keys(obj, path, ["size", "m", "A", "phi", "r0", "rinf"], ["g"])
     size = _plain_int(obj["size"], f"{path}.size", minimum=1)
-    m = _plain_int(obj["m"], f"{path}.m", minimum=1)
+    m = _plain_int(obj["m"], f"{path}.m", minimum=1, maximum=_MAX_M)
 
     def matrices(key):
         v = obj[key]

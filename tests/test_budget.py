@@ -53,6 +53,27 @@ def test_charges_add_up_inside_a_scope():
     assert "second" in str(exc.value)
 
 
+@pytest.mark.parametrize("limit, exponent, required", [
+    (10 ** 1000, 1500, "5 + 5^1500 - 1"),
+    (10 ** 1000, 10 ** 12, "5 + 5^1000000000000 - 1"),
+    (5 ** 90 + 3, 90, 5 ** 90 + 4),
+], ids=["formed-too-big", "unformed", "exact"])
+def test_power_room_after_spending(limit, exponent, required):
+    # a count of more than 4096 bits reads as an expression, formed when
+    # it might fit (5^1500 has 3483 bits, 10^1000 has 3322) and refused
+    # unformed when it cannot
+    with scope(budget=limit):
+        charge("first", 5)
+        with pytest.raises(BudgetExceeded) as exc:
+            budget.check_power_room("units", 5, exponent)
+    assert (exc.value.required, exc.value.budget) == (required, limit)
+
+
+def test_power_room_that_fits_passes():
+    with scope(budget=5 ** 1500):
+        budget.check_power_room("units", 5, 1500)
+
+
 def test_limit_is_inclusive():
     with scope(budget=1000):
         charge("first", 600)

@@ -588,6 +588,36 @@ INPUT_ERROR_PATHS = {
     "zero-denominator-term": ("verify-fts", dict(fts_tuple("1"), r0=[[[{"c": "0"}], [{"c": "0"}]],
                                                                  [[{"c": "1/0"}], [{"c": "0"}]]]),
                               [], "{path}.r0[1][0][0].c: zero denominator in '1/0'"),
+    "depth-zero": ("check-nondegenerate", KLOOSTERMAN5, ["--depth", "0"],
+                   "search depth must be at least 1"),
+    "modulus-not-list": ("analyze-polytope",
+                         dict(KLOOSTERMAN5, field={"p": "5", "m": 2, "modulus": "2,0,1"}), [],
+                         "{path}.field.modulus: expected a list of decimal strings"),
+    "modulus-not-monic": ("analyze-polytope",
+                          dict(KLOOSTERMAN5, field={"p": "5", "m": 2, "modulus": ["2", "0", "2"]}),
+                          [], "{path}.field: modulus must be monic"),
+    "degree-one-modulus": ("analyze-polytope",
+                           dict(KLOOSTERMAN5, field={"p": "5", "m": 1, "modulus": ["1", "1"]}),
+                           [], "{path}.field: degree-1 modulus must be X (prime field convention)"),
+    "element-coordinates": ("analyze-polytope",
+                            dict(KLOOSTERMAN5, field={"p": "5", "m": 2},
+                                 f=[{"c": ["1"], "w": [1]}, {"c": "1", "w": [-1]}]),
+                            [], "{path}.f[0].c: expected 2 coordinates, got 1"),
+    "element-type": ("analyze-polytope",
+                     dict(KLOOSTERMAN5, f=[{"c": 1, "w": [1]}, {"c": "1", "w": [-1]}]), [],
+                     "{path}.f[0].c: expected a decimal string or a coordinate list"),
+    "f-not-list": ("analyze-polytope", dict(KLOOSTERMAN5, f={"c": "1", "w": [1]}), [],
+                   "{path}.f: expected a list of terms"),
+    "deformations-not-list": ("analyze-polytope",
+                              dict(KLOOSTERMAN5, deformations={"c": "1", "w": [1]}), [],
+                              "{path}.deformations: expected a list of term lists"),
+    "tolerance-not-number": ("analyze-polytope", dict(KLOOSTERMAN5, tolerance="abc"), [],
+                             "{path}.tolerance: not a number: 'abc'"),
+    "connection-rows": ("verify-connection",
+                        {"m": 1, "size": 1, "dt": [[[{"c": "1"}]], [[{"c": "1"}]]]}, [],
+                        "{path}.dt: expected 1 rows"),
+    "empty-nilpotent": ("monodromy", {"matrix": []}, [],
+                        "{path}.matrix: expected a non-empty list of rows"),
 }
 
 
@@ -604,6 +634,14 @@ class TestExitCodeContract:
         assert run(capsys, command, str(p), *extra) == (2, f"error (input): {message}\n")
         assert run_json(capsys, command, str(p), *extra) == (
             2, {"error": {"kind": "input", "message": message}})
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "ARITH_LG_BUDGET must be an integer, got 'abc'"),
+        ("0", "ARITH_LG_BUDGET must be positive, got 0")])
+    def test_budget_variable_error(self, files, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("ARITH_LG_BUDGET", value)
+        assert run(capsys, "expsum", files["k5"], "--tau", "1") == (
+            2, f"error (input): {message}\n")
 
 
 class TestOutOfMemory:
@@ -642,6 +680,49 @@ class TestOutOfMemory:
             3, "error (budget): out of memory\n")
         assert run_json(capsys, "expsum", files["k5"], "--tau", "1") == (
             3, {"error": {"kind": "budget", "message": "out of memory"}})
+
+
+class TestHugeSizes:
+    """A size far past what can be formed is refused within seconds, in a
+    child capped at 256 MB of address space: an extension degree by the
+    budget (exit 3) without forming q^k, a connection or tuple file's m
+    by its parser (exit 2) before any term is built."""
+
+    CONN = {"m": 1, "size": 1, "dt": [[[{"c": "1", "deg": {"t": 1}}]]], "dx": [[["0"]]]}
+    UNITS = "error (budget): units of GF(5^{e}) (required 5^{e} - 1, budget {b})\n"
+    TOO_MANY = "error (input): {path}.m: expected an integer <= 32, got {m}\n"
+    CASES = {
+        "field-degree": (["analyze-polytope"], dict(KLOOSTERMAN5, field={"p": "5", "m": 10 ** 11}),
+                         3, UNITS.format(e=10 ** 11, b=10 ** 9)),
+        "extension-degree": (["expsum", "--tau", "1", "--k", str(10 ** 11)], KLOOSTERMAN5,
+                             3, UNITS.format(e=10 ** 11, b=10 ** 9)),
+        # 5^10000 - 1 has more decimal digits than Python prints from an int
+        "unprintable-count": (["expsum", "--tau", "1", "--k", "10000", "--budget", "1000"],
+                              KLOOSTERMAN5, 3, UNITS.format(e=10000, b=1000)),
+        "connection-m-overflow": (["verify-connection"], dict(CONN, m=10 ** 20),
+                                  2, TOO_MANY.format(path="{path}", m=10 ** 20)),
+        "connection-m-huge": (["verify-connection"], dict(CONN, m=10 ** 9),
+                              2, TOO_MANY.format(path="{path}", m=10 ** 9)),
+        "tuple-m-huge": (["verify-fts"], dict(fts_tuple("1"), m=10 ** 9),
+                         2, TOO_MANY.format(path="{path}", m=10 ** 9)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_within_seconds(self, tmp_path, case):
+        argv, doc, code, message = self.CASES[case]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        limit = 256 << 20
+
+        def limit_child():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = {k: v for k, v in CHILD_ENV.items() if k != "ARITH_LG_BUDGET"}
+        child = subprocess.run(
+            [sys.executable, "-m", "arith_lg.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True, env=env, timeout=20, preexec_fn=limit_child)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, message.format(path=path), "")
 
 
 class TestProcessEntry:

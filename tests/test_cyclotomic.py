@@ -198,15 +198,11 @@ class TestCharacter:
         assert psi(a) * psi(b) == psi(a + b)
 
     def test_psi_inverse_power(self):
+        # the inverse character: psi(-a) = sigma_{-1}(psi(a))
         F = make_field(5, 1)
         a = F.from_int(2)
-        assert psi(a, power=-1) == conj_sigma(psi(a), 4)
-        assert psi(a) * psi(a, power=-1) == 1
-
-    def test_psi_power_zero_rejected(self):
-        F = make_field(5, 1)
-        with pytest.raises(InputError, match="character power must be a unit mod p"):
-            psi(F.one(), power=5)
+        assert psi(-a) == conj_sigma(psi(a), -1) == conj_sigma(psi(a), 4)
+        assert psi(a) * psi(-a) == 1
 
     def test_psi_char2(self):
         F4 = make_field(2, 2)
@@ -345,8 +341,8 @@ class TestNewtonIdentities:
             validate_power_sums(CycloPoly(2, [1, 2]), [rat(2, 1)])
 
     def test_too_few_sums_raises(self):
-        with pytest.raises(InputError, match="need 2 power sums, got 1"):
-            char_poly_from_power_sums([rat(2, 5)], r=2)
+        with pytest.raises(InputError, match="rank must be >= 1"):
+            char_poly_from_power_sums([])
 
     @given(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=4))
     @settings(deadline=None, max_examples=40)

@@ -222,12 +222,6 @@ class TestGkzSum:
         with pytest.raises(InputError):
             gkz_sum(table, F5, 1, (F5.from_int(1),))
 
-    def test_character_power_rejected_before_any_work(self):
-        D = kloosterman(F5)
-        table = monomial_table(D)
-        one = F5.from_int(1)
-        with pytest.raises(InputError, match="character power must be a unit"), scope(budget=1):
-            gkz_sum(table, F5, 1, (one, one, F5.from_int(0)), psi_power=10)
 
 
 class TestZeroCountAndTraceSum:

@@ -327,6 +327,7 @@ class TestArithmetic:
         assert (x * y) * z == x * (y * z)
         assert x + y == y + x
         assert x * y == y * x
+        assert x - y == x + (-y) and 1 - x == F.one() + (-x)
 
     @given(coords8)
     @settings(deadline=None, max_examples=30)
@@ -335,7 +336,7 @@ class TestArithmetic:
         x = F.element(a)
         if x:
             assert x * x.inverse() == F.one()
-            assert x ** -1 == x.inverse()
+            assert x ** -1 == x.inverse() == 1 / x
         else:
             with pytest.raises(ZeroDivisionError):
                 x.inverse()

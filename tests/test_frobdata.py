@@ -196,6 +196,27 @@ class TestFrobeniusReport:
         assert any("collapsed" in w for w in rep.warnings)
         assert not rep.purity_ok or not rep.determinant_ok
 
+    @pytest.mark.parametrize("field, terms, x, warning", [
+        # x = (4, 4) cancels both torus monomials of t + 1/t (+ 1)
+        (F5, [((1,), 1), ((-1,), 1)], (4, 4),
+         "specialized polynomial is zero: non-generic parameter"),
+        (F5, [((1,), 1), ((-1,), 1), ((0,), 1)], (4, 4),
+         "specialized polynomial is constant: non-generic parameter"),
+        # t^2 + 1/t over F_2: the vertex t^2 has an exponent divisible by
+        # p = 2, so its logarithmic derivative vanishes at t = 1 already
+        (make_field(2, 1), [((2,), 1), ((-1,), 1)], (),
+         "degenerate face found at search depth 1"),
+    ], ids=["zero", "constant", "degenerate"])
+    def test_non_generic_parameter_warns(self, field, terms, x, warning):
+        one = field.one()
+        f = LaurentPoly(1, [(w, c * one) for w, c in terms], field)
+        directions = (LaurentPoly(1, [((1,), one)], field),
+                      LaurentPoly(1, [((-1,), one)], field))[:len(x)]
+        D = Deformation(f, directions, "newton_preserving")
+        rep = frobenius_report(D, tuple(field.from_int(v) for v in x), one)
+        assert rep.warnings == (warning,)
+        assert not rep.purity_ok
+
     def test_non_strict_returns_flags(self):
         # failed checks come back as lowered flags of the report, not as
         # an exception

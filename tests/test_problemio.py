@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,9 @@ class TestParseField:
         F = parse_field({"p": "5", "m": 2, "modulus": ["2", "0", "1"]})
         assert F.modulus == (2, 0, 1)
 
+    def test_degree_one_modulus_is_x(self):
+        assert parse_field({"p": "5", "m": 1, "modulus": ["0", "1"]}) == parse_field({"p": "5"})
+
     def test_modulus_length_mismatch(self):
         with pytest.raises(ParseError) as e:
             parse_field({"p": "5", "m": 2, "modulus": ["2", "1"]})
@@ -65,7 +70,7 @@ class TestParseProblem:
     def test_kloosterman(self):
         pf = parse_problem(KLOOSTERMAN)
         assert isinstance(pf, ProblemFile)
-        assert pf.field.q == 5 and pf.n == 1 and pf.m == 1
+        assert pf.field.q == 5 and pf.deformation.base.n == 1 and pf.m == 1
         assert pf.deformation.kind == "subdiagram"
         assert pf.budget is None and pf.tolerance is None
 
@@ -82,8 +87,11 @@ class TestParseProblem:
         assert w.coords == (1, 2)
 
     def test_explicit_table(self):
-        obj = dict(KLOOSTERMAN, table=[[1], [-1], [0]])
-        assert parse_problem(obj) == parse_problem(KLOOSTERMAN)
+        # no command reads a monomial table, so a file may not give one,
+        # even a valid one
+        with pytest.raises(ParseError, match="unknown key") as e:
+            parse_problem(dict(KLOOSTERMAN, table=[[1], [-1], [0]]))
+        assert path_of(e) == "$.table"
 
     def test_duplicate_table_point(self):
         obj = dict(KLOOSTERMAN, table=[[1], [1]])
@@ -388,7 +396,7 @@ class TestLoadJsonFile:
     def test_round_trip(self, tmp_path):
         f = tmp_path / "ok.json"
         f.write_text(json.dumps(KLOOSTERMAN))
-        assert parse_problem(load_json_file(str(f))).n == 1
+        assert parse_problem(load_json_file(str(f))) == parse_problem(KLOOSTERMAN)
 
 
 class TestJsonable:
@@ -433,3 +441,60 @@ class TestJsonable:
     def test_unknown_type(self):
         with pytest.raises(InputError):
             jsonable(object())
+
+
+FORMATS = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+# section title in docs/formats.md -> its parser and the path it gives the
+# top-level object
+DOCUMENTED_FORMATS = {
+    "Field object": (parse_field, "field"),
+    "Problem file (a family of exponential sums)": (parse_problem, "$"),
+    "Connection file": (parse_connection, "$"),
+    "Structure tuple file": (parse_fts_tuple, "$"),
+    "Nilpotent matrix file": (parse_nilpotent_matrix, "$"),
+}
+# the tuple example writes each matrix as <matrix>; the 2 x 2 identity fits
+IDENTITY2 = '[[[{"c": "1"}], [{"c": "0"}]], [[{"c": "0"}], [{"c": "1"}]]]'
+KEY_BULLET = re.compile(r"\* ((?:`\w+`(?:, )?)+) \((required|optional)")
+
+
+def documented_format(title):
+    """A section of docs/formats.md: its example with the most keys, and
+    {key: required} from its key bullets.  A section without key bullets
+    (the nilpotent matrix file) requires every key of its example."""
+    text = FORMATS.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    block = text.split("```json\n", 1)[1].split("```", 1)[0].replace("<matrix>", IDENTITY2)
+    try:
+        examples = [json.loads(block)]
+    except json.JSONDecodeError:  # one example a line
+        examples = [json.loads(line) for line in block.splitlines()]
+    example = max(examples, key=len)
+    keys = {}
+    for line in text.splitlines():
+        bullet = KEY_BULLET.match(line)
+        if bullet:
+            for key in re.findall(r"`(\w+)`", bullet.group(1)):
+                keys[key] = bullet.group(2) == "required"
+    return example, keys or dict.fromkeys(example, True)
+
+
+class TestFormatDocs:
+    """The keys docs/formats.md lists for each input file are the keys its
+    parser reads."""
+
+    @pytest.mark.parametrize("title", list(DOCUMENTED_FORMATS))
+    def test_documented_keys_are_the_parsed_keys(self, title):
+        parse, root = DOCUMENTED_FORMATS[title]
+        example, keys = documented_format(title)
+        assert set(example) == set(keys)  # the example shows every listed key
+        parse(example)  # each documented key is accepted
+        required = {k: example[k] for k, needed in keys.items() if needed}
+        parse(required)  # and the optional ones may be left out
+        for key in required:
+            with pytest.raises(ParseError, match=re.escape(f"missing required key {key!r}")) as e:
+                parse({k: v for k, v in required.items() if k != key})
+            assert path_of(e) == root
+        with pytest.raises(ParseError, match="unknown key") as e:
+            parse(dict(example, undocumented="1"))
+        assert path_of(e) == f"{root}.undocumented"
