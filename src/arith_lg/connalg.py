@@ -19,16 +19,21 @@ functions it builds are the partial derivatives of plain terms.
 as `RatFunc.dot` does.  The pairing's determinant is certified nonzero
 by its rank at one integer point, with the cofactor expansion as the
 exact fallback.
+
+Entries that are already RatFuncs are taken as they are.  On polynomial
+entries the assembly of A + Phi/t + (R_0/t - R_inf) dt/t adds no
+rational functions: each entry is a shift of t-exponents (`_over_t`).
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import InputError, VerificationError, frozen
 from .exactla import _echelon, _lift as _lift_rows
-from .mpoly import RatFunc, _group_sum, _lift, _one, _sum_products
+from .mpoly import (RatFunc, _group_sum, _is_one, _lift, _one, _poly, _ratfunc,
+                    _sum_products)
 
 __all__ = [
     "MatForm",
@@ -49,7 +54,9 @@ RMat = tuple  # tuple of tuples of RatFunc
 
 
 def _mat(rows, nvars: int, size: int | None = None) -> RMat:
-    out = tuple(tuple(_lift(nvars, v) for v in row) for row in rows)
+    # a RatFunc in nvars variables is taken as it is
+    out = tuple(tuple(v if type(v) is RatFunc and v.num.nvars == nvars else _lift(nvars, v)
+                      for v in row) for row in rows)
     n = len(out)
     if n == 0 or any(len(r) != n for r in out):
         raise InputError("matrix must be square and nonempty")
@@ -64,14 +71,6 @@ def _mat(rows, nvars: int, size: int | None = None) -> RMat:
 def _zmat(size: int, nvars: int) -> RMat:
     z = RatFunc.const(nvars, 0)
     return tuple(tuple(z for _ in range(size)) for _ in range(size))
-
-
-def _madd(a: RMat, b: RMat) -> RMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _msub(a: RMat, b: RMat) -> RMat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mtrans(a: RMat) -> RMat:
@@ -328,14 +327,43 @@ class FTSTuple:
         return self.m + 1
 
 
+def _over_t(a: RatFunc, b: RatFunc, k: int, t_powers: tuple) -> RatFunc:
+    """(a * t + b) / t^k for t-free a and b and k >= 1; t_powers[j] = t^j.
+
+    Over two denominators 1 the normalized pair is known: a * t + b has
+    t-valuation 0 unless b = 0, when the pair is a over t^(k-1), and t^k
+    is monic and shares no other variable.  Over the lcm of the two
+    denominators the content stays coprime to it, as in the MPoly
+    constructor.  Other denominators take the normalizing RatFunc sum.
+    """
+    p, q = a.num, b.num
+    if not (_is_one(a.den) and _is_one(b.den)):
+        return (a.mul_t_power(1) + b).mul_t_power(-k)
+    if not q.coeffs:
+        return _ratfunc(p, t_powers[k - 1]) if p.coeffs else a
+    if not p.coeffs:
+        return _ratfunc(q, t_powers[k])
+    den = lcm(p.denom, q.denom)
+    sp, sq = den // p.denom, den // q.denom
+    coeffs = {(1, *e[1:]): c * sp for e, c in p.coeffs.items()}
+    coeffs.update((e, c * sq) for e, c in q.coeffs.items())
+    return _ratfunc(_poly(p.nvars, coeffs, den), t_powers[k])
+
+
 def assemble_nabla(T: FTSTuple) -> MatForm:
-    """The one-parameter family A + Phi/t + (R_0/t - R_inf) dt/t."""
-    comps = {}
-    for i in range(T.m):
-        comps[(i + 1,)] = _madd(T.A[i], _mmap(lambda v: v.mul_t_power(-1), T.phi[i]))
-    comps[(0,)] = _msub(_mmap(lambda v: v.mul_t_power(-2), T.r0),
-                        _mmap(lambda v: v.mul_t_power(-1), T.rinf))
-    return MatForm(T.nvars, 1, comps, T.size)
+    """The one-parameter family A + Phi/t + (R_0/t - R_inf) dt/t: the
+    dx_i-part (A_i * t + Phi_i) / t and the dt-part
+    (-R_inf * t + R_0) / t^2, entry by entry."""
+    nvars = T.nvars
+    t_powers = (_one(nvars),) + tuple(_poly(nvars, {(k,) + (0,) * T.m: 1}) for k in (1, 2))
+
+    def part(X: RMat, Y: RMat, k: int) -> RMat:
+        return tuple(tuple(_over_t(x, y, k, t_powers) for x, y in zip(rx, ry))
+                     for rx, ry in zip(X, Y))
+
+    comps = {(i + 1,): part(T.A[i], T.phi[i], 1) for i in range(T.m)}
+    comps[(0,)] = part(_mmap(lambda v: -v, T.rinf), T.r0, 2)
+    return MatForm(nvars, 1, comps, T.size)
 
 
 def to_infinity_chart(A: MatForm) -> MatForm:

@@ -32,7 +32,12 @@ partial derivative over the constant 1) go through the trusted
 A partial derivative by a variable the denominator does not involve
 keeps the denominator and differentiates the numerator (the quotient
 rule with d' = 0); only the others square the denominator.  `_lift` is
-the one way a value enters Q(t, x) as a rational function.
+the way an arbitrary value enters Q(t, x) as a rational function.  Two
+callers use the trusted constructors on forms canonical by
+construction: `problemio._parse_mpoly` hands `_poly` an exponent -> int
+map without zeros (over the denominator 1) and wraps a term list over
+`_one`, and `connalg._over_t` assembles (a * t + b) / t^k from t-free
+polynomials by shifting t-exponents.
 """
 
 from __future__ import annotations

@@ -7,9 +7,12 @@ counts, exponent vectors, polynomial degrees, matrix sizes - are plain
 JSON integers.  On output every integer is a decimal string, structural
 ones included, except the exponents in a polynomial term's "deg" map.
 Parsing is strict: unknown keys are rejected, and every error names the
-path of the offending value.  A decimal polynomial coefficient is read
-as an int, which MPoly takes as it is, and a polynomial's terms build
-their paths only for an error; a rational string "a/b" is read as a
+path of the offending value.  Exact strings are read with character
+tests, so no regular expression is compiled at import (the grammar is
+in docs/formats.md, "Value conventions").  A decimal polynomial
+coefficient is read as an int, and a term list of ints is summed
+straight into an MPoly's stored form; a polynomial's terms build their
+paths only for an error.  A rational string "a/b" is read as a
 Fraction, and a zero denominator is a parse error.
 
 The serializers at the bottom are the single place library values turn
@@ -22,8 +25,8 @@ same encoding.  Callers hand it plain library values.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .budget import scope
@@ -32,7 +35,7 @@ from .cyclotomic import CycloNum, CycloPoly
 from .errors import InputError, ParseError, frozen
 from .ffield import FieldSpec, FqElem, extension_field, field_from_modulus, make_field
 from .laurent import Deformation, LaurentPoly
-from .mpoly import MPoly, RatFunc
+from .mpoly import MPoly, RatFunc, _one, _poly, _ratfunc
 
 __all__ = [
     "ProblemFile",
@@ -49,9 +52,6 @@ __all__ = [
 # the most parameters x1..xm a connection or structure tuple file may have
 _MAX_M = 32
 
-_DECIMAL = re.compile(r"-?[0-9]+\Z")
-_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
-
 
 def _check_keys(obj, path: str, required: Sequence[str], optional: Sequence[str] = ()):
     if not isinstance(obj, dict):
@@ -65,19 +65,31 @@ def _check_keys(obj, path: str, required: Sequence[str], optional: Sequence[str]
             raise ParseError(f"{path}.{key}", "unknown key")
 
 
+def _is_digits(s: str) -> bool:
+    """A nonempty run of ASCII digits (isdigit alone takes "²" and "٣")."""
+    return s.isdigit() and s.isascii()
+
+
+def _is_decimal(s: str) -> bool:
+    """At most one leading "-", then ASCII digits: no "+", space or "_"."""
+    return _is_digits(s[1:] if s[:1] == "-" else s)
+
+
 def _decimal(v, path: str) -> int:
-    if not isinstance(v, str) or not _DECIMAL.match(v):
+    if not (isinstance(v, str) and _is_decimal(v)):
         raise ParseError(path, f"expected a decimal string, got {v!r}")
     return int(v)
 
 
 def _fraction(v, path: str) -> Fraction:
-    if not isinstance(v, str) or not _FRACTION.match(v):
-        raise ParseError(path, f'expected a rational string like "3/2", got {v!r}')
-    try:
-        return Fraction(v)
-    except ZeroDivisionError:
-        raise ParseError(path, f"zero denominator in {v!r}") from None
+    """A decimal, or a decimal over an unsigned one: "3/2", "-4/8"."""
+    if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        if _is_decimal(num) and (not slash or _is_digits(den)):
+            if slash and not int(den):
+                raise ParseError(path, f"zero denominator in {v!r}")
+            return Fraction(int(num), int(den) if slash else 1)
+    raise ParseError(path, f'expected a rational string like "3/2", got {v!r}')
 
 
 def _plain_int(v, path: str, minimum: int | None = None,
@@ -210,55 +222,84 @@ def parse_problem(obj, path: str = "$", budget: int | None = None) -> ProblemFil
 
 # --- symbolic side: polynomials in t, x1..xm ----------------------------
 
-_VAR = re.compile(r"(t|x[1-9][0-9]*)\Z")
 _TERM_KEYS = frozenset(("c", "deg"))
 
 
+def _var_index(name: str) -> int | None:
+    """0 for "t", i for "x<i>" with i written without a leading zero,
+    else None."""
+    if name == "t":
+        return 0
+    digits = name[1:]
+    if name[:1] == "x" and _is_digits(digits) and digits[0] != "0":
+        return int(digits)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _var_names(m: int) -> dict[str, int]:
+    """The variable names of t, x1..xm, by index."""
+    return {"t": 0, **{f"x{i}": i for i in range(1, m + 1)}}
+
+
 def _parse_mpoly(v, m: int, path: str) -> MPoly:
-    """Term list [{"c":"3/2","deg":{"t":1,"x1":2}}] in variables t, x1..xm."""
+    """Term list [{"c":"3/2","deg":{"t":1,"x1":2}}] in variables t, x1..xm.
+
+    Integer terms are summed straight into the stored exponent -> int
+    map, which over the denominator 1 is canonical once zeros are
+    dropped; only a Fraction coefficient sends the sums through the
+    validating MPoly constructor."""
     if not isinstance(v, list):
         raise ParseError(path, "expected a list of terms")
     nvars = m + 1
-    terms = []
+    names = _var_names(m)
+    coeffs: dict = {}
+    integral = True
     for i, term in enumerate(v):
         if not (type(term) is dict and "c" in term and term.keys() <= _TERM_KEYS):
             _check_keys(term, f"{path}[{i}]", ["c"], ["deg"])
         c = term["c"]
-        if type(c) is str and _DECIMAL.match(c):
+        if type(c) is str and _is_decimal(c):
             c = int(c)
         else:
             c = _fraction(c, f"{path}[{i}].c")
+            integral = False
         exps = [0] * nvars
         deg = term.get("deg", {})
         if not isinstance(deg, dict):
             raise ParseError(f"{path}[{i}].deg", "expected an object of variable degrees")
         for name, d in deg.items():
-            if not _VAR.match(name):
-                raise ParseError(f"{path}[{i}].deg.{name}", "unknown variable")
-            idx = 0 if name == "t" else int(name[1:])
-            if idx > m:
+            idx = names.get(name)
+            if idx is None:
                 raise ParseError(f"{path}[{i}].deg.{name}",
-                                 f"variable out of range for m = {m}")
+                                 "unknown variable" if _var_index(name) is None
+                                 else f"variable out of range for m = {m}")
             if type(d) is not int or d < 0:
                 _plain_int(d, f"{path}[{i}].deg.{name}", minimum=0)
             exps[idx] = d
-        terms.append((tuple(exps), c))
-    return MPoly(nvars, terms)
+        e = tuple(exps)
+        c += coeffs.get(e, 0)
+        if c:
+            coeffs[e] = c
+        else:
+            coeffs.pop(e, None)
+    return _poly(nvars, coeffs) if integral else MPoly(nvars, coeffs)
 
 
 def _parse_ratfunc(v, m: int, path: str) -> RatFunc:
-    if isinstance(v, list):
-        return RatFunc(_parse_mpoly(v, m, path))
     if isinstance(v, dict):
         _check_keys(v, path, ["num"], ["den"])
         num = _parse_mpoly(v["num"], m, f"{path}.num")
-        if "den" not in v:
-            return RatFunc(num)
-        den = _parse_mpoly(v["den"], m, f"{path}.den")
-        if den.is_zero:
-            raise ParseError(f"{path}.den", "denominator is zero")
-        return RatFunc(num, den)
-    raise ParseError(path, "expected a term list or {num, den}")
+        if "den" in v:
+            den = _parse_mpoly(v["den"], m, f"{path}.den")
+            if den.is_zero:
+                raise ParseError(f"{path}.den", "denominator is zero")
+            return RatFunc(num, den)
+    elif isinstance(v, list):
+        num = _parse_mpoly(v, m, path)
+    else:
+        raise ParseError(path, "expected a term list or {num, den}")
+    return _ratfunc(num, _one(m + 1))  # over the constant 1 it is normalized
 
 
 def _parse_matrix(v, m: int, size: int, path: str):

@@ -103,6 +103,17 @@ def _curl(X, Y, a, b):
     return _madd(_msub(_mpartial(Y, a), _mpartial(X, b)), _mcomm(X, Y))
 
 
+def _mshift(a, k):
+    return tuple(tuple(x.mul_t_power(k) for x in row) for row in a)
+
+
+def reference_assemble(T):
+    """A + Phi/t + (R_0/t - R_inf) dt/t as sums of rational functions."""
+    comps = {(i + 1,): _madd(T.A[i], _mshift(T.phi[i], -1)) for i in range(T.m)}
+    comps[(0,)] = _msub(_mshift(T.r0, -2), _mshift(T.rinf, -1))
+    return MatForm(T.nvars, 1, comps, T.size)
+
+
 def reference_curvature(A):
     """Every dz_a^dz_b component (a < b) of dA + A^A, zero ones included."""
     parts = [A.component((a,)) for a in range(A.nvars)]
@@ -474,6 +485,92 @@ class TestAssembly:
         T = FTSTuple(2, 1, A=[ZERO2], phi=[E12], r0=I2, rinf=[[0, 0], [0, 1]])
         A = assemble_nabla(T)
         assert to_infinity_chart(to_infinity_chart(A)) == A
+
+
+def random_entry_tuple(rng, polynomial=False):
+    """A tuple whose entries are zero, polynomials with integer or
+    Fraction coefficients, or (unless polynomial) rational functions with
+    t-free denominators, 1/x1 among them."""
+    size, m = rng.choice((1, 2, 3)), rng.choice((1, 2))
+    nv = m + 1
+    xs = [MPoly.variable(nv, i) for i in range(1, nv)]
+    one = MPoly.const(nv, 1)
+
+    def poly():
+        p = MPoly.const(nv, rng.choice((0, 1, -2, Fraction(1, 2), Fraction(-3, 4))))
+        for _ in range(rng.randrange(3)):
+            p = p + rng.choice((1, -1, 3, Fraction(2, 3))) * rng.choice(xs) ** rng.randrange(3)
+        return RatFunc(p)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.2:
+            return RatFunc.const(nv, 0)
+        if polynomial or kind < 0.6:
+            return poly()
+        if kind < 0.8:
+            return RatFunc(one, xs[0])
+        return poly() / RatFunc(one + rng.choice((1, 2, Fraction(1, 3))) * rng.choice(xs))
+
+    def mat():
+        return [[entry() for _ in range(size)] for _ in range(size)]
+
+    return FTSTuple(size, m, A=[mat() for _ in range(m)], phi=[mat() for _ in range(m)],
+                    r0=mat(), rinf=mat())
+
+
+class TestAssembleByShifts:
+    """assemble_nabla against the sums of rational functions it replaces."""
+
+    def test_equals_the_sum_construction(self):
+        rng = random.Random(20261020)
+        tuples = [random_entry_tuple(rng) for _ in range(150)]
+        # A = Phi = 1/x1: a + b/t = (t + 1)/(t x1) only once x1 cancels
+        inv_x1 = RatFunc(MPoly.const(2, 1), MPoly.variable(2, 1))
+        tuples.append(FTSTuple(1, 1, A=[[[inv_x1]]], phi=[[[inv_x1]]],
+                               r0=[[inv_x1]], rinf=[[inv_x1]]))
+        for T in tuples:
+            got, want = assemble_nabla(T), reference_assemble(T)
+            assert got == want and set(got.comps) == set(want.comps)
+        tt, x1 = MPoly.variable(2, 0), MPoly.variable(2, 1)
+        assert got.component((1,))[0][0] == RatFunc(tt + 1, tt * x1)
+
+    def test_polynomial_entries_give_the_normalized_pair(self):
+        # over the constant 1 the closed form is the stored pair the
+        # normalizing sum gives, not only an equal function
+        rng = random.Random(20261021)
+        for _ in range(150):
+            T = random_entry_tuple(rng, polynomial=True)
+            got, want = assemble_nabla(T), reference_assemble(T)
+            assert set(got.comps) == set(want.comps)
+            for key, mat in want.comps.items():
+                for row, ref_row in zip(got.comps[key], mat):
+                    assert [(v.num, v.den) for v in row] == [(v.num, v.den) for v in ref_row]
+
+    def test_polynomial_entries_are_shifted_not_normalized(self, monkeypatch):
+        calls = []
+        init, kernel = RatFunc.__init__, mpoly._sum_products
+
+        def counted_init(self, *args):
+            calls.append("RatFunc")
+            init(self, *args)
+
+        def counted_kernel(*args):
+            calls.append("_sum_products")
+            return kernel(*args)
+
+        rng = random.Random(20261022)
+        polynomial = [random_entry_tuple(rng, polynomial=True) for _ in range(20)]
+        rational = random_entry_tuple(random.Random(3))
+        monkeypatch.setattr(RatFunc, "__init__", counted_init)
+        monkeypatch.setattr(mpoly, "_sum_products", counted_kernel)
+        monkeypatch.setattr(connalg, "_sum_products", counted_kernel)
+        for T in polynomial:
+            assemble_nabla(T)
+        assert calls == []
+        # the guard can fail: rational entries go through the RatFunc sum
+        assemble_nabla(rational)
+        assert "RatFunc" in calls
 
 
 class TestFTSTuple:

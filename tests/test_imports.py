@@ -214,3 +214,51 @@ def test_no_module_imports_dataclasses():
             and any(alias.name == "dataclasses" for alias in node.names))
         or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"))
     assert importers == []
+
+
+def module_level_regex_compiles(tree):
+    """The line of each call to a function of `re` that runs when the
+    module is imported: outside every function body and lambda."""
+    re_names = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.Import) for alias in node.names
+                if alias.name == "re"}
+    re_functions = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.module == "re"
+                    for alias in node.names}
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # decorators and defaults run at import, the body does not
+            for child in [*getattr(node, "decorator_list", ()), *node.args.defaults,
+                          *[d for d in node.args.kw_defaults if d is not None]]:
+                visit(child)
+            return
+        if isinstance(node, ast.Call):
+            func = node.func
+            if ((isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                 and func.value.id in re_names)
+                    or (isinstance(func, ast.Name) and func.id in re_functions)):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_the_regex_scan_sees_import_time_compiles():
+    source = ("import re\nimport re as regex\nfrom re import compile as c\n"
+              "A = re.compile('a')\n"
+              "class K:\n    B = regex.match('b', 'b')\n"
+              "def f(p=c('d')):\n    return re.compile('e')\n"
+              "g = lambda: re.compile('f')\n")
+    assert module_level_regex_compiles(ast.parse(source)) == [4, 6, 7]
+
+
+def test_no_module_compiles_a_regex_at_import():
+    # every request process pays for what runs at import; the parser
+    # reads its exact strings with character tests
+    compiles = {path.name: lines for path in sorted((SRC / "arith_lg").glob("*.py"))
+                if (lines := module_level_regex_compiles(ast.parse(path.read_text())))}
+    assert compiles == {}

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,8 @@ from arith_lg.cyclotomic import CycloNum, CycloPoly
 from arith_lg.errors import InputError, ParseError
 from arith_lg.ffield import make_field
 from arith_lg.mpoly import MPoly, RatFunc
-from arith_lg.problemio import (ProblemFile, jsonable, load_json_file,
+from arith_lg.problemio import (ProblemFile, _decimal, _fraction, _is_decimal,
+                                _parse_mpoly, _var_index, jsonable, load_json_file,
                                 parse_connection, parse_element_arg,
                                 parse_field, parse_fts_tuple,
                                 parse_nilpotent_matrix, parse_point_arg,
@@ -220,6 +222,65 @@ class TestParsePolynomials:
             parse_connection(obj)
 
 
+COEFFS = ["0", "-0", "1", "-1", "2", "-3", "007", "12", "3/2", "-4/8", "1/3", "6/3", "-0/5"]
+
+
+def random_term_list(rng, m):
+    """Terms over few exponents, so that some repeat; some come with their
+    negation, so that they cancel; about one list in three draws from the
+    Fraction coefficients too."""
+    names = ["t"] + [f"x{i}" for i in range(1, m + 1)]
+    coeffs = COEFFS if rng.random() < 0.35 else COEFFS[:8]
+    terms = []
+    for _ in range(rng.randrange(7)):
+        deg = {name: rng.randrange(3) for name in rng.sample(names, rng.randrange(len(names) + 1))}
+        c = rng.choice(coeffs)
+        terms.append({"c": c, "deg": deg} if deg or rng.random() < 0.5 else {"c": c})
+        if rng.random() < 0.25:
+            terms.append(dict(terms[-1], c=c[1:] if c.startswith("-") else "-" + c))
+    return terms
+
+
+def mpoly_oracle(terms, m):
+    """The public constructor on the same terms."""
+    index = {"t": 0, **{f"x{i}": i for i in range(1, m + 1)}}
+    out = []
+    for term in terms:
+        exps = [0] * (m + 1)
+        for name, d in term.get("deg", {}).items():
+            exps[index[name]] = d
+        out.append((exps, Fraction(term["c"])))
+    return MPoly(m + 1, out)
+
+
+class TestParseMPoly:
+    def test_direct_parse_is_the_constructor(self):
+        rng = random.Random(20261020)
+        lists = [[], [{"c": "0"}, {"c": "-0", "deg": {"t": 1}}],
+                 [{"c": "2", "deg": {"x1": 1}}, {"c": "-2", "deg": {"x1": 1}}]]
+        lists += [random_term_list(rng, 2) for _ in range(400)]
+        for terms in lists:
+            got, want = _parse_mpoly(terms, 2, "$"), mpoly_oracle(terms, 2)
+            assert (got.nvars, got.denom, got.coeffs) == (want.nvars, want.denom, want.coeffs)
+            assert all(type(c) is int for c in got.coeffs.values())
+
+    def test_integer_terms_call_no_constructor(self, monkeypatch):
+        calls = []
+        init = MPoly.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MPoly, "__init__", counted)
+        T = parse_fts_tuple(dict(TUPLE, g=[[[{"c": "1"}]]]))
+        parse_connection(CONN)
+        assert (T.r0[0][0].num, calls) == (-MPoly.variable(2, 1), [])
+        # the guard can fail: a Fraction coefficient goes through MPoly(...)
+        parse_fts_tuple(dict(TUPLE, rinf=[[[{"c": "3/2"}]]]))
+        assert len(calls) == 1
+
+
 ZERO1 = [[{"c": "0"}]]
 TUPLE = {
     "size": 1, "m": 1,
@@ -291,6 +352,15 @@ TERM_ERRORS = {
                     "$.dx[0][0][0][0].deg.x1: expected an integer, got True"),
     "zero-den": ({"m": 1, "size": 1, "dx": [[[{"num": [{"c": "1"}], "den": [{"c": "-0"}]}]]]},
                  "$.dx[0][0][0].den: denominator is zero"),
+    "c-plus": (entry({"c": "+1"}),
+               '$.dx[0][0][0][0].c: expected a rational string like "3/2", got \'+1\''),
+    "c-negative-denominator": (entry({"c": "3/-2"}),
+                               '$.dx[0][0][0][0].c: expected a rational string like "3/2", '
+                               "got '3/-2'"),
+    "leading-zero-variable": (entry({"c": "1", "deg": {"x01": 1}}),
+                              "$.dx[0][0][0][0].deg.x01: unknown variable"),
+    "wide-variable-out-of-range": (entry({"c": "1", "deg": {"x10": 1}}),
+                                   "$.dx[0][0][0][0].deg.x10: variable out of range for m = 1"),
 }
 
 
@@ -310,6 +380,61 @@ class TestParseErrorMessages:
         x = MPoly.variable(2, 1)
         A = parse_connection(entry({"c": c, "deg": {"x1": 1}}, {"c": "1"}))
         assert A.component((1,))[0][0] == RatFunc(x * value + 1)
+
+
+# the grammar of exact strings as regular expressions: the oracle the
+# parser's character tests must agree with
+DECIMAL = re.compile(r"-?[0-9]+\Z")
+FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
+VARIABLE = re.compile(r"(t|x[1-9][0-9]*)\Z")
+
+GRAMMAR_EDGES = ["", "-", "--1", "+1", " 1", "1 ", "1\n", "007", "-0", "٣", "²", "1_0",
+                 "3/", "/2", "3/-2", "3/0", "-0/5", "1/2/3", "x0", "x01", "x10", "x",
+                 "T", "t", "t1", "xx1", "x1\n", "x²", "x٣"]
+
+
+def grammar_corpus(count=50000, seed=20261020):
+    rng = random.Random(seed)
+    alphabet = "0123456789" * 3 + "-/+ _\nxtT²٣"
+    return [''.join(rng.choice(alphabet) for _ in range(rng.randrange(8)))
+            for _ in range(count)]
+
+
+def fraction_or_error(s):
+    try:
+        return _fraction(s, "$")
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestStringGrammar:
+    """The parser reads exact strings with character tests; the regular
+    expressions above are the grammar they must agree with, on the edge
+    cases and on a seeded random corpus."""
+
+    @pytest.mark.parametrize("strings", [GRAMMAR_EDGES, grammar_corpus()],
+                             ids=["edges", "corpus"])
+    def test_character_tests_agree_with_the_regular_expressions(self, strings):
+        for s in strings:
+            assert _is_decimal(s) == bool(DECIMAL.match(s)), s
+            assert (_var_index(s) is not None) == bool(VARIABLE.match(s)), s
+            if VARIABLE.match(s):
+                assert _var_index(s) == (0 if s == "t" else int(s[1:]))
+            if not FRACTION.match(s):
+                expected = f'$: expected a rational string like "3/2", got {s!r}'
+            elif "/" in s and not int(s.split("/")[1]):
+                expected = f"$: zero denominator in {s!r}"
+            else:
+                expected = Fraction(s)
+            got = fraction_or_error(s)
+            assert (got, type(got)) == (expected, type(expected)), s
+
+    def test_decimal_values_and_messages(self):
+        assert _decimal("-007", "$") == -7
+        for s in ("+1", " 1", "1_0", "²", ""):
+            with pytest.raises(ParseError) as e:
+                _decimal(s, "$.p")
+            assert str(e.value) == f"$.p: expected a decimal string, got {s!r}"
 
 
 class TestParseNilpotentMatrix:
