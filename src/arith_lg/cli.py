@@ -17,12 +17,17 @@ os._exit, so the process skips the interpreter's teardown of its heap.
 Start-up is kept small too: the collector is paused while this module's
 imports run, the generated_at stamp is formatted from time.time_ns()
 without importing datetime, and a well-formed command line is read
-without argparse.  Each subcommand's arguments are declared once, as
-data in `_SUBCOMMANDS`: `build_parser` hands those entries to argparse,
-and `_parse_direct` reads the same entries itself.  It declines anything
-it does not read exactly as argparse would (--help, an abbreviation, a
-missing or malformed value, a misspelt subcommand), which then goes to
-argparse, so help text, usage errors and exit code 2 are argparse's own.
+without argparse.  Each command imports its own layers: this module
+loads the torus stack the problem-file commands share, and the handlers
+of frobenius, l-function and monodromy import frobdata, those of
+verify-connection and verify-fts connalg, at the top of their bodies,
+so a torus request loads neither.  Each subcommand's arguments are
+declared once, as data in `_SUBCOMMANDS`: `build_parser` hands those
+entries to argparse, and `_parse_direct` reads the same entries itself.
+It declines anything it does not read exactly as argparse would
+(--help, an abbreviation, a missing or malformed value, a misspelt
+subcommand), which then goes to argparse, so help text, usage errors
+and exit code 2 are argparse's own.
 """
 
 from __future__ import annotations
@@ -44,14 +49,11 @@ try:
 
     from . import problemio as pio
     from .budget import scope
-    from .connalg import verify_connection, verify_fts, verify_metric
-    from .cyclotomic import all_embeddings
+    from .cyclotomic import PURITY_TOL, all_embeddings
     from .errors import (ArithLGError, BudgetExceeded, InputError,
                          VerificationError)
     from .expsum import family_sum
     from .ffield import extension_field
-    from .frobdata import PURITY_TOL, family_l_function, frobenius_report, \
-        monodromy_filtration
     from .laurent import check_nondegenerate, specialize
     from .polytope import all_proper_faces, is_convenient, normalized_volume
 finally:
@@ -161,6 +163,7 @@ def _cmd_expsum(args):
 
 
 def _cmd_frobenius(args):
+    from .frobdata import frobenius_report
     pf = _load_problem(args)
     tau = pio.parse_element_arg(args.tau, pf.field, "tau")
     x = _point(args, pf)
@@ -174,6 +177,7 @@ def _cmd_frobenius(args):
 
 
 def _cmd_l_function(args):
+    from .frobdata import family_l_function
     pf = _load_problem(args)
     x = _point(args, pf)
     with _scope(args, pf):
@@ -183,6 +187,7 @@ def _cmd_l_function(args):
 
 
 def _cmd_verify_connection(args):
+    from .connalg import verify_connection
     A = pio.parse_connection(pio.load_json_file(args.connection), args.connection)
     report = verify_connection(A)
     # fields that apply are document keys, in field order for the text form
@@ -192,6 +197,7 @@ def _cmd_verify_connection(args):
 
 
 def _cmd_verify_fts(args):
+    from .connalg import verify_fts, verify_metric
     T = pio.parse_fts_tuple(pio.load_json_file(args.tuple), args.tuple)
     report = verify_fts(T)
     ok = report.all_conditions_ok
@@ -204,6 +210,7 @@ def _cmd_verify_fts(args):
 
 
 def _cmd_monodromy(args):
+    from .frobdata import monodromy_filtration
     N = pio.parse_nilpotent_matrix(pio.load_json_file(args.matrix), args.matrix)
     filt = monodromy_filtration(N)
     payload = {

@@ -41,6 +41,7 @@ __all__ = [
     "conj_sigma",
     "embed_complex",
     "all_embeddings",
+    "PURITY_TOL",
     "char_poly_from_power_sums",
     "validate_power_sums",
     "RationalFunctionFit",
@@ -293,6 +294,11 @@ def embed_complex(z: CycloNum, a: int = 1) -> complex:
 def all_embeddings(z: CycloNum) -> list[complex]:
     """Values of z under every complex embedding of Q(zeta_p)."""
     return [embed_complex(z, a) for a in range(1, z.p)]
+
+
+# default tolerance of every archimedean check on embedded values: sum
+# bounds, purity and the determinant
+PURITY_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cyclotomic import (CycloNum, CycloPoly, all_embeddings,
+from .cyclotomic import (PURITY_TOL, CycloNum, CycloPoly, all_embeddings,
                          char_poly_from_power_sums, embed_complex,
                          linear_recurrence_reconstruct, validate_power_sums)
 from .errors import InputError, VerificationError, frozen
@@ -24,7 +24,6 @@ from .laurent import Deformation, check_nondegenerate, specialize
 from .polytope import normalized_volume
 
 __all__ = [
-    "PURITY_TOL",
     "FrobeniusReport",
     "LFunctionReport",
     "Filtration",
@@ -34,7 +33,6 @@ __all__ = [
     "monodromy_filtration",
 ]
 
-PURITY_TOL = 1e-6
 MAX_RANK = 12  # largest rank frobenius_report takes on (it needs 2r sums)
 NONDEGENERACY_DEPTH = 1  # extension degrees searched for degenerate faces
 

@@ -13,7 +13,10 @@ in docs/formats.md, "Value conventions").  A decimal polynomial
 coefficient is read as an int, and a term list of ints is summed
 straight into an MPoly's stored form; a polynomial's terms build their
 paths only for an error.  A rational string "a/b" is read as a
-Fraction, and a zero denominator is a parse error.
+Fraction, and a zero denominator is a parse error.  The command-line
+elements of --tau and --x follow the same decimal grammar.  The records
+of connalg are imported by the two parsers that build them, once per
+file, so reading a problem file or a nilpotent matrix never loads it.
 
 The serializers at the bottom are the single place library values turn
 into JSON-compatible structures.  jsonable runs once per document: on
@@ -27,15 +30,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .budget import scope
-from .connalg import FTSTuple, MatForm
 from .cyclotomic import CycloNum, CycloPoly
 from .errors import InputError, ParseError, frozen
 from .ffield import FieldSpec, FqElem, extension_field, field_from_modulus, make_field
 from .laurent import Deformation, LaurentPoly
 from .mpoly import MPoly, RatFunc, _one, _poly, _ratfunc
+
+if TYPE_CHECKING:
+    from .connalg import FTSTuple, MatForm
 
 __all__ = [
     "ProblemFile",
@@ -316,6 +321,7 @@ def _parse_matrix(v, m: int, size: int, path: str):
 
 def parse_connection(obj, path: str = "$") -> MatForm:
     """{"m": 1, "size": 2, "dt": [[...]], "dx": [[[...]]]} -> degree-1 form."""
+    from .connalg import MatForm
     _check_keys(obj, path, ["m", "size"], ["dt", "dx"])
     m = _plain_int(obj["m"], f"{path}.m", minimum=1, maximum=_MAX_M)
     size = _plain_int(obj["size"], f"{path}.size", minimum=1)
@@ -332,6 +338,7 @@ def parse_connection(obj, path: str = "$") -> MatForm:
 
 def parse_fts_tuple(obj, path: str = "$") -> FTSTuple:
     """Mirror of the FTSTuple constructor; entries must not involve t."""
+    from .connalg import FTSTuple
     _check_keys(obj, path, ["size", "m", "A", "phi", "r0", "rinf"], ["g"])
     size = _plain_int(obj["size"], f"{path}.size", minimum=1)
     m = _plain_int(obj["m"], f"{path}.m", minimum=1, maximum=_MAX_M)
@@ -389,12 +396,12 @@ def load_json_file(filename: str):
 # --- command-line element syntax -----------------------------------------
 
 def parse_element_arg(s: str, field: FieldSpec, what: str = "element") -> FqElem:
-    """ "3" -> from_int(3); "1:2" -> coordinates in the power basis."""
+    """ "3" -> from_int(3); "1:2" -> coordinates in the power basis.  Each
+    coordinate is a decimal string of the file grammar."""
     parts = s.split(":")
-    try:
-        coords = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(what, f"not an element: {s!r}") from None
+    if not all(_is_decimal(p) for p in parts):
+        raise ParseError(what, f"not an element: {s!r}")
+    coords = [int(p) for p in parts]
     if len(coords) == 1:
         return field.from_int(coords[0])
     if len(coords) != field.m:

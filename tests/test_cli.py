@@ -186,6 +186,12 @@ class TestExpsum:
         assert code == 2
         assert "nonzero" in out
 
+    @pytest.mark.parametrize("tau", ["+2", " 2", "٢", "0_2"])
+    def test_tau_follows_the_file_grammar(self, files, capsys, tau):
+        # int() would read each of these as 2
+        code, out = run(capsys, "expsum", files["k5"], "--tau", tau)
+        assert (code, out) == (2, f"error (input): tau: not an element: {tau!r}\n")
+
     def test_bad_character_power_is_input_error_before_work(self, files, capsys):
         # rejected before the budget sees the table or the torus
         code, out = run(capsys, "expsum", files["k5"], "--tau", "1",
@@ -237,7 +243,7 @@ class TestTolerance:
 
     @pytest.mark.parametrize("command", ["expsum", "frobenius"])
     def test_default_is_purity_tol(self, files, capsys, monkeypatch, command):
-        # a file without a tolerance gets frobdata.PURITY_TOL in every
+        # a file without a tolerance gets cyclotomic.PURITY_TOL in every
         # archimedean check, and -inf fails every one of them
         monkeypatch.setattr(cli, "PURITY_TOL", float("-inf"))
         code, _ = run(capsys, command, files["k5"], "--tau", "1")
@@ -876,7 +882,7 @@ cli.run()
         called = {ast.unparse(node.func) for node in ast.walk(guard[0])
                   if isinstance(node, ast.Call)}
         assert "run" in called and "main" not in called
-        import tomllib  # 3.11+; the package itself supports 3.10
+        tomllib = pytest.importorskip("tomllib")  # 3.11+; the package supports 3.10
         with open(ROOT / "pyproject.toml", "rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts == {"arith-lg": "arith_lg.cli:run"}

@@ -1,5 +1,5 @@
 """numpy is a dependency of the Frobenius root moduli only, and
-`dataclasses` of none.
+`dataclasses` of none; each command loads its own layers.
 
 A command that does not need the floating-point roots of a
 characteristic polynomial must not pay for loading numpy: each check
@@ -17,7 +17,11 @@ well-formed command line is read without argparse, so no such command
 loads `argparse` or the `gettext` behind its messages; `--help` and a
 usage error still go through argparse.  Importing the CLI pauses the
 cyclic collector while its imports run and leaves it as it found it, and
-loads no module beyond a pinned list.
+loads no module beyond a pinned list: the torus stack, but neither
+`connalg` nor `frobdata`.  Each handler imports the layer it calls, so
+`expsum` and `check-nondegenerate` load neither, `frobenius`,
+`l-function` and `monodromy` load `frobdata` only, and `verify-fts` and
+`verify-connection` load `connalg` only.
 """
 
 import ast
@@ -33,6 +37,16 @@ from test_cli import (CURVED_CONN, FLAT_CONN, IRREGULAR_INF_CONN, JORDAN3,
                       KLOOSTERMAN3, KLOOSTERMAN5, LOG_CONN, fts_tuple)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the layers a command loads beyond the CLI's own imports; a command not
+# listed loads none
+COMMAND_LAYERS = {
+    "frobenius": ["arith_lg.frobdata"],
+    "l-function": ["arith_lg.frobdata"],
+    "monodromy": ["arith_lg.frobdata"],
+    "verify-connection": ["arith_lg.connalg"],
+    "verify-fts": ["arith_lg.connalg"],
+}
 
 # command, input document, exit code
 EXACT_COMMANDS = {
@@ -68,7 +82,8 @@ except SystemExit as exc:  # argparse's, after --help or a usage error
     code = exc.code
 sys.stdout.flush()
 loaded = [name for name in ("numpy", "dataclasses", "inspect", "datetime", "heapq",
-                            "argparse", "gettext")
+                            "argparse", "gettext", "arith_lg.connalg",
+                            "arith_lg.frobdata")
           if name in sys.modules]
 print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
 """
@@ -82,8 +97,8 @@ def child_env():
 def run_fresh(*argv):
     """Exit code of cli.main on argv (None: import only; argparse's
     exit code after --help or a usage error) in a fresh interpreter, and
-    which of numpy, dataclasses, inspect, datetime, heapq, argparse and
-    gettext were loaded by the end."""
+    which of numpy, dataclasses, inspect, datetime, heapq, argparse,
+    gettext, connalg and frobdata were loaded by the end."""
     run = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv], capture_output=True,
                          text=True, env=child_env(), timeout=120, check=True)
     doc = json.loads(run.stderr.splitlines()[-1])
@@ -106,11 +121,11 @@ def test_cli_import_leaves_numpy_unloaded():
 CLI_IMPORTS = {
     "__future__", "_collections", "_collections_abc", "_contextvars", "_decimal",
     "_functools", "_json", "_operator", "_sre", "_stat", "_typing", "arith_lg",
-    "arith_lg.budget", "arith_lg.cli", "arith_lg.connalg", "arith_lg.cyclotomic",
-    "arith_lg.errors", "arith_lg.exactla", "arith_lg.expsum", "arith_lg.ffield",
-    "arith_lg.frobdata", "arith_lg.laurent", "arith_lg.mpoly", "arith_lg.polytope",
-    "arith_lg.problemio", "atexit", "cmath", "collections", "collections.abc",
-    "contextlib", "contextvars", "copyreg", "decimal", "enum", "fractions", "functools",
+    "arith_lg.budget", "arith_lg.cli", "arith_lg.cyclotomic", "arith_lg.errors",
+    "arith_lg.exactla", "arith_lg.expsum", "arith_lg.ffield", "arith_lg.laurent",
+    "arith_lg.mpoly", "arith_lg.polytope", "arith_lg.problemio", "atexit", "cmath",
+    "collections", "collections.abc", "contextlib", "contextvars", "copyreg", "decimal",
+    "enum", "fractions", "functools",
     "gc", "genericpath", "itertools", "json", "json.decoder", "json.encoder",
     "json.scanner", "keyword", "math", "numbers", "operator", "os", "os.path",
     "posixpath", "re", "re._casefix", "re._compiler", "re._constants", "re._parser",
@@ -152,13 +167,14 @@ def test_cli_import_leaves_the_collector_as_it_found_it(state):
 @pytest.mark.parametrize("name", sorted(EXACT_COMMANDS))
 def test_exact_commands_leave_numpy_unloaded(tmp_path, name):
     command, doc, code = EXACT_COMMANDS[name]
-    assert run_fresh(command, write(tmp_path, doc)) == (code, [])
+    assert run_fresh(command, write(tmp_path, doc)) == (code, COMMAND_LAYERS.get(command, []))
 
 
 @pytest.mark.parametrize("name", sorted(TORUS_COMMANDS))
 def test_torus_commands_leave_numpy_unloaded(tmp_path, name):
     doc, (command, *options) = TORUS_COMMANDS[name]
-    assert run_fresh(command, write(tmp_path, doc), *options) == (0, [])
+    assert run_fresh(command, write(tmp_path, doc), *options) == (
+        0, COMMAND_LAYERS.get(command, []))
 
 
 def test_frobenius_loads_numpy(tmp_path):
@@ -166,6 +182,7 @@ def test_frobenius_loads_numpy(tmp_path):
     # loads inspect
     code, loaded = run_fresh("frobenius", write(tmp_path, KLOOSTERMAN5), "--tau", "1")
     assert (code, "numpy" in loaded, "dataclasses" in loaded) == (0, True, False)
+    assert [name for name in loaded if name.startswith("arith_lg.")] == ["arith_lg.frobdata"]
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["expsum", "--help"], 0),

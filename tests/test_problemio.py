@@ -481,6 +481,20 @@ class TestElementArgs:
         with pytest.raises(ParseError):
             parse_element_arg("x", make_field(5, 1))
 
+    @pytest.mark.parametrize("s", ["٢", " 2", "2 ", "+2", "0_2", "2\n",
+                                   "1:+2", "1: 2", "1:٢"])
+    def test_coordinates_follow_the_file_grammar(self, s):
+        # int() alone takes each of these (Arabic-Indic digits, padding,
+        # a sign, digit separators); a problem file refuses them
+        with pytest.raises(ParseError) as e:
+            parse_element_arg(s, make_field(5, 2), "tau")
+        assert str(e.value) == f"tau: not an element: {s!r}"
+
+    def test_point_coordinates_follow_the_file_grammar(self):
+        with pytest.raises(ParseError) as e:
+            parse_point_arg("0,+2", make_field(5, 1), 2)
+        assert str(e.value) == "x[1]: not an element: '+2'"
+
     def test_point(self):
         F5 = make_field(5, 1)
         assert parse_point_arg("0,2", F5, 2) == (F5.from_int(0), F5.from_int(2))
